@@ -7,7 +7,6 @@ link exactly and plans slope configurations for crossing circles.
 """
 
 from .arborescent import (
-    WeightedPlanarTree,
     check_arborescent,
     family_tree,
     generate_diagram,
@@ -15,7 +14,6 @@ from .arborescent import (
     parse_tree,
 )
 from .braids import (
-    BraidWord,
     braid_to_diagram,
     check_braid,
     check_interleaving,
@@ -23,22 +21,19 @@ from .braids import (
     parse_braid,
     reduce_braid,
 )
-from .criterion import Diagnosis, Status, Verdict, check_main, detect_dk, diagnose
-from .diagram import Crossing, Face, LinkDiagram, parse_pd
+from .criterion import Status, Verdict, check_main, detect_dk, diagnose
+from .diagram import LinkDiagram, parse_pd
 from .errors import FoliarError, InputError, InternalError
 from .sidegraphs import (
     GREEN,
     RED,
-    SideGraph,
     build_side_graphs,
     color_faces,
     connectivity_report,
     normalize_assumption2,
 )
 from .surgery import (
-    CrossingCircle,
     Interval,
-    Plan,
     Slope,
     augment,
     circles_from_counts,
@@ -47,11 +42,8 @@ from .surgery import (
     realized_interval,
     verify_plan,
 )
-from .tait import TaitGraph, build_tait, check_tait, contract
+from .tait import build_tait, check_tait, contract
 from .twists import (
-    CollapsedGraph,
-    TwistDecomposition,
-    TwistRegion,
     collapse,
     detect_twist_regions,
     reduce_assumption1,
@@ -60,28 +52,16 @@ from .twists import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BraidWord",
-    "CollapsedGraph",
-    "Crossing",
-    "CrossingCircle",
-    "Diagnosis",
-    "Face",
     "FoliarError",
     "GREEN",
     "InputError",
     "InternalError",
     "Interval",
     "LinkDiagram",
-    "Plan",
     "RED",
-    "SideGraph",
     "Slope",
     "Status",
-    "TaitGraph",
-    "TwistDecomposition",
-    "TwistRegion",
     "Verdict",
-    "WeightedPlanarTree",
     "augment",
     "braid_to_diagram",
     "build_side_graphs",

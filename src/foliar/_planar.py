@@ -1,4 +1,4 @@
-"""Combinatorial map helpers shared by diagrams and collapsed graphs.
+"""Graph helpers shared by diagrams, collapsed graphs and face graphs.
 
 A map is given by darts 4*v + s for vertices v and slots s in 0..3, a
 fixed rotation sigma (next slot counterclockwise) and an involution
@@ -8,7 +8,19 @@ index at the vertex the traversal passes through: gap g sits between
 slots g and g+1.
 """
 
+from dataclasses import dataclass
+
 from .errors import NotBipartite
+
+
+@dataclass(frozen=True)
+class Face:
+    index: int
+    corners: tuple  # ((vertex, gap), ...) with gap g between slots g, g+1
+
+    @property
+    def size(self):
+        return len(self.corners)
 
 
 def sigma(d):
@@ -37,6 +49,21 @@ def trace_faces(n_darts, alpha):
                 break
         faces.append(corners)
     return faces, dart_face
+
+
+def faces_of(n_darts, alpha):
+    """Return (faces, dart_face, face_at) for a map.
+
+    faces are Face records, dart_face is as in trace_faces, and face_at
+    maps each corner (vertex, gap) to the index of its face.
+    """
+    raw, dart_face = trace_faces(n_darts, alpha)
+    # from a list, not a generator: tuple() sizes a generator's result by
+    # resizing, so the tuple is later freed into a CPython free list it
+    # was not taken from; those lists empty only on a full collection
+    faces = tuple([Face(i, tuple(cs)) for i, cs in enumerate(raw)])
+    face_at = {corner: f.index for f in faces for corner in f.corners}
+    return faces, dart_face, face_at
 
 
 def two_color(n_faces, n_darts, alpha, dart_face):
@@ -80,3 +107,36 @@ class DisjointSets:
         if ra != rb:
             self.parent[rb] = ra
         return ra
+
+
+def component_count(vertices, pairs):
+    """Connected components of the graph on vertices with edges pairs."""
+    ds = DisjointSets()
+    for u, v in pairs:
+        ds.union(u, v)
+    return len({ds.find(v) for v in vertices})
+
+
+def is_tree(vertices, pairs):
+    return (
+        component_count(vertices, pairs) <= 1
+        and len(pairs) == len(vertices) - 1
+    )
+
+
+def to_dot(name, nodes, edges):
+    """Graphviz text: nodes are (id, label), edges (u, v, label).
+
+    A label of None leaves that node or edge unlabelled.
+    """
+    lines = [f"graph {name} {{"]
+    for v, label in nodes:
+        lines.append(f"  {v}{_dot_label(label)};")
+    for u, v, label in edges:
+        lines.append(f"  {u} -- {v}{_dot_label(label)};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _dot_label(label):
+    return "" if label is None else f' [label="{label}"]'

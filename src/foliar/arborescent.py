@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 
 from ._planar import DisjointSets
+from .criterion import Status, Verdict, weight_reasons
 from .diagram import relabel
 from .errors import ConstructionMismatch, MalformedTree, ZeroWeight
 from .sidegraphs import build_side_graphs, normalize_assumption2
@@ -34,18 +35,18 @@ class WeightedPlanarTree:
         self.nodes = []
         self.parent = {}
         self.order = {}
-
-        def walk(n, parent):
+        # preorder with an explicit stack: a recursive closure over self
+        # would make every tree cyclic garbage
+        stack = [(root, None)]
+        while stack:
+            n, parent = stack.pop()
             idx = len(self.nodes)
             self.nodes.append(n)
             self.parent[idx] = parent
             self.order[idx] = []
             if parent is not None:
                 self.order[parent].append(idx)
-            for c in n.children:
-                walk(c, idx)
-
-        walk(root, None)
+            stack.extend((c, idx) for c in reversed(n.children))
 
     def __len__(self):
         return len(self.nodes)
@@ -311,19 +312,13 @@ def make_pretzel_pd(qs):
 # -- tree level verdict -----------------------------------------------------
 
 def check_arborescent(tree):
-    from .criterion import Status, Verdict
-
     if isinstance(tree, str):
         tree = parse_tree(tree)
     weights = tree.weights()
     reasons = []
     if len(tree) == 1:
         reasons.append("SingleVertex")
-    for i, w in enumerate(weights):
-        if abs(w) < 2:
-            reasons.append(f"WeightTooSmall(vertex={i},weight={w})")
-    if not any(abs(w) >= 3 for w in weights):
-        reasons.append("NoWeightAboveTwo")
+    reasons += weight_reasons(weights, lambda i, w: f"vertex={i},weight={w}")
     d = generate_diagram(tree)
     comps = d.component_count()
     if comps != 1:
@@ -335,5 +330,4 @@ def check_arborescent(tree):
         tuple(sorted(abs(w) for w in weights)),
         (),
         len(tree),
-        {"tree": tree, "diagram": d},
     )

@@ -10,9 +10,11 @@ h the bridge is sigma_{h-1}.  The test only applies to braids on an
 odd number of strands.
 """
 
+import re
 from dataclasses import dataclass
 
-from ._planar import DisjointSets
+from ._planar import DisjointSets, component_count
+from .criterion import Status, Verdict, weight_reasons
 from .diagram import relabel
 from .errors import (
     BadGenerator,
@@ -21,6 +23,8 @@ from .errors import (
     MalformedToken,
     NonSphericalEmbedding,
 )
+
+_SYLLABLE = re.compile(r"s(\d+)(?:\^(-?\d+))?")
 
 
 @dataclass(frozen=True)
@@ -39,12 +43,10 @@ class BraidWord:
 
 
 def parse_braid(text, n_strands=None):
-    import re
-
     sylls = []
     top = 0
     for tok in text.split():
-        m = re.fullmatch(r"s(\d+)(?:\^(-?\d+))?", tok)
+        m = _SYLLABLE.fullmatch(tok)
         if not m:
             raise MalformedToken(f"bad syllable {tok!r}")
         gen = int(m.group(1))
@@ -98,17 +100,7 @@ def closure_components(word):
         if s.exp % 2:
             i = s.gen - 1
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    seen = set()
-    comps = 0
-    for i in range(word.n_strands):
-        if i in seen:
-            continue
-        comps += 1
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-    return comps
+    return component_count(range(word.n_strands), enumerate(perm))
 
 
 def check_interleaving(word):
@@ -183,29 +175,23 @@ def braid_to_diagram(word):
 
 
 def check_braid(word):
-    from .criterion import Status, Verdict
-
     if isinstance(word, str):
         word = parse_braid(word)
     word = reduce_braid(word)
     reasons = []
-    detail = {"word": word}
     try:
-        violations, vacuous = check_interleaving(word)
-        detail["vacuous"] = tuple(vacuous)
+        violations, _ = check_interleaving(word)
         if violations:
-            detail["interleaving_violations"] = tuple(violations)
             reasons.append("Interleaving")
     except EvenStrandCount:
         reasons.append("EvenStrandCount")
     comps = closure_components(word)
     if comps != 1:
         reasons.append(f"NotAKnot({comps})")
-    for i, s in enumerate(word.syllables):
-        if abs(s.exp) < 2:
-            reasons.append(f"WeightTooSmall(syllable={i},exp={s.exp})")
-    if not any(abs(s.exp) >= 3 for s in word.syllables):
-        reasons.append("NoWeightAboveTwo")
+    reasons += weight_reasons(
+        [s.exp for s in word.syllables],
+        lambda i, w: f"syllable={i},exp={w}",
+    )
     status = Status.CERTIFIED if not reasons else Status.HYPOTHESES_FAIL
     return Verdict(
         status,
@@ -213,5 +199,4 @@ def check_braid(word):
         tuple(sorted(abs(s.exp) for s in word.syllables)),
         (),
         len(word.syllables),
-        detail,
     )

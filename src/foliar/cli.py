@@ -12,12 +12,11 @@ import sys
 
 from .arborescent import check_arborescent, generate_diagram, parse_tree
 from .braids import braid_to_diagram, check_braid, parse_braid, reduce_braid
-from .criterion import Status, check_main, diagnose
+from .criterion import Status, check_main, diagnose, reshaped
 from .diagram import LinkDiagram, parse_pd
-from .errors import InputError
+from .errors import InputError, Unsatisfiable
 from .surgery import Slope, augment, classify_borromean, plan_configurations
 from .tait import check_tait
-from .errors import Unsatisfiable
 
 
 def _read_diagram(text, path=None):
@@ -30,13 +29,36 @@ def _read_diagram(text, path=None):
     return parse_pd(t)
 
 
-def _emit_dot(directory, named_graphs):
+# dot file name -> main-route detail key of the graph written there
+_DOT_FILES = {"collapsed": "collapsed", "side_green": "green", "side_red": "red"}
+
+
+def _emit_dot(directory, detail):
     os.makedirs(directory, exist_ok=True)
-    for name, graph in named_graphs:
+    for name, key in _DOT_FILES.items():
+        graph = detail.get(key)
         if graph is None:
             continue
         with open(os.path.join(directory, name + ".dot"), "w") as fh:
             fh.write(graph.to_dot() + "\n")
+
+
+def _crosscheck(verdict, d, out):
+    """Add the checkerboard route's status to out.
+
+    Returns True when the routes disagree on an input that was not
+    reshaped; on a reshaped input a disagreement only adds a note.
+    """
+    tv = check_tait(d)
+    out["tait_status"] = tv.status.value
+    if tv.status == verdict.status:
+        return False
+    if reshaped(verdict):
+        out["note"] = (
+            "routes differ after cancellation or merging reshaped the diagram"
+        )
+        return False
+    return True
 
 
 def cmd_check(args):
@@ -45,31 +67,9 @@ def cmd_check(args):
     out = json.loads(verdict.to_json())
     if args.diagnose:
         out = json.loads(diagnose(d).to_json())
-    mismatch = False
-    if args.crosscheck:
-        tv = check_tait(d)
-        out["tait_status"] = tv.status.value
-        clean = not (
-            verdict.detail.get("reduced") or verdict.detail.get("merged")
-        )
-        if tv.status != verdict.status:
-            if clean:
-                mismatch = True
-            else:
-                out["note"] = (
-                    "routes differ after cancellation or merging reshaped "
-                    "the diagram"
-                )
+    mismatch = args.crosscheck and _crosscheck(verdict, d, out)
     if args.emit_dot:
-        detail = verdict.detail
-        _emit_dot(
-            args.emit_dot,
-            [
-                ("collapsed", detail.get("collapsed")),
-                ("side_green", detail.get("green")),
-                ("side_red", detail.get("red")),
-            ],
-        )
+        _emit_dot(args.emit_dot, verdict.detail)
     print(json.dumps(out))
     return 3 if mismatch else 0
 
@@ -186,9 +186,7 @@ def cmd_corpus(args):
                "reasons": list(verdict.reasons)}
         counts[verdict.status.value] += 1
         if args.crosscheck and d is not None:
-            tv = check_tait(d)
-            row["tait_status"] = tv.status.value
-            if tv.status != verdict.status and path.endswith(".pd"):
+            if _crosscheck(verdict, d, row) and path.endswith(".pd"):
                 code = max(code, 3)
         print(json.dumps(row))
     print(json.dumps({"files": len(paths), **counts}))
@@ -243,7 +241,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

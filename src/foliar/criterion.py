@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import NonAlternatingChain
 from .sidegraphs import (
     GREEN,
     RED,
@@ -59,13 +58,36 @@ def detect_dk(cg):
     return v.handedness * v.count
 
 
+def weight_reasons(weights, tag):
+    """Reasons signed twist weights fail the twist hypothesis.
+
+    Every weight needs |w| >= 2 and some weight |w| >= 3.  tag(i, w)
+    describes the i-th weight in its reason; it is called only for the
+    weights that fail.
+    """
+    reasons = [
+        f"WeightTooSmall({tag(i, w)})"
+        for i, w in enumerate(weights)
+        if abs(w) < 2
+    ]
+    if not any(abs(w) >= 3 for w in weights):
+        reasons.append("NoWeightAboveTwo")
+    return reasons
+
+
+def reshaped(verdict):
+    """Whether cancellation or merging changed the diagram on the main route.
+
+    Only verdicts on inputs that were not reshaped must agree with the
+    checkerboard route.
+    """
+    return bool(verdict.detail.get("reduced") or verdict.detail.get("merged"))
+
+
 def check_main(d):
     comps = d.component_count()
     if comps != 1:
-        try:
-            n = len(detect_twist_regions(d, allow_mixed=True))
-        except NonAlternatingChain:  # pragma: no cover - mixed is allowed
-            n = 0
+        n = len(detect_twist_regions(d, allow_mixed=True))
         return Verdict(
             Status.HYPOTHESES_FAIL,
             (f"NotAKnot({comps})",),
@@ -77,8 +99,6 @@ def check_main(d):
     cg = collapse(d, dec)
     cg, green, red = normalize_assumption2(cg)
     detail = {
-        "diagram": d,
-        "decomposition": dec,
         "collapsed": cg,
         "green": green,
         "red": red,
@@ -95,14 +115,11 @@ def check_main(d):
             1,
             detail,
         )
-    reasons = []
-    for v in cg.vertices:
-        if v.count < 2:
-            reasons.append(f"WeightTooSmall(region={v.index},count={v.count})")
-    if not any(v.count >= 3 for v in cg.vertices):
-        reasons.append("NoWeightAboveTwo")
+    reasons = weight_reasons(
+        [v.count for v in cg.vertices],
+        lambda i, w: f"region={cg.vertices[i].index},count={w}",
+    )
     rep = connectivity_report(green, red)
-    detail["connectivity"] = rep
     if not rep.connected_green:
         reasons.append(f"Disconnected({color_name(GREEN)})")
     if not rep.connected_red:

@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from ._planar import DisjointSets, sigma, trace_faces
+from ._planar import DisjointSets, faces_of
 from .errors import (
     ArcCountMismatch,
     EmptyDiagram,
@@ -32,24 +32,11 @@ class Crossing:
     under_axis: int = 0
 
 
-@dataclass(frozen=True)
-class Face:
-    index: int
-    corners: tuple  # ((crossing, gap), ...) with gap g between slots g, g+1
-
-    @property
-    def size(self):
-        return len(self.corners)
-
-
 class LinkDiagram:
     """Validated diagram with faces, components and corner lookups."""
 
     def __init__(self, crossings):
-        crossings = tuple(
-            c if isinstance(c, Crossing) else Crossing(tuple(c[0]), c[1])
-            for c in crossings
-        )
+        crossings = tuple(crossings)  # callers pass lists; see faces_of
         if not crossings:
             raise EmptyDiagram("no crossings")
         for c in crossings:
@@ -59,18 +46,13 @@ class LinkDiagram:
         self._validate_arcs()
         self._validate_connected()
         self.alpha = self._build_alpha()
-        raw_faces, self.dart_face = trace_faces(4 * len(crossings), self.alpha)
-        self.faces = tuple(
-            Face(i, tuple(cs)) for i, cs in enumerate(raw_faces)
+        self.faces, self.dart_face, self.face_at = faces_of(
+            4 * len(crossings), self.alpha
         )
         if len(self.faces) != len(crossings) + 2:
             raise NonSphericalEmbedding(
                 f"{len(self.faces)} faces for {len(crossings)} crossings"
             )
-        self.face_at = {}
-        for f in self.faces:
-            for ci, gap in f.corners:
-                self.face_at[(ci, gap)] = f.index
 
     # -- validation --------------------------------------------------------
 
@@ -138,7 +120,7 @@ class LinkDiagram:
     def mirror(self):
         """Swap over and under strands at every crossing."""
         return LinkDiagram(
-            Crossing(c.slots, 1 - c.under_axis) for c in self.crossings
+            [Crossing(c.slots, 1 - c.under_axis) for c in self.crossings]
         )
 
     # -- serialisation -----------------------------------------------------
@@ -165,13 +147,13 @@ class LinkDiagram:
             data = json.loads(text)
             slots = data["crossings"]
             axes = data["under_axis"]
+            if len(slots) != len(axes):
+                raise MalformedToken("crossings and under_axis lengths differ")
+            # a row or list of the wrong type raises TypeError here
+            crossings = [Crossing(tuple(s), ax) for s, ax in zip(slots, axes)]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedToken(f"bad diagram json: {exc}") from None
-        if len(slots) != len(axes):
-            raise MalformedToken("crossings and under_axis lengths differ")
-        return cls(
-            Crossing(tuple(s), ax) for s, ax in zip(slots, axes)
-        )
+        return cls(crossings)
 
 
 def parse_pd(text):
@@ -201,5 +183,5 @@ def relabel(slot_lists, axes):
             row.append(order[a])
         out.append(tuple(row))
     return LinkDiagram(
-        Crossing(s, ax) for s, ax in zip(out, axes)
+        [Crossing(s, ax) for s, ax in zip(out, axes)]
     )

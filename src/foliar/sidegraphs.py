@@ -16,7 +16,7 @@ normal form the certification criterion inspects.
 
 from dataclasses import dataclass, replace
 
-from ._planar import DisjointSets, two_color
+from ._planar import component_count, is_tree, to_dot, two_color
 from .errors import DegenerateCollapse, EquivalenceViolation, InternalError
 from .twists import CollapsedGraph
 
@@ -46,29 +46,21 @@ class SideGraph:
     def weights(self):
         return tuple(sorted(e.weight for e in self.edges))
 
-    def component_count(self):
-        ds = DisjointSets()
-        for v in self.vertices:
-            ds.find(v)
-        for e in self.edges:
-            ds.union(e.u, e.v)
-        return len({ds.find(v) for v in self.vertices})
+    def _pairs(self):
+        return [(e.u, e.v) for e in self.edges]
 
     def is_connected(self):
-        return self.component_count() <= 1
+        return component_count(self.vertices, self._pairs()) <= 1
 
     def is_tree(self):
-        return self.is_connected() and len(self.edges) == len(self.vertices) - 1
+        return is_tree(self.vertices, self._pairs())
 
     def to_dot(self):
-        name = color_name(self.color)
-        lines = [f"graph side_{name} {{"]
-        for v in self.vertices:
-            lines.append(f"  f{v};")
-        for e in self.edges:
-            lines.append(f'  f{e.u} -- f{e.v} [label="{e.signed:+d}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        return to_dot(
+            f"side_{color_name(self.color)}",
+            [(f"f{v}", None) for v in self.vertices],
+            [(f"f{e.u}", f"f{e.v}", f"{e.signed:+d}") for e in self.edges],
+        )
 
 
 def color_faces(plane):
@@ -78,9 +70,8 @@ def color_faces(plane):
     )
 
 
-def build_side_graphs(cg, coloring=None):
-    if coloring is None:
-        coloring = color_faces(cg)
+def build_side_graphs(cg):
+    coloring = color_faces(cg)
     verts = {GREEN: set(), RED: set()}
     for f in cg.faces:
         verts[coloring[f.index]].add(f.index)
@@ -142,7 +133,7 @@ def _first_parallel_family(green, red):
             groups.setdefault((e.u, e.v), []).append(e)
         for key in sorted(groups):
             if len(groups[key]) >= 2:
-                return g.color, groups[key]
+                return groups[key]
     return None
 
 
@@ -164,10 +155,9 @@ def normalize_assumption2(cg):
     """
     while True:
         green, red = build_side_graphs(cg)
-        fam = _first_parallel_family(green, red)
-        if fam is None:
+        edges = _first_parallel_family(green, red)
+        if edges is None:
             return cg, green, red
-        _, edges = fam
         s = sum(e.signed for e in edges)
         regions = sorted(e.region for e in edges)
         if s == 0:

@@ -21,8 +21,10 @@ sits inside its interval.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError, MalformedToken, Unsatisfiable, ZeroK
+from .twists import detect_twist_regions
 
 
 class Slope:
@@ -40,8 +42,6 @@ class Slope:
                 raise MalformedToken("0/0 is not a slope")
             p = 1
         else:
-            from math import gcd
-
             g = gcd(p, q)
             p, q = p // g, q // g
             if q < 0:
@@ -153,29 +153,13 @@ class CrossingCircle:
     coefficient: Slope
 
 
-def augment(source):
+def augment(d):
     """Crossing circles of a diagram's coherent twist regions.
 
-    Accepts a diagram or an existing decomposition.  A region of count
-    1 has no full twist to encircle and raises ZeroK.
+    A region of count 1 has no full twist to encircle and raises ZeroK.
     """
-    from .twists import TwistDecomposition, detect_twist_regions
-
-    if isinstance(source, TwistDecomposition):
-        dec = source
-    else:
-        dec = detect_twist_regions(source)
-    circles = []
-    for r in dec:
-        k = r.handedness * (r.count // 2)
-        if k == 0:
-            raise ZeroK(
-                f"region {r.index} has count {r.count}; no full twist"
-            )
-        circles.append(
-            CrossingCircle(r.index, r.count, r.parity, k, Slope(1, k))
-        )
-    return circles
+    regions = detect_twist_regions(d)
+    return circles_from_counts([r.handedness * r.count for r in regions])
 
 
 # -- configuration planning -------------------------------------------------
@@ -260,10 +244,11 @@ def plan_configurations(circles):
 
 
 def circles_from_counts(signed_counts):
-    """Synthetic crossing circles from signed twist counts.
+    """Crossing circles from signed twist counts, one per region.
 
-    The sign carries handedness; |c| is the crossing count.  Useful for
-    exercising the planner without building diagrams.
+    The sign carries handedness; |c| is the crossing count.  augment
+    feeds it a diagram's regions; on its own it exercises the planner
+    without building diagrams.
     """
     circles = []
     for i, sc in enumerate(signed_counts):
@@ -273,7 +258,7 @@ def circles_from_counts(signed_counts):
         h = 1 if sc > 0 else -1
         k = h * (c // 2)
         if k == 0:
-            raise ZeroK(f"count {sc} has no full twist")
+            raise ZeroK(f"region {i} has count {c}; no full twist")
         circles.append(CrossingCircle(i, c, c % 2, k, Slope(1, k)))
     return circles
 

@@ -18,7 +18,8 @@ with the collapsed-graph route.
 
 from dataclasses import dataclass, field
 
-from ._planar import DisjointSets
+from ._planar import DisjointSets, is_tree, to_dot
+from .criterion import Status, Verdict, weight_reasons
 from .errors import InternalError
 from .sidegraphs import GREEN, color_faces, color_name
 from .twists import reduce_assumption1
@@ -52,13 +53,11 @@ class TaitGraph:
         return sum(e.label for e in self.edges)
 
     def to_dot(self):
-        lines = [f"graph tait_{color_name(self.color)} {{"]
-        for v in self.vertices:
-            lines.append(f"  f{v};")
-        for e in self.edges:
-            lines.append(f'  f{e.u} -- f{e.v} [label="{e.label:+d}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        return to_dot(
+            f"tait_{color_name(self.color)}",
+            [(f"f{v}", None) for v in self.vertices],
+            [(f"f{e.u}", f"f{e.v}", f"{e.label:+d}") for e in self.edges],
+        )
 
 
 def build_tait(d):
@@ -99,18 +98,8 @@ class ContractedTait:
     def __post_init__(self):
         self.weights = tuple(sorted(self.chain_weights + self.merged_weights))
 
-    def is_connected(self):
-        if not self.vertices:
-            return True
-        ds = DisjointSets()
-        for v in self.vertices:
-            ds.find(v)
-        for u, v in self.edge_pairs:
-            ds.union(u, v)
-        return len({ds.find(v) for v in self.vertices}) <= 1
-
     def is_tree(self):
-        return self.is_connected() and len(self.edge_pairs) == len(self.vertices) - 1
+        return is_tree(self.vertices, self.edge_pairs)
 
 
 def contract(tg):
@@ -120,8 +109,6 @@ def contract(tg):
     if len(bivalent) == len(tg.vertices):
         raise InternalError("contract called on an all-bivalent graph")
     ds = DisjointSets()
-    for v in bivalent:
-        ds.find(v)
     for e in tg.edges:
         if e.u in bivalent and e.v in bivalent:
             ds.union(e.u, e.v)
@@ -167,14 +154,11 @@ def _dk_value(green, red):
 
 
 def check_tait(d):
-    from .criterion import Status, Verdict
-
     comps = d.component_count()
     if comps != 1:
         return Verdict(Status.HYPOTHESES_FAIL, (f"NotAKnot({comps})",))
     d = reduce_assumption1(d)
     green, red = build_tait(d)
-    detail = {"diagram": d, "green": green, "red": red}
     k = _dk_value(green, red)
     if k is not None:
         return Verdict(
@@ -183,23 +167,15 @@ def check_tait(d):
             (abs(k),),
             (),
             1,
-            detail,
         )
     results = {}
     for g in (green, red):
         cg = contract(g)
-        reasons = []
-        for w in cg.weights:
-            if w < 2:
-                reasons.append(
-                    f"WeightTooSmall({color_name(g.color)},weight={w})"
-                )
-        if not any(w >= 3 for w in cg.weights):
-            reasons.append("NoWeightAboveTwo")
+        name = color_name(g.color)
+        reasons = weight_reasons(cg.weights, lambda i, w: f"{name},weight={w}")
         if not cg.is_tree():
-            reasons.append(f"NotContractible({color_name(g.color)})")
+            reasons.append(f"NotContractible({name})")
         results[g.color] = (cg, tuple(reasons))
-    detail["contracted"] = {c: r[0] for c, r in results.items()}
     cg_green, reasons_green = results[GREEN]
     cg_red, reasons_red = results[1 - GREEN]
     certified = not reasons_green or not reasons_red
@@ -209,5 +185,4 @@ def check_tait(d):
         cg_green.weights,
         cg_red.weights,
         len(cg_green.weights),
-        detail,
     )

@@ -20,8 +20,8 @@ reduced graph used for face colouring and the side graphs.
 
 from dataclasses import dataclass
 
-from ._planar import DisjointSets, trace_faces
-from .diagram import Face, LinkDiagram, relabel
+from ._planar import DisjointSets, faces_of, to_dot
+from .diagram import relabel
 from .errors import (
     InternalError,
     NonAlternatingChain,
@@ -222,8 +222,6 @@ def _cancel(d, ci, cj, bigon_face):
     corners = dict(d.faces[bigon_face].corners)
     gc, gd = corners[ci], corners[cj]
     ds = DisjointSets()
-    for a in range(1, d.arc_count + 1):
-        ds.find(a)
     # strands through the pair: external slot g+3 of one meets g+2 of the other
     ds.union(d.arc_at(ci, gc + 3), d.arc_at(cj, gd + 2))
     ds.union(d.arc_at(ci, gc + 2), d.arc_at(cj, gd + 3))
@@ -277,17 +275,14 @@ class CollapsedGraph:
     def __init__(self, vertices, alpha):
         self.vertices = tuple(vertices)
         self.alpha = dict(alpha)
-        raw, self.dart_face = trace_faces(4 * len(self.vertices), self.alpha)
-        self.faces = tuple(Face(i, tuple(cs)) for i, cs in enumerate(raw))
+        self.faces, self.dart_face, self.face_at = faces_of(
+            4 * len(self.vertices), self.alpha
+        )
         if len(self.faces) != len(self.vertices) + 2:
             raise InternalError(
                 f"collapsed graph has {len(self.faces)} faces for "
                 f"{len(self.vertices)} vertices"
             )
-        self.face_at = {}
-        for f in self.faces:
-            for vi, gap in f.corners:
-                self.face_at[(vi, gap)] = f.index
 
     def __len__(self):
         return len(self.vertices)
@@ -296,19 +291,17 @@ class CollapsedGraph:
         return tuple(self.face_at[(vi, g)] for g in self.ARC_GAPS)
 
     def to_dot(self):
-        lines = ["graph collapsed {"]
-        for v in self.vertices:
-            lines.append(
-                f'  v{v.index} [label="{v.count}@{v.handedness:+d}"];'
-            )
-        seen = set()
-        for d_, e in self.alpha.items():
-            if (e, d_) in seen:
-                continue
-            seen.add((d_, e))
-            lines.append(f"  v{d_ >> 2} -- v{e >> 2};")
-        lines.append("}")
-        return "\n".join(lines)
+        nodes = [
+            (f"v{v.index}", f"{v.count}@{v.handedness:+d}")
+            for v in self.vertices
+        ]
+        edges = []
+        partners = set()  # each edge is written from its first dart
+        for d, e in self.alpha.items():
+            if d not in partners:
+                partners.add(e)
+                edges.append((f"v{d >> 2}", f"v{e >> 2}", None))
+        return to_dot("collapsed", nodes, edges)
 
 
 def collapse(d, decomposition=None):

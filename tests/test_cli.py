@@ -59,12 +59,61 @@ def test_check_emit_dot(tmp_path, capsys):
     assert code == 0
     names = sorted(os.listdir(target))
     assert names == ["collapsed.dot", "side_green.dot", "side_red.dot"]
+    texts = {n: (target / n).read_text() for n in names}
+    assert texts == {
+        "collapsed.dot": (
+            "graph collapsed {\n"
+            '  v0 [label="2@+1"];\n'
+            '  v1 [label="2@-1"];\n'
+            "  v0 -- v1;\n"
+            "  v0 -- v1;\n"
+            "  v0 -- v1;\n"
+            "  v0 -- v1;\n"
+            "}\n"
+        ),
+        "side_green.dot": (
+            "graph side_green {\n"
+            "  f0;\n"
+            "  f2;\n"
+            '  f0 -- f2 [label="+2"];\n'
+            "}\n"
+        ),
+        "side_red.dot": (
+            "graph side_red {\n"
+            "  f1;\n"
+            "  f3;\n"
+            '  f1 -- f3 [label="-2"];\n'
+            "}\n"
+        ),
+    }
 
 
 def test_check_input_error_exit_code(capsys):
     code, out, err = run(capsys, "check", "X[1,4,2,5] X[3,6,4,1]")
     assert code == 2
     assert "error:" in err
+
+
+def test_check_missing_file_is_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "check", "-f", str(tmp_path / "missing.pd"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"crossings": 5, "under_axis": [0]}',
+        '{"crossings": [[1,2,3]], "under_axis": 0}',
+        '{"crossings": [5], "under_axis": [0]}',
+    ],
+    ids=["crossings", "under_axis", "row"],
+)
+def test_check_json_wrong_types_are_input_errors(text, capsys):
+    code, out, err = run(capsys, "check", text)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_braid_command(capsys):
@@ -144,3 +193,27 @@ def test_corpus_walk(tmp_path, capsys):
 def test_corpus_missing_directory(capsys):
     code, _, err = run(capsys, "corpus", "/nonexistent-dir-for-test")
     assert code == 2
+
+
+# main route fails, the checkerboard route certifies, and edge merging
+# fired on the main route: the routes need not agree
+RESHAPED = (
+    "X[1,2,3,4] X[5,6,2,7] X[8,3,6,5] X[9,10,11,12] X[13,9,12,8] "
+    "X[10,13,4,11] X[14,15,1,16] X[17,18,15,19] X[20,21,16,17] "
+    "X[21,20,19,14] X[22,23,24,25] X[26,18,25,24] X[7,27,28,22] "
+    "X[23,28,27,26]"
+)
+
+
+def test_corpus_crosscheck_matches_check_on_reshaped_input(tmp_path, capsys):
+    (tmp_path / "r.pd").write_text(RESHAPED)
+    code, out, _ = run(capsys, "check", RESHAPED, "--crosscheck")
+    assert code == 0
+    checked = json.loads(out)
+    assert (checked["status"], checked["tait_status"]) == ("fail", "certified")
+
+    code, out, _ = run(capsys, "corpus", str(tmp_path), "--crosscheck")
+    assert code == 0
+    row = json.loads(out.strip().splitlines()[0])
+    assert row["tait_status"] == "certified"
+    assert row["note"] == checked["note"]
