@@ -14,15 +14,15 @@ square = parse_pd(
     "X[10,8,11,7] X[12,10,1,9] X[8,12,9,11]"
 )
 
-# Each crossing contributes one edge to each colour, labelled by the
+# Each crossing contributes one edge to each colour, signed by the
 # side of the strand that crosses on top.
 green, red = build_tait(square)
-print("green:", [(e.u, e.v, e.label) for e in green.edges])
-print("red:", [(e.u, e.v, e.label) for e in red.edges])
+print("green:", [(e.u, e.v, e.signed) for e in green.edges])
+print("red:", [(e.u, e.v, e.signed) for e in red.edges])
 
 # Contracting runs of two-valent vertices recovers the twist weights:
 # a run of j edges is a chain of weight j, and leftover parallel edges
-# merge by their signed labels.
+# merge by their signed weights.
 for name, tg in (("green", green), ("red", red)):
     c = contract(tg)
     print(name, "chains:", c.chain_weights, "merged:", c.merged_weights,

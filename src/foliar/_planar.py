@@ -66,15 +66,20 @@ def faces_of(n_darts, alpha):
     return faces, dart_face, face_at
 
 
-def two_color(n_faces, n_darts, alpha, dart_face):
-    """Two-colour faces so edge-adjacent faces differ; colour 0 holds face 0."""
-    adjacent = [set() for _ in range(n_faces)]
-    for d in range(n_darts):
+def two_color(plane):
+    """Two-colour the faces of a traced map so edge-adjacent faces differ.
+
+    plane has the faces, alpha and dart_face of faces_of; colour 0
+    holds face 0.
+    """
+    alpha, dart_face = plane.alpha, plane.dart_face
+    adjacent = [set() for _ in plane.faces]
+    for d in range(len(alpha)):
         f, g = dart_face[d], dart_face[alpha[d]]
         adjacent[f].add(g)
         adjacent[g].add(f)
     color = {}
-    for root in range(n_faces):
+    for root in range(len(plane.faces)):
         if root in color:
             continue
         color[root] = 0

@@ -19,7 +19,7 @@ from ._planar import DisjointSets
 from .criterion import Status, Verdict, weight_reasons
 from .diagram import relabel
 from .errors import ConstructionMismatch, MalformedTree, ZeroWeight
-from .sidegraphs import build_side_graphs, normalize_assumption2
+from .sidegraphs import build_side_graphs
 from .twists import collapse, detect_twist_regions
 
 
@@ -249,14 +249,6 @@ def generate_diagram(tree, validate=True):
     return d
 
 
-def _depth(tree, idx):
-    n = 0
-    while tree.parent[idx] is not None:
-        idx = tree.parent[idx]
-        n += 1
-    return n
-
-
 def _validate(tree, d, owner):
     dec = detect_twist_regions(d)
     by_vertex = {}
@@ -266,16 +258,16 @@ def _validate(tree, d, owner):
         raise ConstructionMismatch(
             f"{len(dec)} twist regions for {len(tree)} vertices"
         )
-    claimed = {}
+    depth = [0] * len(tree)
+    for i in range(1, len(tree)):  # preorder: parent[i] < i
+        depth[i] = depth[tree.parent[i]] + 1
     for r in dec:
-        members = set(r.crossings)
-        match = [v for v, cs in by_vertex.items() if cs == members]
-        if len(match) != 1:
+        # owner sets are disjoint, so only the first crossing's owner can match
+        v = owner[r.crossings[0]]
+        if by_vertex[v] != set(r.crossings):
             raise ConstructionMismatch(
                 f"region {r.index} does not match a single vertex"
             )
-        v = match[0]
-        claimed[v] = r
         w = tree.nodes[v].weight
         if r.count != abs(w):
             raise ConstructionMismatch(
@@ -283,7 +275,7 @@ def _validate(tree, d, owner):
             )
         if len(tree) == 1 and abs(w) == 2:
             continue  # a closed 2-chain reads either axis equally well
-        want = (1 if w > 0 else -1) * (1 if _depth(tree, v) % 2 == 0 else -1)
+        want = (1 if w > 0 else -1) * (1 if depth[v] % 2 == 0 else -1)
         if r.handedness != want:
             raise ConstructionMismatch(
                 f"vertex {v}: handedness {r.handedness}, expected {want}"

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every subcommand prints JSON on stdout.  Exit codes: 0 for any verdict
-(including hypothesis failures), 2 for unreadable or out-of-domain
-input, 3 when a cross-check between independent routes disagrees.
+(including hypothesis failures), 1 for an internal error (a bug),
+2 for unreadable or out-of-domain input, 3 when a cross-check between
+independent routes disagrees.
 """
 
 import argparse
@@ -14,7 +15,7 @@ from .arborescent import check_arborescent, generate_diagram, parse_tree
 from .braids import braid_to_diagram, check_braid, parse_braid, reduce_braid
 from .criterion import Status, check_main, diagnose, reshaped
 from .diagram import LinkDiagram, parse_pd
-from .errors import InputError, Unsatisfiable
+from .errors import InputError, InternalError, Unsatisfiable
 from .surgery import Slope, augment, classify_borromean, plan_configurations
 from .tait import check_tait
 
@@ -63,10 +64,9 @@ def _crosscheck(verdict, d, out):
 
 def cmd_check(args):
     d = _read_diagram(args.diagram, args.file)
-    verdict = check_main(d)
-    out = json.loads(verdict.to_json())
-    if args.diagnose:
-        out = json.loads(diagnose(d).to_json())
+    diagnosis = diagnose(d) if args.diagnose else None
+    verdict = diagnosis.verdict if diagnosis else check_main(d)
+    out = json.loads((diagnosis or verdict).to_json())
     mismatch = args.crosscheck and _crosscheck(verdict, d, out)
     if args.emit_dot:
         _emit_dot(args.emit_dot, verdict.detail)
@@ -153,16 +153,15 @@ def cmd_augment(args):
 
 
 def _corpus_entry(path):
-    base = os.path.basename(path)
     with open(path) as fh:
         text = fh.read()
     if path.endswith(".braid"):
-        return base, check_braid(parse_braid(text)), None
+        return check_braid(parse_braid(text)), None
     if path.endswith(".tree"):
         tree = parse_tree(text)
-        return base, check_arborescent(tree), generate_diagram(tree)
+        return check_arborescent(tree), generate_diagram(tree)
     d = _read_diagram(text)
-    return base, check_main(d), d
+    return check_main(d), d
 
 
 def cmd_corpus(args):
@@ -176,18 +175,23 @@ def cmd_corpus(args):
     counts = {s.value: 0 for s in Status}
     code = 0
     for path in paths:
+        base = os.path.basename(path)
         try:
-            base, verdict, d = _corpus_entry(path)
+            verdict, d = _corpus_entry(path)
+            row = {"file": base, "status": verdict.status.value,
+                   "reasons": list(verdict.reasons)}
+            if args.crosscheck and d is not None:
+                if _crosscheck(verdict, d, row) and path.endswith(".pd"):
+                    code = max(code, 3)
         except InputError as exc:
-            print(json.dumps({"file": os.path.basename(path), "error": str(exc)}))
+            print(json.dumps({"file": base, "error": str(exc)}))
             code = max(code, 2)
             continue
-        row = {"file": base, "status": verdict.status.value,
-               "reasons": list(verdict.reasons)}
+        except InternalError as exc:
+            print(json.dumps({"file": base, "error": str(exc), "internal": True}))
+            code = max(code, 1)
+            continue
         counts[verdict.status.value] += 1
-        if args.crosscheck and d is not None:
-            if _crosscheck(verdict, d, row) and path.endswith(".pd"):
-                code = max(code, 3)
         print(json.dumps(row))
     print(json.dumps({"files": len(paths), **counts}))
     return code
@@ -244,6 +248,9 @@ def main(argv=None):
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,13 +13,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .sidegraphs import (
-    GREEN,
-    RED,
-    color_name,
-    connectivity_report,
-    normalize_assumption2,
-)
+from .sidegraphs import connectivity_report, normalize_assumption2
 from .twists import collapse, detect_twist_regions, reduce_assumption1
 
 
@@ -121,9 +115,9 @@ def check_main(d):
     )
     rep = connectivity_report(green, red)
     if not rep.connected_green:
-        reasons.append(f"Disconnected({color_name(GREEN)})")
+        reasons.append(f"Disconnected({green.color_name})")
     if not rep.connected_red:
-        reasons.append(f"Disconnected({color_name(RED)})")
+        reasons.append(f"Disconnected({red.color_name})")
     status = Status.CERTIFIED if not reasons else Status.HYPOTHESES_FAIL
     return Verdict(
         status,
@@ -155,6 +149,10 @@ class Diagnosis:
         )
 
 
+# construction by the number of regions left after normalising
+_BRANCHES = {1: "closed_twist", 2: "two_crossing_circles"}
+
+
 def diagnose(d):
     """Describe which construction applies and how many surfaces it yields.
 
@@ -168,13 +166,6 @@ def diagnose(d):
         return Diagnosis("none", 0, (), False, verdict)
     counts = tuple(v.count for v in cg.vertices)
     nv = len(cg.vertices)
-    if nv == 1:
-        branch = "closed_twist"
-        borromean = False
-    elif nv == 2:
-        branch = "two_crossing_circles"
-        borromean = all(c % 2 == 0 for c in counts)
-    else:
-        branch = "main_construction"
-        borromean = False
+    branch = _BRANCHES.get(nv, "main_construction")
+    borromean = nv == 2 and all(c % 2 == 0 for c in counts)
     return Diagnosis(branch, len(cg.faces), counts, borromean, verdict)

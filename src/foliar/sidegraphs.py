@@ -1,10 +1,17 @@
-"""Face colouring of the collapsed graph and the two side graphs.
+"""Face graphs of a checkerboard-coloured map; the two side graphs.
 
-Faces of a diagram on the sphere two-colour like a checkerboard.  Each
-twist region contributes one edge to the graph of its own side colour:
-the edge joins the two faces its bigons separated, which sit at the
-region vertex's gaps 1 and 3 and always share a colour.  Edge weight is
-the crossing count; the signed weight carries handedness.
+Faces of a diagram on the sphere two-colour like a checkerboard.  Both
+routes hold their graphs as FaceGraphs, one per colour, whose vertices
+are the faces of that colour.  face_graphs colours a map once, splits
+its faces by colour once and turns each row a route hands it into an
+edge.  Which rows a route builds, and what it does with the graphs,
+stays in its own module: side edges and their merging here, checkerboard
+edges and their contraction in the tait module.
+
+Side graphs: each twist region contributes one edge to the graph of its
+own side colour, joining the two faces its bigons separated, which sit
+at the region vertex's gaps 1 and 3.  The signed weight is the crossing
+count times the handedness.
 
 Two regions joining the same pair of faces in the same graph can be
 slid into each other, so parallel side edges merge: the signed weights
@@ -21,30 +28,32 @@ from .errors import DegenerateCollapse, EquivalenceViolation, InternalError
 from .twists import CollapsedGraph
 
 GREEN, RED = 0, 1
-_NAME = {GREEN: "green", RED: "red"}
-
-
-def color_name(color):
-    return _NAME[color]
+color_faces = two_color  # checkerboard colouring of a map; face 0 is GREEN
 
 
 @dataclass(frozen=True)
-class SideEdge:
-    region: int
+class FaceEdge:
     u: int
     v: int
-    weight: int
     signed: int
+    source: int  # collapsed vertex (side graphs) or crossing (tait graphs)
 
 
-class SideGraph:
-    def __init__(self, color, vertices, edges):
+class FaceGraph:
+    """Faces of one colour joined by the edges of one route ("side"/"tait")."""
+
+    def __init__(self, kind, color, vertices, edges):
+        self.kind = kind
         self.color = color
-        self.vertices = tuple(sorted(vertices))
+        self.vertices = tuple(vertices)
         self.edges = tuple(edges)
 
+    @property
+    def color_name(self):
+        return "green" if self.color == GREEN else "red"
+
     def weights(self):
-        return tuple(sorted(e.weight for e in self.edges))
+        return tuple(sorted([abs(e.signed) for e in self.edges]))
 
     def _pairs(self):
         return [(e.u, e.v) for e in self.edges]
@@ -55,71 +64,75 @@ class SideGraph:
     def is_tree(self):
         return is_tree(self.vertices, self._pairs())
 
+    def degrees(self):
+        deg = dict.fromkeys(self.vertices, 0)
+        for e in self.edges:
+            deg[e.u] += 1
+            deg[e.v] += 1
+        return deg
+
+    def all_bivalent(self):
+        return all(k == 2 for k in self.degrees().values())
+
+    def signed_sum(self):
+        return sum(e.signed for e in self.edges)
+
     def to_dot(self):
         return to_dot(
-            f"side_{color_name(self.color)}",
+            f"{self.kind}_{self.color_name}",
             [(f"f{v}", None) for v in self.vertices],
             [(f"f{e.u}", f"f{e.v}", f"{e.signed:+d}") for e in self.edges],
         )
 
 
-def color_faces(plane):
-    """Checkerboard colouring of any traced map; face 0 gets GREEN."""
-    return two_color(
-        len(plane.faces), len(plane.alpha), plane.alpha, plane.dart_face
+def face_graphs(kind, plane, rows):
+    """The (green, red) face graphs of a traced map.
+
+    Each row (corner, corner, signed, source) becomes one edge joining
+    the faces at its two corners, which must share a colour.
+    """
+    coloring = two_color(plane)
+    verts = ([], [])
+    for f in plane.faces:
+        verts[coloring[f.index]].append(f.index)
+    edges = ([], [])
+    for c1, c2, signed, source in rows:
+        a, b = plane.face_at[c1], plane.face_at[c2]
+        if coloring[a] != coloring[b]:
+            raise InternalError(
+                f"{kind} edge of {source} joins faces {a}, {b} of two colours"
+            )
+        edges[coloring[a]].append(FaceEdge(min(a, b), max(a, b), signed, source))
+    return (
+        FaceGraph(kind, GREEN, verts[GREEN], edges[GREEN]),
+        FaceGraph(kind, RED, verts[RED], edges[RED]),
     )
 
 
 def build_side_graphs(cg):
-    coloring = color_faces(cg)
-    verts = {GREEN: set(), RED: set()}
-    for f in cg.faces:
-        verts[coloring[f.index]].add(f.index)
-    edges = {GREEN: [], RED: []}
-    for vx in cg.vertices:
-        f1, f3 = cg.side_faces(vx.index)
-        if coloring[f1] != coloring[f3]:
-            raise InternalError(
-                f"side faces {f1}, {f3} of region {vx.index} differ in colour"
-            )
-        edges[coloring[f1]].append(
-            SideEdge(
-                region=vx.index,
-                u=min(f1, f3),
-                v=max(f1, f3),
-                weight=vx.count,
-                signed=vx.handedness * vx.count,
-            )
-        )
-    if len(verts[GREEN]) + len(verts[RED]) != len(cg.vertices) + 2:
-        raise InternalError("side graph vertices miscount the faces")
-    return (
-        SideGraph(GREEN, verts[GREEN], edges[GREEN]),
-        SideGraph(RED, verts[RED], edges[RED]),
-    )
+    g1, g3 = cg.ARC_GAPS
+    rows = [
+        ((vx.index, g1), (vx.index, g3), vx.handedness * vx.count, vx.index)
+        for vx in cg.vertices
+    ]
+    return face_graphs("side", cg, rows)
 
 
 @dataclass(frozen=True)
 class ConnectivityReport:
     connected_green: bool
     connected_red: bool
-    tree_green: bool
-    tree_red: bool
 
 
 def connectivity_report(green, red):
-    rep = ConnectivityReport(
-        green.is_connected(),
-        red.is_connected(),
-        green.is_tree(),
-        red.is_tree(),
-    )
+    rep = ConnectivityReport(green.is_connected(), red.is_connected())
     # dichotomy: on the sphere the side graphs are plane duals cut along
     # the regions, so both connected forces both to be trees
     if rep.connected_green and rep.connected_red:
-        if not (rep.tree_green and rep.tree_red):
+        trees = (green.is_tree(), red.is_tree())
+        if not all(trees):
             raise EquivalenceViolation(
-                f"both side graphs connected but not both trees: {rep}"
+                f"both side graphs connected but not both trees: {trees}"
             )
     return rep
 
@@ -159,13 +172,9 @@ def normalize_assumption2(cg):
         if edges is None:
             return cg, green, red
         s = sum(e.signed for e in edges)
-        regions = sorted(e.region for e in edges)
-        if s == 0:
-            removed = set(regions)
-            survivor = None
-        else:
-            removed = set(regions[1:])
-            survivor = regions[0]
+        regions = sorted(e.source for e in edges)
+        survivor = regions[0] if s else None  # a zero sum cancels them all
+        removed = set(regions) - {survivor}
         alpha = dict(cg.alpha)
         for vx in cg.vertices:
             if vx.index in removed:
@@ -177,19 +186,10 @@ def normalize_assumption2(cg):
         for vx in cg.vertices:
             if vx.index in removed:
                 continue
-            ni = len(new_vertices)
-            vmap[vx.index] = ni
+            vmap[vx.index] = len(new_vertices)
             if vx.index == survivor:
-                vx = replace(
-                    vx,
-                    index=ni,
-                    count=abs(s),
-                    handedness=1 if s > 0 else -1,
-                    parity=abs(s) % 2,
-                )
-            else:
-                vx = replace(vx, index=ni)
-            new_vertices.append(vx)
+                vx = replace(vx, count=abs(s), handedness=1 if s > 0 else -1)
+            new_vertices.append(replace(vx, index=vmap[vx.index]))
         if not new_vertices:
             raise DegenerateCollapse(
                 "every twist region cancelled during edge merging"

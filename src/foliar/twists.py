@@ -256,10 +256,7 @@ class CollapsedVertex:
     index: int
     count: int
     handedness: int
-    parity: int
     cyclic: bool
-    ambiguous_axis: bool
-    rot: tuple  # ((crossing, slot) x 4) counterclockwise; None for cyclic
     through: tuple  # pairing of local slots by strand, () for cyclic
 
 
@@ -318,9 +315,7 @@ def collapse(d, decomposition=None):
         if len(regions) != 1:
             raise InternalError("cyclic chain inside a larger diagram")
         r = regions[0]
-        v = CollapsedVertex(
-            0, r.count, r.handedness, r.parity, True, False, None, ()
-        )
+        v = CollapsedVertex(0, r.count, r.handedness, True, ())
         # two nested loops at one vertex: three faces, sides at gaps 1, 3
         return CollapsedGraph([v], {0: 3, 3: 0, 1: 2, 2: 1})
 
@@ -329,7 +324,7 @@ def collapse(d, decomposition=None):
     for r in regions:
         (e1, g1), (e2, g2) = r.end_gaps
         if r.count == 1:
-            rot = tuple((e1, s) for s in range(4))
+            rot = [(e1, s) for s in range(4)]
         else:
             rot = (
                 (e1, (g1 + 2) % 4),
@@ -339,10 +334,7 @@ def collapse(d, decomposition=None):
             )
         through = _trace_through(d, r, rot)
         vertices.append(
-            CollapsedVertex(
-                r.index, r.count, r.handedness, r.parity,
-                False, r.ambiguous_axis, rot, through,
-            )
+            CollapsedVertex(r.index, r.count, r.handedness, False, through)
         )
         for local, (c, s) in enumerate(rot):
             arc_ends.setdefault(d.arc_at(c, s), []).append(4 * r.index + local)

@@ -12,7 +12,8 @@ from foliar import (
     parse_pd,
     parse_tree,
 )
-from foliar.errors import MalformedTree, ZeroWeight
+from foliar.arborescent import _validate
+from foliar.errors import ConstructionMismatch, MalformedTree, ZeroWeight
 
 from conftest import FIG8, random_tree_text, seeded
 
@@ -157,3 +158,21 @@ def test_tree_and_diagram_verdicts_agree():
         assert tv.status == dv.status
         compared += 1
     assert compared >= 25
+
+
+def test_validate_mismatch_messages():
+    # (2 (3)) assembles crossings 0-1 for the root and 2-4 for its child
+    t = parse_tree("(2 (3))")
+    d = generate_diagram(t, validate=False)
+    owner = [0, 0, 1, 1, 1]
+    _validate(t, d, owner)
+    cases = [
+        (t, d, [0, 1, 0, 1, 1], "region 0 does not match a single vertex"),
+        (t, d.mirror(), owner, "vertex 0: handedness -1, expected 1"),
+        (parse_tree("(3 (2))"), d, owner, "vertex 0: weight 3 became count 2"),
+        (parse_tree("(2)"), d, owner, "2 twist regions for 1 vertices"),
+    ]
+    for tree, diagram, owners, message in cases:
+        with pytest.raises(ConstructionMismatch) as exc:
+            _validate(tree, diagram, owners)
+        assert str(exc.value) == message

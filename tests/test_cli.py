@@ -4,6 +4,7 @@ import os
 import pytest
 
 from foliar.cli import main
+from foliar.errors import InternalError
 
 from conftest import FIG8, KINK, TREFOIL
 
@@ -217,3 +218,56 @@ def test_corpus_crosscheck_matches_check_on_reshaped_input(tmp_path, capsys):
     row = json.loads(out.strip().splitlines()[0])
     assert row["tait_status"] == "certified"
     assert row["note"] == checked["note"]
+
+
+def test_check_diagnose_runs_main_pipeline_once(capsys, monkeypatch):
+    import foliar.criterion
+
+    calls = []
+    original = foliar.criterion.reduce_assumption1
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(foliar.criterion, "reduce_assumption1", counting)
+    code, out, _ = run(capsys, "check", FIG8, "--diagnose")
+    assert code == 0
+    assert json.loads(out)["verdict"]["status"] == "fail"
+    assert len(calls) == 1
+
+
+def _raise_internal(d):
+    raise InternalError("injected")
+
+
+def test_internal_error_exits_1_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr("foliar.cli.check_main", _raise_internal)
+    code, _, err = run(capsys, "tree", "(2 (3))", "--crosscheck")
+    assert code == 1
+    assert err == "internal error: injected\n"
+
+
+def test_corpus_reports_internal_error_and_carries_on(
+    tmp_path, capsys, monkeypatch
+):
+    from foliar.criterion import check_main
+
+    def check_main_or_raise(d):
+        if len(d) == 4:  # the figure eight
+            _raise_internal(d)
+        return check_main(d)
+
+    monkeypatch.setattr("foliar.cli.check_main", check_main_or_raise)
+    (tmp_path / "a.pd").write_text(FIG8)
+    (tmp_path / "b.pd").write_text(TREFOIL)
+    code, out, _ = run(capsys, "corpus", str(tmp_path))
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert code == 1
+    assert lines[0] == {"file": "a.pd", "error": "injected", "internal": True}
+    assert lines[1]["status"] == "excluded"
+    assert lines[-1]["files"] == 2
+
+    (tmp_path / "c.pd").write_text("X[1,2,3]")
+    code, _, _ = run(capsys, "corpus", str(tmp_path))
+    assert code == 2  # the highest code seen wins

@@ -29,8 +29,8 @@ def test_side_graphs_fig8(fig8):
     cg = collapse(fig8)
     g, r = build_side_graphs(cg)
     assert g.color == GREEN and r.color == RED
-    assert [(e.region, e.u, e.v, e.signed) for e in g.edges] == [(0, 0, 2, 2)]
-    assert [(e.region, e.u, e.v, e.signed) for e in r.edges] == [(1, 1, 3, -2)]
+    assert [(e.source, e.u, e.v, e.signed) for e in g.edges] == [(0, 0, 2, 2)]
+    assert [(e.source, e.u, e.v, e.signed) for e in r.edges] == [(1, 1, 3, -2)]
     assert g.vertices == (0, 2)
     assert r.vertices == (1, 3)
     assert g.weights() == (2,)
@@ -82,8 +82,8 @@ def test_normalize_degenerate_raises():
     through = ((0, 3), (1, 2))
     cg = CollapsedGraph(
         [
-            CollapsedVertex(0, 2, 1, 0, False, False, None, through),
-            CollapsedVertex(1, 2, -1, 0, False, False, None, through),
+            CollapsedVertex(0, 2, 1, False, through),
+            CollapsedVertex(1, 2, -1, False, through),
         ],
         alpha,
     )
