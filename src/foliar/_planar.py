@@ -66,6 +66,26 @@ def faces_of(n_darts, alpha):
     return faces, dart_face, face_at
 
 
+def splice_out(alpha, v, pairs):
+    """Delete vertex v of a map, letting each strand (p, q) pass through.
+
+    For each pair of slots the far ends of darts 4v+p and 4v+q are
+    joined in alpha, which is changed in place.  Vertices spliced one
+    after another compose.  Returns how many strands closed on
+    themselves and dropped out of the map.
+    """
+    closed = 0
+    for p, q in pairs:
+        dp, dq = 4 * v + p, 4 * v + q
+        a, b = alpha.pop(dp), alpha.pop(dq)
+        if a == dq:
+            closed += 1
+            continue
+        alpha[a] = b
+        alpha[b] = a
+    return closed
+
+
 def two_color(plane):
     """Two-colour the faces of a traced map so edge-adjacent faces differ.
 

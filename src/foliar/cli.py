@@ -1,9 +1,10 @@
 """Command line front end.
 
 Every subcommand prints JSON on stdout.  Exit codes: 0 for any verdict
-(including hypothesis failures), 1 for an internal error (a bug),
-2 for unreadable or out-of-domain input, 3 when a cross-check between
-independent routes disagrees.
+(including hypothesis failures), 1 for an internal error (a bug; so is
+recursion too deep for the interpreter), 2 for unreadable or
+out-of-domain input, 3 when a cross-check between independent routes
+disagrees.
 """
 
 import argparse
@@ -187,7 +188,7 @@ def cmd_corpus(args):
             print(json.dumps({"file": base, "error": str(exc)}))
             code = max(code, 2)
             continue
-        except InternalError as exc:
+        except (InternalError, RecursionError) as exc:
             print(json.dumps({"file": base, "error": str(exc), "internal": True}))
             code = max(code, 1)
             continue
@@ -248,7 +249,8 @@ def main(argv=None):
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalError as exc:
+    except (InternalError, RecursionError) as exc:
+        # a recursion too deep for the interpreter is a bug, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

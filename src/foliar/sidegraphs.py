@@ -17,13 +17,16 @@ Two regions joining the same pair of faces in the same graph can be
 slid into each other, so parallel side edges merge: the signed weights
 add, the surviving region keeps |sum| crossings, and regions that
 cancel outright are spliced out of the collapsed graph along their
-through strands.  Repeating until no parallel edges remain is the
-normal form the certification criterion inspects.
+through strands.  Merging works in rounds: each round builds the side
+graphs once, merges every parallel family of both colours and builds
+one collapsed graph.  A splice can join faces and so make new parallel
+edges; rounds repeat until none remain, which is the normal form the
+certification criterion inspects.
 """
 
 from dataclasses import dataclass, replace
 
-from ._planar import component_count, is_tree, to_dot, two_color
+from ._planar import component_count, is_tree, splice_out, to_dot, two_color
 from .errors import DegenerateCollapse, EquivalenceViolation, InternalError
 from .twists import CollapsedGraph
 
@@ -139,55 +142,40 @@ def connectivity_report(green, red):
 
 # -- parallel edge merging --------------------------------------------------
 
-def _first_parallel_family(green, red):
-    for g in (green, red):
-        groups = {}
-        for e in g.edges:
-            groups.setdefault((e.u, e.v), []).append(e)
-        for key in sorted(groups):
-            if len(groups[key]) >= 2:
-                return groups[key]
-    return None
-
-
-def _splice_out(alpha, vertex):
-    for p, q in vertex.through:
-        dp, dq = 4 * vertex.index + p, 4 * vertex.index + q
-        a, b = alpha[dp], alpha[dq]
-        del alpha[dp], alpha[dq]
-        if a == dq:
-            continue  # the strand closed on itself and drops out
-        alpha[a] = b
-        alpha[b] = a
-
-
 def normalize_assumption2(cg):
-    """Merge parallel side edges until none remain.
+    """Merge every parallel family in rounds until no parallel edges remain.
 
     Returns (collapsed graph, green, red) in normal form.
     """
     while True:
         green, red = build_side_graphs(cg)
-        edges = _first_parallel_family(green, red)
-        if edges is None:
+        families = {}  # faces of both colours are faces of one map
+        for e in green.edges + red.edges:
+            families.setdefault((e.u, e.v), []).append(e)
+        sums = {}  # survivor -> signed sum of its family
+        removed = set()
+        for edges in families.values():
+            if len(edges) < 2:
+                continue
+            s = sum(e.signed for e in edges)
+            regions = sorted(e.source for e in edges)
+            if s:
+                sums[regions.pop(0)] = s  # a zero sum cancels them all
+            removed.update(regions)
+        if not removed:
             return cg, green, red
-        s = sum(e.signed for e in edges)
-        regions = sorted(e.source for e in edges)
-        survivor = regions[0] if s else None  # a zero sum cancels them all
-        removed = set(regions) - {survivor}
         alpha = dict(cg.alpha)
-        for vx in cg.vertices:
-            if vx.index in removed:
-                if vx.cyclic:
-                    raise InternalError("cyclic vertex in a parallel family")
-                _splice_out(alpha, vx)
         new_vertices = []
         vmap = {}
         for vx in cg.vertices:
             if vx.index in removed:
+                if vx.cyclic:
+                    raise InternalError("cyclic vertex in a parallel family")
+                splice_out(alpha, vx.index, vx.through)
                 continue
             vmap[vx.index] = len(new_vertices)
-            if vx.index == survivor:
+            if vx.index in sums:
+                s = sums[vx.index]
                 vx = replace(vx, count=abs(s), handedness=1 if s > 0 else -1)
             new_vertices.append(replace(vx, index=vmap[vx.index]))
         if not new_vertices:

@@ -10,9 +10,16 @@ the regions always partition the crossings.
 
 The handedness of a crossing inside a chain is +1 when the parity of
 its chain gap matches its under_axis bit.  For a single crossing the
-chain axis is taken through gaps 0 and 2 by convention and flagged as
-ambiguous.  Equal handedness along a chain is exactly the condition
-that no two adjacent crossings cancel by a type II move.
+chain axis is taken through gaps 0 and 2 by convention.  Equal
+handedness along a chain is exactly the condition that no two adjacent
+crossings cancel by a type II move.
+
+reduce_assumption1 cancels in rounds.  Each round takes the first mixed
+chain, matches its opposite-handed crossings like brackets, splices all
+matched crossings out at once and builds the diagram once.  The chain
+that is left is coherent, with |signed sum| crossings.  Only one chain
+is cancelled per round because a cancellation can turn the bigons of
+another chain into curls, and then that chain no longer cancels.
 
 collapse() replaces every region by one 4-valent vertex, giving the
 reduced graph used for face colouring and the side graphs.
@@ -20,7 +27,7 @@ reduced graph used for face colouring and the side graphs.
 
 from dataclasses import dataclass
 
-from ._planar import DisjointSets, faces_of, to_dot
+from ._planar import faces_of, splice_out, to_dot
 from .diagram import relabel
 from .errors import (
     InternalError,
@@ -34,12 +41,9 @@ from .errors import (
 class TwistRegion:
     index: int
     crossings: tuple
-    bigons: tuple
     cyclic: bool
     count: int
     handedness: int  # 0 when mixed and mixing was allowed
-    parity: int
-    ambiguous_axis: bool
     crossing_handedness: tuple
     end_gaps: tuple  # ((first crossing, chain gap), (last, gap)); None if cyclic
 
@@ -100,11 +104,11 @@ def detect_twist_regions(d, allow_mixed=False):
     raw = list(chains)
     for ci in range(len(d)):
         if ci not in claimed:
-            raw.append(([ci], [], {ci: []}, False))
+            raw.append(([ci], {ci: []}, False))
     raw.sort(key=lambda ch: min(ch[0]))
 
     regions = []
-    for idx, (crossings, bigons, gaps, cyclic) in enumerate(raw):
+    for idx, (crossings, gaps, cyclic) in enumerate(raw):
         hs = []
         for c in crossings:
             gap_parity = gaps[c][0] % 2 if gaps[c] else 0
@@ -130,12 +134,9 @@ def detect_twist_regions(d, allow_mixed=False):
             TwistRegion(
                 index=idx,
                 crossings=tuple(crossings),
-                bigons=tuple(bigons),
                 cyclic=cyclic,
                 count=len(crossings),
                 handedness=handed,
-                parity=len(crossings) % 2,
-                ambiguous_axis=len(crossings) == 1,
                 crossing_handedness=tuple(hs),
                 end_gaps=ends,
             )
@@ -146,7 +147,6 @@ def detect_twist_regions(d, allow_mixed=False):
 def _grow_chain(fi, eligible, port, claimed, used, overlap):
     (c1, g1), (c2, g2) = eligible[fi]
     crossings = [c1, c2]
-    bigons = [fi]
     gaps = {c1: [g1], c2: [g2]}
     used.add(fi)
     cyclic = False
@@ -170,7 +170,6 @@ def _grow_chain(fi, eligible, port, claimed, used, overlap):
                     used.add(nxt)
                     gaps[c].append(ngap)
                     gaps[far].append(fgap)
-                    bigons.append(nxt)
                     cyclic = True
                 return
             if far in claimed or far in gaps:
@@ -181,72 +180,49 @@ def _grow_chain(fi, eligible, port, claimed, used, overlap):
             gaps[c].append(ngap)
             gaps[far] = [fgap]
             if forward:
-                bigons.append(nxt)
                 crossings.append(far)
             else:
-                bigons.insert(0, nxt)
                 crossings.insert(0, far)
             c, g = far, fgap
 
     extend(c2, g2, forward=True)
     if not cyclic:
         extend(c1, g1, forward=False)
-    return crossings, bigons, gaps, cyclic
+    return crossings, gaps, cyclic
 
 
 # -- type II cancellation ---------------------------------------------------
 
 def reduce_assumption1(d):
-    """Cancel adjacent opposite-handed pairs until every chain is coherent."""
+    """Cancel opposite-handed crossings, one mixed chain per round."""
     while True:
         dec = detect_twist_regions(d, allow_mixed=True)
-        target = None
-        for r in dec:
-            if r.handedness != 0:
-                continue
-            n = r.count
-            limit = n if r.cyclic else n - 1
-            for i in range(limit):
-                j = (i + 1) % n
-                if r.crossing_handedness[i] != r.crossing_handedness[j]:
-                    target = (r.crossings[i], r.crossings[j], r.bigons[i])
-                    break
-            if target:
-                break
-        if target is None:
+        r = next((r for r in dec if r.handedness == 0), None)
+        if r is None:
             return d
-        d = _cancel(d, *target)
-
-
-def _cancel(d, ci, cj, bigon_face):
-    corners = dict(d.faces[bigon_face].corners)
-    gc, gd = corners[ci], corners[cj]
-    ds = DisjointSets()
-    # strands through the pair: external slot g+3 of one meets g+2 of the other
-    ds.union(d.arc_at(ci, gc + 3), d.arc_at(cj, gd + 2))
-    ds.union(d.arc_at(ci, gc + 2), d.arc_at(cj, gd + 3))
-    slot_lists = []
-    axes = []
-    for k, c in enumerate(d.crossings):
-        if k in (ci, cj):
-            continue
-        slot_lists.append(tuple(ds.find(a) for a in c.slots))
-        axes.append(c.under_axis)
-    if not slot_lists:
-        raise UnknotCollapse(
-            f"cancelling crossings {ci} and {cj} removed the last crossings"
+        stack, matched = [], []
+        for c, h in zip(r.crossings, r.crossing_handedness):
+            if stack and stack[-1][1] != h:
+                matched += (stack.pop()[0], c)
+            else:
+                stack.append((c, h))
+        if len(matched) == len(d):
+            raise UnknotCollapse(
+                f"cancelling chain {r.crossings} removed the last crossings"
+            )
+        alpha = dict(d.alpha)
+        # a type II move lets both strands pass straight through the pair
+        if sum(splice_out(alpha, c, ((0, 2), (1, 3))) for c in matched):
+            raise NonSphericalEmbedding(
+                "cancellation split off a closed strand with no crossings"
+            )
+        gone = set(matched)
+        kept = [k for k in range(len(d)) if k not in gone]
+        d = relabel(
+            # an arc is named by the lower of its two darts
+            [[min(e, alpha[e]) for e in range(4 * k, 4 * k + 4)] for k in kept],
+            [d.crossings[k].under_axis for k in kept],
         )
-    kept = {a for slots in slot_lists for a in slots}
-    spliced = {
-        ds.find(d.arc_at(ci, gc + 3)),
-        ds.find(d.arc_at(ci, gc + 2)),
-    }
-    if spliced - kept:
-        # a strand closed into a crossing-free loop the code cannot carry
-        raise NonSphericalEmbedding(
-            "cancellation split off a closed strand with no crossings"
-        )
-    return relabel(slot_lists, axes)
 
 
 # -- collapsed graph --------------------------------------------------------

@@ -271,3 +271,33 @@ def test_corpus_reports_internal_error_and_carries_on(
     (tmp_path / "c.pd").write_text("X[1,2,3]")
     code, _, _ = run(capsys, "corpus", str(tmp_path))
     assert code == 2  # the highest code seen wins
+
+
+def _raise_recursion(text):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+def test_recursion_error_exits_1_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr("foliar.cli.parse_tree", _raise_recursion)
+    code, out, err = run(capsys, "tree", "(2 (3))")
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: maximum recursion depth exceeded\n"
+
+
+def test_corpus_reports_recursion_error_and_carries_on(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr("foliar.cli.parse_tree", _raise_recursion)
+    (tmp_path / "a.tree").write_text("(2 (2))")
+    (tmp_path / "b.pd").write_text(TREFOIL)
+    code, out, _ = run(capsys, "corpus", str(tmp_path))
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert code == 1
+    assert lines[0] == {
+        "file": "a.tree",
+        "error": "maximum recursion depth exceeded",
+        "internal": True,
+    }
+    assert lines[1]["status"] == "excluded"
+    assert lines[-1]["files"] == 2

@@ -1,0 +1,268 @@
+"""Normalisation in rounds, pinned and checked against one move at a time.
+
+reduce_assumption1 cancels one mixed chain per round and
+normalize_assumption2 merges every parallel family per round.  The
+reference below is the earlier one-move form: it cancels a single
+adjacent pair, or merges a single parallel family, and rebuilds after
+each.  Both forms must reach the same diagram and the same normal form.
+"""
+
+from dataclasses import replace
+
+import foliar.twists
+from foliar import (
+    braid_to_diagram,
+    build_side_graphs,
+    check_main,
+    collapse,
+    detect_twist_regions,
+    generate_diagram,
+    normalize_assumption2,
+    parse_braid,
+    parse_pd,
+    parse_tree,
+    reduce_assumption1,
+)
+from foliar._planar import DisjointSets
+from foliar.diagram import relabel
+from foliar.errors import (
+    DegenerateCollapse,
+    FoliarError,
+    InternalError,
+    NonSphericalEmbedding,
+    UnknotCollapse,
+)
+from foliar.twists import CollapsedGraph
+
+from conftest import random_braid_text, random_tree_text, seeded
+
+# two mixed chains; cancelling the first leaves the other pair on curls
+TWO_MIXED_CHAINS = "X[1,2,3,4] X[4,5,6,7] X[3,2,8,5] X[6,8,1,7]"
+
+
+# -- reference: one move per rebuild -----------------------------------------
+
+def ref_reduce_assumption1(d):
+    while True:
+        dec = detect_twist_regions(d, allow_mixed=True)
+        target = None
+        for r in dec:
+            if r.handedness != 0:
+                continue
+            n = r.count
+            limit = n if r.cyclic else n - 1
+            for i in range(limit):
+                j = (i + 1) % n
+                if r.crossing_handedness[i] != r.crossing_handedness[j]:
+                    target = (r.crossings[i], r.crossings[j])
+                    break
+            if target:
+                break
+        if target is None:
+            return d
+        d = ref_cancel(d, *target)
+
+
+def ref_cancel(d, ci, cj):
+    # any bigon between the pair gives the same strands through it
+    bigon = next(
+        f for f in d.faces
+        if f.size == 2 and {c for c, _ in f.corners} == {ci, cj}
+    )
+    corners = dict(bigon.corners)
+    gc, gd = corners[ci], corners[cj]
+    ds = DisjointSets()
+    # strands through the pair: external slot g+3 of one meets g+2 of the other
+    ds.union(d.arc_at(ci, gc + 3), d.arc_at(cj, gd + 2))
+    ds.union(d.arc_at(ci, gc + 2), d.arc_at(cj, gd + 3))
+    slot_lists = []
+    axes = []
+    for k, c in enumerate(d.crossings):
+        if k in (ci, cj):
+            continue
+        slot_lists.append(tuple(ds.find(a) for a in c.slots))
+        axes.append(c.under_axis)
+    if not slot_lists:
+        raise UnknotCollapse("removed the last crossings")
+    kept = {a for slots in slot_lists for a in slots}
+    spliced = {
+        ds.find(d.arc_at(ci, gc + 3)),
+        ds.find(d.arc_at(ci, gc + 2)),
+    }
+    if spliced - kept:
+        raise NonSphericalEmbedding("closed strand")
+    return relabel(slot_lists, axes)
+
+
+def ref_first_parallel_family(green, red):
+    for g in (green, red):
+        groups = {}
+        for e in g.edges:
+            groups.setdefault((e.u, e.v), []).append(e)
+        for key in sorted(groups):
+            if len(groups[key]) >= 2:
+                return groups[key]
+    return None
+
+
+def ref_splice_out(alpha, vertex):
+    for p, q in vertex.through:
+        dp, dq = 4 * vertex.index + p, 4 * vertex.index + q
+        a, b = alpha[dp], alpha[dq]
+        del alpha[dp], alpha[dq]
+        if a == dq:
+            continue
+        alpha[a] = b
+        alpha[b] = a
+
+
+def ref_normalize_assumption2(cg):
+    while True:
+        green, red = build_side_graphs(cg)
+        edges = ref_first_parallel_family(green, red)
+        if edges is None:
+            return cg, green, red
+        s = sum(e.signed for e in edges)
+        regions = sorted(e.source for e in edges)
+        survivor = regions[0] if s else None
+        removed = set(regions) - {survivor}
+        alpha = dict(cg.alpha)
+        for vx in cg.vertices:
+            if vx.index in removed:
+                if vx.cyclic:
+                    raise InternalError("cyclic vertex in a parallel family")
+                ref_splice_out(alpha, vx)
+        new_vertices = []
+        vmap = {}
+        for vx in cg.vertices:
+            if vx.index in removed:
+                continue
+            vmap[vx.index] = len(new_vertices)
+            if vx.index == survivor:
+                vx = replace(vx, count=abs(s), handedness=1 if s > 0 else -1)
+            new_vertices.append(replace(vx, index=vmap[vx.index]))
+        if not new_vertices:
+            raise DegenerateCollapse("every twist region cancelled")
+        new_alpha = {
+            4 * vmap[d >> 2] + (d & 3): 4 * vmap[e >> 2] + (e & 3)
+            for d, e in alpha.items()
+        }
+        cg = CollapsedGraph(new_vertices, new_alpha)
+
+
+# -- the round rules ---------------------------------------------------------
+
+def test_one_mixed_chain_per_round():
+    d = parse_pd(TWO_MIXED_CHAINS)
+    dec = detect_twist_regions(d, allow_mixed=True)
+    assert [r.handedness for r in dec] == [0, 0]
+    assert len(reduce_assumption1(d)) == 2
+    v = check_main(d)
+    assert v.status.value == "fail"
+    assert v.reasons == (
+        "WeightTooSmall(region=0,count=1)",
+        "WeightTooSmall(region=1,count=1)",
+        "NoWeightAboveTwo",
+        "Disconnected(red)",
+    )
+
+
+def test_long_mixed_chain_builds_once(monkeypatch):
+    d = braid_to_diagram(parse_braid("s1^43 s1^-40"))
+    calls = []
+    original = foliar.twists.relabel
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(foliar.twists, "relabel", counting)
+    out = reduce_assumption1(d)
+    assert calls == [3]
+    (r,) = detect_twist_regions(out)
+    assert (r.count, r.handedness, r.cyclic) == (3, 1, True)
+
+
+# -- rounds against one move at a time ---------------------------------------
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg), None
+    except FoliarError as exc:
+        return None, type(exc)
+
+
+def _connected_sum(rng, a, b):
+    """Cut one arc of each diagram and join the four ends crosswise."""
+    x = ("a", rng.randrange(1, 2 * len(a) + 1))
+    y = ("b", rng.randrange(1, 2 * len(b) + 1))
+    rows = [[("a", s) for s in c.slots] for c in a.crossings]
+    rows += [[("b", s) for s in c.slots] for c in b.crossings]
+    ends = {x: [], y: []}
+    for row in rows:
+        for k, s in enumerate(row):
+            if s in ends:
+                ends[s].append((row, k))
+    rng.shuffle(ends[y])
+    (_, (r1, k1)), ((r2, k2), (r3, k3)) = ends[x], ends[y]
+    r1[k1] = r3[k3] = "cut"
+    r2[k2] = x
+    return relabel(rows, [c.under_axis for c in a.crossings + b.crossings])
+
+
+def _unreduced_inputs(n):
+    """Braid closures, trees with weights +-1..+-3, and connected sums
+    of small trees, which is where parallel side edges mostly arise."""
+    rng = seeded(11)
+
+    def tree(max_nodes):
+        text = random_tree_text(rng, max_nodes, lo=1, hi=3)
+        return generate_diagram(parse_tree(text))
+
+    for i in range(n):
+        try:
+            if i % 4 == 0:
+                word = random_braid_text(rng, 6, exps=(-3, -2, -1, 1, 2, 3))
+                yield braid_to_diagram(parse_braid(word))
+            elif i % 4 == 1:
+                yield tree(7)
+            else:
+                d = tree(4)
+                for _ in range(rng.randint(1, 3)):
+                    d = _connected_sum(rng, d, tree(4))
+                yield d
+        except FoliarError:
+            continue
+
+
+def _normal_form(out):
+    cg = out[0]
+    return (
+        [(v.index, v.count, v.handedness, v.through) for v in cg.vertices],
+        cg.alpha,
+    )
+
+
+def test_rounds_match_one_move_reference():
+    cancelled = merged = 0
+    for d in _unreduced_inputs(200):
+        ref, ref_err = _outcome(ref_reduce_assumption1, d)
+        got, got_err = _outcome(reduce_assumption1, d)
+        assert got_err == ref_err, d.to_pd()
+        if ref is None:
+            continue
+        assert got.to_pd() == ref.to_pd()
+        cancelled += len(ref) < len(d)
+        try:
+            cg = collapse(ref)
+        except FoliarError:
+            continue
+        ref, ref_err = _outcome(ref_normalize_assumption2, cg)
+        got, got_err = _outcome(normalize_assumption2, cg)
+        assert got_err == ref_err, d.to_pd()
+        if ref is not None:
+            assert _normal_form(got) == _normal_form(ref), d.to_pd()
+            merged += len(ref[0]) < len(cg)
+    # the inputs exercise both normalisers, not only their no-op path
+    assert cancelled >= 30 and merged >= 10
+

@@ -26,8 +26,6 @@ def test_trefoil_single_cyclic_region(trefoil):
     assert r.handedness == 1
     assert r.cyclic
     assert r.crossings == (1, 0, 2)
-    assert r.parity == 1
-    assert not r.ambiguous_axis
     assert dec.overlapping_bigons == ()
 
 
@@ -59,7 +57,6 @@ def test_hopf_overlap_bigons(hopf):
 def test_kink_is_ambiguous_singleton(kink):
     r = detect_twist_regions(kink)[0]
     assert (r.count, r.handedness, r.cyclic) == (1, 1, False)
-    assert r.ambiguous_axis
     assert r.end_gaps == ((0, 0), (0, 2))
 
 
