@@ -14,9 +14,9 @@ from foliar import (
     parse_tree,
 )
 
-# The tree itself can be judged without drawing anything: every vertex
-# needs weight at least two in absolute value, one vertex needs three
-# or more, and the closure must be a knot.
+# The tree is judged by its weights and by the diagram it generates:
+# every vertex needs weight at least two in absolute value, one vertex
+# needs three or more, and the generated diagram must be a knot.
 print(check_arborescent("(2 (3))").to_json())
 print(check_arborescent("(2 (2))").to_json())
 print(check_arborescent("(5)").to_json())

@@ -23,105 +23,92 @@ from .sidegraphs import build_side_graphs
 from .twists import collapse, detect_twist_regions
 
 
-@dataclass(frozen=True)
-class Node:
-    weight: int
-    children: tuple = ()
-
-
 class WeightedPlanarTree:
-    def __init__(self, root):
-        self.root = root
-        self.nodes = []
-        self.parent = {}
-        self.order = {}
-        # preorder with an explicit stack: a recursive closure over self
-        # would make every tree cyclic garbage
-        stack = [(root, None)]
-        while stack:
-            n, parent = stack.pop()
-            idx = len(self.nodes)
-            self.nodes.append(n)
-            self.parent[idx] = parent
-            self.order[idx] = []
-            if parent is not None:
-                self.order[parent].append(idx)
-            stack.extend((c, idx) for c in reversed(n.children))
+    """Preorder arrays: parent[0] is None and parent[i] < i otherwise,
+    so children[i] lists the children of i in planar order."""
+
+    def __init__(self, weight, parent):
+        self.weight = tuple(weight)
+        self.parent = tuple(parent)
+        self.children = [[] for _ in self.weight]
+        self.depth = [0] * len(self.weight)
+        for i in range(1, len(self.weight)):
+            p = self.parent[i]
+            self.children[p].append(i)
+            self.depth[i] = self.depth[p] + 1
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.weight)
 
     def weights(self):
-        return tuple(n.weight for n in self.nodes)
+        return self.weight
 
     def to_text(self):
-        def fmt(n):
-            inner = " ".join([str(n.weight)] + [fmt(c) for c in n.children])
-            return f"({inner})"
-
-        return fmt(self.root)
+        out, open_ = [], []  # open_: the path from the root to the last vertex
+        for i, w in enumerate(self.weight):
+            while open_ and open_[-1] != self.parent[i]:
+                open_.pop()
+                out.append(")")
+            out.append(f" ({w}" if open_ else f"({w}")
+            open_.append(i)
+        return "".join(out) + ")" * len(open_)
 
     def reroot(self, new_root):
         """Same planar tree rooted elsewhere; cyclic orders are kept."""
-        neighbors = {}
-        for idx in range(len(self.nodes)):
-            p = self.parent[idx]
-            neighbors[idx] = ([p] if p is not None else []) + self.order[idx]
-
-        def build(idx, come_from):
-            ns = neighbors[idx]
-            if come_from is None:
-                kids = ns
-            else:
-                at = ns.index(come_from)
-                kids = ns[at + 1:] + ns[:at]
-            return Node(
-                self.nodes[idx].weight,
-                tuple(build(k, idx) for k in kids),
-            )
-
-        return WeightedPlanarTree(build(new_root, None))
+        weight, parent = [], []
+        stack = [(new_root, None, None)]  # (old vertex, came from, new parent)
+        while stack:
+            i, came_from, up = stack.pop()
+            kids = self.children[i]
+            if i:
+                kids = [self.parent[i], *kids]
+            if came_from is not None:
+                at = kids.index(came_from)
+                kids = kids[at + 1:] + kids[:at]
+            here = len(weight)
+            weight.append(self.weight[i])
+            parent.append(up)
+            stack.extend((k, i, here) for k in reversed(kids))
+        return WeightedPlanarTree(weight, parent)
 
     def rerootings(self):
-        return [self.reroot(i) for i in range(len(self.nodes))]
+        return [self.reroot(i) for i in range(len(self))]
+
+
+_TOKEN = re.compile(r"\(|\)|-?\d+|[^\s()]+")
+_WEIGHT = re.compile(r"-?\d+")
 
 
 def parse_tree(text):
-    toks = re.findall(r"\(|\)|-?\d+|[^\s()]+", text)
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take():
-        nonlocal pos
-        t = peek()
-        pos += 1
-        return t
-
-    def node():
-        if take() != "(":
-            raise MalformedTree("expected '('")
-        w = peek()
-        if w is None or not re.fullmatch(r"-?\d+", w):
-            raise MalformedTree(f"expected a weight, got {w!r}")
-        take()
-        w = int(w)
-        if w == 0:
-            raise ZeroWeight("vertex weight 0")
-        kids = []
-        while peek() == "(":
-            kids.append(node())
-        if take() != ")":
-            raise MalformedTree("expected ')'")
-        return Node(w, tuple(kids))
-
+    toks = _TOKEN.findall(text)
     if not toks:
         raise MalformedTree("empty input")
-    root = node()
+    if toks[0] != "(":
+        raise MalformedTree("expected '('")
+    weight, parent = [], []
+    open_ = []  # vertices whose ')' is still to come
+    pos = 0
+    while not weight or open_:
+        tok = toks[pos] if pos < len(toks) else None
+        if tok == "(":
+            w = toks[pos + 1] if pos + 1 < len(toks) else None
+            if w is None or not _WEIGHT.fullmatch(w):
+                raise MalformedTree(f"expected a weight, got {w!r}")
+            w = int(w)
+            if w == 0:
+                raise ZeroWeight("vertex weight 0")
+            parent.append(open_[-1] if open_ else None)
+            open_.append(len(weight))
+            weight.append(w)
+            pos += 2
+        elif tok == ")":
+            open_.pop()
+            pos += 1
+        else:
+            raise MalformedTree("expected ')'")
     if pos != len(toks):
         raise MalformedTree(f"trailing input {toks[pos:]!r}")
-    return WeightedPlanarTree(root)
+    return WeightedPlanarTree(weight, parent)
 
 
 def family_tree(kind, params):
@@ -134,26 +121,24 @@ def family_tree(kind, params):
     if kind == "two_bridge":
         if not params:
             raise MalformedTree("two_bridge needs at least one weight")
-        node = None
-        for w in reversed(params):
-            node = Node(int(w), (node,) if node else ())
-        return WeightedPlanarTree(node)
+        return WeightedPlanarTree(
+            [int(w) for w in params], [None, *range(len(params) - 1)]
+        )
     if kind == "pretzel":
         if len(params) < 1:
             raise MalformedTree("pretzel needs at least one strip")
-        q = [int(x) for x in params]
         return WeightedPlanarTree(
-            Node(q[0], tuple(Node(x) for x in q[1:]))
+            [int(x) for x in params], [None] + [0] * (len(params) - 1)
         )
     if kind == "montesinos":
         if len(params) < 2:
             raise MalformedTree("montesinos needs a centre and arms")
-        c = int(params[0])
-        arms = []
+        weight, parent = [int(params[0])], [None]
         for pair in params[1:]:
             a, b = (int(x) for x in pair)
-            arms.append(Node(a, (Node(b),)))
-        return WeightedPlanarTree(Node(c, tuple(arms)))
+            weight += [a, b]
+            parent += [0, len(parent)]
+        return WeightedPlanarTree(weight, parent)
     raise MalformedTree(f"unknown family {kind!r}")
 
 
@@ -165,16 +150,12 @@ _PORTS = ("NW", "NE", "SW", "SE")
 class _Builder:
     def __init__(self):
         self.ds = DisjointSets()
-        self.n_wires = 0
         self.crossings = []
         self.owner = []  # tree vertex index per crossing
 
-    def wire(self):
-        self.n_wires += 1
-        return self.n_wires - 1
-
     def crossing(self, over_diag, owner):
-        w = {p: self.wire() for p in _PORTS}
+        n = 4 * len(self.crossings)  # wires are numbered four per crossing
+        w = dict(zip(_PORTS, range(n, n + 4)))
         if over_diag == "NE-SW":
             slots = (w["NW"], w["SW"], w["SE"], w["NE"])
         else:
@@ -186,7 +167,10 @@ class _Builder:
     def join(self, a, b):
         self.ds.union(a, b)
 
-    def finish(self):
+    def finish(self, t):
+        """Close tangle t, NW to NE and SW to SE, into a diagram."""
+        self.join(t.NW, t.NE)
+        self.join(t.SW, t.SE)
         lists = [
             tuple(self.ds.find(w) for w in slots) for slots in self.crossings
         ]
@@ -227,23 +211,24 @@ def _compose(b, axis, a, t):
     return _Tangle(a.NW, a.NE, t.SW, t.SE)
 
 
-def _assemble(b, tree, idx, axis):
-    node = tree.nodes[idx]
-    if node.weight == 0:
-        raise ZeroWeight(f"vertex {idx} has weight 0")
-    cur = _twist_chain(b, axis, node.weight, idx)
-    other = "v" if axis == "h" else "h"
-    for child in tree.order[idx]:
-        cur = _compose(b, axis, cur, _assemble(b, tree, child, other))
-    return cur
+def _assemble(b, tree):
+    """Chains in preorder, so crossings are numbered by vertex; then each
+    vertex boxes its children's finished tangles in, last vertex first."""
+    axes, tangles = [], []
+    for i, w in enumerate(tree.weight):
+        if w == 0:
+            raise ZeroWeight(f"vertex {i} has weight 0")
+        axes.append("hv"[tree.depth[i] % 2])
+        tangles.append(_twist_chain(b, axes[i], w, i))
+    for i in reversed(range(len(tangles))):
+        for c in tree.children[i]:
+            tangles[i] = _compose(b, axes[i], tangles[i], tangles[c])
+    return tangles[0]
 
 
 def generate_diagram(tree, validate=True):
     b = _Builder()
-    t = _assemble(b, tree, 0, "h")
-    b.join(t.NW, t.NE)
-    b.join(t.SW, t.SE)
-    d = b.finish()
+    d = b.finish(_assemble(b, tree))
     if validate and all(abs(w) >= 2 for w in tree.weights()):
         _validate(tree, d, b.owner)
     return d
@@ -258,9 +243,6 @@ def _validate(tree, d, owner):
         raise ConstructionMismatch(
             f"{len(dec)} twist regions for {len(tree)} vertices"
         )
-    depth = [0] * len(tree)
-    for i in range(1, len(tree)):  # preorder: parent[i] < i
-        depth[i] = depth[tree.parent[i]] + 1
     for r in dec:
         # owner sets are disjoint, so only the first crossing's owner can match
         v = owner[r.crossings[0]]
@@ -268,14 +250,14 @@ def _validate(tree, d, owner):
             raise ConstructionMismatch(
                 f"region {r.index} does not match a single vertex"
             )
-        w = tree.nodes[v].weight
+        w = tree.weight[v]
         if r.count != abs(w):
             raise ConstructionMismatch(
                 f"vertex {v}: weight {w} became count {r.count}"
             )
         if len(tree) == 1 and abs(w) == 2:
             continue  # a closed 2-chain reads either axis equally well
-        want = (1 if w > 0 else -1) * (1 if depth[v] % 2 == 0 else -1)
+        want = (1 if w > 0 else -1) * (1 if tree.depth[v] % 2 == 0 else -1)
         if r.handedness != want:
             raise ConstructionMismatch(
                 f"vertex {v}: handedness {r.handedness}, expected {want}"
@@ -296,9 +278,7 @@ def make_pretzel_pd(qs):
     cur = strips[0]
     for s in strips[1:]:
         cur = _compose(b, "h", cur, s)
-    b.join(cur.NW, cur.NE)
-    b.join(cur.SW, cur.SE)
-    return b.finish()
+    return b.finish(cur)
 
 
 # -- tree level verdict -----------------------------------------------------

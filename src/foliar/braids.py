@@ -67,31 +67,25 @@ def parse_braid(text, n_strands=None):
 
 
 def reduce_braid(word):
-    """Merge equal-generator neighbours, including around the cycle."""
-    sylls = list(word.syllables)
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for s in sylls:
-            if out and out[-1].gen == s.gen:
-                merged = out[-1].exp + s.exp
-                out.pop()
-                if merged:
-                    out.append(Syllable(s.gen, merged))
-                changed = True
-            else:
-                out.append(s)
-        while len(out) >= 2 and out[0].gen == out[-1].gen:
-            merged = out[-1].exp + out[0].exp
-            out = out[1:-1] + (
-                [Syllable(out[0].gen, merged)] if merged else []
-            )
-            changed = True
-        sylls = out
-    if not sylls:
+    """Merge equal-generator neighbours, including around the cycle.
+
+    One stack pass leaves no equal neighbours, and merging the two ends
+    cannot make new ones.
+    """
+    out = []
+    for s in word.syllables:
+        if out and out[-1].gen == s.gen:
+            merged = out.pop().exp + s.exp
+            if merged:
+                out.append(Syllable(s.gen, merged))
+        else:
+            out.append(s)
+    while len(out) >= 2 and out[0].gen == out[-1].gen:
+        merged = out[-1].exp + out[0].exp
+        out = out[1:-1] + ([Syllable(out[0].gen, merged)] if merged else [])
+    if not out:
         raise EmptyWord("word reduced to the identity braid")
-    return BraidWord(word.n_strands, tuple(sylls))
+    return BraidWord(word.n_strands, tuple(out))
 
 
 def closure_components(word):

@@ -45,7 +45,7 @@ def _emit_dot(directory, detail):
             fh.write(graph.to_dot() + "\n")
 
 
-def _crosscheck(verdict, d, out):
+def _pd_crosscheck(verdict, d, out):
     """Add the checkerboard route's status to out.
 
     Returns True when the routes disagree on an input that was not
@@ -63,12 +63,45 @@ def _crosscheck(verdict, d, out):
     return True
 
 
+def _closure(word, out):
+    """The reduced word's closure, or None with the reason in out."""
+    try:
+        return braid_to_diagram(reduce_braid(word))
+    except InputError as exc:
+        out["diagram_error"] = str(exc)
+        return None
+
+
+def _braid_crosscheck(verdict, d, out):
+    """Add the closure's status to out; True on an unexplained disagreement."""
+    if d is None:
+        return False
+    mv = check_main(d)
+    out["diagram_status"] = mv.status.value
+    if (mv.status == Status.CERTIFIED) == (verdict.status == Status.CERTIFIED):
+        return False
+    if "Interleaving" in verdict.reasons:
+        out["note"] = "word fails interleaving; closure judged on its own"
+        return False
+    return True
+
+
+def _tree_crosscheck(verdict, d, out):
+    """Add the generated diagram's status to out; True if they disagree."""
+    mv = check_main(d)
+    out["diagram_status"] = mv.status.value
+    if "SingleVertex" in verdict.reasons:
+        out["note"] = "single vertex: the closed twist chain is excluded"
+        return False
+    return mv.status != verdict.status
+
+
 def cmd_check(args):
     d = _read_diagram(args.diagram, args.file)
     diagnosis = diagnose(d) if args.diagnose else None
     verdict = diagnosis.verdict if diagnosis else check_main(d)
     out = json.loads((diagnosis or verdict).to_json())
-    mismatch = args.crosscheck and _crosscheck(verdict, d, out)
+    mismatch = args.crosscheck and _pd_crosscheck(verdict, d, out)
     if args.emit_dot:
         _emit_dot(args.emit_dot, verdict.detail)
     print(json.dumps(out))
@@ -79,47 +112,24 @@ def cmd_braid(args):
     word = parse_braid(args.word, args.strands)
     verdict = check_braid(word)
     out = json.loads(verdict.to_json())
-    code = 0
-    if args.diagram or args.crosscheck:
-        try:
-            d = braid_to_diagram(reduce_braid(word))
-        except InputError as exc:
-            out["diagram_error"] = str(exc)
-            d = None
-        if d is not None and args.diagram:
-            out["pd"] = d.to_pd()
-        if d is not None and args.crosscheck:
-            mv = check_main(d)
-            out["diagram_status"] = mv.status.value
-            if (mv.status == Status.CERTIFIED) != (
-                verdict.status == Status.CERTIFIED
-            ):
-                if "Interleaving" in verdict.reasons:
-                    out["note"] = "word fails interleaving; closure judged on its own"
-                else:
-                    code = 3
+    d = _closure(word, out) if args.diagram or args.crosscheck else None
+    if d is not None and args.diagram:
+        out["pd"] = d.to_pd()
+    mismatch = args.crosscheck and _braid_crosscheck(verdict, d, out)
     print(json.dumps(out))
-    return code
+    return 3 if mismatch else 0
 
 
 def cmd_tree(args):
     tree = parse_tree(args.tree)
     verdict = check_arborescent(tree)
     out = json.loads(verdict.to_json())
-    code = 0
-    if args.diagram or args.crosscheck:
-        d = generate_diagram(tree)
-        if args.diagram:
-            out["pd"] = d.to_pd()
-        if args.crosscheck:
-            mv = check_main(d)
-            out["diagram_status"] = mv.status.value
-            if len(tree) == 1:
-                out["note"] = "single vertex: the closed twist chain is excluded"
-            elif mv.status != verdict.status:
-                code = 3
+    d = generate_diagram(tree) if args.diagram or args.crosscheck else None
+    if args.diagram:
+        out["pd"] = d.to_pd()
+    mismatch = args.crosscheck and _tree_crosscheck(verdict, d, out)
     print(json.dumps(out))
-    return code
+    return 3 if mismatch else 0
 
 
 def cmd_borromean(args):
@@ -154,15 +164,24 @@ def cmd_augment(args):
 
 
 def _corpus_entry(path):
+    """The verdict on one file and its kind's cross-check, run on demand."""
     with open(path) as fh:
         text = fh.read()
     if path.endswith(".braid"):
-        return check_braid(parse_braid(text)), None
+        word = parse_braid(text)
+        verdict = check_braid(word)
+        return verdict, lambda out: _braid_crosscheck(
+            verdict, _closure(word, out), out
+        )
     if path.endswith(".tree"):
         tree = parse_tree(text)
-        return check_arborescent(tree), generate_diagram(tree)
+        verdict = check_arborescent(tree)
+        return verdict, lambda out: _tree_crosscheck(
+            verdict, generate_diagram(tree), out
+        )
     d = _read_diagram(text)
-    return check_main(d), d
+    verdict = check_main(d)
+    return verdict, lambda out: _pd_crosscheck(verdict, d, out)
 
 
 def cmd_corpus(args):
@@ -178,12 +197,11 @@ def cmd_corpus(args):
     for path in paths:
         base = os.path.basename(path)
         try:
-            verdict, d = _corpus_entry(path)
+            verdict, crosscheck = _corpus_entry(path)
             row = {"file": base, "status": verdict.status.value,
                    "reasons": list(verdict.reasons)}
-            if args.crosscheck and d is not None:
-                if _crosscheck(verdict, d, row) and path.endswith(".pd"):
-                    code = max(code, 3)
+            if args.crosscheck and crosscheck(row):
+                code = max(code, 3)
         except InputError as exc:
             print(json.dumps({"file": base, "error": str(exc)}))
             code = max(code, 2)

@@ -10,12 +10,15 @@ from foliar import (
     parse_braid,
     reduce_braid,
 )
+from foliar.braids import BraidWord, Syllable
 from foliar.errors import (
     BadGenerator,
     EmptyWord,
     EvenStrandCount,
     NonSphericalEmbedding,
 )
+
+from conftest import seeded
 
 
 def test_parse_basic():
@@ -58,6 +61,54 @@ def test_reduce_merges_cyclically():
 def test_reduce_identity_raises():
     with pytest.raises(EmptyWord):
         reduce_braid(parse_braid("s1^2 s1^-2"))
+
+
+def _reduce_to_fixpoint(word):
+    """The earlier reduce_braid: repeat the pass until nothing changes."""
+    sylls = list(word.syllables)
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for s in sylls:
+            if out and out[-1].gen == s.gen:
+                merged = out[-1].exp + s.exp
+                out.pop()
+                if merged:
+                    out.append(Syllable(s.gen, merged))
+                changed = True
+            else:
+                out.append(s)
+        while len(out) >= 2 and out[0].gen == out[-1].gen:
+            merged = out[-1].exp + out[0].exp
+            out = out[1:-1] + (
+                [Syllable(out[0].gen, merged)] if merged else []
+            )
+            changed = True
+        sylls = out
+    if not sylls:
+        raise EmptyWord("word reduced to the identity braid")
+    return BraidWord(word.n_strands, tuple(sylls))
+
+
+def test_one_pass_reduce_matches_fixpoint():
+    rng = seeded(31)
+    emptied = merged = 0
+    for _ in range(2000):
+        word = BraidWord(4, tuple(
+            Syllable(rng.randint(1, 3), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(1, 10))
+        ))
+        try:
+            want = _reduce_to_fixpoint(word)
+        except EmptyWord:
+            with pytest.raises(EmptyWord):
+                reduce_braid(word)
+            emptied += 1
+            continue
+        assert reduce_braid(word) == want
+        merged += len(want.syllables) < len(word.syllables)
+    assert emptied >= 10 and merged >= 1000
 
 
 def test_closure_components():

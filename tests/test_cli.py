@@ -220,6 +220,49 @@ def test_corpus_crosscheck_matches_check_on_reshaped_input(tmp_path, capsys):
     assert row["note"] == checked["note"]
 
 
+def test_corpus_crosscheck_uses_each_kinds_rule(tmp_path, capsys):
+    inputs = {
+        "a.tree": ("tree", "(5)"),
+        "b.tree": ("tree", "(2 (3))"),
+        "c.braid": ("braid", "s1^3 s2^-3"),
+    }
+    want = {}
+    for name, (command, text) in inputs.items():
+        (tmp_path / name).write_text(text)
+        code, out, _ = run(capsys, command, text, "--crosscheck")
+        assert code == 0
+        want[name] = json.loads(out)
+
+    code, out, _ = run(capsys, "corpus", str(tmp_path), "--crosscheck")
+    assert code == 0
+    rows = {row["file"]: row for row in map(json.loads, out.splitlines()[:-1])}
+    assert rows.keys() == inputs.keys()
+    for name, single in want.items():
+        assert "tait_status" not in rows[name]
+        for key in ("status", "diagram_status", "note"):
+            assert rows[name].get(key) == single.get(key)
+    assert rows["a.tree"]["diagram_status"] == "excluded"
+    assert "note" in rows["a.tree"]
+
+
+def test_corpus_crosscheck_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    from foliar.criterion import Status, check_main
+
+    (tmp_path / "a.tree").write_text("(2 (3))")
+    code, _, _ = run(capsys, "corpus", str(tmp_path), "--crosscheck")
+    assert code == 0
+
+    def check_main_excluded(d):
+        return replace(check_main(d), status=Status.EXCLUDED)
+
+    monkeypatch.setattr("foliar.cli.check_main", check_main_excluded)
+    code, out, _ = run(capsys, "corpus", str(tmp_path), "--crosscheck")
+    assert code == 3  # a tree file disagrees as a .pd file would
+    assert json.loads(out.splitlines()[0])["diagram_status"] == "excluded"
+
+
 def test_check_diagnose_runs_main_pipeline_once(capsys, monkeypatch):
     import foliar.criterion
 
