@@ -14,7 +14,14 @@ import sys
 
 from .arborescent import check_arborescent, generate_diagram, parse_tree
 from .braids import braid_to_diagram, check_braid, parse_braid, reduce_braid
-from .criterion import Status, check_main, diagnose, reshaped
+from .criterion import (
+    Status,
+    braid_must_agree,
+    check_main,
+    diagnose,
+    reshaped,
+    tree_must_agree,
+)
 from .diagram import LinkDiagram, parse_pd
 from .errors import InputError, InternalError, Unsatisfiable
 from .surgery import Slope, augment, classify_borromean, plan_configurations
@@ -72,7 +79,7 @@ def _closure(word, out):
         return None
 
 
-def _braid_crosscheck(verdict, d, out):
+def _braid_crosscheck(verdict, word, d, out):
     """Add the closure's status to out; True on an unexplained disagreement."""
     if d is None:
         return False
@@ -80,20 +87,28 @@ def _braid_crosscheck(verdict, d, out):
     out["diagram_status"] = mv.status.value
     if (mv.status == Status.CERTIFIED) == (verdict.status == Status.CERTIFIED):
         return False
-    if "Interleaving" in verdict.reasons:
-        out["note"] = "word fails interleaving; closure judged on its own"
+    exponents = [s.exp for s in reduce_braid(word).syllables]
+    if not braid_must_agree(exponents, "Interleaving" not in verdict.reasons):
+        out["note"] = (
+            "word fails interleaving or has an exponent below 2; "
+            "closure judged on its own"
+        )
         return False
     return True
 
 
-def _tree_crosscheck(verdict, d, out):
+def _tree_crosscheck(verdict, tree, d, out):
     """Add the generated diagram's status to out; True if they disagree."""
     mv = check_main(d)
     out["diagram_status"] = mv.status.value
-    if "SingleVertex" in verdict.reasons:
-        out["note"] = "single vertex: the closed twist chain is excluded"
+    if mv.status == verdict.status:
         return False
-    return mv.status != verdict.status
+    if not tree_must_agree(tree.weights()):
+        out["note"] = (
+            "single vertex or a weight below 2; diagram judged on its own"
+        )
+        return False
+    return True
 
 
 def cmd_check(args):
@@ -115,7 +130,7 @@ def cmd_braid(args):
     d = _closure(word, out) if args.diagram or args.crosscheck else None
     if d is not None and args.diagram:
         out["pd"] = d.to_pd()
-    mismatch = args.crosscheck and _braid_crosscheck(verdict, d, out)
+    mismatch = args.crosscheck and _braid_crosscheck(verdict, word, d, out)
     print(json.dumps(out))
     return 3 if mismatch else 0
 
@@ -127,7 +142,7 @@ def cmd_tree(args):
     d = generate_diagram(tree) if args.diagram or args.crosscheck else None
     if args.diagram:
         out["pd"] = d.to_pd()
-    mismatch = args.crosscheck and _tree_crosscheck(verdict, d, out)
+    mismatch = args.crosscheck and _tree_crosscheck(verdict, tree, d, out)
     print(json.dumps(out))
     return 3 if mismatch else 0
 
@@ -171,13 +186,13 @@ def _corpus_entry(path):
         word = parse_braid(text)
         verdict = check_braid(word)
         return verdict, lambda out: _braid_crosscheck(
-            verdict, _closure(word, out), out
+            verdict, word, _closure(word, out), out
         )
     if path.endswith(".tree"):
         tree = parse_tree(text)
         verdict = check_arborescent(tree)
         return verdict, lambda out: _tree_crosscheck(
-            verdict, generate_diagram(tree), out
+            verdict, tree, generate_diagram(tree), out
         )
     d = _read_diagram(text)
     verdict = check_main(d)

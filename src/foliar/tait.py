@@ -14,9 +14,15 @@ Evaluating a graph: maximal runs of bivalent vertices are removed,
 each run of j vertices recording a twist weight j + 1; the surviving
 parallel families merge to |sum of signed weights|.  The graph
 certifies when every recorded weight is at least 2, some weight is at
-least 3, and what remains after removal and merging is a tree.  On a
-reduced one-component diagram the two graphs always agree with each
-other and with the collapsed-graph route.
+least 3, and what remains after removal and merging is a tree.  The
+diagram certifies when either graph does.  The two graphs, and this
+route and the collapsed-graph route, need not agree: a one-crossing
+twist region records weight 1 in one graph only, as the other counts
+its crossing into a longer run, so that graph fails while the other may
+certify, and the collapsed-graph route fails the region as
+WeightTooSmall(count=1).  Such diagrams occur even among those that
+neither cancellation nor merging reshapes: one or two in a hundred of
+the random trees with weights in ±1..±4 that generate them.
 """
 
 from collections import Counter

@@ -14,12 +14,21 @@ chain axis is taken through gaps 0 and 2 by convention.  Equal
 handedness along a chain is exactly the condition that no two adjacent
 crossings cancel by a type II move.
 
-reduce_assumption1 cancels in rounds.  Each round takes the first mixed
-chain, matches its opposite-handed crossings like brackets, splices all
-matched crossings out at once and builds the diagram once.  The chain
-that is left is coherent, with |signed sum| crossings.  Only one chain
-is cancelled per round because a cancellation can turn the bigons of
-another chain into curls, and then that chain no longer cancels.
+reduce_assumption1 cancels in rounds.  Each round detects the regions
+once and takes the mixed chains in region order.  For each it matches
+the opposite-handed crossings like brackets and splices the matched
+crossings out of the round's dart map; the chain that is left is
+coherent, with |signed sum| crossings.  A splice that leaves every face
+through a re-paired dart with at least three corners makes no new
+bigon or curl, so a fresh detection would find the same chains less
+the matched crossings and pick the next one in the same order: the
+round goes on to it.  The round ends, and builds the diagram once, at
+the first splice that leaves a face of one or two corners, because
+such a face can turn the bigons of a later chain into curls, and then
+that chain no longer cancels.  It also ends at a splice that splits
+the diagram into pieces, which the build rejects, and before a chain
+that would remove every crossing left, so that the next round raises
+with its own numbering.
 
 collapse() replaces every region by one 4-valent vertex, giving the
 reduced graph used for face colouring and the side graphs.
@@ -27,7 +36,7 @@ reduced graph used for face colouring and the side graphs.
 
 from dataclasses import dataclass
 
-from ._planar import faces_of, splice_out, to_dot
+from ._planar import DisjointSets, faces_of, sigma, splice_out, to_dot
 from .diagram import relabel
 from .errors import (
     InternalError,
@@ -194,35 +203,83 @@ def _grow_chain(fi, eligible, port, claimed, used, overlap):
 # -- type II cancellation ---------------------------------------------------
 
 def reduce_assumption1(d):
-    """Cancel opposite-handed crossings, one mixed chain per round."""
+    """Cancel opposite-handed crossings, every independent mixed chain
+    of one detection per round."""
     while True:
         dec = detect_twist_regions(d, allow_mixed=True)
-        r = next((r for r in dec if r.handedness == 0), None)
-        if r is None:
+        mixed = [r for r in dec if r.handedness == 0]
+        if not mixed:
             return d
-        stack, matched = [], []
-        for c, h in zip(r.crossings, r.crossing_handedness):
-            if stack and stack[-1][1] != h:
-                matched += (stack.pop()[0], c)
-            else:
-                stack.append((c, h))
-        if len(matched) == len(d):
-            raise UnknotCollapse(
-                f"cancelling chain {r.crossings} removed the last crossings"
-            )
         alpha = dict(d.alpha)
-        # a type II move lets both strands pass straight through the pair
-        if sum(splice_out(alpha, c, ((0, 2), (1, 3))) for c in matched):
-            raise NonSphericalEmbedding(
-                "cancellation split off a closed strand with no crossings"
-            )
-        gone = set(matched)
+        gone = set()
+        faces = DisjointSets()
+        for r in mixed:
+            matched = _bracket_match(r)
+            if len(gone) + len(matched) == len(d):
+                if gone:
+                    break  # the next round raises in its own numbering
+                raise UnknotCollapse(
+                    f"cancelling chain {r.crossings} removed the last crossings"
+                )
+            ends = [alpha[4 * c + s] for c in matched for s in range(4)]
+            # a type II move lets both strands pass straight through the pair
+            if sum(splice_out(alpha, c, ((0, 2), (1, 3))) for c in matched):
+                raise NonSphericalEmbedding(
+                    "cancellation split off a closed strand with no crossings"
+                )
+            gone.update(matched)
+            if _splits(d, r, matched, faces) or any(
+                _small_face(alpha, e) for e in ends if e in alpha
+            ):
+                # building raises on a split; a new bigon or curl can
+                # reshape the later chains
+                break
         kept = [k for k in range(len(d)) if k not in gone]
         d = relabel(
             # an arc is named by the lower of its two darts
             [[min(e, alpha[e]) for e in range(4 * k, 4 * k + 4)] for k in kept],
             [d.crossings[k].under_axis for k in kept],
         )
+
+
+def _bracket_match(region):
+    """Opposite-handed crossings of a chain, matched like brackets."""
+    stack, matched = [], []
+    for c, h in zip(region.crossings, region.crossing_handedness):
+        if stack and stack[-1][1] != h:
+            matched += (stack.pop()[0], c)
+        else:
+            stack.append((c, h))
+    return matched
+
+
+def _splits(d, region, matched, faces):
+    """Whether cancelling matched may have split the diagram into pieces.
+
+    Cancelling joins the two faces along the chain at each matched
+    crossing.  faces holds the joins made so far in the round over the
+    faces of d; a join of two faces that are already one closes a ring
+    of faces around part of the diagram.
+    """
+    hand = dict(zip(region.crossings, region.crossing_handedness))
+    ring = False
+    for c in matched:
+        # the chain gaps have the parity that handedness +1 gives under_axis
+        p = d.crossings[c].under_axis ^ (hand[c] < 0)
+        a, b = faces.find(d.face_at[(c, p)]), faces.find(d.face_at[(c, p + 2)])
+        ring |= a == b
+        faces.union(a, b)
+    return ring
+
+
+def _small_face(alpha, start):
+    """Whether the face traversed from dart start has fewer than 3 corners."""
+    e = start
+    for _ in range(2):
+        e = sigma(alpha[e])
+        if e == start:
+            return True
+    return False
 
 
 # -- collapsed graph --------------------------------------------------------

@@ -148,6 +148,45 @@ def test_tree_single_vertex_note(capsys):
     assert "note" in payload
 
 
+@pytest.mark.parametrize(
+    "command,text,status,diagram_status",
+    [
+        # a unit weight fails the tree; the diagram route merges it away
+        ("tree", "(-1 (-4))", "fail", "excluded"),
+        # exponent-1 syllables fail the word; the closure cancels them
+        ("braid", "s1^3 s2^1 s1^-3 s2^-1", "fail", "certified"),
+    ],
+)
+def test_crosscheck_excuses_small_weights_with_a_note(
+    capsys, command, text, status, diagram_status
+):
+    code, out, _ = run(capsys, command, text, "--crosscheck")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["status"], payload["diagram_status"]) == (
+        status, diagram_status
+    )
+    assert "note" in payload
+
+
+def test_tree_crosscheck_disagreement_exits_3(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from foliar.criterion import Status, check_main
+
+    def check_main_excluded(d):
+        return replace(check_main(d), status=Status.EXCLUDED)
+
+    monkeypatch.setattr("foliar.cli.check_main", check_main_excluded)
+    code, out, _ = run(capsys, "tree", "(2 (-3) (2))", "--crosscheck")
+    assert code == 3
+    payload = json.loads(out)
+    assert (payload["status"], payload["diagram_status"]) == (
+        "certified", "excluded"
+    )
+    assert "note" not in payload
+
+
 def test_borromean_command(capsys):
     code, out, _ = run(capsys, "borromean", "1/2", "3", "5")
     assert code == 0

@@ -144,3 +144,14 @@ def test_diagnose_json_round_trip(fig8):
     out = json.loads(diagnose(fig8).to_json())
     assert out["branch"] == "two_crossing_circles"
     assert out["verdict"]["status"] == "fail"
+
+
+def test_route_agreement_preconditions():
+    from foliar.criterion import braid_must_agree, tree_must_agree
+
+    assert tree_must_agree([2, -3])
+    assert not tree_must_agree([5])  # the closed twist chain
+    assert not tree_must_agree([-1, -4])
+    assert braid_must_agree([3, -2], True)
+    assert not braid_must_agree([3, -3], False)
+    assert not braid_must_agree([3, 1, -3], True)

@@ -1,10 +1,12 @@
-"""Normalisation in rounds, pinned and checked against one move at a time.
+"""Normalisation in rounds, pinned and checked against simpler loops.
 
-reduce_assumption1 cancels one mixed chain per round and
-normalize_assumption2 merges every parallel family per round.  The
-reference below is the earlier one-move form: it cancels a single
-adjacent pair, or merges a single parallel family, and rebuilds after
-each.  Both forms must reach the same diagram and the same normal form.
+reduce_assumption1 cancels every independent mixed chain of one
+detection per round and normalize_assumption2 merges every parallel
+family per round.  The references below are the earlier forms: one
+move at a time, cancelling a single adjacent pair or merging a single
+parallel family and rebuilding after each, and one mixed chain per
+round.  Every form must reach the same diagram and the same normal
+form, and fail with the same error.
 """
 
 from dataclasses import replace
@@ -23,7 +25,7 @@ from foliar import (
     parse_tree,
     reduce_assumption1,
 )
-from foliar._planar import DisjointSets
+from foliar._planar import DisjointSets, splice_out
 from foliar.diagram import relabel
 from foliar.errors import (
     DegenerateCollapse,
@@ -38,6 +40,17 @@ from conftest import random_braid_text, random_tree_text, seeded
 
 # two mixed chains; cancelling the first leaves the other pair on curls
 TWO_MIXED_CHAINS = "X[1,2,3,4] X[4,5,6,7] X[3,2,8,5] X[6,8,1,7]"
+
+# s3 s3^-1 s5^4 s5^-4 s4^3 s1 s2^-3 on 6 strands summed with a curl:
+# cancelling the first chain splits the diagram into two pieces, which
+# leave every face large; cancelling the second would close a strand
+SPLIT_BY_FIRST_CHAIN = (
+    "X[1,2,3,4] X[3,5,6,4] X[7,8,9,10] X[10,9,11,12] X[12,11,13,14] "
+    "X[14,13,15,16] X[15,17,18,16] X[17,19,20,18] X[19,21,22,20] "
+    "X[21,23,7,22] X[23,6,24,25] X[25,24,26,27] X[28,26,1,8] "
+    "X[29,30,30,31] X[31,32,33,5] X[32,34,35,33] X[34,29,2,35] "
+    "X[36,28,27,36]"
+)
 
 
 # -- reference: one move per rebuild -----------------------------------------
@@ -92,6 +105,37 @@ def ref_cancel(d, ci, cj):
     if spliced - kept:
         raise NonSphericalEmbedding("closed strand")
     return relabel(slot_lists, axes)
+
+
+def ref_one_chain_per_round(d):
+    """reduce_assumption1 as it was before it batched chains: each round
+    cancels the first mixed chain only and rebuilds the diagram."""
+    while True:
+        dec = detect_twist_regions(d, allow_mixed=True)
+        r = next((r for r in dec if r.handedness == 0), None)
+        if r is None:
+            return d
+        stack, matched = [], []
+        for c, h in zip(r.crossings, r.crossing_handedness):
+            if stack and stack[-1][1] != h:
+                matched += (stack.pop()[0], c)
+            else:
+                stack.append((c, h))
+        if len(matched) == len(d):
+            raise UnknotCollapse(
+                f"cancelling chain {r.crossings} removed the last crossings"
+            )
+        alpha = dict(d.alpha)
+        if sum(splice_out(alpha, c, ((0, 2), (1, 3))) for c in matched):
+            raise NonSphericalEmbedding(
+                "cancellation split off a closed strand with no crossings"
+            )
+        gone = set(matched)
+        kept = [k for k in range(len(d)) if k not in gone]
+        d = relabel(
+            [[min(e, alpha[e]) for e in range(4 * k, 4 * k + 4)] for k in kept],
+            [d.crossings[k].under_axis for k in kept],
+        )
 
 
 def ref_first_parallel_family(green, red):
@@ -167,20 +211,60 @@ def test_one_mixed_chain_per_round():
     )
 
 
-def test_long_mixed_chain_builds_once(monkeypatch):
-    d = braid_to_diagram(parse_braid("s1^43 s1^-40"))
+def _count_builds(monkeypatch, namespace=vars(foliar.twists)):
+    """Record the crossing count of every diagram built through the
+    relabel of namespace, one build per round."""
     calls = []
-    original = foliar.twists.relabel
+    original = namespace["relabel"]
 
     def counting(*args):
         calls.append(len(args[0]))
         return original(*args)
 
-    monkeypatch.setattr(foliar.twists, "relabel", counting)
+    monkeypatch.setitem(namespace, "relabel", counting)
+    return calls
+
+
+def _run(fn, d):
+    try:
+        return fn(d), None
+    except FoliarError as exc:
+        return None, exc
+
+
+def _error(exc):
+    return None if exc is None else (type(exc), str(exc))
+
+
+def test_long_mixed_chain_builds_once(monkeypatch):
+    d = braid_to_diagram(parse_braid("s1^43 s1^-40"))
+    calls = _count_builds(monkeypatch)
     out = reduce_assumption1(d)
     assert calls == [3]
     (r,) = detect_twist_regions(out)
     assert (r.count, r.handedness, r.cyclic) == (3, 1, True)
+
+
+def test_many_mixed_chains_build_once(monkeypatch):
+    d = braid_to_diagram(parse_braid(" ".join(["s1^4 s1^-1 s2^4 s2^-1"] * 50)))
+    calls = _count_builds(monkeypatch)
+    out = reduce_assumption1(d)
+    assert calls == [300]
+    assert out.to_pd() == ref_one_chain_per_round(d).to_pd()
+    assert {(r.count, r.handedness) for r in detect_twist_regions(out)} == {
+        (3, 1)
+    }
+
+
+def test_round_ends_where_a_chain_splits_the_diagram():
+    d = parse_pd(SPLIT_BY_FIRST_CHAIN)
+    dec = detect_twist_regions(d, allow_mixed=True)
+    assert [r.count for r in dec if r.handedness == 0] == [2, 8]
+    _, err = _run(reduce_assumption1, d)
+    assert _error(err) == (
+        NonSphericalEmbedding, "projection splits into 2 pieces"
+    )
+    assert _error(err) == _error(_run(ref_one_chain_per_round, d)[1])
 
 
 # -- rounds against one move at a time ---------------------------------------
@@ -266,3 +350,67 @@ def test_rounds_match_one_move_reference():
     # the inputs exercise both normalisers, not only their no-op path
     assert cancelled >= 30 and merged >= 10
 
+
+# -- rounds against one chain per round --------------------------------------
+
+def _mixed_word(rng):
+    """A braid word on 2-5 strands whose syllables often meet one of
+    opposite sign, sometimes cancelling it exactly."""
+    n = rng.randint(2, 5)
+    parts = []
+    for _ in range(rng.randint(1, 8)):
+        g = rng.randint(1, n - 1)
+        e = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        parts.append((g, e))
+        roll = rng.random()
+        if roll < 0.15:
+            parts.append((g, -e))
+        elif roll < 0.6:
+            parts.append((g, -rng.randint(1, 4) if e > 0 else rng.randint(1, 4)))
+    return " ".join(f"s{g}^{e}" for g, e in parts), n
+
+
+def _chain_inputs(n):
+    """Unreduced braid closures and connected sums of trees with unit
+    weights; mostly inputs with several mixed chains."""
+    rng = seeded(23)
+
+    def tree():
+        text = random_tree_text(rng, 4, lo=1, hi=3)
+        return generate_diagram(parse_tree(text))
+
+    for i in range(n):
+        try:
+            if i % 4:
+                word, strands = _mixed_word(rng)
+                yield braid_to_diagram(parse_braid(word, strands))
+            else:
+                d = tree()
+                for _ in range(rng.randint(1, 3)):
+                    d = _connected_sum(rng, d, tree())
+                yield d
+        except FoliarError:
+            continue
+
+
+def test_rounds_match_one_chain_reference(monkeypatch):
+    seen = batched = ended_early = 0
+    # the reference builds through the relabel of this module
+    ref_calls = _count_builds(monkeypatch, globals())
+    calls = _count_builds(monkeypatch)
+    for d in _chain_inputs(3000):
+        ref_calls.clear()
+        calls.clear()
+        ref, ref_err = _run(ref_one_chain_per_round, d)
+        got, got_err = _run(reduce_assumption1, d)
+        assert _error(got_err) == _error(ref_err), d.to_pd()
+        if ref is not None:
+            assert got.to_pd() == ref.to_pd(), d.to_pd()
+        seen += 1
+        # fewer builds than chains: some round cancelled several chains
+        batched += len(calls) < len(ref_calls)
+        # a second build follows only a round that ended before its
+        # last chain
+        ended_early += len(calls) >= 2
+    assert seen >= 2000
+    assert batched >= 30 and ended_early >= 30
