@@ -36,6 +36,7 @@ class WeightedPlanarTree:
             p = self.parent[i]
             self.children[p].append(i)
             self.depth[i] = self.depth[p] + 1
+        self._diagram = None  # kept by generate_diagram with validate
 
     def __len__(self):
         return len(self.weight)
@@ -227,10 +228,14 @@ def _assemble(b, tree):
 
 
 def generate_diagram(tree, validate=True):
+    if validate and tree._diagram is not None:
+        return tree._diagram  # built and checked by the first call
     b = _Builder()
     d = b.finish(_assemble(b, tree))
-    if validate and all(abs(w) >= 2 for w in tree.weights()):
-        _validate(tree, d, b.owner)
+    if validate:
+        if all(abs(w) >= 2 for w in tree.weights()):
+            _validate(tree, d, b.owner)
+        tree._diagram = d
     return d
 
 

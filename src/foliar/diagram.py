@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from ._planar import DisjointSets, faces_of
+from ._planar import faces_of
 from .errors import (
     ArcCountMismatch,
     EmptyDiagram,
@@ -44,8 +44,8 @@ class LinkDiagram:
                 raise MalformedToken(f"under_axis {c.under_axis}")
         self.crossings = crossings
         self._validate_arcs()
-        self._validate_connected()
         self.alpha = self._build_alpha()
+        self._validate_connected()
         self.faces, self.dart_face, self.face_at = faces_of(
             4 * len(crossings), self.alpha
         )
@@ -53,6 +53,8 @@ class LinkDiagram:
             raise NonSphericalEmbedding(
                 f"{len(self.faces)} faces for {len(crossings)} crossings"
             )
+        # found on first use; twists fills the regions and the reduction
+        self._components = self._regions = self._reduced = None
 
     # -- validation --------------------------------------------------------
 
@@ -77,15 +79,18 @@ class LinkDiagram:
         self.arc_count = 2 * n
 
     def _validate_connected(self):
-        ds = DisjointSets()
-        for ci, c in enumerate(self.crossings):
-            for a in c.slots:
-                ds.union(("c", ci), ("a", a))
-        roots = {ds.find(("c", ci)) for ci in range(len(self.crossings))}
-        if len(roots) != 1:
-            raise NonSphericalEmbedding(
-                f"projection splits into {len(roots)} pieces"
-            )
+        seen = bytearray(len(self.crossings))
+        pieces = 0
+        for root in range(len(seen)):
+            pieces += not seen[root]
+            stack = [root]
+            while stack:
+                ci = stack.pop()
+                if not seen[ci]:
+                    seen[ci] = 1
+                    stack += [self.alpha[d] >> 2 for d in range(4 * ci, 4 * ci + 4)]
+        if pieces != 1:
+            raise NonSphericalEmbedding(f"projection splits into {pieces} pieces")
 
     def _build_alpha(self):
         ends = {}
@@ -110,12 +115,19 @@ class LinkDiagram:
         return self.crossings[ci].slots[slot % 4]
 
     def component_count(self):
-        """Number of link components: arcs joined through opposite slots."""
-        ds = DisjointSets()
-        for c in self.crossings:
-            ds.union(c.slots[0], c.slots[2])
-            ds.union(c.slots[1], c.slots[3])
-        return len({ds.find(a) for a in range(1, self.arc_count + 1)})
+        """Number of link components: strands run through opposite slots."""
+        if self._components is None:
+            seen = bytearray(len(self.alpha))
+            count = 0
+            for start in range(len(seen)):
+                count += not seen[start]
+                d = start
+                while not seen[d]:  # along the strand, back to start
+                    e = self.alpha[d]
+                    seen[d] = seen[e] = 1
+                    d = e ^ 2
+            self._components = count
+        return self._components
 
     def mirror(self):
         """Swap over and under strands at every crossing."""

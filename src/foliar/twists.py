@@ -30,6 +30,12 @@ the diagram into pieces, which the build rejects, and before a chain
 that would remove every crossing left, so that the next round raises
 with its own numbering.
 
+Regions and reduction are found once per diagram and kept on it, so
+both routes and augment share them.  The regions are kept as found with
+mixed chains allowed, and a strict call raises from them.  A diagram
+without a mixed chain is its own reduction and keeps none, so that it
+never refers to itself.
+
 collapse() replaces every region by one 4-valent vertex, giving the
 reduced graph used for face colouring and the side graphs.
 """
@@ -79,6 +85,21 @@ class TwistDecomposition:
 
 
 def detect_twist_regions(d, allow_mixed=False):
+    """Twist regions of d, found once and kept on d; unless allow_mixed,
+    the first region that mixes handedness raises."""
+    if d._regions is None:
+        d._regions = _detect(d)
+    if not allow_mixed:
+        for r in d._regions:
+            if r.handedness == 0:
+                raise NonAlternatingChain(
+                    f"chain through crossings {r.crossings} mixes "
+                    f"handedness {r.crossing_handedness}"
+                )
+    return d._regions
+
+
+def _detect(d):
     faces = d.faces
     kinks = {f.corners[0][0] for f in faces if f.size == 1}
     eligible = {}
@@ -122,14 +143,7 @@ def detect_twist_regions(d, allow_mixed=False):
         for c in crossings:
             gap_parity = gaps[c][0] % 2 if gaps[c] else 0
             hs.append(1 if gap_parity == d.crossings[c].under_axis else -1)
-        if len(set(hs)) == 1:
-            handed = hs[0]
-        elif allow_mixed:
-            handed = 0
-        else:
-            raise NonAlternatingChain(
-                f"chain through crossings {tuple(crossings)} mixes handedness {tuple(hs)}"
-            )
+        handed = hs[0] if len(set(hs)) == 1 else 0
         if cyclic:
             ends = None
         elif len(crossings) == 1:
@@ -205,6 +219,14 @@ def _grow_chain(fi, eligible, port, claimed, used, overlap):
 def reduce_assumption1(d):
     """Cancel opposite-handed crossings, every independent mixed chain
     of one detection per round."""
+    if d._reduced is None and any(
+        r.handedness == 0 for r in detect_twist_regions(d, allow_mixed=True)
+    ):
+        d._reduced = _cancel_rounds(d)
+    return d if d._reduced is None else d._reduced
+
+
+def _cancel_rounds(d):
     while True:
         dec = detect_twist_regions(d, allow_mixed=True)
         mixed = [r for r in dec if r.handedness == 0]

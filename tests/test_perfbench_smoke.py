@@ -1,8 +1,9 @@
-"""One short benchmark pass on the reshape workload, end to end.
+"""One short benchmark pass on the reshape and corpus workloads, end to end.
 
-The verdict digest covers every route's status and reasons on the 32
-seed-1 inputs, so a normaliser change that moves a verdict fails here
-instead of only in a benchmark run.
+The verdict digest covers every route's status and reasons on the
+seed-1 inputs: 32 reshape inputs, and 3 000 corpus inputs of every
+kind (PD, braid, tree and slopes).  A change that moves a verdict fails
+here instead of only in a benchmark run.
 """
 
 import json
@@ -16,11 +17,22 @@ RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 RESHAPE_SEED1_DIGEST = (
     "3f8d6167fc2a7a982a92b96a05c3ae85474ac798135dca366e238d3c02550a31"
 )
+CORPUS_SEED1_DIGEST = (
+    "8bb1d9d6efa6c1137a7f0f65ef00dd47287d0b1dc7d8ebac0ba1fb370f8fd108"
+)
 
 
 def test_reshape_pass_keeps_its_verdicts():
+    _assert_digest("reshape", RESHAPE_SEED1_DIGEST)
+
+
+def test_corpus_pass_keeps_its_verdicts():
+    _assert_digest("corpus", CORPUS_SEED1_DIGEST)
+
+
+def _assert_digest(workload, digest):
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "reshape", "--seed", "1",
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "0"],
         capture_output=True,
         text=True,
@@ -31,4 +43,4 @@ def test_reshape_pass_keeps_its_verdicts():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert f"verdict digest: sha256 {RESHAPE_SEED1_DIGEST}" in proc.stdout
+    assert f"verdict digest: sha256 {digest}" in proc.stdout
