@@ -5,7 +5,9 @@ fixed rotation sigma (next slot counterclockwise) and an involution
 alpha pairing the two ends of each edge.  Faces are the orbits of
 sigma . alpha.  The corner recorded while traversing a face is the gap
 index at the vertex the traversal passes through: gap g sits between
-slots g and g+1.
+slots g and g+1.  A traced map keeps its faces and one index, face_at,
+from each corner to its face; the faces at gaps g and g+1 of a vertex
+meet along the edge at slot g+1, so face adjacency is read from it too.
 """
 
 from dataclasses import dataclass
@@ -28,42 +30,39 @@ def sigma(d):
 
 
 def trace_faces(n_darts, alpha):
-    """Return (faces, dart_face).
-
-    faces is a list of corner lists [(vertex, gap), ...]; dart_face maps
-    each dart to the index of the face whose traversal consumes it.
-    """
+    """Return the faces as corner lists [(vertex, gap), ...], in the
+    order of the lowest dart each traversal consumes."""
     faces = []
-    dart_face = {}
+    seen = bytearray(n_darts)
     for start in range(n_darts):
-        if start in dart_face:
+        if seen[start]:
             continue
         corners = []
         d = start
         while True:
-            dart_face[d] = len(faces)
+            seen[d] = 1
             e = alpha[d]
             corners.append((e >> 2, e & 3))
             d = sigma(e)
             if d == start:
                 break
         faces.append(corners)
-    return faces, dart_face
+    return faces
 
 
 def faces_of(n_darts, alpha):
-    """Return (faces, dart_face, face_at) for a map.
+    """Return (faces, face_at) for a map.
 
-    faces are Face records, dart_face is as in trace_faces, and face_at
-    maps each corner (vertex, gap) to the index of its face.
+    faces are Face records and face_at maps each corner (vertex, gap) to
+    the index of its face.
     """
-    raw, dart_face = trace_faces(n_darts, alpha)
+    raw = trace_faces(n_darts, alpha)
     # from a list, not a generator: tuple() sizes a generator's result by
     # resizing, so the tuple is later freed into a CPython free list it
     # was not taken from; those lists empty only on a full collection
     faces = tuple([Face(i, tuple(cs)) for i, cs in enumerate(raw)])
     face_at = {corner: f.index for f in faces for corner in f.corners}
-    return faces, dart_face, face_at
+    return faces, face_at
 
 
 def splice_out(alpha, v, pairs):
@@ -89,15 +88,15 @@ def splice_out(alpha, v, pairs):
 def two_color(plane):
     """Two-colour the faces of a traced map so edge-adjacent faces differ.
 
-    plane has the faces, alpha and dart_face of faces_of; colour 0
-    holds face 0.
+    plane has the faces and face_at of faces_of; colour 0 holds face 0.
     """
-    alpha, dart_face = plane.alpha, plane.dart_face
+    face_at = plane.face_at
     adjacent = [set() for _ in plane.faces]
-    for d in range(len(alpha)):
-        f, g = dart_face[d], dart_face[alpha[d]]
-        adjacent[f].add(g)
-        adjacent[g].add(f)
+    for (v, gap), f in face_at.items():
+        # the faces at gaps g and g+1 meet along the edge at slot g+1
+        h = face_at[(v, (gap + 1) & 3)]
+        adjacent[f].add(h)
+        adjacent[h].add(f)
     color = {}
     for root in range(len(plane.faces)):
         if root in color:

@@ -46,9 +46,7 @@ class LinkDiagram:
         self._validate_arcs()
         self.alpha = self._build_alpha()
         self._validate_connected()
-        self.faces, self.dart_face, self.face_at = faces_of(
-            4 * len(crossings), self.alpha
-        )
+        self.faces, self.face_at = faces_of(4 * len(crossings), self.alpha)
         if len(self.faces) != len(crossings) + 2:
             raise NonSphericalEmbedding(
                 f"{len(self.faces)} faces for {len(crossings)} crossings"

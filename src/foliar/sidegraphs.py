@@ -15,9 +15,10 @@ count times the handedness.
 
 Two regions joining the same pair of faces in the same graph can be
 slid into each other, so parallel side edges merge: the signed weights
-add, the surviving region keeps |sum| crossings, and regions that
-cancel outright are spliced out of the collapsed graph along their
-through strands.  Merging works in rounds: each round builds the side
+add, the surviving region keeps |sum| crossings, and the others, or all
+of them when the sum is zero, are spliced out of the collapsed graph
+along their through strands, whose slot pairing collapse() takes from
+the parity of the region's count.  Merging works in rounds: each round builds the side
 graphs once, merges every parallel family of both colours and builds
 one collapsed graph.  A splice can join faces and so make new parallel
 edges; rounds repeat until none remain, which is the normal form the

@@ -15,14 +15,12 @@ each run of j vertices recording a twist weight j + 1; the surviving
 parallel families merge to |sum of signed weights|.  The graph
 certifies when every recorded weight is at least 2, some weight is at
 least 3, and what remains after removal and merging is a tree.  The
-diagram certifies when either graph does.  The two graphs, and this
-route and the collapsed-graph route, need not agree: a one-crossing
-twist region records weight 1 in one graph only, as the other counts
-its crossing into a longer run, so that graph fails while the other may
-certify, and the collapsed-graph route fails the region as
-WeightTooSmall(count=1).  Such diagrams occur even among those that
-neither cancellation nor merging reshapes: one or two in a hundred of
-the random trees with weights in ±1..±4 that generate them.
+diagram certifies only when both graphs do, as the paper asks every
+twist region to have at least two crossings: a one-crossing region
+records weight 1 in one graph only, as the other counts its crossing
+into a longer run, and the collapsed-graph route fails the same region
+as WeightTooSmall(count=1).  A failing verdict gives the green graph's
+reasons, or the red graph's when the green graph certifies.
 """
 
 from collections import Counter
@@ -49,7 +47,6 @@ def build_tait(d):
 class ContractedTait:
     chain_weights: tuple
     merged_weights: tuple
-    dropped_families: int
     vertices: tuple
     edge_pairs: tuple  # (u, v) per surviving structural edge
 
@@ -83,7 +80,6 @@ def contract(tg):
     return ContractedTait(
         chain_weights,
         tuple([w for _, w in kept]),
-        len(families) - len(kept),
         tuple(survivors),
         tuple([pair for pair, _ in kept]),
     )
@@ -129,10 +125,10 @@ def check_tait(d):
             reasons.append(f"NotContractible({name})")
         results.append((cg, tuple(reasons)))
     (cg_green, reasons_green), (cg_red, reasons_red) = results
-    certified = not reasons_green or not reasons_red
+    reasons = reasons_green or reasons_red
     return Verdict(
-        Status.CERTIFIED if certified else Status.HYPOTHESES_FAIL,
-        () if certified else reasons_green,
+        Status.HYPOTHESES_FAIL if reasons else Status.CERTIFIED,
+        reasons,
         cg_green.weights,
         cg_red.weights,
         len(cg_green.weights),

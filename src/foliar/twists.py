@@ -5,8 +5,8 @@ through opposite gaps, or a single crossing belonging to no such chain.
 Chains may close up cyclically; a cyclic chain necessarily exhausts the
 whole diagram.  Crossings incident to a monogon never join a chain, and
 when more bigons touch a crossing than a single chain can use (three
-parallel strands) the extras are recorded and left as plain faces, so
-the regions always partition the crossings.
+parallel strands) the extras are left as plain faces, so the regions
+always partition the crossings.
 
 The handedness of a crossing inside a chain is +1 when the parity of
 its chain gap matches its under_axis bit.  For a single crossing the
@@ -37,7 +37,11 @@ without a mixed chain is its own reduction and keeps none, so that it
 never refers to itself.
 
 collapse() replaces every region by one 4-valent vertex, giving the
-reduced graph used for face colouring and the side graphs.
+reduced graph used for face colouring and the side graphs.  The vertex's
+slots 0, 1 are the stubs at the chain's first crossing and 2, 3 those at
+its last, so the two strands through the region pair the slots by the
+parity of its count alone: (0, 2) and (1, 3) when it is odd, (0, 3) and
+(1, 2) when it is even.
 """
 
 from dataclasses import dataclass
@@ -61,27 +65,6 @@ class TwistRegion:
     handedness: int  # 0 when mixed and mixing was allowed
     crossing_handedness: tuple
     end_gaps: tuple  # ((first crossing, chain gap), (last, gap)); None if cyclic
-
-
-class TwistDecomposition:
-    """Sequence of twist regions plus detection diagnostics."""
-
-    def __init__(self, regions, overlapping_bigons):
-        self.regions = tuple(regions)
-        self.overlapping_bigons = tuple(overlapping_bigons)
-
-    def __iter__(self):
-        return iter(self.regions)
-
-    def __len__(self):
-        return len(self.regions)
-
-    def __getitem__(self, i):
-        return self.regions[i]
-
-    @property
-    def counts(self):
-        return tuple(r.count for r in self.regions)
 
 
 def detect_twist_regions(d, allow_mixed=False):
@@ -117,17 +100,15 @@ def _detect(d):
 
     used = set()
     claimed = set()
-    overlap = []
     chains = []
     for fi in sorted(eligible):
         if fi in used:
             continue
         (c1, g1), (c2, g2) = eligible[fi]
         if c1 in claimed or c2 in claimed:
-            used.add(fi)
-            overlap.append(fi)
+            used.add(fi)  # a bigon beside a chain stays a plain face
             continue
-        chain = _grow_chain(fi, eligible, port, claimed, used, overlap)
+        chain = _grow_chain(fi, eligible, port, claimed, used)
         claimed.update(chain[0])
         chains.append(chain)
 
@@ -164,10 +145,10 @@ def _detect(d):
                 end_gaps=ends,
             )
         )
-    return TwistDecomposition(regions, overlap)
+    return tuple(regions)
 
 
-def _grow_chain(fi, eligible, port, claimed, used, overlap):
+def _grow_chain(fi, eligible, port, claimed, used):
     (c1, g1), (c2, g2) = eligible[fi]
     crossings = [c1, c2]
     gaps = {c1: [g1], c2: [g2]}
@@ -197,7 +178,6 @@ def _grow_chain(fi, eligible, port, claimed, used, overlap):
                 return
             if far in claimed or far in gaps:
                 used.add(nxt)
-                overlap.append(nxt)
                 return
             used.add(nxt)
             gaps[c].append(ngap)
@@ -327,9 +307,7 @@ class CollapsedGraph:
     def __init__(self, vertices, alpha):
         self.vertices = tuple(vertices)
         self.alpha = dict(alpha)
-        self.faces, self.dart_face, self.face_at = faces_of(
-            4 * len(self.vertices), self.alpha
-        )
+        self.faces, self.face_at = faces_of(4 * len(self.vertices), self.alpha)
         if len(self.faces) != len(self.vertices) + 2:
             raise InternalError(
                 f"collapsed graph has {len(self.faces)} faces for "
@@ -356,10 +334,9 @@ class CollapsedGraph:
         return to_dot("collapsed", nodes, edges)
 
 
-def collapse(d, decomposition=None):
-    if decomposition is None:
-        decomposition = detect_twist_regions(d)
-    regions = decomposition.regions
+def collapse(d, regions=None):
+    if regions is None:
+        regions = detect_twist_regions(d)
     for r in regions:
         if r.handedness == 0:
             raise NonAlternatingChain(
@@ -387,7 +364,7 @@ def collapse(d, decomposition=None):
                 (e2, (g2 + 2) % 4),
                 (e2, (g2 + 3) % 4),
             )
-        through = _trace_through(d, r, rot)
+        through = ((0, 2), (1, 3)) if r.count % 2 else ((0, 3), (1, 2))
         vertices.append(
             CollapsedVertex(r.index, r.count, r.handedness, False, through)
         )
@@ -400,27 +377,3 @@ def collapse(d, decomposition=None):
         alpha[ends[0]] = ends[1]
         alpha[ends[1]] = ends[0]
     return CollapsedGraph(vertices, alpha)
-
-
-def _trace_through(d, region, rot):
-    """Pair the vertex's local slots by the strands crossing the region."""
-    members = set(region.crossings)
-    stub_of = {cs: local for local, cs in enumerate(rot)}
-    pairs = []
-    seen = set()
-    for local, (c, s) in enumerate(rot):
-        if local in seen:
-            continue
-        cur_c, cur_s = c, s
-        while True:
-            out = (cur_c, (cur_s + 2) % 4)
-            if out in stub_of:
-                break
-            e = d.alpha[4 * out[0] + out[1]]
-            cur_c, cur_s = e >> 2, e & 3
-            if cur_c not in members:
-                raise InternalError("strand left its region mid-trace")
-        other = stub_of[out]
-        pairs.append((local, other))
-        seen.update((local, other))
-    return tuple(sorted(pairs))

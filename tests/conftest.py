@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from foliar import parse_pd
+from foliar import (
+    braid_to_diagram,
+    generate_diagram,
+    parse_braid,
+    parse_pd,
+    parse_tree,
+)
+from foliar.diagram import relabel
+from foliar.errors import FoliarError
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -84,3 +92,46 @@ def random_braid_text(rng, max_syllables=4, exps=(-3, -2, 2, 3)):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def connected_sum(rng, a, b):
+    """Cut one arc of each diagram and join the four ends crosswise."""
+    x = ("a", rng.randrange(1, 2 * len(a) + 1))
+    y = ("b", rng.randrange(1, 2 * len(b) + 1))
+    rows = [[("a", s) for s in c.slots] for c in a.crossings]
+    rows += [[("b", s) for s in c.slots] for c in b.crossings]
+    ends = {x: [], y: []}
+    for row in rows:
+        for k, s in enumerate(row):
+            if s in ends:
+                ends[s].append((row, k))
+    rng.shuffle(ends[y])
+    (_, (r1, k1)), ((r2, k2), (r3, k3)) = ends[x], ends[y]
+    r1[k1] = r3[k3] = "cut"
+    r2[k2] = x
+    return relabel(rows, [c.under_axis for c in a.crossings + b.crossings])
+
+
+def unreduced_inputs(n):
+    """Braid closures, trees with weights +-1..+-3, and connected sums
+    of small trees, which is where parallel side edges mostly arise."""
+    rng = seeded(11)
+
+    def tree(max_nodes):
+        text = random_tree_text(rng, max_nodes, lo=1, hi=3)
+        return generate_diagram(parse_tree(text))
+
+    for i in range(n):
+        try:
+            if i % 4 == 0:
+                word = random_braid_text(rng, 6, exps=(-3, -2, -1, 1, 2, 3))
+                yield braid_to_diagram(parse_braid(word))
+            elif i % 4 == 1:
+                yield tree(7)
+            else:
+                d = tree(4)
+                for _ in range(rng.randint(1, 3)):
+                    d = connected_sum(rng, d, tree(4))
+                yield d
+        except FoliarError:
+            continue

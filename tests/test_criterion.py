@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from foliar import (
     Status,
     braid_to_diagram,
@@ -7,10 +9,13 @@ from foliar import (
     collapse,
     detect_dk,
     diagnose,
+    generate_diagram,
     make_pretzel_pd,
     parse_braid,
     parse_pd,
+    parse_tree,
 )
+from foliar.errors import InternalError
 
 from conftest import GRANNY3, SQUARE_KNOT
 
@@ -73,6 +78,30 @@ def test_three_sum_merges_and_certifies():
     assert v.weights_red == ()
     assert v.detail["merged"] and not v.detail["reduced"]
     assert v.twist_regions == 3
+
+
+@pytest.mark.xfail(
+    raises=InternalError,
+    strict=True,
+    reason="edge merging splices an odd region out along its crossed "
+    "strands, which leaves a map that is not planar",
+)
+def test_cancelled_family_leaves_the_merged_tree():
+    # the second tree folds the unit leaf into its parent; once a removed
+    # region is smoothed out, not spliced along its strands, both reach
+    # the same normal form
+    want = check_main(generate_diagram(parse_tree("(3 (2 (3 (-2))))")))
+    assert (want.status, want.weights_green, want.weights_red) == (
+        Status.CERTIFIED,
+        (3, 3),
+        (2, 2),
+    )
+    got = check_main(generate_diagram(parse_tree("(3 (2 (2 (-2) (1))))")))
+    assert (got.status, got.weights_green, got.weights_red) == (
+        want.status,
+        want.weights_green,
+        want.weights_red,
+    )
 
 
 def test_small_weight_reason():

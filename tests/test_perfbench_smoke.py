@@ -18,7 +18,7 @@ RESHAPE_SEED1_DIGEST = (
     "3f8d6167fc2a7a982a92b96a05c3ae85474ac798135dca366e238d3c02550a31"
 )
 CORPUS_SEED1_DIGEST = (
-    "8bb1d9d6efa6c1137a7f0f65ef00dd47287d0b1dc7d8ebac0ba1fb370f8fd108"
+    "b60a0859bee13de5715661e079505927c38e831e8d8180dbdd229c7eb93eb806"
 )
 
 

@@ -36,7 +36,12 @@ from foliar.errors import (
 )
 from foliar.twists import CollapsedGraph
 
-from conftest import random_braid_text, random_tree_text, seeded
+from conftest import (
+    connected_sum,
+    random_tree_text,
+    seeded,
+    unreduced_inputs,
+)
 
 # two mixed chains; cancelling the first leaves the other pair on curls
 TWO_MIXED_CHAINS = "X[1,2,3,4] X[4,5,6,7] X[3,2,8,5] X[6,8,1,7]"
@@ -276,49 +281,6 @@ def _outcome(fn, arg):
         return None, type(exc)
 
 
-def _connected_sum(rng, a, b):
-    """Cut one arc of each diagram and join the four ends crosswise."""
-    x = ("a", rng.randrange(1, 2 * len(a) + 1))
-    y = ("b", rng.randrange(1, 2 * len(b) + 1))
-    rows = [[("a", s) for s in c.slots] for c in a.crossings]
-    rows += [[("b", s) for s in c.slots] for c in b.crossings]
-    ends = {x: [], y: []}
-    for row in rows:
-        for k, s in enumerate(row):
-            if s in ends:
-                ends[s].append((row, k))
-    rng.shuffle(ends[y])
-    (_, (r1, k1)), ((r2, k2), (r3, k3)) = ends[x], ends[y]
-    r1[k1] = r3[k3] = "cut"
-    r2[k2] = x
-    return relabel(rows, [c.under_axis for c in a.crossings + b.crossings])
-
-
-def _unreduced_inputs(n):
-    """Braid closures, trees with weights +-1..+-3, and connected sums
-    of small trees, which is where parallel side edges mostly arise."""
-    rng = seeded(11)
-
-    def tree(max_nodes):
-        text = random_tree_text(rng, max_nodes, lo=1, hi=3)
-        return generate_diagram(parse_tree(text))
-
-    for i in range(n):
-        try:
-            if i % 4 == 0:
-                word = random_braid_text(rng, 6, exps=(-3, -2, -1, 1, 2, 3))
-                yield braid_to_diagram(parse_braid(word))
-            elif i % 4 == 1:
-                yield tree(7)
-            else:
-                d = tree(4)
-                for _ in range(rng.randint(1, 3)):
-                    d = _connected_sum(rng, d, tree(4))
-                yield d
-        except FoliarError:
-            continue
-
-
 def _normal_form(out):
     cg = out[0]
     return (
@@ -329,7 +291,7 @@ def _normal_form(out):
 
 def test_rounds_match_one_move_reference():
     cancelled = merged = 0
-    for d in _unreduced_inputs(200):
+    for d in unreduced_inputs(200):
         ref, ref_err = _outcome(ref_reduce_assumption1, d)
         got, got_err = _outcome(reduce_assumption1, d)
         assert got_err == ref_err, d.to_pd()
@@ -387,7 +349,7 @@ def _chain_inputs(n):
             else:
                 d = tree()
                 for _ in range(rng.randint(1, 3)):
-                    d = _connected_sum(rng, d, tree())
+                    d = connected_sum(rng, d, tree())
                 yield d
         except FoliarError:
             continue

@@ -9,11 +9,13 @@ from foliar import (
     connectivity_report,
     normalize_assumption2,
     parse_pd,
+    reduce_assumption1,
 )
+from foliar._planar import sigma
 from foliar.twists import CollapsedGraph, CollapsedVertex
-from foliar.errors import DegenerateCollapse
+from foliar.errors import DegenerateCollapse, FoliarError
 
-from conftest import CANCELLING_COLUMNS, GRANNY3
+from conftest import CANCELLING_COLUMNS, GRANNY3, unreduced_inputs
 
 
 def test_two_coloring_fig8(fig8):
@@ -23,6 +25,57 @@ def test_two_coloring_fig8(fig8):
         for v, gap in face.corners:
             opp = fig8.face_at[(v, (gap + 1) % 4)]
             assert coloring[opp] != coloring[face.index]
+
+
+def ref_two_color(plane):
+    """Trace the faces again, recording the face that consumes each dart,
+    and two-colour them so the faces on the two sides of a dart differ."""
+    faces, dart_face = [], {}
+    for start in range(4 * len(plane)):
+        if start in dart_face:
+            continue
+        corners = []
+        d = start
+        while True:
+            dart_face[d] = len(faces)
+            e = plane.alpha[d]
+            corners.append((e >> 2, e & 3))
+            d = sigma(e)
+            if d == start:
+                break
+        faces.append(tuple(corners))
+    assert faces == [f.corners for f in plane.faces]
+    adjacent = [set() for _ in faces]
+    for d, e in plane.alpha.items():
+        adjacent[dart_face[d]].add(dart_face[e])
+    color = {}
+    for root in range(len(faces)):
+        if root in color:
+            continue
+        color[root] = 0
+        queue = [root]
+        while queue:
+            f = queue.pop()
+            for g in adjacent[f]:
+                if g not in color:
+                    color[g] = 1 - color[f]
+                    queue.append(g)
+                assert color[g] != color[f]
+    return color
+
+
+def test_two_coloring_matches_the_dart_reference():
+    maps = 0
+    for d in unreduced_inputs(200):
+        assert color_faces(d) == ref_two_color(d), d.to_pd()
+        maps += 1
+        try:
+            cg = collapse(reduce_assumption1(d))
+        except FoliarError:
+            continue
+        assert color_faces(cg) == ref_two_color(cg), d.to_pd()
+        maps += 1
+    assert maps >= 300
 
 
 def test_side_graphs_fig8(fig8):

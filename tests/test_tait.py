@@ -6,8 +6,10 @@ from foliar import (
     check_main,
     check_tait,
     contract,
+    generate_diagram,
     make_pretzel_pd,
     parse_pd,
+    parse_tree,
 )
 from foliar.criterion import reshaped
 from foliar.errors import InternalError
@@ -44,7 +46,6 @@ def test_contract_fig8(fig8):
         c = contract(tg)
         assert c.chain_weights == (2,)
         assert c.merged_weights == (2,)
-        assert c.dropped_families == 0
         assert c.is_tree()
     assert contract(g).vertices == (0, 2)
     assert contract(r).vertices == (1, 4)
@@ -120,6 +121,23 @@ def test_agreement_on_clean_inputs(trefoil, fig8, kink, hopf):
         if reshaped(mv):
             continue
         assert check_tait(d).status == mv.status
+
+
+def test_one_crossing_region_fails_both_routes():
+    # the green graph records the one-crossing region as weight 1 while
+    # the red graph certifies; both graphs must certify
+    d = generate_diagram(parse_tree("(2 (2 (-3) (1)))"))
+    mv = check_main(d)
+    assert not reshaped(mv)
+    assert (mv.status, mv.reasons) == (
+        Status.HYPOTHESES_FAIL,
+        ("WeightTooSmall(region=3,count=1)",),
+    )
+    tv = check_tait(d)
+    assert (tv.status, tv.reasons) == (
+        Status.HYPOTHESES_FAIL,
+        ("WeightTooSmall(green,weight=1)",),
+    )
 
 
 def test_merged_input_can_disagree_gracefully():

@@ -10,12 +10,13 @@ from foliar import (
     reduce_assumption1,
 )
 from foliar.errors import (
+    FoliarError,
     NonAlternatingChain,
     NonSphericalEmbedding,
     UnknotCollapse,
 )
 
-from conftest import CANCELLING_COLUMNS
+from conftest import CANCELLING_COLUMNS, unreduced_inputs
 
 
 def test_trefoil_single_cyclic_region(trefoil):
@@ -26,7 +27,6 @@ def test_trefoil_single_cyclic_region(trefoil):
     assert r.handedness == 1
     assert r.cyclic
     assert r.crossings == (1, 0, 2)
-    assert dec.overlapping_bigons == ()
 
 
 def test_mirror_flips_handedness(trefoil):
@@ -36,7 +36,7 @@ def test_mirror_flips_handedness(trefoil):
 
 def test_fig8_two_clasps(fig8):
     dec = detect_twist_regions(fig8)
-    assert dec.counts == (2, 2)
+    assert tuple(r.count for r in dec) == (2, 2)
     r0, r1 = dec
     assert (r0.handedness, r1.handedness) == (1, -1)
     assert r0.crossings == (1, 0)
@@ -51,7 +51,6 @@ def test_hopf_overlap_bigons(hopf):
     r = dec[0]
     assert (r.count, r.handedness, r.cyclic) == (2, -1, True)
     assert r.crossings == (1, 0)
-    assert dec.overlapping_bigons == (1, 3)
 
 
 def test_kink_is_ambiguous_singleton(kink):
@@ -156,3 +155,49 @@ def test_separated_columns_fixture_regions():
         (2, -1),
         (2, 1),
     ]
+
+
+def ref_through(d, region):
+    """Pair a collapsed vertex's slots by walking each strand from its
+    stub through the region's crossings to the stub where it leaves."""
+    (e1, g1), (e2, g2) = region.end_gaps
+    if region.count == 1:
+        rot = [(e1, s) for s in range(4)]
+    else:
+        rot = [
+            (e1, (g1 + 2) % 4),
+            (e1, (g1 + 3) % 4),
+            (e2, (g2 + 2) % 4),
+            (e2, (g2 + 3) % 4),
+        ]
+    stub_of = {cs: local for local, cs in enumerate(rot)}
+    pairs = []
+    seen = set()
+    for local, (c, s) in enumerate(rot):
+        if local in seen:
+            continue
+        while (c, (s + 2) % 4) not in stub_of:
+            e = d.alpha[4 * c + (s + 2) % 4]
+            c, s = e >> 2, e & 3
+            assert c in region.crossings, "strand left its region"
+        other = stub_of[(c, (s + 2) % 4)]
+        pairs.append((local, other))
+        seen.update((local, other))
+    return tuple(sorted(pairs))
+
+
+def test_through_is_the_strand_walk():
+    odd = even = 0
+    for d in unreduced_inputs(200):
+        try:
+            d = reduce_assumption1(d)
+            cg = collapse(d)
+        except FoliarError:
+            continue
+        for r, v in zip(detect_twist_regions(d), cg.vertices):
+            if r.cyclic:
+                continue
+            assert v.through == ref_through(d, r), d.to_pd()
+            odd += r.count > 1 and r.count % 2
+            even += r.count % 2 == 0
+    assert odd >= 100 and even >= 100
