@@ -7,20 +7,19 @@ order.  Closing the root chain gives the diagram.  Positive weight
 means the strand from the lower left passes over, read with the chain
 axis horizontal.
 
-For trees with every |w| >= 2 the twist regions of the generated
-diagram reproduce the vertices exactly; generation checks this, along
-with the tree shape of both side graphs, and raises on any mismatch.
+For trees with every |w| >= 2 the generated diagram's twist regions
+reproduce the vertices, and its normal form merges nothing and has tree
+side graphs; generation checks this and raises on any mismatch.
 """
 
 import re
 from dataclasses import dataclass
 
 from ._planar import DisjointSets
-from .criterion import Status, Verdict, weight_reasons
+from .criterion import Status, Verdict, normal_form, weight_reasons
 from .diagram import relabel
 from .errors import ConstructionMismatch, MalformedTree, ZeroWeight
-from .sidegraphs import build_side_graphs
-from .twists import collapse, detect_twist_regions
+from .twists import detect_twist_regions
 
 
 class WeightedPlanarTree:
@@ -36,7 +35,7 @@ class WeightedPlanarTree:
             p = self.parent[i]
             self.children[p].append(i)
             self.depth[i] = self.depth[p] + 1
-        self._diagram = None  # kept by generate_diagram with validate
+        self._diagram = None  # kept by generate_diagram
 
     def __len__(self):
         return len(self.weight)
@@ -227,16 +226,14 @@ def _assemble(b, tree):
     return tangles[0]
 
 
-def generate_diagram(tree, validate=True):
-    if validate and tree._diagram is not None:
-        return tree._diagram  # built and checked by the first call
-    b = _Builder()
-    d = b.finish(_assemble(b, tree))
-    if validate:
+def generate_diagram(tree):
+    if tree._diagram is None:
+        b = _Builder()
+        d = b.finish(_assemble(b, tree))
         if all(abs(w) >= 2 for w in tree.weights()):
             _validate(tree, d, b.owner)
         tree._diagram = d
-    return d
+    return tree._diagram
 
 
 def _validate(tree, d, owner):
@@ -267,9 +264,8 @@ def _validate(tree, d, owner):
             raise ConstructionMismatch(
                 f"vertex {v}: handedness {r.handedness}, expected {want}"
             )
-    cg = collapse(d, dec)
-    green, red = build_side_graphs(cg)
-    if not (green.is_tree() and red.is_tree()):
+    cg, green, red = normal_form(d)
+    if len(cg) != len(tree) or not (green.is_tree() and red.is_tree()):
         raise ConstructionMismatch("side graphs of a tree diagram must be trees")
 
 

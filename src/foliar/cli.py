@@ -19,6 +19,7 @@ from .criterion import (
     braid_must_agree,
     check_main,
     diagnose,
+    normal_form,
     reshaped,
     tree_must_agree,
 )
@@ -28,26 +29,33 @@ from .surgery import Slope, augment, classify_borromean, plan_configurations
 from .tait import check_tait
 
 
+def _read_file(path):
+    """The text of path; a file that cannot be read as UTF-8 is bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:  # its message names the path
+        raise InputError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_diagram(text, path=None):
     if path:
-        with open(path) as fh:
-            text = fh.read()
+        text = _read_file(path)
     t = text.strip()
     if t.startswith("{"):
         return LinkDiagram.from_json(t)
     return parse_pd(t)
 
 
-# dot file name -> main-route detail key of the graph written there
-_DOT_FILES = {"collapsed": "collapsed", "side_green": "green", "side_red": "red"}
-
-
-def _emit_dot(directory, detail):
+def _emit_dot(directory, d):
+    """Write the normal form of a knot diagram; a link has none to show."""
     os.makedirs(directory, exist_ok=True)
-    for name, key in _DOT_FILES.items():
-        graph = detail.get(key)
-        if graph is None:
-            continue
+    if d.component_count() != 1:
+        return
+    names = ("collapsed", "side_green", "side_red")
+    for name, graph in zip(names, normal_form(d)):
         with open(os.path.join(directory, name + ".dot"), "w") as fh:
             fh.write(graph.to_dot() + "\n")
 
@@ -118,7 +126,7 @@ def cmd_check(args):
     out = json.loads((diagnosis or verdict).to_json())
     mismatch = args.crosscheck and _pd_crosscheck(verdict, d, out)
     if args.emit_dot:
-        _emit_dot(args.emit_dot, verdict.detail)
+        _emit_dot(args.emit_dot, d)
     print(json.dumps(out))
     return 3 if mismatch else 0
 
@@ -180,8 +188,7 @@ def cmd_augment(args):
 
 def _corpus_entry(path):
     """The verdict on one file and its kind's cross-check, run on demand."""
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_file(path)
     if path.endswith(".braid"):
         word = parse_braid(text)
         verdict = check_braid(word)

@@ -7,6 +7,10 @@ or more, and both side graphs are connected (hence trees).  Diagrams
 that normalise to a single twist region are the closed twist family
 D_k and are excluded rather than failed: the criterion does not speak
 about them.
+
+The normal form, the collapsed graph and both side graphs after
+cancellation and merging, is kept on the diagram: check_main, diagnose,
+the dot output and tree validation all read it from there.
 """
 
 import json
@@ -98,6 +102,14 @@ def reshaped(verdict):
     return bool(verdict.detail.get("reduced") or verdict.detail.get("merged"))
 
 
+def normal_form(d):
+    """(collapsed graph, green, red) of d after cancellation and merging."""
+    if d._normal is None:
+        r = reduce_assumption1(d)
+        d._normal = normalize_assumption2(collapse(r, detect_twist_regions(r)))
+    return d._normal
+
+
 def check_main(d):
     comps = d.component_count()
     if comps != 1:
@@ -107,17 +119,11 @@ def check_main(d):
             (f"NotAKnot({comps})",),
             twist_regions=n,
         )
-    original = d
-    d = reduce_assumption1(d)
-    dec = detect_twist_regions(d)
-    cg = collapse(d, dec)
-    cg, green, red = normalize_assumption2(cg)
+    cg, green, red = normal_form(d)
+    r = d if d._reduced is None else d._reduced  # kept by normal_form
     detail = {
-        "collapsed": cg,
-        "green": green,
-        "red": red,
-        "reduced": len(d.crossings) != len(original.crossings),
-        "merged": len(cg.vertices) != len(dec),
+        "reduced": r is not d,
+        "merged": len(cg) != len(detect_twist_regions(r)),
     }
     k = detect_dk(cg)
     if k is not None:
@@ -181,9 +187,9 @@ def diagnose(d):
     the certificate rests on.
     """
     verdict = check_main(d)
-    cg = verdict.detail.get("collapsed")
-    if cg is None:
+    if d.component_count() != 1:
         return Diagnosis("none", 0, (), False, verdict)
+    cg = normal_form(d)[0]
     counts = tuple(v.count for v in cg.vertices)
     nv = len(cg.vertices)
     branch = _BRANCHES.get(nv, "main_construction")

@@ -51,8 +51,8 @@ class LinkDiagram:
             raise NonSphericalEmbedding(
                 f"{len(self.faces)} faces for {len(crossings)} crossings"
             )
-        # found on first use; twists fills the regions and the reduction
-        self._components = self._regions = self._reduced = None
+        # filled on first use; twists: regions, reduction; criterion: normal form
+        self._components = self._regions = self._reduced = self._normal = None
 
     # -- validation --------------------------------------------------------
 
@@ -161,7 +161,8 @@ class LinkDiagram:
                 raise MalformedToken("crossings and under_axis lengths differ")
             # a row or list of the wrong type raises TypeError here
             crossings = [Crossing(tuple(s), ax) for s, ax in zip(slots, axes)]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        # RecursionError: arrays nested deeper than the decoder can follow
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedToken(f"bad diagram json: {exc}") from None
         return cls(crossings)
 

@@ -182,7 +182,7 @@ def _shape_to_text(shape, weights, idx):
 
 def _tree_agrees(text):
     t = parse_tree(text)
-    d = generate_diagram(t, validate=True)
+    d = generate_diagram(t)
     assert len(d.faces) == len(d.crossings) + 2
     tv = check_arborescent(t)
     if len(t) == 1 or d.component_count() != 1:

@@ -12,7 +12,7 @@ from foliar import (
     parse_pd,
     parse_tree,
 )
-from foliar.arborescent import _validate
+from foliar.arborescent import _Builder, _assemble, _validate
 from foliar.errors import ConstructionMismatch, MalformedTree, ZeroWeight
 
 from conftest import FIG8, random_tree_text, seeded
@@ -78,7 +78,7 @@ def test_generated_diagrams_are_validated():
     rng = seeded(11)
     for _ in range(40):
         t = parse_tree(random_tree_text(rng))
-        d = generate_diagram(t, validate=True)
+        d = generate_diagram(t)
         assert len(d.faces) == len(d.crossings) + 2
 
 
@@ -163,7 +163,8 @@ def test_tree_and_diagram_verdicts_agree():
 def test_validate_mismatch_messages():
     # (2 (3)) assembles crossings 0-1 for the root and 2-4 for its child
     t = parse_tree("(2 (3))")
-    d = generate_diagram(t, validate=False)
+    b = _Builder()
+    d = b.finish(_assemble(b, t))
     owner = [0, 0, 1, 1, 1]
     _validate(t, d, owner)
     cases = [

@@ -102,14 +102,38 @@ def test_check_missing_file_is_input_error(tmp_path, capsys):
     assert out == ""
 
 
+def _unreadable(tmp_path, kind):
+    """A path under tmp_path that cannot be read as UTF-8 text."""
+    p = tmp_path / "a.pd"
+    if kind == "undecodable":
+        p.write_bytes(b"\xff\xfe")
+    else:
+        p.mkdir()
+    return p
+
+
+@pytest.mark.parametrize("command", ["check", "augment"])
+@pytest.mark.parametrize("kind", ["undecodable", "directory"])
+def test_unreadable_file_is_input_error(tmp_path, capsys, command, kind):
+    p = _unreadable(tmp_path, kind)
+    code, out, err = run(capsys, command, "-f", str(p))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize(
     "text",
     [
         '{"crossings": 5, "under_axis": [0]}',
         '{"crossings": [[1,2,3]], "under_axis": 0}',
         '{"crossings": [5], "under_axis": [0]}',
+        '{"crossings": %s, "under_axis": [0]}' % NESTED,
     ],
-    ids=["crossings", "under_axis", "row"],
+    ids=["crossings", "under_axis", "row", "nested"],
 )
 def test_check_json_wrong_types_are_input_errors(text, capsys):
     code, out, err = run(capsys, "check", text)
@@ -228,6 +252,21 @@ def test_corpus_walk(tmp_path, capsys):
     assert summary["excluded"] == 1
     by_file = {l["file"]: l for l in lines[:-1]}
     assert "error" in by_file["bad.pd"]
+
+
+@pytest.mark.parametrize("kind", ["undecodable", "directory"])
+def test_corpus_reports_unreadable_file_and_goes_on(tmp_path, capsys, kind):
+    _unreadable(tmp_path, kind)
+    (tmp_path / "b.pd").write_text(TREFOIL)
+    code, out, err = run(capsys, "corpus", str(tmp_path))
+    assert code == 2
+    assert err == ""
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert [set(l) for l in lines[:2]] == [
+        {"file", "error"},
+        {"file", "status", "reasons"},
+    ]
+    assert lines[2] == {"files": 2, "certified": 0, "fail": 0, "excluded": 1}
 
 
 def test_corpus_missing_directory(capsys):

@@ -15,6 +15,7 @@ from foliar import (
     parse_pd,
     parse_tree,
 )
+from foliar.criterion import normal_form
 from foliar.errors import InternalError
 
 from conftest import GRANNY3, SQUARE_KNOT
@@ -128,6 +129,18 @@ def test_reduction_feeds_pipeline():
     assert v.detail["reduced"]
 
 
+def test_detail_holds_only_the_reshaping_flags(fig8):
+    reduced = braid_to_diagram(parse_braid("s1^4 s1^-1"))
+    cases = [
+        (fig8, {"reduced": False, "merged": False}),
+        (reduced, {"reduced": True, "merged": False}),
+        (parse_pd(GRANNY3), {"reduced": False, "merged": True}),
+    ]
+    for d, detail in cases:
+        assert check_main(d).detail == detail
+        assert normal_form(d)[0].vertices  # the graphs live on the diagram
+
+
 def test_detect_dk(trefoil, fig8):
     assert detect_dk(collapse(trefoil)) == 3
     assert detect_dk(collapse(fig8)) is None
@@ -167,6 +180,15 @@ def test_diagnose_pretzel():
     assert dg.branch == "main_construction"
     assert dg.surfaces == 5
     assert dg.twist_counts == (2, 3, 7)
+
+
+def test_diagnose_link_with_a_kept_normal_form_has_no_branch():
+    # validating the tree normalises its diagram although it is a link
+    d = generate_diagram(parse_tree("(2)"))
+    assert d.component_count() == 2
+    dg = diagnose(d)
+    assert (dg.branch, dg.surfaces, dg.twist_counts) == ("none", 0, ())
+    assert dg.verdict.reasons == ("NotAKnot(2)",)
 
 
 def test_diagnose_json_round_trip(fig8):

@@ -1,9 +1,11 @@
-"""One short benchmark pass on the reshape and corpus workloads, end to end.
+"""One short benchmark pass on each workload, end to end.
 
 The verdict digest covers every route's status and reasons on the
-seed-1 inputs: 32 reshape inputs, and 3 000 corpus inputs of every
-kind (PD, braid, tree and slopes).  A change that moves a verdict fails
-here instead of only in a benchmark run.
+seed-1 inputs: 32 reshape inputs, 3 000 corpus inputs of every kind
+(PD, braid, tree and slopes), and the 24 large inputs, whose trees of
+100 to 3 000 vertices are the only ones on the tree validation path at
+that size.  A change that moves a verdict fails here instead of only in
+a benchmark run.
 """
 
 import json
@@ -20,6 +22,9 @@ RESHAPE_SEED1_DIGEST = (
 CORPUS_SEED1_DIGEST = (
     "b60a0859bee13de5715661e079505927c38e831e8d8180dbdd229c7eb93eb806"
 )
+LARGE_SEED1_DIGEST = (
+    "7139841ac3c13e5d8a946414ea9af52b30bef582ddf16e191ccc1d9fddbeac02"
+)
 
 
 def test_reshape_pass_keeps_its_verdicts():
@@ -28,6 +33,10 @@ def test_reshape_pass_keeps_its_verdicts():
 
 def test_corpus_pass_keeps_its_verdicts():
     _assert_digest("corpus", CORPUS_SEED1_DIGEST)
+
+
+def test_large_pass_keeps_its_verdicts():
+    _assert_digest("large", LARGE_SEED1_DIGEST)
 
 
 def _assert_digest(workload, digest):

@@ -1,18 +1,21 @@
 """What a diagram or a tree derives from itself is computed once.
 
-A diagram keeps its component count, its twist regions and its
-reduction, so both routes and augment share one cancellation and one
-detection per diagram; a tree keeps its validated diagram.  Nothing it
-keeps may refer back to it, or every diagram would need a cyclic
-collection to be freed.
+A diagram keeps its component count, its twist regions, its
+reduction and its normal form, so both routes and augment share one
+cancellation and one detection per diagram, and a tree's validation and
+the main route share one normal form; a tree keeps its validated
+diagram.  Nothing it keeps may refer back to it, or every diagram would
+need a cyclic collection to be freed.
 """
 
 import gc
+import sys
 import weakref
 
 import pytest
 
 import foliar.arborescent
+import foliar.sidegraphs
 import foliar.twists
 from foliar import (
     LinkDiagram,
@@ -29,6 +32,7 @@ from foliar import (
     reduce_assumption1,
 )
 from foliar._planar import DisjointSets
+from foliar.criterion import normal_form
 from foliar.diagram import Crossing
 from foliar.errors import InputError, NonAlternatingChain, NonSphericalEmbedding
 
@@ -56,6 +60,21 @@ def _count_detections(monkeypatch):
         return original(d)
 
     monkeypatch.setattr(foliar.twists, "_detect", counting)
+    return calls
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name through every foliar module binding it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(name)
+        return original(*args)
+
+    for m in list(sys.modules.values()):
+        if m.__name__.startswith("foliar") and vars(m).get(name) is original:
+            monkeypatch.setattr(m, name, counting)
     return calls
 
 
@@ -170,9 +189,19 @@ def test_tree_diagram_is_built_once(monkeypatch):
     d = generate_diagram(t)
     assert builds == [11]
     assert generate_diagram(t) is d
-    fresh = generate_diagram(t, validate=False)
+    fresh = generate_diagram(parse_tree("(3 (-2) (2 (4)))"))
     assert fresh is not d and fresh.to_pd() == d.to_pd()
     assert builds == [11, 11]
+
+
+def test_tree_diagram_is_normalised_once(monkeypatch):
+    collapses = _count_calls(monkeypatch, foliar.twists, "collapse")
+    sides = _count_calls(monkeypatch, foliar.sidegraphs, "build_side_graphs")
+    t = parse_tree("(3 (-2) (2 (4)))")
+    check_arborescent(t)
+    d = generate_diagram(t)
+    assert check_main(d).status.value == "certified"
+    assert (collapses, sides) == (["collapse"], ["build_side_graphs"])
 
 
 # -- nothing kept refers back --------------------------------------------------
@@ -219,6 +248,6 @@ def test_tree_and_its_diagram_die_without_a_collection(no_gc):
     check_arborescent(t)
     d = generate_diagram(t)
     _run_all(d)
-    refs = [weakref.ref(t), weakref.ref(d)]
+    refs = [weakref.ref(t), weakref.ref(d), *map(weakref.ref, normal_form(d))]
     del t, d
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None] * 5
