@@ -2,12 +2,13 @@
 
 A map is given by darts 4*v + s for vertices v and slots s in 0..3, a
 fixed rotation sigma (next slot counterclockwise) and an involution
-alpha pairing the two ends of each edge.  Faces are the orbits of
-sigma . alpha.  The corner recorded while traversing a face is the gap
-index at the vertex the traversal passes through: gap g sits between
-slots g and g+1.  A traced map keeps its faces and one index, face_at,
-from each corner to its face; the faces at gaps g and g+1 of a vertex
-meet along the edge at slot g+1, so face adjacency is read from it too.
+alpha, a list over darts pairing the two ends of each edge.  Faces are
+the orbits of sigma . alpha.  A face traversal arrives at a vertex on a
+dart and leaves on the next slot, so the corner it records is that
+dart: corner 4*v + g sits in gap g, between slots g and g+1.  A traced
+map keeps its faces and face_at, a list from each corner to its face;
+the faces at corners 4*v + g and 4*v + g+1 meet along the edge at slot
+g+1, so face adjacency is read from it too.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from .errors import NotBipartite
 @dataclass(frozen=True)
 class Face:
     index: int
-    corners: tuple  # ((vertex, gap), ...) with gap g between slots g, g+1
+    corners: tuple  # corner ids 4*vertex + gap, in traversal order
 
     @property
     def size(self):
@@ -30,38 +31,39 @@ def sigma(d):
 
 
 def trace_faces(n_darts, alpha):
-    """Return the faces as corner lists [(vertex, gap), ...], in the
-    order of the lowest dart each traversal consumes."""
+    """Return (faces, face_at): each face as its list of corners, in the
+    order of the lowest dart each traversal consumes, and the index of
+    the face at each corner."""
     faces = []
-    seen = bytearray(n_darts)
+    face_at = [-1] * n_darts
     for start in range(n_darts):
-        if seen[start]:
+        c = alpha[start]
+        if face_at[c] >= 0:
             continue
+        fi = len(faces)
         corners = []
-        d = start
+        first = c
         while True:
-            seen[d] = 1
-            e = alpha[d]
-            corners.append((e >> 2, e & 3))
-            d = sigma(e)
-            if d == start:
+            face_at[c] = fi
+            corners.append(c)
+            c = alpha[(c & ~3) | ((c + 1) & 3)]  # leave on the next slot
+            if c == first:
                 break
         faces.append(corners)
-    return faces
+    return faces, face_at
 
 
 def faces_of(n_darts, alpha):
     """Return (faces, face_at) for a map.
 
-    faces are Face records and face_at maps each corner (vertex, gap) to
-    the index of its face.
+    faces are Face records and face_at is a list giving the index of the
+    face at each corner.
     """
-    raw = trace_faces(n_darts, alpha)
+    raw, face_at = trace_faces(n_darts, alpha)
     # from a list, not a generator: tuple() sizes a generator's result by
     # resizing, so the tuple is later freed into a CPython free list it
     # was not taken from; those lists empty only on a full collection
     faces = tuple([Face(i, tuple(cs)) for i, cs in enumerate(raw)])
-    face_at = {corner: f.index for f in faces for corner in f.corners}
     return faces, face_at
 
 
@@ -69,14 +71,15 @@ def splice_out(alpha, v, pairs):
     """Delete vertex v of a map, letting each strand (p, q) pass through.
 
     For each pair of slots the far ends of darts 4v+p and 4v+q are
-    joined in alpha, which is changed in place.  Vertices spliced one
-    after another compose.  Returns how many strands closed on
-    themselves and dropped out of the map.
+    joined in the list alpha, which is changed in place; the darts of v
+    are marked -1.  Vertices spliced one after another compose.  Returns
+    how many strands closed on themselves and dropped out of the map.
     """
     closed = 0
     for p, q in pairs:
         dp, dq = 4 * v + p, 4 * v + q
-        a, b = alpha.pop(dp), alpha.pop(dq)
+        a, b = alpha[dp], alpha[dq]
+        alpha[dp] = alpha[dq] = -1
         if a == dq:
             closed += 1
             continue
@@ -85,31 +88,43 @@ def splice_out(alpha, v, pairs):
     return closed
 
 
+def compact(alpha, kept):
+    """The dart map on the vertices kept, in increasing order, renumbered
+    0, 1, ... in that order; no kept dart may lead to a removed vertex."""
+    index = [-1] * (len(alpha) >> 2)
+    for i, v in enumerate(kept):
+        index[v] = i
+    out = []
+    for v in kept:
+        for e in alpha[4 * v:4 * v + 4]:
+            out.append(4 * index[e >> 2] + (e & 3))
+    return out
+
+
 def two_color(plane):
     """Two-colour the faces of a traced map so edge-adjacent faces differ.
 
-    plane has the faces and face_at of faces_of; colour 0 holds face 0.
+    plane has the faces and face_at of faces_of; returns a list of
+    colours by face, and colour 0 holds face 0.
     """
-    face_at = plane.face_at
-    adjacent = [set() for _ in plane.faces]
-    for (v, gap), f in face_at.items():
-        # the faces at gaps g and g+1 meet along the edge at slot g+1
-        h = face_at[(v, (gap + 1) & 3)]
-        adjacent[f].add(h)
-        adjacent[h].add(f)
-    color = {}
-    for root in range(len(plane.faces)):
-        if root in color:
+    faces, face_at = plane.faces, plane.face_at
+    color = [-1] * len(faces)
+    for root in range(len(faces)):
+        if color[root] >= 0:
             continue
         color[root] = 0
-        queue = [root]
-        while queue:
-            f = queue.pop()
-            for g in adjacent[f]:
-                if g not in color:
-                    color[g] = 1 - color[f]
-                    queue.append(g)
-                elif color[g] == color[f]:
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            other = 1 - color[f]
+            for c in faces[f].corners:
+                # every edge of f is the one it leaves a corner by, and
+                # the face at the next gap lies across it
+                g = face_at[(c & ~3) | ((c + 1) & 3)]
+                if color[g] < 0:
+                    color[g] = other
+                    stack.append(g)
+                elif color[g] != other:
                     raise NotBipartite(f"faces {f} and {g} conflict")
     return color
 

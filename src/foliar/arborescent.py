@@ -15,9 +15,8 @@ side graphs; generation checks this and raises on any mismatch.
 import re
 from dataclasses import dataclass
 
-from ._planar import DisjointSets
 from .criterion import Status, Verdict, normal_form, weight_reasons
-from .diagram import relabel
+from .diagram import LinkDiagram
 from .errors import ConstructionMismatch, MalformedTree, ZeroWeight
 from .twists import detect_twist_regions
 
@@ -144,37 +143,36 @@ def family_tree(kind, params):
 
 # -- tangle assembly --------------------------------------------------------
 
-_PORTS = ("NW", "NE", "SW", "SE")
+# the port at each slot, counterclockwise, by the diagonal passing over
+_SLOTS = {
+    "NE-SW": ("NW", "SW", "SE", "NE"),
+    "NW-SE": ("NE", "NW", "SW", "SE"),
+}
 
 
 class _Builder:
+    """Crossings and the joins between their ports, as a dart map."""
+
     def __init__(self):
-        self.ds = DisjointSets()
-        self.crossings = []
+        self.alpha = []  # dart 4k + slot of crossing k -> its partner
         self.owner = []  # tree vertex index per crossing
 
     def crossing(self, over_diag, owner):
-        n = 4 * len(self.crossings)  # wires are numbered four per crossing
-        w = dict(zip(_PORTS, range(n, n + 4)))
-        if over_diag == "NE-SW":
-            slots = (w["NW"], w["SW"], w["SE"], w["NE"])
-        else:
-            slots = (w["NE"], w["NW"], w["SW"], w["SE"])
-        self.crossings.append(slots)
+        """A new crossing; returns the dart at each of its ports."""
+        n = len(self.alpha)
+        self.alpha += [-1] * 4
         self.owner.append(owner)
-        return w
+        return {port: n + s for s, port in enumerate(_SLOTS[over_diag])}
 
     def join(self, a, b):
-        self.ds.union(a, b)
+        self.alpha[a] = b
+        self.alpha[b] = a
 
     def finish(self, t):
         """Close tangle t, NW to NE and SW to SE, into a diagram."""
         self.join(t.NW, t.NE)
         self.join(t.SW, t.SE)
-        lists = [
-            tuple(self.ds.find(w) for w in slots) for slots in self.crossings
-        ]
-        return relabel(lists, [0] * len(lists))
+        return LinkDiagram.from_darts(self.alpha, [0] * len(self.owner))
 
 
 @dataclass

@@ -13,9 +13,9 @@ odd number of strands.
 import re
 from dataclasses import dataclass
 
-from ._planar import DisjointSets, component_count
+from ._planar import component_count
 from .criterion import Status, Verdict, weight_reasons
-from .diagram import relabel
+from .diagram import LinkDiagram
 from .errors import (
     BadGenerator,
     EmptyWord,
@@ -137,35 +137,38 @@ def braid_to_diagram(word):
     strand meets no crossing its closure is a crossing-free circle the
     PD model cannot carry, so that case raises.
     """
-    ds = DisjointSets()
-    fresh = iter(range(10 ** 9)).__next__
-    top = [fresh() for _ in range(word.n_strands)]
-    cur = list(top)
-    touched = [False] * word.n_strands
-    crossings = []
+    alpha = []
+    top = [None] * word.n_strands  # each strand's first dart from the top
+    cur = [None] * word.n_strands  # each strand's open bottom dart so far
     for s in word.syllables:
         i = s.gen - 1
         if s.gen > word.n_strands - 1:
             raise BadGenerator(f"s{s.gen} in a {word.n_strands}-strand braid")
         for _ in range(abs(s.exp)):
-            nw, ne = cur[i], cur[i + 1]
-            sw, se = fresh(), fresh()
+            k = len(alpha)
+            alpha += [-1] * 4
+            # slots counterclockwise: from NE when the over strand runs
+            # NW-SE, from NW otherwise
             if s.exp > 0:
-                # over NW-SE: slots counterclockwise from NE
-                crossings.append((ne, nw, sw, se))
+                nw, ne, sw, se = k + 1, k, k + 2, k + 3
             else:
-                crossings.append((nw, sw, se, ne))
+                nw, ne, sw, se = k, k + 3, k + 1, k + 2
+            for j, dart in ((i, nw), (i + 1, ne)):
+                if cur[j] is None:
+                    top[j] = dart
+                else:
+                    alpha[cur[j]] = dart
+                    alpha[dart] = cur[j]
             cur[i], cur[i + 1] = sw, se
-            touched[i] = touched[i + 1] = True
-    if not all(touched):
-        idle = [i + 1 for i, t in enumerate(touched) if not t]
+    if None in cur:
+        idle = [i + 1 for i, b in enumerate(cur) if b is None]
         raise NonSphericalEmbedding(
             f"closure of strands {idle} has no crossings"
         )
     for t, b in zip(top, cur):
-        ds.union(t, b)
-    lists = [tuple(ds.find(w) for w in c) for c in crossings]
-    return relabel(lists, [0] * len(lists))
+        alpha[t] = b
+        alpha[b] = t
+    return LinkDiagram.from_darts(alpha, [0] * (len(alpha) // 4))
 
 
 def check_braid(word):

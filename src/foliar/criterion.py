@@ -190,7 +190,7 @@ def diagnose(d):
     if d.component_count() != 1:
         return Diagnosis("none", 0, (), False, verdict)
     cg = normal_form(d)[0]
-    counts = tuple(v.count for v in cg.vertices)
+    counts = tuple([v.count for v in cg.vertices])
     nv = len(cg.vertices)
     branch = _BRANCHES.get(nv, "main_construction")
     borromean = nv == 2 and all(c % 2 == 0 for c in counts)

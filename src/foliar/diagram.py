@@ -9,16 +9,25 @@ everywhere and mirroring just flips the bit.
 
 Faces come from the rotation system, so the sphere embedding is implied
 by the code itself and validated through the Euler count.
+
+Labelled input (PD text, JSON, a mirror image) goes through
+LinkDiagram(crossings), which validates the labels and derives the dart
+map alpha from them.  Constructions (trees, braid closures, type II
+cancellation) hold a dart map already and build through
+LinkDiagram.from_darts, which derives the labels from it instead; both
+then share the connectivity and Euler checks.
 """
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from ._planar import faces_of
 from .errors import (
     ArcCountMismatch,
     EmptyDiagram,
+    InternalError,
     MalformedToken,
     NonSphericalEmbedding,
 )
@@ -33,23 +42,66 @@ class Crossing:
 
 
 class LinkDiagram:
-    """Validated diagram with faces, components and corner lookups."""
+    """Validated diagram with faces, components and corner lookups.
+
+    LinkDiagram(crossings) validates labelled input; from_darts builds
+    a diagram straight from the dart map a construction holds.
+    """
 
     def __init__(self, crossings):
         crossings = tuple(crossings)  # callers pass lists; see faces_of
-        if not crossings:
-            raise EmptyDiagram("no crossings")
         for c in crossings:
             if c.under_axis not in (0, 1):
                 raise MalformedToken(f"under_axis {c.under_axis}")
         self.crossings = crossings
         self._validate_arcs()
         self.alpha = self._build_alpha()
+        self._finish()
+
+    @classmethod
+    def from_darts(cls, alpha, axes):
+        """Diagram of the dart map alpha, a list over the 4n darts of n
+        crossings with under_axis bits axes; alpha is kept, not copied.
+
+        Arcs are labelled 1..2n in the order of their lower darts, the
+        order in which a row-by-row reading of the slots first meets
+        them.
+        """
+        n = 4 * len(axes)
+        if len(alpha) != n:
+            raise InternalError(
+                f"{len(alpha)} darts for {len(axes)} crossings"
+            )
+        labels = [0] * n
+        arc = 0
+        for d, e in enumerate(alpha):
+            if not 0 <= e < n or e == d or alpha[e] != d:
+                raise InternalError(
+                    f"dart map is not a fixed-point-free involution at {d}"
+                )
+            if d < e:
+                arc += 1
+                labels[d] = labels[e] = arc
+        self = cls.__new__(cls)
+        self.crossings = tuple([
+            Crossing(tuple(labels[d:d + 4]), ax)
+            for d, ax in zip(range(0, n, 4), axes)
+        ])
+        self.arc_count = arc
+        self.alpha = alpha
+        self._finish()
+        return self
+
+    def _finish(self):
+        """Checks and faces shared by both constructors."""
+        n = len(self.crossings)
+        if not n:
+            raise EmptyDiagram("no crossings")
         self._validate_connected()
-        self.faces, self.face_at = faces_of(4 * len(crossings), self.alpha)
-        if len(self.faces) != len(crossings) + 2:
+        self.faces, self.face_at = faces_of(4 * n, self.alpha)
+        if len(self.faces) != n + 2:
             raise NonSphericalEmbedding(
-                f"{len(self.faces)} faces for {len(crossings)} crossings"
+                f"{len(self.faces)} faces for {n} crossings"
             )
         # filled on first use; twists: regions, reduction; criterion: normal form
         self._components = self._regions = self._reduced = self._normal = None
@@ -57,60 +109,66 @@ class LinkDiagram:
     # -- validation --------------------------------------------------------
 
     def _validate_arcs(self):
-        seen = {}
+        m = 2 * len(self.crossings)
+        seen = [0] * (m + 1)  # uses per label up to m
+        beyond = 0  # uses of labels above m
         for ci, c in enumerate(self.crossings):
             if len(c.slots) != 4:
                 raise MalformedToken(f"crossing {ci} has {len(c.slots)} slots")
             for a in c.slots:
                 if not isinstance(a, int) or a < 1:
                     raise MalformedToken(f"arc label {a!r}")
-                seen[a] = seen.get(a, 0) + 1
-        n = len(self.crossings)
-        labels = sorted(seen)
-        if labels != list(range(1, 2 * n + 1)) or any(
-            v != 2 for v in seen.values()
-        ):
-            bad = [a for a in labels if seen[a] != 2]
+                if a <= m:
+                    seen[a] += 1
+                else:
+                    beyond += 1
+        if beyond or seen.count(2) != m:
+            uses = Counter([a for c in self.crossings for a in c.slots])
+            labels = sorted(uses)
+            bad = [a for a in labels if uses[a] != 2]
             raise ArcCountMismatch(
-                f"expected arcs 1..{2 * n} twice each; offending labels {bad or labels}"
+                f"expected arcs 1..{m} twice each; "
+                f"offending labels {bad or labels}"
             )
-        self.arc_count = 2 * n
+        self.arc_count = m
 
     def _validate_connected(self):
+        alpha = self.alpha
         seen = bytearray(len(self.crossings))
         pieces = 0
         for root in range(len(seen)):
-            pieces += not seen[root]
+            if seen[root]:
+                continue
+            pieces += 1
+            seen[root] = 1
             stack = [root]
             while stack:
                 ci = stack.pop()
-                if not seen[ci]:
-                    seen[ci] = 1
-                    stack += [self.alpha[d] >> 2 for d in range(4 * ci, 4 * ci + 4)]
+                for e in alpha[4 * ci:4 * ci + 4]:
+                    if not seen[e >> 2]:
+                        seen[e >> 2] = 1
+                        stack.append(e >> 2)
         if pieces != 1:
             raise NonSphericalEmbedding(f"projection splits into {pieces} pieces")
 
     def _build_alpha(self):
-        ends = {}
-        alpha = {}
+        end = [-1] * (self.arc_count + 1)  # the first dart seen per label
+        alpha = [-1] * (2 * self.arc_count)
         for ci, c in enumerate(self.crossings):
             for s, a in enumerate(c.slots):
                 d = 4 * ci + s
-                if a in ends:
-                    e = ends.pop(a)
+                e = end[a]
+                if e < 0:
+                    end[a] = d
+                else:
                     alpha[d] = e
                     alpha[e] = d
-                else:
-                    ends[a] = d
         return alpha
 
     # -- queries -----------------------------------------------------------
 
     def __len__(self):
         return len(self.crossings)
-
-    def arc_at(self, ci, slot):
-        return self.crossings[ci].slots[slot % 4]
 
     def component_count(self):
         """Number of link components: strands run through opposite slots."""
@@ -174,25 +232,6 @@ def parse_pd(text):
         m = _TOKEN.fullmatch(tok)
         if not m:
             raise MalformedToken(f"bad token {tok!r}")
-        crossings.append(Crossing(tuple(int(g) for g in m.groups())))
+        crossings.append(Crossing(tuple([int(g) for g in m.groups()])))
     return LinkDiagram(crossings)
 
-
-def relabel(slot_lists, axes):
-    """Build a LinkDiagram from arbitrary hashable arc ids.
-
-    Helper for programmatic constructions; ids are renumbered 1..2n in
-    first-seen order.
-    """
-    order = {}
-    out = []
-    for slots in slot_lists:
-        row = []
-        for a in slots:
-            if a not in order:
-                order[a] = len(order) + 1
-            row.append(order[a])
-        out.append(tuple(row))
-    return LinkDiagram(
-        [Crossing(s, ax) for s, ax in zip(out, axes)]
-    )

@@ -16,18 +16,29 @@ count times the handedness.
 Two regions joining the same pair of faces in the same graph can be
 slid into each other, so parallel side edges merge: the signed weights
 add, the surviving region keeps |sum| crossings, and the others, or all
-of them when the sum is zero, are spliced out of the collapsed graph
-along their through strands, whose slot pairing collapse() takes from
-the parity of the region's count.  Merging works in rounds: each round builds the side
-graphs once, merges every parallel family of both colours and builds
-one collapsed graph.  A splice can join faces and so make new parallel
-edges; rounds repeat until none remain, which is the normal form the
-certification criterion inspects.
+of them when the sum is zero, are smoothed out of the collapsed graph:
+the region becomes its 0-tangle, joining slots 1 to 2 and 3 to 0, so
+the strands on either side close up and none crosses the other.
+(Carrying the two strands through an odd region would make them cross
+at no vertex, and the map would no longer be planar.)  Merging works
+in rounds: each round builds the side graphs once, merges every
+parallel family of both colours and builds one collapsed graph.  A
+smoothing can join faces and so make new parallel edges; rounds repeat
+until none remain, which is the normal form the certification
+criterion inspects.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from ._planar import component_count, is_tree, splice_out, to_dot, two_color
+from ._planar import (
+    compact,
+    component_count,
+    is_tree,
+    splice_out,
+    to_dot,
+    two_color,
+)
 from .errors import DegenerateCollapse, EquivalenceViolation, InternalError
 from .twists import CollapsedGraph
 
@@ -35,8 +46,7 @@ GREEN, RED = 0, 1
 color_faces = two_color  # checkerboard colouring of a map; face 0 is GREEN
 
 
-@dataclass(frozen=True)
-class FaceEdge:
+class FaceEdge(NamedTuple):
     u: int
     v: int
     signed: int
@@ -116,8 +126,8 @@ def face_graphs(kind, plane, rows):
 def build_side_graphs(cg):
     g1, g3 = cg.ARC_GAPS
     rows = [
-        ((vx.index, g1), (vx.index, g3), vx.handedness * vx.count, vx.index)
-        for vx in cg.vertices
+        (4 * v.index + g1, 4 * v.index + g3, v.handedness * v.count, v.index)
+        for v in cg.vertices
     ]
     return face_graphs("side", cg, rows)
 
@@ -165,26 +175,21 @@ def normalize_assumption2(cg):
             removed.update(regions)
         if not removed:
             return cg, green, red
-        alpha = dict(cg.alpha)
-        new_vertices = []
-        vmap = {}
+        alpha = list(cg.alpha)
+        kept, vertices = [], []
         for vx in cg.vertices:
             if vx.index in removed:
                 if vx.cyclic:
                     raise InternalError("cyclic vertex in a parallel family")
-                splice_out(alpha, vx.index, vx.through)
+                splice_out(alpha, vx.index, ((1, 2), (3, 0)))
                 continue
-            vmap[vx.index] = len(new_vertices)
+            kept.append(vx.index)
             if vx.index in sums:
                 s = sums[vx.index]
                 vx = replace(vx, count=abs(s), handedness=1 if s > 0 else -1)
-            new_vertices.append(replace(vx, index=vmap[vx.index]))
-        if not new_vertices:
+            vertices.append(replace(vx, index=len(vertices)))
+        if not vertices:
             raise DegenerateCollapse(
                 "every twist region cancelled during edge merging"
             )
-        new_alpha = {
-            4 * vmap[d >> 2] + (d & 3): 4 * vmap[e >> 2] + (e & 3)
-            for d, e in alpha.items()
-        }
-        cg = CollapsedGraph(new_vertices, new_alpha)
+        cg = CollapsedGraph(vertices, compact(alpha, kept))

@@ -38,8 +38,8 @@ def build_tait(d):
     for ci, c in enumerate(d.crossings):
         # +1 on the gap pair whose parity differs from under_axis
         s = 1 if c.under_axis else -1
-        rows.append(((ci, 0), (ci, 2), s, ci))
-        rows.append(((ci, 1), (ci, 3), -s, ci))
+        rows.append((4 * ci, 4 * ci + 2, s, ci))
+        rows.append((4 * ci + 1, 4 * ci + 3, -s, ci))
     return face_graphs("tait", d, rows)
 
 

@@ -41,13 +41,15 @@ reduced graph used for face colouring and the side graphs.  The vertex's
 slots 0, 1 are the stubs at the chain's first crossing and 2, 3 those at
 its last, so the two strands through the region pair the slots by the
 parity of its count alone: (0, 2) and (1, 3) when it is odd, (0, 3) and
-(1, 2) when it is even.
+(1, 2) when it is even.  A stub is a dart of the diagram, and the
+collapsed map pairs it with the stub its edge leads to in the diagram's
+alpha.
 """
 
 from dataclasses import dataclass
 
-from ._planar import DisjointSets, faces_of, sigma, splice_out, to_dot
-from .diagram import relabel
+from ._planar import DisjointSets, compact, faces_of, sigma, splice_out, to_dot
+from .diagram import LinkDiagram
 from .errors import (
     InternalError,
     NonAlternatingChain,
@@ -84,28 +86,27 @@ def detect_twist_regions(d, allow_mixed=False):
 
 def _detect(d):
     faces = d.faces
-    kinks = {f.corners[0][0] for f in faces if f.size == 1}
-    eligible = {}
+    kinks = {f.corners[0] >> 2 for f in faces if f.size == 1}
+    eligible = {}  # bigon face -> its two corners, by face index
     for f in faces:
         if f.size != 2:
             continue
-        (c1, g1), (c2, g2) = f.corners
+        k1, k2 = f.corners
+        c1, c2 = k1 >> 2, k2 >> 2
         if c1 == c2 or c1 in kinks or c2 in kinks:
             continue
-        eligible[f.index] = ((c1, g1), (c2, g2))
-    port = {}
-    for fi in sorted(eligible):
-        for c, g in eligible[fi]:
-            port[(c, g)] = fi
+        eligible[f.index] = f.corners
+    port = [-1] * (4 * len(d))  # eligible bigon per corner
+    for fi, (k1, k2) in eligible.items():
+        port[k1] = port[k2] = fi
 
     used = set()
     claimed = set()
     chains = []
-    for fi in sorted(eligible):
+    for fi, (k1, k2) in eligible.items():
         if fi in used:
             continue
-        (c1, g1), (c2, g2) = eligible[fi]
-        if c1 in claimed or c2 in claimed:
+        if k1 >> 2 in claimed or k2 >> 2 in claimed:
             used.add(fi)  # a bigon beside a chain stays a plain face
             continue
         chain = _grow_chain(fi, eligible, port, claimed, used)
@@ -149,48 +150,48 @@ def _detect(d):
 
 
 def _grow_chain(fi, eligible, port, claimed, used):
-    (c1, g1), (c2, g2) = eligible[fi]
+    k1, k2 = eligible[fi]
+    c1, c2 = k1 >> 2, k2 >> 2
     crossings = [c1, c2]
-    gaps = {c1: [g1], c2: [g2]}
+    gaps = {c1: [k1 & 3], c2: [k2 & 3]}
     used.add(fi)
     cyclic = False
 
-    def extend(c, g, forward):
+    def extend(k, forward):
         nonlocal cyclic
         while True:
-            nxt = port.get((c, (g + 2) % 4))
-            if nxt is None or nxt in used:
+            nxt = port[k ^ 2]  # the bigon at the opposite gap
+            if nxt < 0 or nxt in used:
                 return
-            (a, ga), (b, gb) = eligible[nxt]
-            if a == c:
-                ngap, far, fgap = ga, b, gb
-            else:
-                ngap, far, fgap = gb, a, ga
+            near, far = eligible[nxt]
+            if near >> 2 != k >> 2:
+                near, far = far, near
+            c, f = k >> 2, far >> 2
             head = crossings[0] if forward else crossings[-1]
-            if far == head:
+            if f == head:
                 # proper closure lands on the head's free opposite gap; the
                 # closing bigon always joins the last crossing to the first
-                if fgap == (gaps[head][0] + 2) % 4:
+                if far & 3 == (gaps[head][0] + 2) % 4:
                     used.add(nxt)
-                    gaps[c].append(ngap)
-                    gaps[far].append(fgap)
+                    gaps[c].append(near & 3)
+                    gaps[f].append(far & 3)
                     cyclic = True
                 return
-            if far in claimed or far in gaps:
+            if f in claimed or f in gaps:
                 used.add(nxt)
                 return
             used.add(nxt)
-            gaps[c].append(ngap)
-            gaps[far] = [fgap]
+            gaps[c].append(near & 3)
+            gaps[f] = [far & 3]
             if forward:
-                crossings.append(far)
+                crossings.append(f)
             else:
-                crossings.insert(0, far)
-            c, g = far, fgap
+                crossings.insert(0, f)
+            k = far
 
-    extend(c2, g2, forward=True)
+    extend(k2, forward=True)
     if not cyclic:
-        extend(c1, g1, forward=False)
+        extend(k1, forward=False)
     return crossings, gaps, cyclic
 
 
@@ -212,7 +213,7 @@ def _cancel_rounds(d):
         mixed = [r for r in dec if r.handedness == 0]
         if not mixed:
             return d
-        alpha = dict(d.alpha)
+        alpha = list(d.alpha)
         gone = set()
         faces = DisjointSets()
         for r in mixed:
@@ -231,16 +232,14 @@ def _cancel_rounds(d):
                 )
             gone.update(matched)
             if _splits(d, r, matched, faces) or any(
-                _small_face(alpha, e) for e in ends if e in alpha
+                _small_face(alpha, e) for e in ends if alpha[e] >= 0
             ):
                 # building raises on a split; a new bigon or curl can
                 # reshape the later chains
                 break
         kept = [k for k in range(len(d)) if k not in gone]
-        d = relabel(
-            # an arc is named by the lower of its two darts
-            [[min(e, alpha[e]) for e in range(4 * k, 4 * k + 4)] for k in kept],
-            [d.crossings[k].under_axis for k in kept],
+        d = LinkDiagram.from_darts(
+            compact(alpha, kept), [d.crossings[k].under_axis for k in kept]
         )
 
 
@@ -268,7 +267,8 @@ def _splits(d, region, matched, faces):
     for c in matched:
         # the chain gaps have the parity that handedness +1 gives under_axis
         p = d.crossings[c].under_axis ^ (hand[c] < 0)
-        a, b = faces.find(d.face_at[(c, p)]), faces.find(d.face_at[(c, p + 2)])
+        a = faces.find(d.face_at[4 * c + p])
+        b = faces.find(d.face_at[4 * c + p + 2])
         ring |= a == b
         faces.union(a, b)
     return ring
@@ -306,7 +306,7 @@ class CollapsedGraph:
 
     def __init__(self, vertices, alpha):
         self.vertices = tuple(vertices)
-        self.alpha = dict(alpha)
+        self.alpha = alpha  # a list over darts, kept as given
         self.faces, self.face_at = faces_of(4 * len(self.vertices), self.alpha)
         if len(self.faces) != len(self.vertices) + 2:
             raise InternalError(
@@ -318,19 +318,18 @@ class CollapsedGraph:
         return len(self.vertices)
 
     def side_faces(self, vi):
-        return tuple(self.face_at[(vi, g)] for g in self.ARC_GAPS)
+        return tuple([self.face_at[4 * vi + g] for g in self.ARC_GAPS])
 
     def to_dot(self):
         nodes = [
             (f"v{v.index}", f"{v.count}@{v.handedness:+d}")
             for v in self.vertices
         ]
-        edges = []
-        partners = set()  # each edge is written from its first dart
-        for d, e in self.alpha.items():
-            if d not in partners:
-                partners.add(e)
-                edges.append((f"v{d >> 2}", f"v{e >> 2}", None))
+        edges = [  # each edge is written from its lower dart
+            (f"v{d >> 2}", f"v{e >> 2}", None)
+            for d, e in enumerate(self.alpha)
+            if d < e
+        ]
         return to_dot("collapsed", nodes, edges)
 
 
@@ -349,31 +348,31 @@ def collapse(d, regions=None):
         r = regions[0]
         v = CollapsedVertex(0, r.count, r.handedness, True, ())
         # two nested loops at one vertex: three faces, sides at gaps 1, 3
-        return CollapsedGraph([v], {0: 3, 3: 0, 1: 2, 2: 1})
+        return CollapsedGraph([v], [3, 2, 1, 0])
 
     vertices = []
-    arc_ends = {}
+    stubs = []  # the diagram's dart at each collapsed dart
+    local = [-1] * (4 * len(d))  # the collapsed dart at each stub
     for r in regions:
         (e1, g1), (e2, g2) = r.end_gaps
         if r.count == 1:
-            rot = [(e1, s) for s in range(4)]
+            rot = range(4 * e1, 4 * e1 + 4)
         else:
             rot = (
-                (e1, (g1 + 2) % 4),
-                (e1, (g1 + 3) % 4),
-                (e2, (g2 + 2) % 4),
-                (e2, (g2 + 3) % 4),
+                4 * e1 + (g1 + 2) % 4,
+                4 * e1 + (g1 + 3) % 4,
+                4 * e2 + (g2 + 2) % 4,
+                4 * e2 + (g2 + 3) % 4,
             )
         through = ((0, 2), (1, 3)) if r.count % 2 else ((0, 3), (1, 2))
         vertices.append(
             CollapsedVertex(r.index, r.count, r.handedness, False, through)
         )
-        for local, (c, s) in enumerate(rot):
-            arc_ends.setdefault(d.arc_at(c, s), []).append(4 * r.index + local)
-    alpha = {}
-    for arc, ends in arc_ends.items():
-        if len(ends) != 2:
-            raise InternalError(f"stub arc {arc} has {len(ends)} ends")
-        alpha[ends[0]] = ends[1]
-        alpha[ends[1]] = ends[0]
+        for dart in rot:
+            local[dart] = len(stubs)
+            stubs.append(dart)
+    alpha = [local[d.alpha[dart]] for dart in stubs]
+    if -1 in alpha:
+        dart = stubs[alpha.index(-1)]
+        raise InternalError(f"stub dart {dart} leads into a region")
     return CollapsedGraph(vertices, alpha)

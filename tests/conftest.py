@@ -9,7 +9,7 @@ from foliar import (
     parse_pd,
     parse_tree,
 )
-from foliar.diagram import relabel
+from foliar.diagram import Crossing, LinkDiagram
 from foliar.errors import FoliarError
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -59,6 +59,26 @@ def hopf():
 @pytest.fixture
 def kink():
     return parse_pd(KINK)
+
+
+def relabel(slot_lists, axes):
+    """Build a LinkDiagram from arbitrary hashable arc ids.
+
+    Helper for programmatic constructions; ids are renumbered 1..2n in
+    first-seen order.
+    """
+    order = {}
+    out = []
+    for slots in slot_lists:
+        row = []
+        for a in slots:
+            if a not in order:
+                order[a] = len(order) + 1
+            row.append(order[a])
+        out.append(tuple(row))
+    return LinkDiagram(
+        [Crossing(s, ax) for s, ax in zip(out, axes)]
+    )
 
 
 def random_tree_text(rng, max_nodes=6, lo=2, hi=4, signed=True):

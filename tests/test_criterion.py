@@ -15,8 +15,8 @@ from foliar import (
     parse_pd,
     parse_tree,
 )
+from foliar._planar import DisjointSets
 from foliar.criterion import normal_form
-from foliar.errors import InternalError
 
 from conftest import GRANNY3, SQUARE_KNOT
 
@@ -81,28 +81,80 @@ def test_three_sum_merges_and_certifies():
     assert v.twist_regions == 3
 
 
-@pytest.mark.xfail(
-    raises=InternalError,
-    strict=True,
-    reason="edge merging splices an odd region out along its crossed "
-    "strands, which leaves a map that is not planar",
+def _fox_determinant(d):
+    """|any (n-1)-minor| of the Fox colouring matrix: one row per
+    crossing, 2 on the over arc and -1 on each under arc."""
+    ds = DisjointSets()
+    rows = []
+    for c in d.crossings:
+        s = c.slots if c.under_axis == 0 else c.slots[1:] + c.slots[:1]
+        ds.union(s[1], s[3])  # the over strand is one arc
+        rows.append((s[1], s[0], s[2]))
+    col = {}
+    for a in range(1, d.arc_count + 1):
+        col.setdefault(ds.find(a), len(col))
+    m = []
+    for over, u1, u2 in rows:
+        row = [0] * len(col)
+        row[col[ds.find(over)]] += 2
+        row[col[ds.find(u1)]] -= 1
+        row[col[ds.find(u2)]] -= 1
+        m.append(row[1:])
+    return abs(_bareiss(m[1:]))
+
+
+def _bareiss(m):
+    """Determinant of an integer matrix by fraction-free elimination."""
+    m = [list(r) for r in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def test_fox_determinant_of_small_knots(trefoil, fig8):
+    assert (_fox_determinant(trefoil), _fox_determinant(fig8)) == (3, 5)
+
+
+@pytest.mark.parametrize(
+    "merged, summed, green, red, det",
+    [
+        ("(3 (2 (2 (-2) (1))))", "(3 (2 (3 (-2))))", (3, 3), (2, 2), 41),
+        ("(-3 (-3 (-3 (-3) (1))))", "(-3 (-3 (-2 (-3))))", (2, 3), (3, 3), 79),
+        ("(-3 (-3 (-3 (3) (1))))", "(-3 (-3 (-2 (3))))", (2, 3), (3, 3), 59),
+    ],
 )
-def test_cancelled_family_leaves_the_merged_tree():
-    # the second tree folds the unit leaf into its parent; once a removed
-    # region is smoothed out, not spliced along its strands, both reach
-    # the same normal form
-    want = check_main(generate_diagram(parse_tree("(3 (2 (3 (-2))))")))
+def test_cancelled_family_leaves_the_merged_tree(
+    merged, summed, green, red, det
+):
+    # the second tree folds the unit leaf into its parent; a removed
+    # region is smoothed out, not spliced along its strands, so both
+    # reach the same normal form
+    want_d = generate_diagram(parse_tree(summed))
+    want = check_main(want_d)
     assert (want.status, want.weights_green, want.weights_red) == (
         Status.CERTIFIED,
-        (3, 3),
-        (2, 2),
+        green,
+        red,
     )
-    got = check_main(generate_diagram(parse_tree("(3 (2 (2 (-2) (1))))")))
+    got_d = generate_diagram(parse_tree(merged))
+    got = check_main(got_d)
     assert (got.status, got.weights_green, got.weights_red) == (
         want.status,
         want.weights_green,
         want.weights_red,
     )
+    # both trees give the same knot
+    assert _fox_determinant(got_d) == _fox_determinant(want_d) == det
 
 
 def test_small_weight_reason():

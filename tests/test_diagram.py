@@ -24,11 +24,13 @@ def test_face_count_is_crossings_plus_two(trefoil, fig8, hopf, kink):
 
 
 def test_face_corners_partition_gaps(fig8):
+    # a corner is the dart 4 * crossing + gap a traversal arrives on
     corners = [c for f in fig8.faces for c in f.corners]
     assert len(corners) == 4 * len(fig8.crossings)
     assert len(set(corners)) == len(corners)
-    for v, gap in corners:
-        assert fig8.face_at[(v, gap)] is not None
+    for f in fig8.faces:
+        for c in f.corners:
+            assert fig8.face_at[c] == f.index
 
 
 def test_kink_has_monogon(kink):
@@ -90,6 +92,26 @@ def test_malformed_tokens_rejected():
 def test_arc_count_mismatch():
     with pytest.raises(ArcCountMismatch):
         parse_pd("X[1,4,2,5] X[3,6,4,1]")
+
+
+@pytest.mark.parametrize(
+    "text, offending",
+    [
+        ("X[1,4,2,5] X[3,6,4,1]", [2, 3, 5, 6]),
+        ("X[1,2,3,4] X[1,2,3,9]", [4, 9]),
+        ("X[1,1,2,2] X[3,3,5,5]", [1, 2, 3, 5]),
+        ("X[1,2,3,4] X[5,6,7,8]", [1, 2, 3, 4, 5, 6, 7, 8]),
+        # every label is used twice but they are not 1..4: all are shown
+        ("X[1,2,3,6] X[1,2,3,6]", [1, 2, 3, 6]),
+    ],
+)
+def test_arc_count_mismatch_names_the_offending_labels(text, offending):
+    with pytest.raises(ArcCountMismatch) as exc:
+        parse_pd(text)
+    n = text.count("X")
+    assert str(exc.value) == (
+        f"expected arcs 1..{2 * n} twice each; offending labels {offending}"
+    )
 
 
 def test_disconnected_projection_rejected():

@@ -17,10 +17,10 @@ from pathlib import Path
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 RESHAPE_SEED1_DIGEST = (
-    "3f8d6167fc2a7a982a92b96a05c3ae85474ac798135dca366e238d3c02550a31"
+    "d06b12bb141d760b9a028a2c1a862598ea7af28441d964dc991ba2af4eda3f9e"
 )
 CORPUS_SEED1_DIGEST = (
-    "b60a0859bee13de5715661e079505927c38e831e8d8180dbdd229c7eb93eb806"
+    "40de6687e90346278674f07d7a785b8f417afc1b4a608cdb336a7c1bb00f5654"
 )
 LARGE_SEED1_DIGEST = (
     "7139841ac3c13e5d8a946414ea9af52b30bef582ddf16e191ccc1d9fddbeac02"

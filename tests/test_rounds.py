@@ -11,8 +11,8 @@ form, and fail with the same error.
 
 from dataclasses import replace
 
-import foliar.twists
 from foliar import (
+    LinkDiagram,
     braid_to_diagram,
     build_side_graphs,
     check_main,
@@ -26,7 +26,6 @@ from foliar import (
     reduce_assumption1,
 )
 from foliar._planar import DisjointSets, splice_out
-from foliar.diagram import relabel
 from foliar.errors import (
     DegenerateCollapse,
     FoliarError,
@@ -39,6 +38,7 @@ from foliar.twists import CollapsedGraph
 from conftest import (
     connected_sum,
     random_tree_text,
+    relabel,
     seeded,
     unreduced_inputs,
 )
@@ -85,14 +85,18 @@ def ref_cancel(d, ci, cj):
     # any bigon between the pair gives the same strands through it
     bigon = next(
         f for f in d.faces
-        if f.size == 2 and {c for c, _ in f.corners} == {ci, cj}
+        if f.size == 2 and {k >> 2 for k in f.corners} == {ci, cj}
     )
-    corners = dict(bigon.corners)
+    corners = {k >> 2: k & 3 for k in bigon.corners}
     gc, gd = corners[ci], corners[cj]
+
+    def arc_at(c, slot):
+        return d.crossings[c].slots[slot % 4]
+
     ds = DisjointSets()
     # strands through the pair: external slot g+3 of one meets g+2 of the other
-    ds.union(d.arc_at(ci, gc + 3), d.arc_at(cj, gd + 2))
-    ds.union(d.arc_at(ci, gc + 2), d.arc_at(cj, gd + 3))
+    ds.union(arc_at(ci, gc + 3), arc_at(cj, gd + 2))
+    ds.union(arc_at(ci, gc + 2), arc_at(cj, gd + 3))
     slot_lists = []
     axes = []
     for k, c in enumerate(d.crossings):
@@ -104,8 +108,8 @@ def ref_cancel(d, ci, cj):
         raise UnknotCollapse("removed the last crossings")
     kept = {a for slots in slot_lists for a in slots}
     spliced = {
-        ds.find(d.arc_at(ci, gc + 3)),
-        ds.find(d.arc_at(ci, gc + 2)),
+        ds.find(arc_at(ci, gc + 3)),
+        ds.find(arc_at(ci, gc + 2)),
     }
     if spliced - kept:
         raise NonSphericalEmbedding("closed strand")
@@ -130,7 +134,7 @@ def ref_one_chain_per_round(d):
             raise UnknotCollapse(
                 f"cancelling chain {r.crossings} removed the last crossings"
             )
-        alpha = dict(d.alpha)
+        alpha = list(d.alpha)
         if sum(splice_out(alpha, c, ((0, 2), (1, 3))) for c in matched):
             raise NonSphericalEmbedding(
                 "cancellation split off a closed strand with no crossings"
@@ -155,7 +159,8 @@ def ref_first_parallel_family(green, red):
 
 
 def ref_splice_out(alpha, vertex):
-    for p, q in vertex.through:
+    # smooth the region out: the strands on either side close up
+    for p, q in ((1, 2), (3, 0)):
         dp, dq = 4 * vertex.index + p, 4 * vertex.index + q
         a, b = alpha[dp], alpha[dq]
         del alpha[dp], alpha[dq]
@@ -175,7 +180,7 @@ def ref_normalize_assumption2(cg):
         regions = sorted(e.source for e in edges)
         survivor = regions[0] if s else None
         removed = set(regions) - {survivor}
-        alpha = dict(cg.alpha)
+        alpha = dict(enumerate(cg.alpha))
         for vx in cg.vertices:
             if vx.index in removed:
                 if vx.cyclic:
@@ -196,7 +201,9 @@ def ref_normalize_assumption2(cg):
             4 * vmap[d >> 2] + (d & 3): 4 * vmap[e >> 2] + (e & 3)
             for d, e in alpha.items()
         }
-        cg = CollapsedGraph(new_vertices, new_alpha)
+        cg = CollapsedGraph(
+            new_vertices, [new_alpha[d] for d in range(len(new_alpha))]
+        )
 
 
 # -- the round rules ---------------------------------------------------------
@@ -216,17 +223,31 @@ def test_one_mixed_chain_per_round():
     )
 
 
-def _count_builds(monkeypatch, namespace=vars(foliar.twists)):
-    """Record the crossing count of every diagram built through the
-    relabel of namespace, one build per round."""
+def _count_builds(monkeypatch):
+    """Record the crossing count of every diagram built from a dart map:
+    one build per round, per tree and per braid closure."""
     calls = []
-    original = namespace["relabel"]
+    original = LinkDiagram.from_darts.__func__
+
+    def counting(cls, alpha, axes):
+        calls.append(len(axes))
+        return original(cls, alpha, axes)
+
+    monkeypatch.setattr(LinkDiagram, "from_darts", classmethod(counting))
+    return calls
+
+
+def _count_reference_builds(monkeypatch):
+    """Record the crossing count of every diagram the references build
+    through the relabel of this module."""
+    calls = []
+    original = relabel
 
     def counting(*args):
         calls.append(len(args[0]))
         return original(*args)
 
-    monkeypatch.setitem(namespace, "relabel", counting)
+    monkeypatch.setitem(globals(), "relabel", counting)
     return calls
 
 
@@ -357,8 +378,7 @@ def _chain_inputs(n):
 
 def test_rounds_match_one_chain_reference(monkeypatch):
     seen = batched = ended_early = 0
-    # the reference builds through the relabel of this module
-    ref_calls = _count_builds(monkeypatch, globals())
+    ref_calls = _count_reference_builds(monkeypatch)
     calls = _count_builds(monkeypatch)
     for d in _chain_inputs(3000):
         ref_calls.clear()

@@ -14,7 +14,6 @@ import weakref
 
 import pytest
 
-import foliar.arborescent
 import foliar.sidegraphs
 import foliar.twists
 from foliar import (
@@ -184,7 +183,7 @@ def test_strict_detection_raises_from_stored_regions(monkeypatch):
 
 def test_tree_diagram_is_built_once(monkeypatch):
     t = parse_tree("(3 (-2) (2 (4)))")
-    builds = _count_builds(monkeypatch, vars(foliar.arborescent))
+    builds = _count_builds(monkeypatch)
     check_arborescent(t)
     d = generate_diagram(t)
     assert builds == [11]

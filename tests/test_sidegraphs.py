@@ -22,8 +22,9 @@ def test_two_coloring_fig8(fig8):
     coloring = color_faces(fig8)
     assert coloring[0] == GREEN
     for face in fig8.faces:
-        for v, gap in face.corners:
-            opp = fig8.face_at[(v, (gap + 1) % 4)]
+        for c in face.corners:
+            v, gap = c >> 2, c & 3
+            opp = fig8.face_at[4 * v + (gap + 1) % 4]
             assert coloring[opp] != coloring[face.index]
 
 
@@ -39,14 +40,14 @@ def ref_two_color(plane):
         while True:
             dart_face[d] = len(faces)
             e = plane.alpha[d]
-            corners.append((e >> 2, e & 3))
+            corners.append(e)  # the corner is the dart arrived on
             d = sigma(e)
             if d == start:
                 break
         faces.append(tuple(corners))
     assert faces == [f.corners for f in plane.faces]
     adjacent = [set() for _ in faces]
-    for d, e in plane.alpha.items():
+    for d, e in enumerate(plane.alpha):
         adjacent[dart_face[d]].add(dart_face[e])
     color = {}
     for root in range(len(faces)):
@@ -61,7 +62,7 @@ def ref_two_color(plane):
                     color[g] = 1 - color[f]
                     queue.append(g)
                 assert color[g] != color[f]
-    return color
+    return [color[f] for f in range(len(faces))]
 
 
 def test_two_coloring_matches_the_dart_reference():
