@@ -6,24 +6,13 @@ alpha, a list over darts pairing the two ends of each edge.  Faces are
 the orbits of sigma . alpha.  A face traversal arrives at a vertex on a
 dart and leaves on the next slot, so the corner it records is that
 dart: corner 4*v + g sits in gap g, between slots g and g+1.  A traced
-map keeps its faces and face_at, a list from each corner to its face;
-the faces at corners 4*v + g and 4*v + g+1 meet along the edge at slot
-g+1, so face adjacency is read from it too.
+map keeps its faces, each the list of its corners in traversal order
+and addressed by position, and face_at, a list from each corner to its
+face; the faces at corners 4*v + g and 4*v + g+1 meet along the edge at
+slot g+1, so face adjacency is read from it too.
 """
 
-from dataclasses import dataclass
-
 from .errors import NotBipartite
-
-
-@dataclass(frozen=True)
-class Face:
-    index: int
-    corners: tuple  # corner ids 4*vertex + gap, in traversal order
-
-    @property
-    def size(self):
-        return len(self.corners)
 
 
 def sigma(d):
@@ -53,18 +42,23 @@ def trace_faces(n_darts, alpha):
     return faces, face_at
 
 
-def faces_of(n_darts, alpha):
-    """Return (faces, face_at) for a map.
-
-    faces are Face records and face_at is a list giving the index of the
-    face at each corner.
-    """
-    raw, face_at = trace_faces(n_darts, alpha)
-    # from a list, not a generator: tuple() sizes a generator's result by
-    # resizing, so the tuple is later freed into a CPython free list it
-    # was not taken from; those lists empty only on a full collection
-    faces = tuple([Face(i, tuple(cs)) for i, cs in enumerate(raw)])
-    return faces, face_at
+def pieces(alpha):
+    """Number of connected pieces of the map with dart map alpha."""
+    seen = bytearray(len(alpha) >> 2)
+    count = 0
+    for root in range(len(seen)):
+        if seen[root]:
+            continue
+        count += 1
+        seen[root] = 1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e in alpha[4 * v:4 * v + 4]:
+                if not seen[e >> 2]:
+                    seen[e >> 2] = 1
+                    stack.append(e >> 2)
+    return count
 
 
 def splice_out(alpha, v, pairs):
@@ -104,7 +98,7 @@ def compact(alpha, kept):
 def two_color(plane):
     """Two-colour the faces of a traced map so edge-adjacent faces differ.
 
-    plane has the faces and face_at of faces_of; returns a list of
+    plane has the faces and face_at of trace_faces; returns a list of
     colours by face, and colour 0 holds face 0.
     """
     faces, face_at = plane.faces, plane.face_at
@@ -117,7 +111,7 @@ def two_color(plane):
         while stack:
             f = stack.pop()
             other = 1 - color[f]
-            for c in faces[f].corners:
+            for c in faces[f]:
                 # every edge of f is the one it leaves a corner by, and
                 # the face at the next gap lies across it
                 g = face_at[(c & ~3) | ((c + 1) & 3)]

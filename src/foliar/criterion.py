@@ -50,10 +50,7 @@ class Verdict:
 
 def detect_dk(cg):
     """Signed twist count if the collapsed graph is a single region."""
-    if len(cg.vertices) != 1:
-        return None
-    v = cg.vertices[0]
-    return v.handedness * v.count
+    return cg.vertices[0] if len(cg.vertices) == 1 else None
 
 
 def weight_reasons(weights, tag):
@@ -136,8 +133,7 @@ def check_main(d):
             detail,
         )
     reasons = weight_reasons(
-        [v.count for v in cg.vertices],
-        lambda i, w: f"region={cg.vertices[i].index},count={w}",
+        cg.vertices, lambda i, w: f"region={i},count={abs(w)}"
     )
     rep = connectivity_report(green, red)
     if not rep.connected_green:
@@ -190,7 +186,7 @@ def diagnose(d):
     if d.component_count() != 1:
         return Diagnosis("none", 0, (), False, verdict)
     cg = normal_form(d)[0]
-    counts = tuple([v.count for v in cg.vertices])
+    counts = tuple([abs(w) for w in cg.vertices])
     nv = len(cg.vertices)
     branch = _BRANCHES.get(nv, "main_construction")
     borromean = nv == 2 and all(c % 2 == 0 for c in counts)

@@ -23,7 +23,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from ._planar import faces_of
+from ._planar import pieces, trace_faces
 from .errors import (
     ArcCountMismatch,
     EmptyDiagram,
@@ -49,7 +49,7 @@ class LinkDiagram:
     """
 
     def __init__(self, crossings):
-        crossings = tuple(crossings)  # callers pass lists; see faces_of
+        crossings = tuple(crossings)  # callers pass lists
         for c in crossings:
             if c.under_axis not in (0, 1):
                 raise MalformedToken(f"under_axis {c.under_axis}")
@@ -97,8 +97,10 @@ class LinkDiagram:
         n = len(self.crossings)
         if not n:
             raise EmptyDiagram("no crossings")
-        self._validate_connected()
-        self.faces, self.face_at = faces_of(4 * n, self.alpha)
+        k = pieces(self.alpha)
+        if k != 1:
+            raise NonSphericalEmbedding(f"projection splits into {k} pieces")
+        self.faces, self.face_at = trace_faces(4 * n, self.alpha)
         if len(self.faces) != n + 2:
             raise NonSphericalEmbedding(
                 f"{len(self.faces)} faces for {n} crossings"
@@ -131,25 +133,6 @@ class LinkDiagram:
                 f"offending labels {bad or labels}"
             )
         self.arc_count = m
-
-    def _validate_connected(self):
-        alpha = self.alpha
-        seen = bytearray(len(self.crossings))
-        pieces = 0
-        for root in range(len(seen)):
-            if seen[root]:
-                continue
-            pieces += 1
-            seen[root] = 1
-            stack = [root]
-            while stack:
-                ci = stack.pop()
-                for e in alpha[4 * ci:4 * ci + 4]:
-                    if not seen[e >> 2]:
-                        seen[e >> 2] = 1
-                        stack.append(e >> 2)
-        if pieces != 1:
-            raise NonSphericalEmbedding(f"projection splits into {pieces} pieces")
 
     def _build_alpha(self):
         end = [-1] * (self.arc_count + 1)  # the first dart seen per label

@@ -28,18 +28,24 @@ until none remain, which is the normal form the certification
 criterion inspects.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._planar import (
     compact,
     component_count,
     is_tree,
+    pieces,
     splice_out,
     to_dot,
     two_color,
 )
-from .errors import DegenerateCollapse, EquivalenceViolation, InternalError
+from .errors import (
+    DegenerateCollapse,
+    EquivalenceViolation,
+    InternalError,
+    NonSphericalEmbedding,
+)
 from .twists import CollapsedGraph
 
 GREEN, RED = 0, 1
@@ -107,8 +113,8 @@ def face_graphs(kind, plane, rows):
     """
     coloring = two_color(plane)
     verts = ([], [])
-    for f in plane.faces:
-        verts[coloring[f.index]].append(f.index)
+    for fi, c in enumerate(coloring):
+        verts[c].append(fi)
     edges = ([], [])
     for c1, c2, signed, source in rows:
         a, b = plane.face_at[c1], plane.face_at[c2]
@@ -126,8 +132,7 @@ def face_graphs(kind, plane, rows):
 def build_side_graphs(cg):
     g1, g3 = cg.ARC_GAPS
     rows = [
-        (4 * v.index + g1, 4 * v.index + g3, v.handedness * v.count, v.index)
-        for v in cg.vertices
+        (4 * i + g1, 4 * i + g3, w, i) for i, w in enumerate(cg.vertices)
     ]
     return face_graphs("side", cg, rows)
 
@@ -177,19 +182,20 @@ def normalize_assumption2(cg):
             return cg, green, red
         alpha = list(cg.alpha)
         kept, vertices = [], []
-        for vx in cg.vertices:
-            if vx.index in removed:
-                if vx.cyclic:
-                    raise InternalError("cyclic vertex in a parallel family")
-                splice_out(alpha, vx.index, ((1, 2), (3, 0)))
+        for i, w in enumerate(cg.vertices):
+            if i in removed:
+                splice_out(alpha, i, ((1, 2), (3, 0)))
                 continue
-            kept.append(vx.index)
-            if vx.index in sums:
-                s = sums[vx.index]
-                vx = replace(vx, count=abs(s), handedness=1 if s > 0 else -1)
-            vertices.append(replace(vx, index=len(vertices)))
+            kept.append(i)
+            vertices.append(sums.get(i, w))
         if not vertices:
             raise DegenerateCollapse(
                 "every twist region cancelled during edge merging"
             )
-        cg = CollapsedGraph(vertices, compact(alpha, kept))
+        alpha = compact(alpha, kept)
+        n = pieces(alpha)
+        if n > 1:  # smoothing can cut a link apart
+            raise NonSphericalEmbedding(
+                f"merging splits the link into {n} pieces"
+            )
+        cg = CollapsedGraph(vertices, alpha)

@@ -37,18 +37,26 @@ without a mixed chain is its own reduction and keeps none, so that it
 never refers to itself.
 
 collapse() replaces every region by one 4-valent vertex, giving the
-reduced graph used for face colouring and the side graphs.  The vertex's
-slots 0, 1 are the stubs at the chain's first crossing and 2, 3 those at
-its last, so the two strands through the region pair the slots by the
-parity of its count alone: (0, 2) and (1, 3) when it is odd, (0, 3) and
-(1, 2) when it is even.  A stub is a dart of the diagram, and the
-collapsed map pairs it with the stub its edge leads to in the diagram's
-alpha.
+reduced graph used for face colouring and the side graphs.  A collapsed
+vertex is its region's signed count, handedness times crossings, at the
+region's position.  The vertex's slots 0, 1 are the stubs at the chain's
+first crossing and 2, 3 those at its last, so the two strands through
+the region pair the slots by the parity of its count alone: (0, 2) and
+(1, 3) when it is odd, (0, 3) and (1, 2) when it is even.  A stub is a
+dart of the diagram, and the collapsed map pairs it with the stub its
+edge leads to in the diagram's alpha.
 """
 
 from dataclasses import dataclass
 
-from ._planar import DisjointSets, compact, faces_of, sigma, splice_out, to_dot
+from ._planar import (
+    DisjointSets,
+    compact,
+    sigma,
+    splice_out,
+    to_dot,
+    trace_faces,
+)
 from .diagram import LinkDiagram
 from .errors import (
     InternalError,
@@ -86,16 +94,16 @@ def detect_twist_regions(d, allow_mixed=False):
 
 def _detect(d):
     faces = d.faces
-    kinks = {f.corners[0] >> 2 for f in faces if f.size == 1}
+    kinks = {f[0] >> 2 for f in faces if len(f) == 1}
     eligible = {}  # bigon face -> its two corners, by face index
-    for f in faces:
-        if f.size != 2:
+    for fi, f in enumerate(faces):
+        if len(f) != 2:
             continue
-        k1, k2 = f.corners
+        k1, k2 = f
         c1, c2 = k1 >> 2, k2 >> 2
         if c1 == c2 or c1 in kinks or c2 in kinks:
             continue
-        eligible[f.index] = f.corners
+        eligible[fi] = f
     port = [-1] * (4 * len(d))  # eligible bigon per corner
     for fi, (k1, k2) in eligible.items():
         port[k1] = port[k2] = fi
@@ -286,28 +294,20 @@ def _small_face(alpha, start):
 
 # -- collapsed graph --------------------------------------------------------
 
-@dataclass(frozen=True)
-class CollapsedVertex:
-    index: int
-    count: int
-    handedness: int
-    cyclic: bool
-    through: tuple  # pairing of local slots by strand, () for cyclic
-
-
 class CollapsedGraph:
     """One 4-valent vertex per twist region; faces by the rotation system.
 
-    Local gaps 0 and 2 face along the region axis; the side faces the
-    twist bigons separated sit at gaps 1 and 3.
+    vertices holds each vertex's signed count.  Local gaps 0 and 2 face
+    along the region axis; the side faces the twist bigons separated sit
+    at gaps 1 and 3.
     """
 
     ARC_GAPS = (1, 3)
 
     def __init__(self, vertices, alpha):
-        self.vertices = tuple(vertices)
+        self.vertices = vertices  # a list of signed counts, kept as given
         self.alpha = alpha  # a list over darts, kept as given
-        self.faces, self.face_at = faces_of(4 * len(self.vertices), self.alpha)
+        self.faces, self.face_at = trace_faces(4 * len(vertices), alpha)
         if len(self.faces) != len(self.vertices) + 2:
             raise InternalError(
                 f"collapsed graph has {len(self.faces)} faces for "
@@ -322,8 +322,8 @@ class CollapsedGraph:
 
     def to_dot(self):
         nodes = [
-            (f"v{v.index}", f"{v.count}@{v.handedness:+d}")
-            for v in self.vertices
+            (f"v{i}", f"{abs(w)}@{1 if w > 0 else -1:+d}")
+            for i, w in enumerate(self.vertices)
         ]
         edges = [  # each edge is written from its lower dart
             (f"v{d >> 2}", f"v{e >> 2}", None)
@@ -346,9 +346,8 @@ def collapse(d, regions=None):
         if len(regions) != 1:
             raise InternalError("cyclic chain inside a larger diagram")
         r = regions[0]
-        v = CollapsedVertex(0, r.count, r.handedness, True, ())
         # two nested loops at one vertex: three faces, sides at gaps 1, 3
-        return CollapsedGraph([v], [3, 2, 1, 0])
+        return CollapsedGraph([r.handedness * r.count], [3, 2, 1, 0])
 
     vertices = []
     stubs = []  # the diagram's dart at each collapsed dart
@@ -364,10 +363,7 @@ def collapse(d, regions=None):
                 4 * e2 + (g2 + 2) % 4,
                 4 * e2 + (g2 + 3) % 4,
             )
-        through = ((0, 2), (1, 3)) if r.count % 2 else ((0, 3), (1, 2))
-        vertices.append(
-            CollapsedVertex(r.index, r.count, r.handedness, False, through)
-        )
+        vertices.append(r.handedness * r.count)
         for dart in rot:
             local[dart] = len(stubs)
             stubs.append(dart)

@@ -8,10 +8,7 @@ counts are frozen; a change in any of them is a behaviour change.
 """
 
 import itertools
-import os
 from fractions import Fraction
-
-import pytest
 
 from foliar import (
     Slope,
@@ -199,10 +196,6 @@ def test_tree_sweep_sampled():
         _tree_agrees(random_tree_text(rng, max_nodes=6))
 
 
-@pytest.mark.skipif(
-    os.environ.get("FOLIAR_FULL_SWEEP") != "1",
-    reason="set FOLIAR_FULL_SWEEP=1 for the exhaustive sweep",
-)
 def test_tree_sweep_exhaustive():
     total = 0
     for n in range(1, 7):

@@ -25,16 +25,16 @@ def test_face_count_is_crossings_plus_two(trefoil, fig8, hopf, kink):
 
 def test_face_corners_partition_gaps(fig8):
     # a corner is the dart 4 * crossing + gap a traversal arrives on
-    corners = [c for f in fig8.faces for c in f.corners]
+    corners = [c for f in fig8.faces for c in f]
     assert len(corners) == 4 * len(fig8.crossings)
     assert len(set(corners)) == len(corners)
-    for f in fig8.faces:
-        for c in f.corners:
-            assert fig8.face_at[c] == f.index
+    for fi, f in enumerate(fig8.faces):
+        for c in f:
+            assert fig8.face_at[c] == fi
 
 
 def test_kink_has_monogon(kink):
-    sizes = sorted(f.size for f in kink.faces)
+    sizes = sorted(len(f) for f in kink.faces)
     assert sizes == [1, 1, 2]
 
 

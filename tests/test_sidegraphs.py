@@ -4,6 +4,8 @@ from foliar import (
     GREEN,
     RED,
     build_side_graphs,
+    check_main,
+    check_tait,
     collapse,
     color_faces,
     connectivity_report,
@@ -12,8 +14,12 @@ from foliar import (
     reduce_assumption1,
 )
 from foliar._planar import sigma
-from foliar.twists import CollapsedGraph, CollapsedVertex
-from foliar.errors import DegenerateCollapse, FoliarError
+from foliar.twists import CollapsedGraph
+from foliar.errors import (
+    DegenerateCollapse,
+    FoliarError,
+    NonSphericalEmbedding,
+)
 
 from conftest import CANCELLING_COLUMNS, GRANNY3, unreduced_inputs
 
@@ -21,11 +27,11 @@ from conftest import CANCELLING_COLUMNS, GRANNY3, unreduced_inputs
 def test_two_coloring_fig8(fig8):
     coloring = color_faces(fig8)
     assert coloring[0] == GREEN
-    for face in fig8.faces:
-        for c in face.corners:
+    for fi, face in enumerate(fig8.faces):
+        for c in face:
             v, gap = c >> 2, c & 3
             opp = fig8.face_at[4 * v + (gap + 1) % 4]
-            assert coloring[opp] != coloring[face.index]
+            assert coloring[opp] != coloring[fi]
 
 
 def ref_two_color(plane):
@@ -44,8 +50,8 @@ def ref_two_color(plane):
             d = sigma(e)
             if d == start:
                 break
-        faces.append(tuple(corners))
-    assert faces == [f.corners for f in plane.faces]
+        faces.append(corners)
+    assert faces == plane.faces
     adjacent = [set() for _ in faces]
     for d, e in enumerate(plane.alpha):
         adjacent[dart_face[d]].add(dart_face[e])
@@ -117,7 +123,7 @@ def test_normalize_merges_parallel_family():
     assert len(cg.vertices) == 4
     out, g, r = normalize_assumption2(cg)
     assert len(out.vertices) == 3
-    assert sorted(v.count for v in out.vertices) == [3, 3, 3]
+    assert sorted(abs(w) for w in out.vertices) == [3, 3, 3]
     assert g.weights() == (3, 3, 3)
     assert r.weights() == ()
 
@@ -126,25 +132,35 @@ def test_normalize_drops_zero_sum_family():
     cg = collapse(parse_pd(CANCELLING_COLUMNS))
     assert len(cg.vertices) == 4
     out, g, r = normalize_assumption2(cg)
-    assert sorted(v.count for v in out.vertices) == [1, 1]
+    assert sorted(abs(w) for w in out.vertices) == [1, 1]
 
 
 def test_normalize_degenerate_raises():
     # two twist boxes in a cycle sharing both side faces; their signed
     # counts cancel so the merge empties the graph
-    alpha = {0: 5, 5: 0, 1: 4, 4: 1, 2: 7, 7: 2, 3: 6, 6: 3}
-    through = ((0, 3), (1, 2))
-    cg = CollapsedGraph(
-        [
-            CollapsedVertex(0, 2, 1, False, through),
-            CollapsedVertex(1, 2, -1, False, through),
-        ],
-        alpha,
-    )
+    # darts 0-5, 1-4, 2-7 and 3-6 paired
+    cg = CollapsedGraph([2, -2], [5, 4, 7, 6, 1, 0, 3, 2])
     g, r = build_side_graphs(cg)
     assert [(e.u, e.v, e.signed) for e in g.edges] == [(0, 2, 2), (0, 2, -2)]
     with pytest.raises(DegenerateCollapse):
         normalize_assumption2(cg)
+
+
+# a four-component link whose merge smooths it into two pieces
+SPLIT_BY_MERGING = (
+    "X[1,2,3,3] X[4,5,6,2] X[5,7,8,6] X[7,9,10,8] X[11,12,13,14] "
+    "X[12,11,15,13] X[9,15,16,17] X[17,16,14,18] X[10,18,19,20] "
+    "X[20,19,21,22] X[22,21,4,1]"
+)
+
+
+def test_normalize_split_raises():
+    d = parse_pd(SPLIT_BY_MERGING)
+    with pytest.raises(NonSphericalEmbedding) as exc:
+        normalize_assumption2(collapse(reduce_assumption1(d)))
+    assert str(exc.value) == "merging splits the link into 2 pieces"
+    assert check_main(d).reasons == ("NotAKnot(4)",)
+    assert check_tait(d).reasons == ("NotAKnot(4)",)
 
 
 def test_side_graph_dot_smoke(fig8):

@@ -103,9 +103,8 @@ def test_reduce_shrinks_incoherent_chain():
 
 def test_collapse_trefoil(trefoil):
     cg = collapse(trefoil)
-    assert len(cg.vertices) == 1
-    v = cg.vertices[0]
-    assert (v.count, v.handedness, v.cyclic) == (3, 1, True)
+    assert cg.vertices == [3]  # count 3, handedness +1
+    assert cg.alpha == [3, 2, 1, 0]  # cyclic: two nested loops
     assert len(cg.faces) == 3
 
 
@@ -113,10 +112,9 @@ def test_collapse_fig8(fig8):
     cg = collapse(fig8)
     assert len(cg.vertices) == 2
     assert len(cg.faces) == 4
-    for v in cg.vertices:
-        assert v.through == ((0, 3), (1, 2))
-        assert v.count == 2
-    assert {v.handedness for v in cg.vertices} == {1, -1}
+    for r in detect_twist_regions(fig8):
+        assert ref_through(fig8, r) == ((0, 3), (1, 2))
+    assert sorted(cg.vertices) == [-2, 2]
 
 
 def test_collapse_face_invariant_random_braids():
@@ -139,8 +137,8 @@ def test_collapse_face_invariant_random_braids():
 
 def test_collapse_side_faces_and_dot(fig8):
     cg = collapse(fig8)
-    for v in cg.vertices:
-        a, b = cg.side_faces(v.index)
+    for i in range(len(cg)):
+        a, b = cg.side_faces(i)
         assert a != b
     dot = cg.to_dot()
     assert dot.startswith("graph") and "v0" in dot
@@ -157,19 +155,23 @@ def test_separated_columns_fixture_regions():
     ]
 
 
+def ref_stubs(region):
+    """The (crossing, slot) stubs at a collapsed vertex's slots 0..3."""
+    (e1, g1), (e2, g2) = region.end_gaps
+    if region.count == 1:
+        return [(e1, s) for s in range(4)]
+    return [
+        (e1, (g1 + 2) % 4),
+        (e1, (g1 + 3) % 4),
+        (e2, (g2 + 2) % 4),
+        (e2, (g2 + 3) % 4),
+    ]
+
+
 def ref_through(d, region):
     """Pair a collapsed vertex's slots by walking each strand from its
     stub through the region's crossings to the stub where it leaves."""
-    (e1, g1), (e2, g2) = region.end_gaps
-    if region.count == 1:
-        rot = [(e1, s) for s in range(4)]
-    else:
-        rot = [
-            (e1, (g1 + 2) % 4),
-            (e1, (g1 + 3) % 4),
-            (e2, (g2 + 2) % 4),
-            (e2, (g2 + 3) % 4),
-        ]
+    rot = ref_stubs(region)
     stub_of = {cs: local for local, cs in enumerate(rot)}
     pairs = []
     seen = set()
@@ -194,10 +196,21 @@ def test_through_is_the_strand_walk():
             cg = collapse(d)
         except FoliarError:
             continue
-        for r, v in zip(detect_twist_regions(d), cg.vertices):
-            if r.cyclic:
-                continue
-            assert v.through == ref_through(d, r), d.to_pd()
+        dec = detect_twist_regions(d)
+        assert cg.vertices == [r.handedness * r.count for r in dec]
+        if dec[0].cyclic:
+            continue
+        # collapse gives region i's stubs the darts 4i..4i+3 in this order
+        local = {
+            4 * c + s: 4 * i + k
+            for i, r in enumerate(dec)
+            for k, (c, s) in enumerate(ref_stubs(r))
+        }
+        stubs = sorted(local, key=local.get)
+        assert cg.alpha == [local[d.alpha[x]] for x in stubs], d.to_pd()
+        for r, w in zip(dec, cg.vertices):
+            pairing = ((0, 2), (1, 3)) if w % 2 else ((0, 3), (1, 2))
+            assert pairing == ref_through(d, r), d.to_pd()
             odd += r.count > 1 and r.count % 2
             even += r.count % 2 == 0
     assert odd >= 100 and even >= 100
