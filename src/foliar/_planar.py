@@ -123,31 +123,24 @@ def two_color(plane):
     return color
 
 
-class DisjointSets:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
+def find(parent, x):
+    """Root of x in the union-find list parent, halving the path to it."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def component_count(vertices, pairs):
-    """Connected components of the graph on vertices with edges pairs."""
-    ds = DisjointSets()
+    """Connected components of the graph on vertices, distinct
+    non-negative ints, with edges pairs between them."""
+    parent = list(range(max(vertices, default=-1) + 1))
+    count = len(vertices)
     for u, v in pairs:
-        ds.union(u, v)
-    return len({ds.find(v) for v in vertices})
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            parent[rv] = ru
+            count -= 1
+    return count
 
 
 def is_tree(vertices, pairs):

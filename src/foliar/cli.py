@@ -283,6 +283,11 @@ def main(argv=None):
     p.add_argument("--crosscheck", action="store_true")
     p.set_defaults(fn=cmd_corpus)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a slope such as -1/2 reads as an unknown option unless the three
+    # slopes are marked positional
+    if argv[:1] == ["borromean"] and not {"-h", "--help", "--"} & set(argv):
+        argv.insert(1, "--")
     args = ap.parse_args(argv)
     try:
         return args.fn(args)

@@ -1,12 +1,10 @@
-"""Face graphs of a checkerboard-coloured map; the two side graphs.
+"""The two side graphs of a collapsed graph, and parallel edge merging.
 
-Faces of a diagram on the sphere two-colour like a checkerboard.  Both
-routes hold their graphs as FaceGraphs, one per colour, whose vertices
-are the faces of that colour.  face_graphs colours a map once, splits
-its faces by colour once and turns each row a route hands it into an
-edge.  Which rows a route builds, and what it does with the graphs,
-stays in its own module: side edges and their merging here, checkerboard
-edges and their contraction in the tait module.
+Faces of a diagram on the sphere two-colour like a checkerboard.  The
+side graphs are FaceGraphs, one per colour, whose vertices are the
+faces of that colour.  The checkerboard graphs of the tait module use
+the same colouring and FaceEdge but read their edges off the diagram
+itself.
 
 Side graphs: each twist region contributes one edge to the graph of its
 own side colour, joining the two faces its bigons separated, which sit
@@ -60,10 +58,9 @@ class FaceEdge(NamedTuple):
 
 
 class FaceGraph:
-    """Faces of one colour joined by the edges of one route ("side"/"tait")."""
+    """Faces of one colour joined by the side edges of the regions."""
 
-    def __init__(self, kind, color, vertices, edges):
-        self.kind = kind
+    def __init__(self, color, vertices, edges):
         self.color = color
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
@@ -84,57 +81,39 @@ class FaceGraph:
     def is_tree(self):
         return is_tree(self.vertices, self._pairs())
 
-    def degrees(self):
-        deg = dict.fromkeys(self.vertices, 0)
-        for e in self.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
-        return deg
-
-    def all_bivalent(self):
-        return all(k == 2 for k in self.degrees().values())
-
-    def signed_sum(self):
-        return sum(e.signed for e in self.edges)
-
     def to_dot(self):
-        return to_dot(
-            f"{self.kind}_{self.color_name}",
-            [(f"f{v}", None) for v in self.vertices],
-            [(f"f{e.u}", f"f{e.v}", f"{e.signed:+d}") for e in self.edges],
-        )
+        return face_dot(f"side_{self.color_name}", self.vertices, self.edges)
 
 
-def face_graphs(kind, plane, rows):
-    """The (green, red) face graphs of a traced map.
-
-    Each row (corner, corner, signed, source) becomes one edge joining
-    the faces at its two corners, which must share a colour.
-    """
-    coloring = two_color(plane)
-    verts = ([], [])
-    for fi, c in enumerate(coloring):
-        verts[c].append(fi)
-    edges = ([], [])
-    for c1, c2, signed, source in rows:
-        a, b = plane.face_at[c1], plane.face_at[c2]
-        if coloring[a] != coloring[b]:
-            raise InternalError(
-                f"{kind} edge of {source} joins faces {a}, {b} of two colours"
-            )
-        edges[coloring[a]].append(FaceEdge(min(a, b), max(a, b), signed, source))
-    return (
-        FaceGraph(kind, GREEN, verts[GREEN], edges[GREEN]),
-        FaceGraph(kind, RED, verts[RED], edges[RED]),
+def face_dot(name, vertices, edges):
+    """Graphviz text of a face graph: faces by id, edges by FaceEdge."""
+    return to_dot(
+        name,
+        [(f"f{v}", None) for v in vertices],
+        [(f"f{e.u}", f"f{e.v}", f"{e.signed:+d}") for e in edges],
     )
 
 
 def build_side_graphs(cg):
+    """The (green, red) side graphs of a collapsed graph: vertex i joins
+    the faces at its gaps 1 and 3, which must share a colour."""
+    coloring = two_color(cg)
+    verts = ([], [])
+    for fi, c in enumerate(coloring):
+        verts[c].append(fi)
+    edges = ([], [])
     g1, g3 = cg.ARC_GAPS
-    rows = [
-        (4 * i + g1, 4 * i + g3, w, i) for i, w in enumerate(cg.vertices)
-    ]
-    return face_graphs("side", cg, rows)
+    for i, w in enumerate(cg.vertices):
+        a, b = cg.face_at[4 * i + g1], cg.face_at[4 * i + g3]
+        if coloring[a] != coloring[b]:
+            raise InternalError(
+                f"side edge of {i} joins faces {a}, {b} of two colours"
+            )
+        edges[coloring[a]].append(FaceEdge(min(a, b), max(a, b), w, i))
+    return (
+        FaceGraph(GREEN, verts[GREEN], edges[GREEN]),
+        FaceGraph(RED, verts[RED], edges[RED]),
+    )
 
 
 @dataclass(frozen=True)

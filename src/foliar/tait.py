@@ -5,10 +5,12 @@ joining the two same-coloured faces across it.  Its signed weight is +1
 when sweeping the over strand counterclockwise onto the under strand
 crosses the gaps holding that graph's faces, so a twist region shows up
 as equal-signed parallel edges in the graph of its side colour and as a
-path through bivalent vertices in the other.  The graphs are the
-FaceGraph of the sidegraphs module, built by the same face_graphs
-colour split from two rows per crossing; what this route does with them
-is its own, so it stays an independent check of the main route.
+path through bivalent vertices in the other.  A graph is a TaitGraph, a
+view of the diagram under one two-colouring of its faces: its edges are
+read off the corners of each crossing and a face's degree is its corner
+count, so no record is made per crossing.  Apart from the type II
+cancellation it starts from, the route reads no twist region, so it
+stays an independent check of the main route.
 
 Evaluating a graph: maximal runs of bivalent vertices are removed,
 each run of j vertices recording a twist weight j + 1; the surviving
@@ -26,21 +28,78 @@ reasons, or the red graph's when the green graph certifies.
 from collections import Counter
 from dataclasses import dataclass
 
-from ._planar import DisjointSets, is_tree
+from ._planar import find, is_tree, two_color
 from .criterion import Status, Verdict, weight_reasons
 from .errors import InternalError
-from .sidegraphs import face_graphs
+from .sidegraphs import GREEN, RED, FaceEdge, face_dot
 from .twists import reduce_assumption1
 
 
+class TaitGraph:
+    """The checkerboard graph of one colour, as a view of a diagram.
+
+    Its vertices are the faces of d that coloring gives the colour, and
+    its edges the crossings: crossing ci joins the faces at its gaps g
+    and g + 2 for the g in {0, 1} whose faces have the colour.  A face
+    meets one edge per corner, so its degree is its corner count and
+    the bivalent vertices are the bigons.
+    """
+
+    def __init__(self, d, coloring, color):
+        self.d = d
+        self.coloring = coloring
+        self.color = color
+
+    @property
+    def color_name(self):
+        return "green" if self.color == GREEN else "red"
+
+    @property
+    def vertices(self):
+        return tuple([f for f, c in enumerate(self.coloring) if c == self.color])
+
+    def ends(self):
+        """(us, vs, signs): the faces each crossing joins and its signed
+        weight, three lists in crossing order."""
+        coloring, color, face_at = self.coloring, self.color, self.d.face_at
+        us, vs, signs = [], [], []
+        for ci, c in enumerate(self.d.crossings):
+            k = 4 * ci
+            if coloring[face_at[k]] != color:
+                k += 1  # this colour's faces sit at gaps 1 and 3
+            u, v = face_at[k], face_at[k + 2]
+            if coloring[u] != coloring[v]:
+                raise InternalError(
+                    f"tait edge of {ci} joins faces {u}, {v} of two colours"
+                )
+            us.append(u)
+            vs.append(v)
+            # +1 on the gap pair whose parity differs from under_axis
+            signs.append(1 if c.under_axis != k & 1 else -1)
+        return us, vs, signs
+
+    @property
+    def edges(self):
+        return tuple([
+            FaceEdge(min(u, v), max(u, v), s, ci)
+            for ci, (u, v, s) in enumerate(zip(*self.ends()))
+        ])
+
+    def all_bivalent(self):
+        faces = self.d.faces
+        return all(len(faces[f]) == 2 for f in self.vertices)
+
+    def signed_sum(self):
+        return sum(self.ends()[2])
+
+    def to_dot(self):
+        return face_dot(f"tait_{self.color_name}", self.vertices, self.edges)
+
+
 def build_tait(d):
-    rows = []
-    for ci, c in enumerate(d.crossings):
-        # +1 on the gap pair whose parity differs from under_axis
-        s = 1 if c.under_axis else -1
-        rows.append((4 * ci, 4 * ci + 2, s, ci))
-        rows.append((4 * ci + 1, 4 * ci + 3, -s, ci))
-    return face_graphs("tait", d, rows)
+    """The (green, red) checkerboard graphs of d under one colouring."""
+    coloring = two_color(d)
+    return TaitGraph(d, coloring, GREEN), TaitGraph(d, coloring, RED)
 
 
 @dataclass
@@ -60,27 +119,30 @@ class ContractedTait:
 
 def contract(tg):
     """Remove bivalent runs and merge parallel survivors."""
-    deg = tg.degrees()
-    bivalent = {v for v, k in deg.items() if k == 2}
-    if len(bivalent) == len(tg.vertices):
+    faces = tg.d.faces
+    bigon = [len(f) == 2 for f in faces]
+    vertices = tg.vertices
+    bivalent = [v for v in vertices if bigon[v]]
+    if len(bivalent) == len(vertices):
         raise InternalError("contract called on an all-bivalent graph")
-    ds = DisjointSets()
-    for e in tg.edges:
-        if e.u in bivalent and e.v in bivalent:
-            ds.union(e.u, e.v)
-    runs = Counter([ds.find(v) for v in bivalent])
-    chain_weights = tuple(sorted([n + 1 for n in runs.values()]))
-    survivors = [v for v in tg.vertices if v not in bivalent]
+    parent = list(range(len(faces)))  # runs of bivalent faces
     families = {}  # signed sum per pair of surviving faces
-    for e in tg.edges:
-        if e.u in bivalent or e.v in bivalent:
-            continue  # consumed by the run it belongs to
-        families[e.u, e.v] = families.get((e.u, e.v), 0) + e.signed
+    for u, v, s in zip(*tg.ends()):
+        if bigon[u]:
+            if bigon[v]:
+                ru, rv = find(parent, u), find(parent, v)
+                parent[rv] = ru
+        elif not bigon[v]:
+            pair = (u, v) if u < v else (v, u)
+            families[pair] = families.get(pair, 0) + s
+        # an edge with one bivalent end is consumed by that end's run
+    runs = Counter([find(parent, v) for v in bivalent])
+    chain_weights = tuple(sorted([n + 1 for n in runs.values()]))
     kept = [(pair, abs(s)) for pair, s in sorted(families.items()) if s]
     return ContractedTait(
         chain_weights,
         tuple([w for _, w in kept]),
-        tuple(survivors),
+        tuple([v for v in vertices if not bigon[v]]),
         tuple([pair for pair, _ in kept]),
     )
 

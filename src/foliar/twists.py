@@ -8,6 +8,13 @@ when more bigons touch a crossing than a single chain can use (three
 parallel strands) the extras are left as plain faces, so the regions
 always partition the crossings.
 
+Detection reads the diagram's faces and makes no record per crossing.
+The two corners of each bigon a chain may use point at each other, so
+a chain grows from a corner to the partner of the corner at its
+opposite gap.  Each crossing keeps its chain id and the gap by which it
+joined, and the regions come out in crossing order, a chain at its
+lowest crossing.
+
 The handedness of a crossing inside a chain is +1 when the parity of
 its chain gap matches its under_axis bit.  For a single crossing the
 chain axis is taken through gaps 0 and 2 by convention.  Equal
@@ -47,11 +54,11 @@ dart of the diagram, and the collapsed map pairs it with the stub its
 edge leads to in the diagram's alpha.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._planar import (
-    DisjointSets,
     compact,
+    find,
     sigma,
     splice_out,
     to_dot,
@@ -66,8 +73,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class TwistRegion:
+class TwistRegion(NamedTuple):
     index: int
     crossings: tuple
     cyclic: bool
@@ -94,113 +100,97 @@ def detect_twist_regions(d, allow_mixed=False):
 
 def _detect(d):
     faces = d.faces
-    kinks = {f[0] >> 2 for f in faces if len(f) == 1}
-    eligible = {}  # bigon face -> its two corners, by face index
-    for fi, f in enumerate(faces):
-        if len(f) != 2:
-            continue
-        k1, k2 = f
+    n = len(d)
+    kink = bytearray(n)
+    for f in faces:
+        if len(f) == 1:
+            kink[f[0] >> 2] = 1
+    bigons = [f for f in faces if len(f) == 2]
+    port = [-1] * (4 * n)  # the partner corner of an eligible bigon
+    for k1, k2 in bigons:
         c1, c2 = k1 >> 2, k2 >> 2
-        if c1 == c2 or c1 in kinks or c2 in kinks:
-            continue
-        eligible[fi] = f
-    port = [-1] * (4 * len(d))  # eligible bigon per corner
-    for fi, (k1, k2) in eligible.items():
-        port[k1] = port[k2] = fi
+        if c1 != c2 and not kink[c1] and not kink[c2]:
+            port[k1] = k2
+            port[k2] = k1
 
-    used = set()
-    claimed = set()
-    chains = []
-    for fi, (k1, k2) in eligible.items():
-        if fi in used:
+    used = bytearray(4 * n)  # both corners of every bigon looked at
+    chain = [-1] * n  # chain id per crossing; -1 for a single crossing
+    gap = [0] * n  # the gap by which a crossing joined its chain
+    chains = []  # (crossings, cyclic) per chain id
+    for k1, k2 in bigons:
+        if port[k1] < 0 or used[k1]:
             continue
-        if k1 >> 2 in claimed or k2 >> 2 in claimed:
-            used.add(fi)  # a bigon beside a chain stays a plain face
-            continue
-        chain = _grow_chain(fi, eligible, port, claimed, used)
-        claimed.update(chain[0])
-        chains.append(chain)
+        used[k1] = used[k2] = 1
+        if chain[k1 >> 2] >= 0 or chain[k2 >> 2] >= 0:
+            continue  # a bigon beside a chain stays a plain face
+        chains.append(_grow_chain(k1, k2, len(chains), port, used, chain, gap))
 
-    raw = list(chains)
-    for ci in range(len(d)):
-        if ci not in claimed:
-            raw.append(([ci], {ci: []}, False))
-    raw.sort(key=lambda ch: min(ch[0]))
-
+    axis = [c.under_axis for c in d.crossings]
+    emitted = bytearray(len(chains))
     regions = []
-    for idx, (crossings, gaps, cyclic) in enumerate(raw):
-        hs = []
-        for c in crossings:
-            gap_parity = gaps[c][0] % 2 if gaps[c] else 0
-            hs.append(1 if gap_parity == d.crossings[c].under_axis else -1)
-        handed = hs[0] if len(set(hs)) == 1 else 0
-        if cyclic:
-            ends = None
-        elif len(crossings) == 1:
-            ends = ((crossings[0], 0), (crossings[0], 2))
-        else:
-            ends = (
-                (crossings[0], gaps[crossings[0]][0]),
-                (crossings[-1], gaps[crossings[-1]][0]),
-            )
-        regions.append(
-            TwistRegion(
-                index=idx,
-                crossings=tuple(crossings),
-                cyclic=cyclic,
-                count=len(crossings),
-                handedness=handed,
-                crossing_handedness=tuple(hs),
-                end_gaps=ends,
-            )
-        )
+    for ci in range(n):
+        cid = chain[ci]
+        if cid < 0:  # chain axis through gaps 0 and 2
+            h = 1 if axis[ci] == 0 else -1
+            regions.append(TwistRegion(
+                len(regions), (ci,), False, 1, h, (h,), ((ci, 0), (ci, 2))
+            ))
+            continue
+        if emitted[cid]:
+            continue
+        emitted[cid] = 1  # at its lowest crossing
+        crossings, cyclic = chains[cid]
+        hs = tuple([1 if gap[c] & 1 == axis[c] else -1 for c in crossings])
+        first, last = crossings[0], crossings[-1]
+        regions.append(TwistRegion(
+            len(regions),
+            crossings,
+            cyclic,
+            len(crossings),
+            0 if -hs[0] in hs else hs[0],
+            hs,
+            None if cyclic else ((first, gap[first]), (last, gap[last])),
+        ))
     return tuple(regions)
 
 
-def _grow_chain(fi, eligible, port, claimed, used):
-    k1, k2 = eligible[fi]
+def _grow_chain(k1, k2, cid, port, used, chain, gap):
+    """The chain grown both ways from the bigon with corners k1, k2, as
+    (crossings, cyclic); its crossings get chain id cid and their gaps."""
     c1, c2 = k1 >> 2, k2 >> 2
-    crossings = [c1, c2]
-    gaps = {c1: [k1 & 3], c2: [k2 & 3]}
-    used.add(fi)
-    cyclic = False
+    chain[c1] = chain[c2] = cid
+    gap[c1], gap[c2] = k1 & 3, k2 & 3
+    ahead = [c1, c2]
+    if _extend(k2, c1, ahead, cid, port, used, chain, gap):
+        return tuple(ahead), True
+    behind = []
+    cyclic = _extend(k1, ahead[-1], behind, cid, port, used, chain, gap)
+    return tuple(behind[::-1] + ahead), cyclic
 
-    def extend(k, forward):
-        nonlocal cyclic
-        while True:
-            nxt = port[k ^ 2]  # the bigon at the opposite gap
-            if nxt < 0 or nxt in used:
-                return
-            near, far = eligible[nxt]
-            if near >> 2 != k >> 2:
-                near, far = far, near
-            c, f = k >> 2, far >> 2
-            head = crossings[0] if forward else crossings[-1]
-            if f == head:
-                # proper closure lands on the head's free opposite gap; the
-                # closing bigon always joins the last crossing to the first
-                if far & 3 == (gaps[head][0] + 2) % 4:
-                    used.add(nxt)
-                    gaps[c].append(near & 3)
-                    gaps[f].append(far & 3)
-                    cyclic = True
-                return
-            if f in claimed or f in gaps:
-                used.add(nxt)
-                return
-            used.add(nxt)
-            gaps[c].append(near & 3)
-            gaps[f] = [far & 3]
-            if forward:
-                crossings.append(f)
-            else:
-                crossings.insert(0, f)
-            k = far
 
-    extend(k2, forward=True)
-    if not cyclic:
-        extend(k1, forward=False)
-    return crossings, gaps, cyclic
+def _extend(k, head, out, cid, port, used, chain, gap):
+    """Follow bigons from the gap opposite corner k, adding crossings to
+    out; True when the chain closes up at head."""
+    while True:
+        near = k ^ 2  # the bigon at the opposite gap
+        far = port[near]
+        if far < 0 or used[near]:
+            return False
+        f = far >> 2
+        if f == head:
+            # proper closure lands on the head's free opposite gap; the
+            # closing bigon always joins the last crossing to the first
+            if far & 3 == gap[head] ^ 2:
+                used[near] = used[far] = 1
+                return True
+            return False
+        used[near] = used[far] = 1
+        if chain[f] >= 0:  # in an earlier chain or already in this one
+            return False
+        chain[f] = cid
+        gap[f] = far & 3
+        out.append(f)
+        k = far
 
 
 # -- type II cancellation ---------------------------------------------------
@@ -223,7 +213,7 @@ def _cancel_rounds(d):
             return d
         alpha = list(d.alpha)
         gone = set()
-        faces = DisjointSets()
+        faces = list(range(len(d.faces)))  # union-find over d's faces
         for r in mixed:
             matched = _bracket_match(r)
             if len(gone) + len(matched) == len(d):
@@ -266,19 +256,19 @@ def _splits(d, region, matched, faces):
     """Whether cancelling matched may have split the diagram into pieces.
 
     Cancelling joins the two faces along the chain at each matched
-    crossing.  faces holds the joins made so far in the round over the
-    faces of d; a join of two faces that are already one closes a ring
-    of faces around part of the diagram.
+    crossing.  faces is a union-find list over the faces of d holding
+    the joins made so far in the round; a join of two faces that are
+    already one closes a ring of faces around part of the diagram.
     """
     hand = dict(zip(region.crossings, region.crossing_handedness))
     ring = False
     for c in matched:
         # the chain gaps have the parity that handedness +1 gives under_axis
         p = d.crossings[c].under_axis ^ (hand[c] < 0)
-        a = faces.find(d.face_at[4 * c + p])
-        b = faces.find(d.face_at[4 * c + p + 2])
+        a = find(faces, d.face_at[4 * c + p])
+        b = find(faces, d.face_at[4 * c + p + 2])
         ring |= a == b
-        faces.union(a, b)
+        faces[b] = a
     return ring
 
 

@@ -61,6 +61,28 @@ def kink():
     return parse_pd(KINK)
 
 
+class DisjointSets:
+    """Union-find over any hashable items, a dict with path halving;
+    the reference the tests build their expected partitions with."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != self.parent[p]:
+            self.parent[p] = self.parent[self.parent[p]]
+            p = self.parent[p]
+        self.parent[x] = p
+        return p
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+        return ra
+
+
 def relabel(slot_lists, axes):
     """Build a LinkDiagram from arbitrary hashable arc ids.
 

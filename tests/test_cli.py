@@ -217,6 +217,25 @@ def test_borromean_command(capsys):
     assert json.loads(out)["outcome"] == "taut_foliation"
 
 
+@pytest.mark.parametrize("argv", [
+    ("-1/2", "3", "4"),
+    ("3", "4", "-1/2"),
+    ("3", "-1/2", "4"),
+])
+def test_borromean_negative_fraction_slope(capsys, argv):
+    # a slope beginning with "-" is a slope wherever it stands
+    code, out, _ = run(capsys, "borromean", *argv)
+    assert code == 0
+    assert out == run(capsys, "borromean", "--", *argv)[1]
+
+
+def test_borromean_help_still_prints(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["borromean", "-h", "-1/2"])
+    assert exc.value.code == 0
+    assert "SLOPE" in capsys.readouterr().out
+
+
 def test_borromean_bad_slope(capsys):
     code, _, err = run(capsys, "borromean", "x", "3", "5")
     assert code == 2

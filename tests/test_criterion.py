@@ -15,10 +15,9 @@ from foliar import (
     parse_pd,
     parse_tree,
 )
-from foliar._planar import DisjointSets
 from foliar.criterion import normal_form
 
-from conftest import GRANNY3, SQUARE_KNOT
+from conftest import GRANNY3, SQUARE_KNOT, DisjointSets
 
 
 def test_trefoil_excluded_as_closed_twist(trefoil):

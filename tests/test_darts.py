@@ -18,7 +18,7 @@ from foliar import (
     parse_braid,
     parse_tree,
 )
-from foliar._planar import DisjointSets, compact, splice_out
+from foliar._planar import compact, splice_out
 from foliar.errors import (
     BadGenerator,
     FoliarError,
@@ -27,6 +27,7 @@ from foliar.errors import (
 )
 
 from conftest import (
+    DisjointSets,
     random_braid_text,
     random_tree_text,
     relabel,

@@ -1,0 +1,399 @@
+"""The array-reading layers against record-building references.
+
+The checkerboard graphs and the twist chains are read straight off a
+diagram's faces and face_at lists.  The references below build them
+the way the library did before: one FaceEdge per crossing and colour
+contracted through a dict union-find, and chains grown with a dict of
+gaps per chain and sorted into regions.  Both must give the same
+verdicts, contractions and regions, field by field.
+"""
+
+from collections import Counter
+
+import pytest
+
+import foliar.sidegraphs
+import foliar.tait
+from foliar import (
+    Status,
+    braid_to_diagram,
+    check_tait,
+    contract,
+    detect_twist_regions,
+    generate_diagram,
+    make_pretzel_pd,
+    parse_braid,
+    parse_tree,
+    reduce_assumption1,
+)
+from foliar._planar import two_color
+from foliar.criterion import Verdict, weight_reasons
+from foliar.errors import FoliarError, InternalError
+from foliar.sidegraphs import FaceEdge
+from foliar.tait import ContractedTait, build_tait
+
+from conftest import DisjointSets, random_tree_text, seeded, unreduced_inputs
+
+REGION_FIELDS = (
+    "index",
+    "crossings",
+    "cyclic",
+    "count",
+    "handedness",
+    "crossing_handedness",
+    "end_gaps",
+)
+
+
+# -- reference twist detection ----------------------------------------------
+
+def ref_detect(d):
+    """Regions of d as dicts of the seven region fields."""
+    faces = d.faces
+    kinks = {f[0] >> 2 for f in faces if len(f) == 1}
+    eligible = {}
+    for fi, f in enumerate(faces):
+        if len(f) != 2:
+            continue
+        k1, k2 = f
+        c1, c2 = k1 >> 2, k2 >> 2
+        if c1 == c2 or c1 in kinks or c2 in kinks:
+            continue
+        eligible[fi] = f
+    port = [-1] * (4 * len(d))
+    for fi, (k1, k2) in eligible.items():
+        port[k1] = port[k2] = fi
+
+    used = set()
+    claimed = set()
+    chains = []
+    for fi, (k1, k2) in eligible.items():
+        if fi in used:
+            continue
+        if k1 >> 2 in claimed or k2 >> 2 in claimed:
+            used.add(fi)
+            continue
+        chain = _ref_grow_chain(fi, eligible, port, claimed, used)
+        claimed.update(chain[0])
+        chains.append(chain)
+
+    raw = list(chains)
+    for ci in range(len(d)):
+        if ci not in claimed:
+            raw.append(([ci], {ci: []}, False))
+    raw.sort(key=lambda ch: min(ch[0]))
+
+    regions = []
+    for idx, (crossings, gaps, cyclic) in enumerate(raw):
+        hs = []
+        for c in crossings:
+            gap_parity = gaps[c][0] % 2 if gaps[c] else 0
+            hs.append(1 if gap_parity == d.crossings[c].under_axis else -1)
+        handed = hs[0] if len(set(hs)) == 1 else 0
+        if cyclic:
+            ends = None
+        elif len(crossings) == 1:
+            ends = ((crossings[0], 0), (crossings[0], 2))
+        else:
+            ends = (
+                (crossings[0], gaps[crossings[0]][0]),
+                (crossings[-1], gaps[crossings[-1]][0]),
+            )
+        regions.append({
+            "index": idx,
+            "crossings": tuple(crossings),
+            "cyclic": cyclic,
+            "count": len(crossings),
+            "handedness": handed,
+            "crossing_handedness": tuple(hs),
+            "end_gaps": ends,
+        })
+    return regions
+
+
+def _ref_grow_chain(fi, eligible, port, claimed, used):
+    k1, k2 = eligible[fi]
+    c1, c2 = k1 >> 2, k2 >> 2
+    crossings = [c1, c2]
+    gaps = {c1: [k1 & 3], c2: [k2 & 3]}
+    used.add(fi)
+    cyclic = False
+
+    def extend(k, forward):
+        nonlocal cyclic
+        while True:
+            nxt = port[k ^ 2]
+            if nxt < 0 or nxt in used:
+                return
+            near, far = eligible[nxt]
+            if near >> 2 != k >> 2:
+                near, far = far, near
+            c, f = k >> 2, far >> 2
+            head = crossings[0] if forward else crossings[-1]
+            if f == head:
+                if far & 3 == (gaps[head][0] + 2) % 4:
+                    used.add(nxt)
+                    gaps[c].append(near & 3)
+                    gaps[f].append(far & 3)
+                    cyclic = True
+                return
+            if f in claimed or f in gaps:
+                used.add(nxt)
+                return
+            used.add(nxt)
+            gaps[c].append(near & 3)
+            gaps[f] = [far & 3]
+            if forward:
+                crossings.append(f)
+            else:
+                crossings.insert(0, f)
+            k = far
+
+    extend(k2, forward=True)
+    if not cyclic:
+        extend(k1, forward=False)
+    return crossings, gaps, cyclic
+
+
+def plain_bigons(d, regions):
+    """Bigons between two crossings that join no chain: their corners
+    are not both on the chain gaps of one region."""
+    region_of, parity = {}, {}
+    for r in regions:
+        for c in r["crossings"]:
+            region_of[c] = r["index"]
+        if r["count"] > 1:
+            for c, h in zip(r["crossings"], r["crossing_handedness"]):
+                # handedness +1 when the chain gap parity is under_axis
+                parity[c] = d.crossings[c].under_axis ^ (h < 0)
+    count = 0
+    for k1, k2 in [f for f in d.faces if len(f) == 2]:
+        c1, c2 = k1 >> 2, k2 >> 2
+        if c1 == c2:
+            continue
+        in_chain = (
+            region_of[c1] == region_of[c2]
+            and parity.get(c1) == k1 & 1
+            and parity.get(c2) == k2 & 1
+        )
+        count += not in_chain
+    return count
+
+
+# -- reference checkerboard route -------------------------------------------
+
+class RefGraph:
+    def __init__(self, color, vertices, edges):
+        self.color_name = "green" if color == 0 else "red"
+        self.vertices = tuple(vertices)
+        self.edges = tuple(edges)
+
+    def degrees(self):
+        deg = dict.fromkeys(self.vertices, 0)
+        for e in self.edges:
+            deg[e.u] += 1
+            deg[e.v] += 1
+        return deg
+
+    def all_bivalent(self):
+        return all(k == 2 for k in self.degrees().values())
+
+    def signed_sum(self):
+        return sum(e.signed for e in self.edges)
+
+
+def ref_build_tait(d):
+    rows = []
+    for ci, c in enumerate(d.crossings):
+        s = 1 if c.under_axis else -1
+        rows.append((4 * ci, 4 * ci + 2, s, ci))
+        rows.append((4 * ci + 1, 4 * ci + 3, -s, ci))
+    coloring = two_color(d)
+    verts = ([], [])
+    for fi, c in enumerate(coloring):
+        verts[c].append(fi)
+    edges = ([], [])
+    for c1, c2, signed, source in rows:
+        a, b = d.face_at[c1], d.face_at[c2]
+        if coloring[a] != coloring[b]:
+            raise InternalError(f"tait edge of {source} joins two colours")
+        edges[coloring[a]].append(
+            FaceEdge(min(a, b), max(a, b), signed, source)
+        )
+    return RefGraph(0, verts[0], edges[0]), RefGraph(1, verts[1], edges[1])
+
+
+def ref_contract(tg):
+    deg = tg.degrees()
+    bivalent = {v for v, k in deg.items() if k == 2}
+    if len(bivalent) == len(tg.vertices):
+        raise InternalError("contract called on an all-bivalent graph")
+    ds = DisjointSets()
+    for e in tg.edges:
+        if e.u in bivalent and e.v in bivalent:
+            ds.union(e.u, e.v)
+    runs = Counter([ds.find(v) for v in bivalent])
+    chain_weights = tuple(sorted([n + 1 for n in runs.values()]))
+    survivors = [v for v in tg.vertices if v not in bivalent]
+    families = {}
+    for e in tg.edges:
+        if e.u in bivalent or e.v in bivalent:
+            continue
+        families[e.u, e.v] = families.get((e.u, e.v), 0) + e.signed
+    kept = [(pair, abs(s)) for pair, s in sorted(families.items()) if s]
+    return ContractedTait(
+        chain_weights,
+        tuple([w for _, w in kept]),
+        tuple(survivors),
+        tuple([pair for pair, _ in kept]),
+    )
+
+
+def ref_is_tree(ct):
+    ds = DisjointSets()
+    for u, v in ct.edge_pairs:
+        ds.union(u, v)
+    roots = {ds.find(v) for v in ct.vertices}
+    return len(roots) <= 1 and len(ct.edge_pairs) == len(ct.vertices) - 1
+
+
+def _ref_dk_value(green, red):
+    gb, rb = green.all_bivalent(), red.all_bivalent()
+    if not (gb or rb):
+        return None
+    if gb and len(green.vertices) == 1:
+        return green.signed_sum()
+    if rb and len(red.vertices) == 1:
+        return red.signed_sum()
+    if gb:
+        return red.signed_sum()
+    return green.signed_sum()
+
+
+def ref_check_tait(d):
+    """(verdict, contractions by colour or None) by the reference route."""
+    comps = d.component_count()
+    if comps != 1:
+        return Verdict(Status.HYPOTHESES_FAIL, (f"NotAKnot({comps})",)), None
+    d = reduce_assumption1(d)
+    green, red = ref_build_tait(d)
+    k = _ref_dk_value(green, red)
+    if k is not None:
+        verdict = Verdict(
+            Status.EXCLUDED, (f"DkDiagram({k})",), (abs(k),), (), 1
+        )
+        return verdict, None
+    results = []
+    for g in (green, red):
+        cg = ref_contract(g)
+        name = g.color_name
+        reasons = weight_reasons(cg.weights, lambda i, w: f"{name},weight={w}")
+        if not ref_is_tree(cg):
+            reasons.append(f"NotContractible({name})")
+        results.append((cg, tuple(reasons)))
+    (cg_green, reasons_green), (cg_red, reasons_red) = results
+    reasons = reasons_green or reasons_red
+    verdict = Verdict(
+        Status.HYPOTHESES_FAIL if reasons else Status.CERTIFIED,
+        reasons,
+        cg_green.weights,
+        cg_red.weights,
+        len(cg_green.weights),
+    )
+    return verdict, (cg_green, cg_red)
+
+
+# -- inputs -------------------------------------------------------------------
+
+def _inputs():
+    out = []
+    for d in unreduced_inputs(200):
+        out += [d, d.mirror()]
+    rng = seeded(23)
+    for _ in range(300):
+        text = random_tree_text(rng, 7, lo=1, hi=3)
+        try:
+            out.append(generate_diagram(parse_tree(text)))
+        except FoliarError:
+            continue
+    out += [make_pretzel_pd(qs) for qs in ([-2, 3, 7], [3, 5, 7], [2, -3, 5])]
+    return out
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    return _inputs()
+
+
+def test_regions_match_the_reference(inputs):
+    cyclic = plain = 0
+    for d in inputs:
+        ref = ref_detect(d)
+        got = detect_twist_regions(d, allow_mixed=True)
+        assert len(got) == len(ref), d.to_pd()
+        for r, want in zip(got, ref):
+            assert r._fields == REGION_FIELDS
+            for name in REGION_FIELDS:
+                assert getattr(r, name) == want[name], (name, d.to_pd())
+        cyclic += sum(r["cyclic"] for r in ref)
+        plain += plain_bigons(d, ref)
+    # both rarer paths of chain growth are exercised
+    assert cyclic >= 20 and plain >= 20, (cyclic, plain)
+
+
+def test_tait_route_matches_the_reference(inputs):
+    contracted = 0
+    for d in inputs:
+        try:
+            want, want_cts = ref_check_tait(d)
+        except FoliarError as exc:
+            with pytest.raises(type(exc)):
+                check_tait(d)
+            continue
+        assert check_tait(d) == want, d.to_pd()
+        if want_cts is None:
+            continue
+        contracted += 1
+        got_cts = [contract(g) for g in build_tait(reduce_assumption1(d))]
+        for got, ref in zip(got_cts, want_cts):
+            for name in ("chain_weights", "merged_weights", "vertices",
+                         "edge_pairs"):
+                assert getattr(got, name) == getattr(ref, name), d.to_pd()
+    assert contracted >= 100
+
+
+def test_tait_views_list_the_reference_edges(inputs):
+    for d in inputs[:200]:
+        if d.component_count() != 1:
+            continue
+        r = reduce_assumption1(d)
+        for got, ref in zip(build_tait(r), ref_build_tait(r)):
+            assert got.edges == ref.edges
+            assert got.vertices == ref.vertices
+            assert got.color_name == ref.color_name
+            assert got.all_bivalent() == ref.all_bivalent()
+            assert got.signed_sum() == ref.signed_sum()
+            dot = got.to_dot().splitlines()
+            assert dot[0] == f"graph tait_{ref.color_name} {{"
+            assert sum("--" in line for line in dot) == len(ref.edges)
+
+
+def test_check_tait_builds_no_face_edge(monkeypatch):
+    made = []
+
+    class CountingEdge(FaceEdge):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(foliar.sidegraphs, "FaceEdge", CountingEdge)
+    monkeypatch.setattr(foliar.tait, "FaceEdge", CountingEdge)
+    # 332 copies of a 3-cycle on three strands close up into one knot
+    d = braid_to_diagram(parse_braid(" ".join(["s1^3 s2^-3"] * 332)))
+    assert len(d) == 1992
+    v = check_tait(d)
+    assert v.status != Status.EXCLUDED and v.weights_green
+    assert made == []
+    # the patched class is the one the graphs would build edges from
+    green, _ = build_tait(d)
+    assert len(green.edges) == len(d) and len(made) == len(d)

@@ -23,7 +23,7 @@ from foliar import (
     parse_tree,
     reduce_assumption1,
 )
-from foliar._planar import DisjointSets, splice_out
+from foliar._planar import splice_out
 from foliar.errors import (
     DegenerateCollapse,
     FoliarError,
@@ -33,6 +33,7 @@ from foliar.errors import (
 from foliar.twists import CollapsedGraph
 
 from conftest import (
+    DisjointSets,
     connected_sum,
     random_tree_text,
     relabel,

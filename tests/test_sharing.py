@@ -30,12 +30,17 @@ from foliar import (
     parse_tree,
     reduce_assumption1,
 )
-from foliar._planar import DisjointSets
 from foliar.criterion import normal_form
 from foliar.diagram import Crossing
 from foliar.errors import InputError, NonAlternatingChain, NonSphericalEmbedding
 
-from conftest import HOPF, random_braid_text, random_tree_text, seeded
+from conftest import (
+    HOPF,
+    DisjointSets,
+    random_braid_text,
+    random_tree_text,
+    seeded,
+)
 from test_rounds import _count_builds
 
 # ten mixed chains, all cancelled in one round
