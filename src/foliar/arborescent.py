@@ -13,6 +13,7 @@ side graphs; generation checks this and raises on any mismatch.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .criterion import Status, Verdict, normal_form, weight_reasons
@@ -143,26 +144,12 @@ def family_tree(kind, params):
 
 # -- tangle assembly --------------------------------------------------------
 
-# the port at each slot, counterclockwise, by the diagonal passing over
-_SLOTS = {
-    "NE-SW": ("NW", "SW", "SE", "NE"),
-    "NW-SE": ("NE", "NW", "SW", "SE"),
-}
-
-
 class _Builder:
     """Crossings and the joins between their ports, as a dart map."""
 
     def __init__(self):
         self.alpha = []  # dart 4k + slot of crossing k -> its partner
         self.owner = []  # tree vertex index per crossing
-
-    def crossing(self, over_diag, owner):
-        """A new crossing; returns the dart at each of its ports."""
-        n = len(self.alpha)
-        self.alpha += [-1] * 4
-        self.owner.append(owner)
-        return {port: n + s for s, port in enumerate(_SLOTS[over_diag])}
 
     def join(self, a, b):
         self.alpha[a] = b
@@ -184,19 +171,31 @@ class _Tangle:
 
 
 def _twist_chain(b, axis, weight, owner):
-    over = "NE-SW" if weight > 0 else "NW-SE"
-    ws = [b.crossing(over, owner) for _ in range(abs(weight))]
-    for prev, nxt in zip(ws, ws[1:]):
-        if axis == "h":
-            b.join(prev["NE"], nxt["NW"])
-            b.join(prev["SE"], nxt["SW"])
-        else:
-            b.join(prev["SW"], nxt["NW"])
-            b.join(prev["SE"], nxt["NE"])
-    first, last = ws[0], ws[-1]
-    if axis == "h":
-        return _Tangle(first["NW"], last["NE"], first["SW"], last["SE"])
-    return _Tangle(first["NW"], first["NE"], last["SW"], last["SE"])
+    """|weight| new crossings in a row along axis, each joined to the
+    next; returns the chain's tangle."""
+    # the slots hold NW, SW, SE, NE counterclockwise when the NE-SW
+    # diagonal passes over (positive weight), NE, NW, SW, SE when NW-SE does
+    nw = 0 if weight > 0 else 1
+    sw, se, ne = nw + 1, nw + 2, (nw + 3) & 3
+    n = abs(weight)
+    first = len(b.alpha)
+    last = first + 4 * (n - 1)
+    alpha = b.alpha
+    alpha += [-1] * (4 * n)
+    b.owner += [owner] * n
+    if axis == "h":  # NE and SE of each crossing meet NW and SW of the next
+        for k in range(first, last, 4):
+            alpha[k + ne] = k + 4 + nw
+            alpha[k + 4 + nw] = k + ne
+            alpha[k + se] = k + 4 + sw
+            alpha[k + 4 + sw] = k + se
+        return _Tangle(first + nw, last + ne, first + sw, last + se)
+    for k in range(first, last, 4):  # SW and SE meet NW and NE of the next
+        alpha[k + sw] = k + 4 + nw
+        alpha[k + 4 + nw] = k + sw
+        alpha[k + se] = k + 4 + ne
+        alpha[k + 4 + ne] = k + se
+    return _Tangle(first + nw, first + ne, last + sw, last + se)
 
 
 def _compose(b, axis, a, t):
@@ -236,17 +235,16 @@ def generate_diagram(tree):
 
 def _validate(tree, d, owner):
     dec = detect_twist_regions(d)
-    by_vertex = {}
-    for ci, v in enumerate(owner):
-        by_vertex.setdefault(v, set()).add(ci)
     if len(dec) != len(tree):
         raise ConstructionMismatch(
             f"{len(dec)} twist regions for {len(tree)} vertices"
         )
+    size = Counter(owner)  # crossings per vertex
     for r in dec:
-        # owner sets are disjoint, so only the first crossing's owner can match
+        # only the first crossing's owner can match; the region is that
+        # vertex's crossings when it has as many and each is owned by it
         v = owner[r.crossings[0]]
-        if by_vertex[v] != set(r.crossings):
+        if r.count != size[v] or any(owner[c] != v for c in r.crossings):
             raise ConstructionMismatch(
                 f"region {r.index} does not match a single vertex"
             )

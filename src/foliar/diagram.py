@@ -1,27 +1,35 @@
 """Planar link diagrams from PD codes.
 
-A diagram is a list of crossings; each crossing stores four arc labels
-in counterclockwise order (slots 0..3) plus an under_axis bit telling
-which opposite slot pair carries the strand passing underneath: 0 for
-slots 0 and 2, 1 for slots 1 and 3.  Text PD codes X[a,b,c,d] always
-mean the a-c strand goes under, so parsing yields under_axis 0
-everywhere and mirroring just flips the bit.
+A diagram is two flat lists.  alpha is a list over the 4n darts of its
+n crossings, dart 4*c + s being slot s of crossing c with slots in
+counterclockwise order, and pairs the two ends of each arc.  axes holds
+one under_axis bit per crossing telling which opposite slot pair
+carries the strand passing underneath: 0 for slots 0 and 2, 1 for slots
+1 and 3.  Text PD codes X[a,b,c,d] always mean the a-c strand goes
+under, so parsing yields under_axis 0 everywhere and mirroring just
+flips the bit.
 
 Faces come from the rotation system, so the sphere embedding is implied
 by the code itself and validated through the Euler count.
 
-Labelled input (PD text, JSON, a mirror image) goes through
-LinkDiagram(crossings), which validates the labels and derives the dart
-map alpha from them.  Constructions (trees, braid closures, type II
-cancellation) hold a dart map already and build through
-LinkDiagram.from_darts, which derives the labels from it instead; both
-then share the connectivity and Euler checks.
+Arc labels are not part of that state.  Labelled input (PD text, or
+Crossing records from JSON or a mirror image) becomes one flat list of
+four labels per crossing, which one loop validates and pairs into
+alpha; the list is kept for printing.  Constructions (trees, braid
+closures, type II cancellation) hold a dart map already and build
+through LinkDiagram.from_darts, which checks that alpha is a
+fixed-point-free involution and keeps no labels: their arcs are
+numbered 1..2n in the order of their lower darts when asked for.  The
+crossings view, one Crossing record per crossing, is built from the
+labels on first use, for to_pd, to_json, mirror and tests.
 """
 
 import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 from ._planar import pieces, trace_faces
 from .errors import (
@@ -32,7 +40,11 @@ from .errors import (
     NonSphericalEmbedding,
 )
 
-_TOKEN = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
+_TOKEN = re.compile(r"X\[\d+,\d+,\d+,\d+\]")
+# whole PD text: tokens separated by whitespace, as str.split() cuts it
+_TEXT = re.compile(rf"(?:\s*{_TOKEN.pattern}(?!\S))*\s*")
+# in a checked text, everything but whitespace and labels is X [ , ]
+_UNLABEL = str.maketrans("X[,]", "    ")
 
 
 @dataclass(frozen=True)
@@ -53,48 +65,41 @@ class LinkDiagram:
         for c in crossings:
             if c.under_axis not in (0, 1):
                 raise MalformedToken(f"under_axis {c.under_axis}")
-        self.crossings = crossings
-        self._validate_arcs()
-        self.alpha = self._build_alpha()
-        self._finish()
+        labels = []
+        for ci, c in enumerate(crossings):
+            if len(c.slots) != 4:
+                _check_labels(labels)  # a bad label before it is named first
+                raise MalformedToken(f"crossing {ci} has {len(c.slots)} slots")
+            labels += c.slots
+        self._finish(_pair(labels), [c.under_axis for c in crossings], labels)
 
     @classmethod
     def from_darts(cls, alpha, axes):
         """Diagram of the dart map alpha, a list over the 4n darts of n
-        crossings with under_axis bits axes; alpha is kept, not copied.
-
-        Arcs are labelled 1..2n in the order of their lower darts, the
-        order in which a row-by-row reading of the slots first meets
-        them.
+        crossings with under_axis bits axes; both are kept, not copied.
         """
         n = 4 * len(axes)
         if len(alpha) != n:
             raise InternalError(
                 f"{len(alpha)} darts for {len(axes)} crossings"
             )
-        labels = [0] * n
-        arc = 0
         for d, e in enumerate(alpha):
             if not 0 <= e < n or e == d or alpha[e] != d:
                 raise InternalError(
                     f"dart map is not a fixed-point-free involution at {d}"
                 )
-            if d < e:
-                arc += 1
-                labels[d] = labels[e] = arc
         self = cls.__new__(cls)
-        self.crossings = tuple([
-            Crossing(tuple(labels[d:d + 4]), ax)
-            for d, ax in zip(range(0, n, 4), axes)
-        ])
-        self.arc_count = arc
-        self.alpha = alpha
-        self._finish()
+        self._finish(alpha, axes, None)
         return self
 
-    def _finish(self):
-        """Checks and faces shared by both constructors."""
-        n = len(self.crossings)
+    def _finish(self, alpha, axes, labels):
+        """State, checks and faces shared by both constructors; labels
+        is the flat label list read from labelled input, else None."""
+        self.alpha = alpha
+        self.axes = axes
+        self._labels = labels
+        self.arc_count = len(alpha) >> 1
+        n = len(axes)
         if not n:
             raise EmptyDiagram("no crossings")
         k = pieces(self.alpha)
@@ -108,50 +113,28 @@ class LinkDiagram:
         # filled on first use; twists: regions, reduction; criterion: normal form
         self._components = self._regions = self._reduced = self._normal = None
 
-    # -- validation --------------------------------------------------------
-
-    def _validate_arcs(self):
-        m = 2 * len(self.crossings)
-        seen = [0] * (m + 1)  # uses per label up to m
-        beyond = 0  # uses of labels above m
-        for ci, c in enumerate(self.crossings):
-            if len(c.slots) != 4:
-                raise MalformedToken(f"crossing {ci} has {len(c.slots)} slots")
-            for a in c.slots:
-                if not isinstance(a, int) or a < 1:
-                    raise MalformedToken(f"arc label {a!r}")
-                if a <= m:
-                    seen[a] += 1
-                else:
-                    beyond += 1
-        if beyond or seen.count(2) != m:
-            uses = Counter([a for c in self.crossings for a in c.slots])
-            labels = sorted(uses)
-            bad = [a for a in labels if uses[a] != 2]
-            raise ArcCountMismatch(
-                f"expected arcs 1..{m} twice each; "
-                f"offending labels {bad or labels}"
-            )
-        self.arc_count = m
-
-    def _build_alpha(self):
-        end = [-1] * (self.arc_count + 1)  # the first dart seen per label
-        alpha = [-1] * (2 * self.arc_count)
-        for ci, c in enumerate(self.crossings):
-            for s, a in enumerate(c.slots):
-                d = 4 * ci + s
-                e = end[a]
-                if e < 0:
-                    end[a] = d
-                else:
-                    alpha[d] = e
-                    alpha[e] = d
-        return alpha
-
     # -- queries -----------------------------------------------------------
 
     def __len__(self):
-        return len(self.crossings)
+        return len(self.axes)
+
+    @cached_property
+    def crossings(self):
+        """One Crossing per crossing, built from the arc labels on first
+        use: the labels read for labelled input, and otherwise arcs
+        numbered 1..2n in the order of their lower darts."""
+        labels = self._labels
+        if labels is None:
+            labels = [0] * len(self.alpha)
+            arc = 0
+            for d, e in enumerate(self.alpha):
+                if d < e:
+                    arc += 1
+                    labels[d] = labels[e] = arc
+        return tuple([
+            Crossing(tuple(labels[d:d + 4]), ax)
+            for d, ax in zip(range(0, len(labels), 4), self.axes)
+        ])
 
     def component_count(self):
         """Number of link components: strands run through opposite slots."""
@@ -210,11 +193,48 @@ class LinkDiagram:
 
 def parse_pd(text):
     """Parse whitespace separated X[a,b,c,d] tokens into a LinkDiagram."""
-    crossings = []
-    for tok in text.split():
-        m = _TOKEN.fullmatch(tok)
-        if not m:
-            raise MalformedToken(f"bad token {tok!r}")
-        crossings.append(Crossing(tuple([int(g) for g in m.groups()])))
-    return LinkDiagram(crossings)
+    if not _TEXT.fullmatch(text):
+        bad = next(t for t in text.split() if not _TOKEN.fullmatch(t))
+        raise MalformedToken(f"bad token {bad!r}")
+    labels = list(map(int, text.translate(_UNLABEL).split()))
+    d = LinkDiagram.__new__(LinkDiagram)
+    d._finish(_pair(labels), [0] * (len(labels) >> 2), labels)
+    return d
+
+
+def _check_labels(labels):
+    """Raise on the first label that is not a positive int."""
+    if labels and not (
+        all(map(isinstance, labels, repeat(int))) and min(labels) >= 1
+    ):
+        bad = next(a for a in labels if not isinstance(a, int) or a < 1)
+        raise MalformedToken(f"arc label {bad!r}")
+
+
+def _pair(labels):
+    """The dart map of a flat label list, four labels per crossing; each
+    label 1..m, for m = len(labels) / 2, must be used exactly twice."""
+    _check_labels(labels)
+    m = len(labels) >> 1
+    if not labels or max(labels) <= m:
+        first = [-1] * (m + 1)  # the first dart seen per label
+        alpha = [-1] * len(labels)
+        for d, a in enumerate(labels):
+            e = first[a]
+            if e < 0:
+                first[a] = d
+            else:
+                alpha[d] = e
+                alpha[e] = d
+        # every label 1..m is used, and none only once, whose dart keeps
+        # -1; as there are 2m uses, each label is then used twice
+        if first.count(-1) == 1 and -1 not in alpha:
+            return alpha
+    uses = Counter(labels)
+    ordered = sorted(uses)
+    bad = [a for a in ordered if uses[a] != 2]
+    raise ArcCountMismatch(
+        f"expected arcs 1..{m} twice each; "
+        f"offending labels {bad or ordered}"
+    )
 

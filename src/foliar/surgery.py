@@ -101,12 +101,16 @@ class Interval:
         if isinstance(slope, Slope):
             if slope.is_infinity:
                 return False
-            v = slope.as_fraction()
+            p, q = slope.p, slope.q
         else:
             v = Fraction(slope)
-        if self.lo is not None and not v > self.lo:
+            p, q = v.numerator, v.denominator
+        # with q and the bounds' denominators b positive, p/q > a/b
+        # exactly when p*b > a*q
+        lo, hi = self.lo, self.hi
+        if lo is not None and not p * lo.denominator > lo.numerator * q:
             return False
-        if self.hi is not None and not v < self.hi:
+        if hi is not None and not p * hi.denominator < hi.numerator * q:
             return False
         return True
 
@@ -126,6 +130,11 @@ _EVEN_INTERVALS = {
     "c": Interval(Fraction(-1), None),
     "d": Interval(None, Fraction(1)),
 }
+_MIRRORED_INTERVALS = {c: iv.mirrored() for c, iv in _EVEN_INTERVALS.items()}
+_ODD_INTERVALS = {  # by whether k > 0
+    True: Interval(Fraction(-1), None),
+    False: Interval(None, Fraction(1)),
+}
 
 
 def realized_interval(config, k=None, flipped=False):
@@ -133,13 +142,12 @@ def realized_interval(config, k=None, flipped=False):
     if config == "odd":
         if k is None or k == 0:
             raise InputError("odd configuration needs a nonzero k")
-        iv = Interval(Fraction(-1), None) if k > 0 else Interval(None, Fraction(1))
-        return iv  # mirror-invariant: handedness flips with the diagram
+        # mirror-invariant: handedness flips with the diagram
+        return _ODD_INTERVALS[k > 0]
     try:
-        iv = _EVEN_INTERVALS[config]
+        return (_MIRRORED_INTERVALS if flipped else _EVEN_INTERVALS)[config]
     except KeyError:
         raise InputError(f"unknown configuration {config!r}") from None
-    return iv.mirrored() if flipped else iv
 
 
 # -- crossing circles -------------------------------------------------------

@@ -49,21 +49,18 @@ class TaitGraph:
         self.d = d
         self.coloring = coloring
         self.color = color
+        self.vertices = tuple([f for f, k in enumerate(coloring) if k == color])
 
     @property
     def color_name(self):
         return "green" if self.color == GREEN else "red"
-
-    @property
-    def vertices(self):
-        return tuple([f for f, c in enumerate(self.coloring) if c == self.color])
 
     def ends(self):
         """(us, vs, signs): the faces each crossing joins and its signed
         weight, three lists in crossing order."""
         coloring, color, face_at = self.coloring, self.color, self.d.face_at
         us, vs, signs = [], [], []
-        for ci, c in enumerate(self.d.crossings):
+        for ci, axis in enumerate(self.d.axes):
             k = 4 * ci
             if coloring[face_at[k]] != color:
                 k += 1  # this colour's faces sit at gaps 1 and 3
@@ -75,7 +72,7 @@ class TaitGraph:
             us.append(u)
             vs.append(v)
             # +1 on the gap pair whose parity differs from under_axis
-            signs.append(1 if c.under_axis != k & 1 else -1)
+            signs.append(1 if axis != k & 1 else -1)
         return us, vs, signs
 
     @property

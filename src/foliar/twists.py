@@ -125,7 +125,7 @@ def _detect(d):
             continue  # a bigon beside a chain stays a plain face
         chains.append(_grow_chain(k1, k2, len(chains), port, used, chain, gap))
 
-    axis = [c.under_axis for c in d.crossings]
+    axis = d.axes
     emitted = bytearray(len(chains))
     regions = []
     for ci in range(n):
@@ -185,8 +185,13 @@ def _extend(k, head, out, cid, port, used, chain, gap):
                 return True
             return False
         used[near] = used[far] = 1
-        if chain[f] >= 0:  # in an earlier chain or already in this one
-            return False
+        if chain[f] >= 0:
+            # a bigon at a side gap of a chain crossing ends at its chain
+            # neighbour, and one at a chain end's free chain gap would
+            # have grown that chain, so no bigon leads into a chain
+            raise InternalError(
+                f"twist chain reached crossing {f}, already in a chain"
+            )
         chain[f] = cid
         gap[f] = far & 3
         out.append(f)
@@ -237,7 +242,7 @@ def _cancel_rounds(d):
                 break
         kept = [k for k in range(len(d)) if k not in gone]
         d = LinkDiagram.from_darts(
-            compact(alpha, kept), [d.crossings[k].under_axis for k in kept]
+            compact(alpha, kept), [d.axes[k] for k in kept]
         )
 
 
@@ -264,7 +269,7 @@ def _splits(d, region, matched, faces):
     ring = False
     for c in matched:
         # the chain gaps have the parity that handedness +1 gives under_axis
-        p = d.crossings[c].under_axis ^ (hand[c] < 0)
+        p = d.axes[c] ^ (hand[c] < 0)
         a = find(faces, d.face_at[4 * c + p])
         b = find(faces, d.face_at[4 * c + p + 2])
         ring |= a == b

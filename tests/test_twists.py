@@ -11,10 +11,13 @@ from foliar import (
 )
 from foliar.errors import (
     FoliarError,
+    InternalError,
     NonAlternatingChain,
     NonSphericalEmbedding,
     UnknotCollapse,
 )
+
+from foliar.twists import _extend
 
 from conftest import CANCELLING_COLUMNS, unreduced_inputs
 
@@ -214,3 +217,20 @@ def test_through_is_the_strand_walk():
             odd += r.count > 1 and r.count % 2
             even += r.count % 2 == 0
     assert odd >= 100 and even >= 100
+
+
+def test_chain_growth_into_a_chain_raises():
+    # No diagram reaches this: the chain guard in _extend never fired on
+    # the inputs of test_reference_routes, the benchmark workloads at
+    # seed 1, 20 000 random braid closures and 10 000 random trees and
+    # mirrors.  So the arrays are made by hand: chain 1 holds crossings
+    # 0 and 1, chain 0 holds crossing 2, and the bigon at gap 2 of
+    # crossing 1 leads to gap 1 of crossing 2.
+    port = [-1] * 12
+    port[6], port[9] = 9, 6
+    chain = [1, 1, 0]
+    with pytest.raises(InternalError) as exc:
+        _extend(4, 0, [], 1, port, bytearray(12), chain, [0] * 3)
+    assert str(exc.value) == (
+        "twist chain reached crossing 2, already in a chain"
+    )
