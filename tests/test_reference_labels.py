@@ -12,13 +12,14 @@ same messages.
 
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from foliar import LinkDiagram, parse_pd
 from foliar._planar import pieces, trace_faces
-from foliar.diagram import Crossing
+from foliar.diagram import _BAD, Crossing
 from foliar.errors import (
     ArcCountMismatch,
     EmptyDiagram,
@@ -274,6 +275,23 @@ def test_parse_pd_matches_the_reference_on_edited_texts():
         errors[err and err[0].__name__] += 1
     # every error class the text route can raise is exercised
     assert {"MalformedToken", "ArcCountMismatch", None} <= set(errors), errors
+
+
+def test_the_syntax_check_keeps_no_state_per_token():
+    # parse_pd checks a text with _BAD before it reads any label; matching
+    # the whole text as repeated tokens held about 420 bytes of regex
+    # backtracking state per token, 4 MB at 10^4 crossings, which made the
+    # process's peak memory depend on where that block happened to land
+    text = " ".join(
+        f"X[{k},{k + 1},{k + 2},{k + 3}]" for k in range(1, 40001, 4)
+    )
+    tracemalloc.start()
+    try:
+        assert _BAD.search(" " + text) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) + 64 * 1024  # the padded copy, and little else
 
 
 def _records(text):
