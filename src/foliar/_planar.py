@@ -5,11 +5,17 @@ fixed rotation sigma (next slot counterclockwise) and an involution
 alpha, a list over darts pairing the two ends of each edge.  Faces are
 the orbits of sigma . alpha.  A face traversal arrives at a vertex on a
 dart and leaves on the next slot, so the corner it records is that
-dart: corner 4*v + g sits in gap g, between slots g and g+1.  A traced
-map keeps its faces, each the list of its corners in traversal order
-and addressed by position, and face_at, a list from each corner to its
-face; the faces at corners 4*v + g and 4*v + g+1 meet along the edge at
-slot g+1, so face adjacency is read from it too.
+dart: corner 4*v + g sits in gap g, between slots g and g+1.
+
+A traced map keeps its faces in three flat lists.  corners holds every
+corner in traversal order, face after face.  start holds the offset of
+each face in corners and then len(corners), so face i is the slice
+from start[i] to start[i + 1] and its degree is their difference.
+face_at maps each corner to its face.  The faces at corners 4*v + g and
+4*v + g+1 meet along the edge at slot g+1, so face adjacency is read
+from face_at too.  A map also keeps bits: None, or one colour bit per
+vertex such that corner k has colour bits[k >> 2] ^ (k & 1).  A
+diagram's strand walk finds them for a knot.
 """
 
 from .errors import NotBipartite
@@ -20,26 +26,85 @@ def sigma(d):
 
 
 def trace_faces(n_darts, alpha):
-    """Return (faces, face_at): each face as its list of corners, in the
-    order of the lowest dart each traversal consumes, and the index of
-    the face at each corner."""
-    faces = []
+    """Return (corners, start, face_at): the corners of every face in
+    traversal order, faces in the order of the lowest dart each
+    traversal consumes; the offset of each face in corners, and
+    n_darts; and the index of the face at each corner."""
+    # the corner after c in its face: leave on the next slot, arrive on
+    # the dart across that edge
+    nxt = alpha[1:] + alpha[:1]
+    nxt[3::4] = alpha[0::4]
+    corners = []
+    start = []
     face_at = [-1] * n_darts
-    for start in range(n_darts):
-        c = alpha[start]
+    for d in range(n_darts):
+        c = alpha[d]
         if face_at[c] >= 0:
             continue
-        fi = len(faces)
-        corners = []
+        fi = len(start)
+        start.append(len(corners))
         first = c
         while True:
             face_at[c] = fi
             corners.append(c)
-            c = alpha[(c & ~3) | ((c + 1) & 3)]  # leave on the next slot
+            c = nxt[c]
             if c == first:
                 break
-        faces.append(corners)
-    return faces, face_at
+    start.append(n_darts)
+    return corners, start, face_at
+
+
+def strands(alpha):
+    """(count, pieces, bits) for the dart map alpha of a non-empty
+    4-valent map whose strands run through opposite slots: the number
+    of strands, the number of connected pieces of the map, and for a
+    single strand the colour bits of its vertices, else None.
+
+    The walk d -> alpha[d] ^ 2 follows a strand and crosses each of its
+    edges once.  The face that leaves a vertex on dart d, from the
+    corner before d, arrives at corner e = alpha[d]; so a colouring in
+    which corner k has colour bits[k >> 2] ^ (k & 1) has bits[e >> 2]
+    == bits[d >> 2] ^ 1 ^ ((d ^ e) & 1).  One strand through every dart
+    connects the map and checks that on every edge, so its bits
+    two-colour the faces unless the walk finds a conflict, and then
+    bits is False.  Otherwise every strand is walked again to number
+    it, and the pieces are those of the graph in which each vertex
+    joins the two strands through it.
+    """
+    n = len(alpha)
+    bits = [-1] * (n >> 2)
+    bits[0] = b = 0
+    ok = True
+    steps = 0
+    d = 0
+    while True:
+        e = alpha[d]
+        b ^= ~(d ^ e) & 1  # the bit of e's vertex, as d's vertex has b
+        x = bits[e >> 2]
+        if x < 0:
+            bits[e >> 2] = b
+        elif x != b:
+            ok = False
+        steps += 1
+        d = e ^ 2
+        if not d:
+            break
+    if 2 * steps == n:  # a strand never runs back over itself
+        return 1, 1, bits if ok else False
+    strand = [-1] * n  # the strand of each dart
+    count = 0
+    for s in range(n):
+        if strand[s] >= 0:
+            continue
+        d = s
+        while strand[d] < 0:  # along the strand, back to s
+            e = alpha[d]
+            strand[d] = strand[e] = count
+            d = e ^ 2
+        count += 1
+    # slots 0 and 1 of a vertex lie on its two strands
+    meets = set(zip(strand[0::4], strand[1::4]))
+    return count, component_count(range(count), meets), None
 
 
 def pieces(alpha):
@@ -98,12 +163,23 @@ def compact(alpha, kept):
 def two_color(plane):
     """Two-colour the faces of a traced map so edge-adjacent faces differ.
 
-    plane has the faces and face_at of trace_faces; returns a list of
-    colours by face, and colour 0 holds face 0.
+    plane has the corners, start, face_at and bits of a traced map;
+    returns a list of colours by face, and colour 0 holds face 0.  A
+    map with colour bits is read off them, at one corner per face;
+    otherwise the faces are searched.
     """
-    faces, face_at = plane.faces, plane.face_at
-    color = [-1] * len(faces)
-    for root in range(len(faces)):
+    corners, start, face_at = plane.corners, plane.start, plane.face_at
+    bits = plane.bits
+    if bits is not None:
+        k = corners[0]
+        flip = bits[k >> 2] ^ (k & 1)  # face 0 holds corner corners[0]
+        return [
+            bits[k >> 2] ^ (k & 1) ^ flip
+            for k in map(corners.__getitem__, start[:-1])
+        ]
+    n_faces = len(start) - 1
+    color = [-1] * n_faces
+    for root in range(n_faces):
         if color[root] >= 0:
             continue
         color[root] = 0
@@ -111,9 +187,10 @@ def two_color(plane):
         while stack:
             f = stack.pop()
             other = 1 - color[f]
-            for c in faces[f]:
+            for i in range(start[f], start[f + 1]):
                 # every edge of f is the one it leaves a corner by, and
                 # the face at the next gap lies across it
+                c = corners[i]
                 g = face_at[(c & ~3) | ((c + 1) & 3)]
                 if color[g] < 0:
                     color[g] = other
@@ -121,6 +198,14 @@ def two_color(plane):
                 elif color[g] != other:
                     raise NotBipartite(f"faces {f} and {g} conflict")
     return color
+
+
+def face_lists(plane):
+    """Each face of a traced map as a new list of its corners; the
+    passes read corners and start, and this copy is for tests and
+    printing."""
+    corners, start = plane.corners, plane.start
+    return [corners[a:b] for a, b in zip(start, start[1:])]
 
 
 def find(parent, x):

@@ -190,4 +190,4 @@ def diagnose(d):
     nv = len(cg.vertices)
     branch = _BRANCHES.get(nv, "main_construction")
     borromean = nv == 2 and all(c % 2 == 0 for c in counts)
-    return Diagnosis(branch, len(cg.faces), counts, borromean, verdict)
+    return Diagnosis(branch, len(cg.start) - 1, counts, borromean, verdict)

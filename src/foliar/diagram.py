@@ -10,7 +10,14 @@ under, so parsing yields under_axis 0 everywhere and mirroring just
 flips the bit.
 
 Faces come from the rotation system, so the sphere embedding is implied
-by the code itself and validated through the Euler count.
+by the code itself and validated through the Euler count.  Building a
+knot walks its darts twice.  The strand walk finds one strand through
+every dart, which shows that the map is connected, and gives bits, one
+checkerboard colour bit per crossing.  The face trace gives the flat
+corners, start and face_at lists of _planar.  A link's strands are
+walked once more, to number them and count the pieces they form, and
+its bits are None.  So the state a diagram is checked with and read
+through is alpha, axes, bits, corners, start and face_at.
 
 Arc labels are not part of that state.  Labelled input (PD text, or
 Crossing records from JSON or a mirror image) becomes one flat list of
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
-from ._planar import pieces, trace_faces
+from ._planar import face_lists, strands, trace_faces
 from .errors import (
     ArcCountMismatch,
     EmptyDiagram,
@@ -105,16 +112,20 @@ class LinkDiagram:
         n = len(axes)
         if not n:
             raise EmptyDiagram("no crossings")
-        k = pieces(self.alpha)
+        self._components, k, bits = strands(alpha)
         if k != 1:
             raise NonSphericalEmbedding(f"projection splits into {k} pieces")
-        self.faces, self.face_at = trace_faces(4 * n, self.alpha)
-        if len(self.faces) != n + 2:
+        self.corners, self.start, self.face_at = trace_faces(4 * n, alpha)
+        if len(self.start) != n + 3:
             raise NonSphericalEmbedding(
-                f"{len(self.faces)} faces for {n} crossings"
+                f"{len(self.start) - 1} faces for {n} crossings"
             )
-        # filled on first use; twists: regions, reduction; criterion: normal form
-        self._components = self._regions = self._reduced = self._normal = None
+        if bits is False:
+            raise InternalError("no checkerboard colouring along the strand")
+        self.bits = bits
+        # filled on first use; twists: regions, the first mixed region,
+        # reduction; criterion: normal form
+        self._regions = self._mixed = self._reduced = self._normal = None
 
     # -- queries -----------------------------------------------------------
 
@@ -139,19 +150,10 @@ class LinkDiagram:
             for d, ax in zip(range(0, len(labels), 4), self.axes)
         ])
 
+    faces = property(face_lists)
+
     def component_count(self):
         """Number of link components: strands run through opposite slots."""
-        if self._components is None:
-            seen = bytearray(len(self.alpha))
-            count = 0
-            for start in range(len(seen)):
-                count += not seen[start]
-                d = start
-                while not seen[d]:  # along the strand, back to start
-                    e = self.alpha[d]
-                    seen[d] = seen[e] = 1
-                    d = e ^ 2
-            self._components = count
         return self._components
 
     def mirror(self):

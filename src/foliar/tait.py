@@ -83,8 +83,8 @@ class TaitGraph:
         ])
 
     def all_bivalent(self):
-        faces = self.d.faces
-        return all(len(faces[f]) == 2 for f in self.vertices)
+        start = self.d.start
+        return all(start[f + 1] - start[f] == 2 for f in self.vertices)
 
     def signed_sum(self):
         return sum(self.ends()[2])
@@ -116,13 +116,13 @@ class ContractedTait:
 
 def contract(tg):
     """Remove bivalent runs and merge parallel survivors."""
-    faces = tg.d.faces
-    bigon = [len(f) == 2 for f in faces]
+    start = tg.d.start
+    bigon = [b - a == 2 for a, b in zip(start, start[1:])]
     vertices = tg.vertices
     bivalent = [v for v in vertices if bigon[v]]
     if len(bivalent) == len(vertices):
         raise InternalError("contract called on an all-bivalent graph")
-    parent = list(range(len(faces)))  # runs of bivalent faces
+    parent = list(range(len(bigon)))  # runs of bivalent faces
     families = {}  # signed sum per pair of surviving faces
     for u, v, s in zip(*tg.ends()):
         if bigon[u]:

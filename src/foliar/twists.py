@@ -8,12 +8,13 @@ when more bigons touch a crossing than a single chain can use (three
 parallel strands) the extras are left as plain faces, so the regions
 always partition the crossings.
 
-Detection reads the diagram's faces and makes no record per crossing.
-The two corners of each bigon a chain may use point at each other, so
-a chain grows from a corner to the partner of the corner at its
-opposite gap.  Each crossing keeps its chain id and the gap by which it
-joined, and the regions come out in crossing order, a chain at its
-lowest crossing.
+Detection reads the diagram's flat face lists, corners and start, in
+which a face's degree is a difference of offsets, and makes no record
+per crossing.  The two corners of each bigon a chain may use point at
+each other, so a chain grows from a corner to the partner of the
+corner at its opposite gap.  Each crossing keeps its chain id and the
+gap by which it joined, and the regions come out in crossing order, a
+chain at its lowest crossing.
 
 The handedness of a crossing inside a chain is +1 when the parity of
 its chain gap matches its under_axis bit.  For a single crossing the
@@ -39,9 +40,10 @@ with its own numbering.
 
 Regions and reduction are found once per diagram and kept on it, so
 both routes and augment share them.  The regions are kept as found with
-mixed chains allowed, and a strict call raises from them.  A diagram
-without a mixed chain is its own reduction and keeps none, so that it
-never refers to itself.
+mixed chains allowed, next to the first mixed region or None, and a
+strict call raises from that one fact instead of scanning the regions
+again.  A diagram without a mixed chain is its own reduction and keeps
+none, so that it never refers to itself.
 
 collapse() replaces every region by one 4-valent vertex, giving the
 reduced graph used for face colouring and the side graphs.  A collapsed
@@ -54,10 +56,12 @@ dart of the diagram, and the collapsed map pairs it with the stub its
 edge leads to in the diagram's alpha.
 """
 
+from itertools import islice
 from typing import NamedTuple
 
 from ._planar import (
     compact,
+    face_lists,
     find,
     sigma,
     splice_out,
@@ -87,39 +91,48 @@ def detect_twist_regions(d, allow_mixed=False):
     """Twist regions of d, found once and kept on d; unless allow_mixed,
     the first region that mixes handedness raises."""
     if d._regions is None:
-        d._regions = _detect(d)
-    if not allow_mixed:
-        for r in d._regions:
-            if r.handedness == 0:
-                raise NonAlternatingChain(
-                    f"chain through crossings {r.crossings} mixes "
-                    f"handedness {r.crossing_handedness}"
-                )
+        d._regions, d._mixed = _detect(d)
+    r = d._mixed
+    if r is not None and not allow_mixed:
+        raise NonAlternatingChain(
+            f"chain through crossings {r.crossings} mixes "
+            f"handedness {r.crossing_handedness}"
+        )
     return d._regions
 
 
 def _detect(d):
-    faces = d.faces
+    """(regions, the first mixed region or None) of d."""
+    corners, start = d.corners, d.start
     n = len(d)
     kink = bytearray(n)
-    for f in faces:
-        if len(f) == 1:
-            kink[f[0] >> 2] = 1
-    bigons = [f for f in faces if len(f) == 2]
+    bigons = []  # the offset of each bigon in corners
+    a = 0
+    for b in islice(start, 1, None):  # face [a, b) of corners
+        if b - a < 3:
+            if b - a == 2:
+                bigons.append(a)
+            else:
+                kink[corners[a] >> 2] = 1
+        a = b
     port = [-1] * (4 * n)  # the partner corner of an eligible bigon
-    for k1, k2 in bigons:
+    eligible = []  # the first corner of each eligible bigon
+    for a in bigons:
+        k1, k2 = corners[a], corners[a + 1]
         c1, c2 = k1 >> 2, k2 >> 2
         if c1 != c2 and not kink[c1] and not kink[c2]:
             port[k1] = k2
             port[k2] = k1
+            eligible.append(k1)
 
     used = bytearray(4 * n)  # both corners of every bigon looked at
     chain = [-1] * n  # chain id per crossing; -1 for a single crossing
     gap = [0] * n  # the gap by which a crossing joined its chain
     chains = []  # (crossings, cyclic) per chain id
-    for k1, k2 in bigons:
-        if port[k1] < 0 or used[k1]:
+    for k1 in eligible:
+        if used[k1]:
             continue
+        k2 = port[k1]
         used[k1] = used[k2] = 1
         if chain[k1 >> 2] >= 0 or chain[k2 >> 2] >= 0:
             continue  # a bigon beside a chain stays a plain face
@@ -128,6 +141,7 @@ def _detect(d):
     axis = d.axes
     emitted = bytearray(len(chains))
     regions = []
+    mixed = None  # the first region that mixes handedness
     for ci in range(n):
         cid = chain[ci]
         if cid < 0:  # chain axis through gaps 0 and 2
@@ -142,7 +156,7 @@ def _detect(d):
         crossings, cyclic = chains[cid]
         hs = tuple([1 if gap[c] & 1 == axis[c] else -1 for c in crossings])
         first, last = crossings[0], crossings[-1]
-        regions.append(TwistRegion(
+        r = TwistRegion(
             len(regions),
             crossings,
             cyclic,
@@ -150,8 +164,11 @@ def _detect(d):
             0 if -hs[0] in hs else hs[0],
             hs,
             None if cyclic else ((first, gap[first]), (last, gap[last])),
-        ))
-    return tuple(regions)
+        )
+        if mixed is None and r.handedness == 0:
+            mixed = r
+        regions.append(r)
+    return tuple(regions), mixed
 
 
 def _grow_chain(k1, k2, cid, port, used, chain, gap):
@@ -203,10 +220,10 @@ def _extend(k, head, out, cid, port, used, chain, gap):
 def reduce_assumption1(d):
     """Cancel opposite-handed crossings, every independent mixed chain
     of one detection per round."""
-    if d._reduced is None and any(
-        r.handedness == 0 for r in detect_twist_regions(d, allow_mixed=True)
-    ):
-        d._reduced = _cancel_rounds(d)
+    if d._reduced is None:
+        detect_twist_regions(d, allow_mixed=True)
+        if d._mixed is not None:
+            d._reduced = _cancel_rounds(d)
     return d if d._reduced is None else d._reduced
 
 
@@ -218,7 +235,7 @@ def _cancel_rounds(d):
             return d
         alpha = list(d.alpha)
         gone = set()
-        faces = list(range(len(d.faces)))  # union-find over d's faces
+        faces = list(range(len(d.start) - 1))  # union-find over d's faces
         for r in mixed:
             matched = _bracket_match(r)
             if len(gone) + len(matched) == len(d):
@@ -298,14 +315,18 @@ class CollapsedGraph:
     """
 
     ARC_GAPS = (1, 3)
+    bits = None  # two_color searches the faces
+    faces = property(face_lists)
 
     def __init__(self, vertices, alpha):
         self.vertices = vertices  # a list of signed counts, kept as given
         self.alpha = alpha  # a list over darts, kept as given
-        self.faces, self.face_at = trace_faces(4 * len(vertices), alpha)
-        if len(self.faces) != len(self.vertices) + 2:
+        self.corners, self.start, self.face_at = trace_faces(
+            4 * len(vertices), alpha
+        )
+        if len(self.start) != len(self.vertices) + 3:
             raise InternalError(
-                f"collapsed graph has {len(self.faces)} faces for "
+                f"collapsed graph has {len(self.start) - 1} faces for "
                 f"{len(self.vertices)} vertices"
             )
 

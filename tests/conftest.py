@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from foliar import (
     braid_to_diagram,
+    color_faces,
     generate_diagram,
     parse_braid,
     parse_pd,
@@ -81,6 +83,129 @@ class DisjointSets:
         if ra != rb:
             self.parent[rb] = ra
         return ra
+
+
+def trace_faces(n_darts, alpha):
+    """Return (faces, face_at): each face as its list of corners, in the
+    order of the lowest dart each traversal consumes, and the index of
+    the face at each corner; the reference the flat corner lists of a
+    traced map are checked against."""
+    faces = []
+    face_at = [-1] * n_darts
+    for start in range(n_darts):
+        c = alpha[start]
+        if face_at[c] >= 0:
+            continue
+        fi = len(faces)
+        corners = []
+        first = c
+        while True:
+            face_at[c] = fi
+            corners.append(c)
+            c = alpha[(c & ~3) | ((c + 1) & 3)]  # leave on the next slot
+            if c == first:
+                break
+        faces.append(corners)
+    return faces, face_at
+
+
+def strand_count(alpha):
+    """Number of strands of a dart map, each strand walked through
+    opposite slots and marked dart by dart."""
+    seen = bytearray(len(alpha))
+    count = 0
+    for start in range(len(seen)):
+        count += not seen[start]
+        d = start
+        while not seen[d]:  # along the strand, back to start
+            e = alpha[d]
+            seen[d] = seen[e] = 1
+            d = e ^ 2
+    return count
+
+
+def bareiss(m):
+    """Determinant of an integer matrix by fraction-free elimination."""
+    m = [list(r) for r in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def fox_determinant(d):
+    """|any (n-1)-minor| of the Fox colouring matrix: one row per
+    crossing, 2 on the over arc and -1 on each under arc."""
+    ds = DisjointSets()
+    rows = []
+    for c in d.crossings:
+        s = c.slots if c.under_axis == 0 else c.slots[1:] + c.slots[:1]
+        ds.union(s[1], s[3])  # the over strand is one arc
+        rows.append((s[1], s[0], s[2]))
+    col = {}
+    for a in range(1, d.arc_count + 1):
+        col.setdefault(ds.find(a), len(col))
+    m = []
+    for over, u1, u2 in rows:
+        row = [0] * len(col)
+        row[col[ds.find(over)]] += 2
+        row[col[ds.find(u1)]] -= 1
+        row[col[ds.find(u2)]] -= 1
+        m.append(row[1:])
+    return abs(bareiss(m[1:]))
+
+
+def goeritz_determinant(plane, counts, color):
+    """The determinant of a knot read off a 4-valent map of it through
+    the Goeritz matrix of the faces of one colour.
+
+    plane is a diagram or a collapsed graph and counts gives each
+    vertex's signed count: a collapsed graph's vertices, or for a
+    diagram each crossing's handedness as a one-crossing region,
+    1 - 2 * under_axis.  A vertex of signed count w whose side faces,
+    at gaps 1 and 3, have the colour joins them with conductance w: its
+    crossings are parallel edges there.  Otherwise its crossings are a
+    series chain between the faces at gaps 0 and 2, of conductance
+    -sign(w) / |w|, and the chain's |w| multiplies the weighted count
+    of spanning trees, |det| of the reduced Laplacian.
+    """
+    coloring, face_at = color_faces(plane), plane.face_at
+    index = {}
+    for f, k in enumerate(coloring):
+        if k == color:
+            index[f] = len(index)
+    edges = []  # (face, face, conductance) of each vertex
+    scale = 1  # the product of the series chains' |w|
+    for i, w in enumerate(counts):
+        a, b = face_at[4 * i + 1], face_at[4 * i + 3]
+        if coloring[a] == color:
+            edges.append((a, b, Fraction(w)))
+        else:
+            a, b = face_at[4 * i], face_at[4 * i + 2]
+            edges.append((a, b, Fraction(-1 if w > 0 else 1, abs(w))))
+            scale *= abs(w)
+    # the Laplacian times scale has integer entries
+    lap = [[0] * len(index) for _ in index]
+    for a, b, g in edges:
+        a, b, g = index[a], index[b], int(g * scale)
+        if a != b:
+            lap[a][a] += g
+            lap[b][b] += g
+            lap[a][b] -= g
+            lap[b][a] -= g
+    m = [row[1:] for row in lap[1:]]
+    det, rest = divmod(abs(bareiss(m)) * scale, scale ** len(m))
+    assert not rest
+    return det
 
 
 def relabel(slot_lists, axes):

@@ -17,7 +17,18 @@ from foliar import (
 )
 from foliar.criterion import normal_form
 
-from conftest import GRANNY3, SQUARE_KNOT, DisjointSets
+from foliar.errors import FoliarError
+
+from conftest import (
+    CANCELLING_COLUMNS,
+    FIG8,
+    GRANNY3,
+    SQUARE_KNOT,
+    TREFOIL,
+    fox_determinant,
+    goeritz_determinant,
+    unreduced_inputs,
+)
 
 
 def test_trefoil_excluded_as_closed_twist(trefoil):
@@ -80,48 +91,32 @@ def test_three_sum_merges_and_certifies():
     assert v.twist_regions == 3
 
 
-def _fox_determinant(d):
-    """|any (n-1)-minor| of the Fox colouring matrix: one row per
-    crossing, 2 on the over arc and -1 on each under arc."""
-    ds = DisjointSets()
-    rows = []
-    for c in d.crossings:
-        s = c.slots if c.under_axis == 0 else c.slots[1:] + c.slots[:1]
-        ds.union(s[1], s[3])  # the over strand is one arc
-        rows.append((s[1], s[0], s[2]))
-    col = {}
-    for a in range(1, d.arc_count + 1):
-        col.setdefault(ds.find(a), len(col))
-    m = []
-    for over, u1, u2 in rows:
-        row = [0] * len(col)
-        row[col[ds.find(over)]] += 2
-        row[col[ds.find(u1)]] -= 1
-        row[col[ds.find(u2)]] -= 1
-        m.append(row[1:])
-    return abs(_bareiss(m[1:]))
-
-
-def _bareiss(m):
-    """Determinant of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in m]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
-
-
 def test_fox_determinant_of_small_knots(trefoil, fig8):
-    assert (_fox_determinant(trefoil), _fox_determinant(fig8)) == (3, 5)
+    assert (fox_determinant(trefoil), fox_determinant(fig8)) == (3, 5)
+
+
+def test_goeritz_readings_equal_the_fox_determinant():
+    # the determinant read through either colour's Goeritz matrix, off
+    # the diagram under its strand-walk colour bits and off its normal
+    # form, whose faces are searched: the colourings, the side faces and
+    # the signs must all be right, and normalising must keep the knot
+    texts = [TREFOIL, FIG8, SQUARE_KNOT, GRANNY3, CANCELLING_COLUMNS]
+    knots = 0
+    for d in [parse_pd(t) for t in texts] + list(unreduced_inputs(400)):
+        if d.component_count() != 1:
+            continue
+        det = fox_determinant(d)
+        hands = [1 - 2 * a for a in d.axes]
+        assert goeritz_determinant(d, hands, 0) == det, d.to_pd()
+        assert goeritz_determinant(d, hands, 1) == det, d.to_pd()
+        try:
+            cg = normal_form(d)[0]
+        except FoliarError:
+            continue
+        assert goeritz_determinant(cg, cg.vertices, 0) == det, d.to_pd()
+        assert goeritz_determinant(cg, cg.vertices, 1) == det, d.to_pd()
+        knots += 1
+    assert knots == 166
 
 
 @pytest.mark.parametrize(
@@ -153,7 +148,7 @@ def test_cancelled_family_leaves_the_merged_tree(
         want.weights_red,
     )
     # both trees give the same knot
-    assert _fox_determinant(got_d) == _fox_determinant(want_d) == det
+    assert fox_determinant(got_d) == fox_determinant(want_d) == det
 
 
 def test_small_weight_reason():

@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from foliar import LinkDiagram, parse_pd
-from foliar._planar import pieces, trace_faces
+from foliar._planar import pieces
 from foliar.diagram import _BAD, Crossing
 from foliar.errors import (
     ArcCountMismatch,
@@ -38,6 +38,7 @@ from conftest import (
     SQUARE_KNOT,
     TREFOIL,
     seeded,
+    trace_faces,
     unreduced_inputs,
 )
 

@@ -186,6 +186,32 @@ def test_strict_detection_raises_from_stored_regions(monkeypatch):
     assert detections == []
 
 
+class _Watched(tuple):
+    """Kept regions that record each scan over them."""
+
+    scans = 0
+
+    def __iter__(self):
+        type(self).scans += 1
+        return super().__iter__()
+
+
+def test_strict_detection_does_not_scan_the_regions(monkeypatch):
+    # whether a diagram has a mixed chain is found with its regions and
+    # kept beside them, so a strict call neither detects nor scans again
+    monkeypatch.setattr(_Watched, "scans", 0)
+    clean, mixed = _braid(CLEAN), _braid(MIXED)
+    for d in (clean, mixed):
+        d._regions = _Watched(detect_twist_regions(d, allow_mixed=True))
+    detections = _count_detections(monkeypatch)
+    assert detect_twist_regions(clean) is clean._regions
+    assert reduce_assumption1(clean) is clean
+    with pytest.raises(NonAlternatingChain) as exc:
+        detect_twist_regions(mixed)
+    assert str(exc.value) == MIXED_MESSAGE
+    assert (_Watched.scans, detections) == (0, [])
+
+
 def test_tree_diagram_is_built_once(monkeypatch):
     t = parse_tree("(3 (-2) (2 (4)))")
     builds = _count_builds(monkeypatch)
