@@ -58,7 +58,8 @@ def strands(alpha):
     """(count, pieces, bits) for the dart map alpha of a non-empty
     4-valent map whose strands run through opposite slots: the number
     of strands, the number of connected pieces of the map, and for a
-    single strand the colour bits of its vertices, else None.
+    single strand the colour bits of its vertices if they two-colour
+    the faces, else None.
 
     The walk d -> alpha[d] ^ 2 follows a strand and crosses each of its
     edges once.  The face that leaves a vertex on dart d, from the
@@ -66,10 +67,9 @@ def strands(alpha):
     which corner k has colour bits[k >> 2] ^ (k & 1) has bits[e >> 2]
     == bits[d >> 2] ^ 1 ^ ((d ^ e) & 1).  One strand through every dart
     connects the map and checks that on every edge, so its bits
-    two-colour the faces unless the walk finds a conflict, and then
-    bits is False.  Otherwise every strand is walked again to number
-    it, and the pieces are those of the graph in which each vertex
-    joins the two strands through it.
+    two-colour the faces unless the walk finds a conflict.  Otherwise
+    every strand is walked again to number it, and the pieces are those
+    of the graph in which each vertex joins the two strands through it.
     """
     n = len(alpha)
     bits = [-1] * (n >> 2)
@@ -90,7 +90,7 @@ def strands(alpha):
         if not d:
             break
     if 2 * steps == n:  # a strand never runs back over itself
-        return 1, 1, bits if ok else False
+        return 1, 1, bits if ok else None
     strand = [-1] * n  # the strand of each dart
     count = 0
     for s in range(n):
@@ -105,25 +105,6 @@ def strands(alpha):
     # slots 0 and 1 of a vertex lie on its two strands
     meets = set(zip(strand[0::4], strand[1::4]))
     return count, component_count(range(count), meets), None
-
-
-def pieces(alpha):
-    """Number of connected pieces of the map with dart map alpha."""
-    seen = bytearray(len(alpha) >> 2)
-    count = 0
-    for root in range(len(seen)):
-        if seen[root]:
-            continue
-        count += 1
-        seen[root] = 1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for e in alpha[4 * v:4 * v + 4]:
-                if not seen[e >> 2]:
-                    seen[e >> 2] = 1
-                    stack.append(e >> 2)
-    return count
 
 
 def splice_out(alpha, v, pairs):

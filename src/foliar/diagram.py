@@ -120,7 +120,7 @@ class LinkDiagram:
             raise NonSphericalEmbedding(
                 f"{len(self.start) - 1} faces for {n} crossings"
             )
-        if bits is False:
+        if bits is None and self._components == 1:
             raise InternalError("no checkerboard colouring along the strand")
         self.bits = bits
         # filled on first use; twists: regions, the first mixed region,

@@ -33,8 +33,8 @@ from ._planar import (
     compact,
     component_count,
     is_tree,
-    pieces,
     splice_out,
+    strands,
     to_dot,
     two_color,
 )
@@ -172,7 +172,7 @@ def normalize_assumption2(cg):
                 "every twist region cancelled during edge merging"
             )
         alpha = compact(alpha, kept)
-        n = pieces(alpha)
+        n = strands(alpha)[1]
         if n > 1:  # smoothing can cut a link apart
             raise NonSphericalEmbedding(
                 f"merging splits the link into {n} pieces"

@@ -124,6 +124,27 @@ def strand_count(alpha):
     return count
 
 
+def pieces(alpha):
+    """Number of connected pieces of the map with dart map alpha, by a
+    search over its vertices; the reference the strand graph's piece
+    count is checked against."""
+    seen = bytearray(len(alpha) >> 2)
+    count = 0
+    for root in range(len(seen)):
+        if seen[root]:
+            continue
+        count += 1
+        seen[root] = 1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e in alpha[4 * v:4 * v + 4]:
+                if not seen[e >> 2]:
+                    seen[e >> 2] = 1
+                    stack.append(e >> 2)
+    return count
+
+
 def bareiss(m):
     """Determinant of an integer matrix by fraction-free elimination."""
     m = [list(r) for r in m]

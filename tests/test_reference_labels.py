@@ -18,7 +18,6 @@ from collections import Counter
 import pytest
 
 from foliar import LinkDiagram, parse_pd
-from foliar._planar import pieces
 from foliar.diagram import _BAD, Crossing
 from foliar.errors import (
     ArcCountMismatch,
@@ -37,6 +36,7 @@ from conftest import (
     KINK,
     SQUARE_KNOT,
     TREFOIL,
+    pieces,
     seeded,
     trace_faces,
     unreduced_inputs,

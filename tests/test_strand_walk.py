@@ -30,6 +30,7 @@ from conftest import (
     KINK,
     SQUARE_KNOT,
     TREFOIL,
+    pieces,
     strand_count,
     trace_faces,
     unreduced_inputs,
@@ -85,6 +86,29 @@ def _random_texts(count):
         )
 
 
+def test_strand_graph_counts_the_pieces_of_random_maps():
+    # diagrams and collapsed graphs both count pieces on the strand
+    # graph; these maps are one to four random label pairings side by
+    # side, their crossings shuffled together
+    rng = random.Random(5)
+    split = 0
+    for _ in range(3000):
+        rows, m = [], 0
+        for _ in range(rng.randint(1, 4)):
+            n = rng.randint(1, 4)
+            labels = [a for a in range(m + 1, m + 2 * n + 1) for _ in (0, 1)]
+            rng.shuffle(labels)
+            rows += [labels[k:k + 4] for k in range(0, 4 * n, 4)]
+            m += 2 * n
+        rng.shuffle(rows)
+        alpha = _pair([a for r in rows for a in r])
+        count, k, bits = strands(alpha)
+        assert (count, k) == (strand_count(alpha), pieces(alpha))
+        assert bits is None or count == 1
+        split += k > 1
+    assert split >= 2000
+
+
 def _outcome(check, d):
     try:
         v = check(d)
@@ -124,7 +148,7 @@ def test_random_pairings_keep_errors_and_verdicts():
 def test_a_one_strand_torus_text_is_not_spherical():
     # one strand through both crossings, whose colour bits conflict; the
     # face count is checked first and names the embedding
-    assert strands(_pair([1, 2, 3, 4, 1, 3, 2, 4])) == (1, 1, False)
+    assert strands(_pair([1, 2, 3, 4, 1, 3, 2, 4])) == (1, 1, None)
     with pytest.raises(NonSphericalEmbedding) as exc:
         parse_pd("X[1,2,3,4] X[1,3,2,4]")
     assert str(exc.value) == "2 faces for 2 crossings"
@@ -134,7 +158,7 @@ def test_a_conflict_on_a_spherical_knot_is_an_internal_error(monkeypatch):
     # a knot that passes the face count lies on the sphere, whose maps
     # always two-colour, so a conflict there is a fault of the walk
     monkeypatch.setattr(
-        foliar.diagram, "strands", lambda alpha: (1, 1, False)
+        foliar.diagram, "strands", lambda alpha: (1, 1, None)
     )
     with pytest.raises(InternalError) as exc:
         parse_pd(TREFOIL)
