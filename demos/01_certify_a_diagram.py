@@ -12,7 +12,7 @@ from foliar import check_main, diagnose, parse_pd
 # The figure-eight knot: two clasps of opposite handedness.
 fig8 = parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
 
-print("crossings:", len(fig8.crossings))
+print("crossings:", len(fig8))
 print("faces:", len(fig8.faces))
 
 # check_main runs the whole pipeline: cancel incoherent twists, group

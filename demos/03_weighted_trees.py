@@ -31,7 +31,7 @@ print("montesinos:", family_tree("montesinos", [3, (2, 3), (1, 4)]).to_text())
 # route and the tree route agree.
 t = parse_tree("(2 (2 (2 (2 (3)))))")
 d = generate_diagram(t)
-print("crossings:", len(d.crossings))
+print("crossings:", len(d))
 print("tree verdict:", check_arborescent(t).status.value)
 print("diagram verdict:", check_main(d).status.value)
 

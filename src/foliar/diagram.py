@@ -19,23 +19,20 @@ walked once more, to number them and count the pieces they form, and
 its bits are None.  So the state a diagram is checked with and read
 through is alpha, axes, bits, corners, start and face_at.
 
-Arc labels are not part of that state.  Labelled input (PD text, or
-Crossing records from JSON or a mirror image) becomes one flat list of
-four labels per crossing, which one loop validates and pairs into
-alpha; the list is kept for printing.  Constructions (trees, braid
-closures, type II cancellation) hold a dart map already and build
-through LinkDiagram.from_darts, which checks that alpha is a
+Arc labels are not part of that state.  Labelled input (PD text or
+JSON rows) becomes one flat list of four labels per crossing, which one
+loop validates and pairs into alpha; the list is kept for printing, and
+a mirror image shares it and alpha, flipping only axes.  Constructions
+(trees, braid closures, type II cancellation) hold a dart map already
+and build through LinkDiagram.from_darts, which checks that alpha is a
 fixed-point-free involution and keeps no labels: their arcs are
-numbered 1..2n in the order of their lower darts when asked for.  The
-crossings view, one Crossing record per crossing, is built from the
-labels on first use, for to_pd, to_json, mirror and tests.
+numbered 1..2n in the order of their lower darts when printed.  Every
+way in ends in _finish, the one place that sets a diagram's state.
 """
 
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 
 from ._planar import face_lists, strands, trace_faces
@@ -57,31 +54,11 @@ _BAD = re.compile(rf"\s(?!{_TOKEN.pattern}(?!\S))\S")
 _UNLABEL = str.maketrans("X[,]", "    ")
 
 
-@dataclass(frozen=True)
-class Crossing:
-    slots: tuple
-    under_axis: int = 0
-
-
 class LinkDiagram:
     """Validated diagram with faces, components and corner lookups.
 
-    LinkDiagram(crossings) validates labelled input; from_darts builds
-    a diagram straight from the dart map a construction holds.
+    Built by parse_pd, from_json, from_darts or mirror, never directly.
     """
-
-    def __init__(self, crossings):
-        crossings = tuple(crossings)  # callers pass lists
-        for c in crossings:
-            if c.under_axis not in (0, 1):
-                raise MalformedToken(f"under_axis {c.under_axis}")
-        labels = []
-        for ci, c in enumerate(crossings):
-            if len(c.slots) != 4:
-                _check_labels(labels)  # a bad label before it is named first
-                raise MalformedToken(f"crossing {ci} has {len(c.slots)} slots")
-            labels += c.slots
-        self._finish(_pair(labels), [c.under_axis for c in crossings], labels)
 
     @classmethod
     def from_darts(cls, alpha, axes):
@@ -98,13 +75,13 @@ class LinkDiagram:
                 raise InternalError(
                     f"dart map is not a fixed-point-free involution at {d}"
                 )
-        self = cls.__new__(cls)
-        self._finish(alpha, axes, None)
-        return self
+        return cls._finish(alpha, axes, None)
 
-    def _finish(self, alpha, axes, labels):
-        """State, checks and faces shared by both constructors; labels
+    @classmethod
+    def _finish(cls, alpha, axes, labels):
+        """A diagram's state, checks and faces, for every way in; labels
         is the flat label list read from labelled input, else None."""
+        self = cls.__new__(cls)
         self.alpha = alpha
         self.axes = axes
         self._labels = labels
@@ -126,29 +103,12 @@ class LinkDiagram:
         # filled on first use; twists: regions, the first mixed region,
         # reduction; criterion: normal form
         self._regions = self._mixed = self._reduced = self._normal = None
+        return self
 
     # -- queries -----------------------------------------------------------
 
     def __len__(self):
         return len(self.axes)
-
-    @cached_property
-    def crossings(self):
-        """One Crossing per crossing, built from the arc labels on first
-        use: the labels read for labelled input, and otherwise arcs
-        numbered 1..2n in the order of their lower darts."""
-        labels = self._labels
-        if labels is None:
-            labels = [0] * len(self.alpha)
-            arc = 0
-            for d, e in enumerate(self.alpha):
-                if d < e:
-                    arc += 1
-                    labels[d] = labels[e] = arc
-        return tuple([
-            Crossing(tuple(labels[d:d + 4]), ax)
-            for d, ax in zip(range(0, len(labels), 4), self.axes)
-        ])
 
     faces = property(face_lists)
 
@@ -157,43 +117,59 @@ class LinkDiagram:
         return self._components
 
     def mirror(self):
-        """Swap over and under strands at every crossing."""
-        return LinkDiagram(
-            [Crossing(c.slots, 1 - c.under_axis) for c in self.crossings]
-        )
+        """Swap over and under strands at every crossing.  The mirror
+        image shares alpha and the labels; neither is ever written to."""
+        axes = [1 - a for a in self.axes]
+        return self._finish(self.alpha, axes, self._labels)
 
     # -- serialisation -----------------------------------------------------
 
+    def _rows(self):
+        """Four arc labels per crossing: the labels read for labelled
+        input, else arcs numbered 1..2n in the order of their lower darts."""
+        labels = self._labels
+        if labels is None:
+            labels = [0] * len(self.alpha)
+            arc = 0
+            for d, e in enumerate(self.alpha):
+                if d < e:
+                    arc += 1
+                    labels[d] = labels[e] = arc
+        return [labels[d:d + 4] for d in range(0, len(labels), 4)]
+
     def to_pd(self):
         """PD text; crossings with under_axis 1 are rotated so a-c is under."""
-        parts = []
-        for c in self.crossings:
-            s = c.slots if c.under_axis == 0 else c.slots[1:] + c.slots[:1]
-            parts.append("X[%d,%d,%d,%d]" % s)
-        return " ".join(parts)
+        return " ".join([
+            "X[%d,%d,%d,%d]" % tuple(s[1:] + s[:1] if ax else s)
+            for s, ax in zip(self._rows(), self.axes)
+        ])
 
     def to_json(self):
         return json.dumps(
-            {
-                "crossings": [list(c.slots) for c in self.crossings],
-                "under_axis": [c.under_axis for c in self.crossings],
-            }
+            {"crossings": self._rows(), "under_axis": self.axes}
         )
 
     @classmethod
     def from_json(cls, text):
         try:
             data = json.loads(text)
-            slots = data["crossings"]
+            rows = data["crossings"]
             axes = data["under_axis"]
-            if len(slots) != len(axes):
+            if len(rows) != len(axes):
                 raise MalformedToken("crossings and under_axis lengths differ")
             # a row or list of the wrong type raises TypeError here
-            crossings = [Crossing(tuple(s), ax) for s, ax in zip(slots, axes)]
+            labels = [a for row in rows for a in row]
         # RecursionError: arrays nested deeper than the decoder can follow
         except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedToken(f"bad diagram json: {exc}") from None
-        return cls(crossings)
+        for ax in axes:
+            if not isinstance(ax, int) or ax not in (0, 1):  # bools pass
+                raise MalformedToken(f"under_axis {ax}")
+        for ci, row in enumerate(rows):
+            if len(row) != 4:
+                _check_labels(labels[:4 * ci])  # a bad label is named first
+                raise MalformedToken(f"crossing {ci} has {len(row)} slots")
+        return cls._finish(_pair(labels), axes, labels)
 
 
 def parse_pd(text):
@@ -202,9 +178,7 @@ def parse_pd(text):
         bad = next(t for t in text.split() if not _TOKEN.fullmatch(t))
         raise MalformedToken(f"bad token {bad!r}")
     labels = list(map(int, text.translate(_UNLABEL).split()))
-    d = LinkDiagram.__new__(LinkDiagram)
-    d._finish(_pair(labels), [0] * (len(labels) >> 2), labels)
-    return d
+    return LinkDiagram._finish(_pair(labels), [0] * (len(labels) >> 2), labels)
 
 
 def _check_labels(labels):

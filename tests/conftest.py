@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from foliar import (
     parse_pd,
     parse_tree,
 )
-from foliar.diagram import Crossing, LinkDiagram
+from foliar.diagram import LinkDiagram
 from foliar.errors import FoliarError
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -168,8 +169,8 @@ def fox_determinant(d):
     crossing, 2 on the over arc and -1 on each under arc."""
     ds = DisjointSets()
     rows = []
-    for c in d.crossings:
-        s = c.slots if c.under_axis == 0 else c.slots[1:] + c.slots[:1]
+    for s, ax in zip(*rows_of(d)):
+        s = s[1:] + s[:1] if ax else s
         ds.union(s[1], s[3])  # the over strand is one arc
         rows.append((s[1], s[0], s[2]))
     col = {}
@@ -229,6 +230,21 @@ def goeritz_determinant(plane, counts, color):
     return det
 
 
+def from_rows(rows, axes):
+    """The diagram of label rows, four per crossing, and under_axis bits,
+    read through JSON, which keeps slot order and axes as given and so
+    keeps dart numbering."""
+    return LinkDiagram.from_json(
+        json.dumps({"crossings": rows, "under_axis": axes})
+    )
+
+
+def rows_of(d):
+    """A diagram's label rows and under_axis bits, as to_json prints them."""
+    data = json.loads(d.to_json())
+    return data["crossings"], data["under_axis"]
+
+
 def relabel(slot_lists, axes):
     """Build a LinkDiagram from arbitrary hashable arc ids.
 
@@ -243,10 +259,8 @@ def relabel(slot_lists, axes):
             if a not in order:
                 order[a] = len(order) + 1
             row.append(order[a])
-        out.append(tuple(row))
-    return LinkDiagram(
-        [Crossing(s, ax) for s, ax in zip(out, axes)]
-    )
+        out.append(row)
+    return from_rows(out, axes)
 
 
 def random_tree_text(rng, max_nodes=6, lo=2, hi=4, signed=True):
@@ -286,8 +300,9 @@ def connected_sum(rng, a, b):
     """Cut one arc of each diagram and join the four ends crosswise."""
     x = ("a", rng.randrange(1, 2 * len(a) + 1))
     y = ("b", rng.randrange(1, 2 * len(b) + 1))
-    rows = [[("a", s) for s in c.slots] for c in a.crossings]
-    rows += [[("b", s) for s in c.slots] for c in b.crossings]
+    (rows_a, axes_a), (rows_b, axes_b) = rows_of(a), rows_of(b)
+    rows = [[("a", s) for s in row] for row in rows_a]
+    rows += [[("b", s) for s in row] for row in rows_b]
     ends = {x: [], y: []}
     for row in rows:
         for k, s in enumerate(row):
@@ -297,7 +312,7 @@ def connected_sum(rng, a, b):
     (_, (r1, k1)), ((r2, k2), (r3, k3)) = ends[x], ends[y]
     r1[k1] = r3[k3] = "cut"
     r2[k2] = x
-    return relabel(rows, [c.under_axis for c in a.crossings + b.crossings])
+    return relabel(rows, axes_a + axes_b)
 
 
 def unreduced_inputs(n):

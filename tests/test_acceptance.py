@@ -111,7 +111,7 @@ def _corpus_diagrams():
 def test_dichotomy_and_vertex_split_suite():
     checked = 0
     for d in _corpus_diagrams():
-        assert len(d.faces) == len(d.crossings) + 2
+        assert len(d.faces) == len(d) + 2
         try:
             r = reduce_assumption1(d)
             cg = collapse(r)
@@ -180,7 +180,7 @@ def _shape_to_text(shape, weights, idx):
 def _tree_agrees(text):
     t = parse_tree(text)
     d = generate_diagram(t)
-    assert len(d.faces) == len(d.crossings) + 2
+    assert len(d.faces) == len(d) + 2
     tv = check_arborescent(t)
     if len(t) == 1 or d.component_count() != 1:
         return

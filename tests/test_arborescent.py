@@ -79,7 +79,7 @@ def test_generated_diagrams_are_validated():
     for _ in range(40):
         t = parse_tree(random_tree_text(rng))
         d = generate_diagram(t)
-        assert len(d.faces) == len(d.crossings) + 2
+        assert len(d.faces) == len(d) + 2
 
 
 def test_root_choice_does_not_change_verdict():

@@ -137,7 +137,7 @@ def test_interleaving_needs_odd_strands():
 
 def test_diagram_from_word(trefoil):
     d = braid_to_diagram(parse_braid("s1^3", 2))
-    assert len(d.crossings) == 3
+    assert len(d) == 3
     assert check_main(d).reasons == check_main(trefoil).reasons
 
 

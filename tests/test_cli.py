@@ -123,6 +123,7 @@ def test_unreadable_file_is_input_error(tmp_path, capsys, command, kind):
 
 
 NESTED = "[" * 100_000 + "]" * 100_000
+TREFOIL_ROWS = "[[1,5,2,4],[3,1,4,6],[5,3,6,2]]"
 
 
 @pytest.mark.parametrize(
@@ -132,13 +133,18 @@ NESTED = "[" * 100_000 + "]" * 100_000
         '{"crossings": [[1,2,3]], "under_axis": 0}',
         '{"crossings": [5], "under_axis": [0]}',
         '{"crossings": %s, "under_axis": [0]}' % NESTED,
+        # 1.0 used to pass validation and end in a TypeError, 0.0 in a
+        # verdict
+        '{"crossings": %s, "under_axis": [1.0,0,0]}' % TREFOIL_ROWS,
+        '{"crossings": %s, "under_axis": [0.0,0,0]}' % TREFOIL_ROWS,
     ],
-    ids=["crossings", "under_axis", "row", "nested"],
+    ids=["crossings", "under_axis", "row", "nested", "float 1", "float 0"],
 )
 def test_check_json_wrong_types_are_input_errors(text, capsys):
     code, out, err = run(capsys, "check", text)
     assert code == 2
-    assert err.startswith("error:")
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_braid_command(capsys):

@@ -31,13 +31,14 @@ from conftest import (
     random_braid_text,
     random_tree_text,
     relabel,
+    rows_of,
     seeded,
     unreduced_inputs,
 )
 
 
 def _axes(d):
-    return [c.under_axis for c in d.crossings]
+    return list(d.axes)
 
 
 def ref_from_darts(alpha, axes):
@@ -82,7 +83,7 @@ def ref_braid_to_diagram(word):
 
 
 def _same_diagram(got, want):
-    assert got.crossings == want.crossings
+    assert rows_of(got) == rows_of(want)
     assert got.arc_count == want.arc_count
     assert got.alpha == want.alpha
     assert got.faces == want.faces

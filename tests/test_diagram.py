@@ -1,18 +1,19 @@
 import pytest
 
-from foliar import LinkDiagram, parse_pd
+from foliar import LinkDiagram, augment, check_main, check_tait, parse_pd
 from foliar.errors import (
     ArcCountMismatch,
     EmptyDiagram,
+    InputError,
     MalformedToken,
     NonSphericalEmbedding,
 )
 
-from conftest import FIG8, HOPF, KINK, TREFOIL
+from conftest import FIG8, HOPF, KINK, TREFOIL, rows_of, unreduced_inputs
 
 
 def test_trefoil_shape(trefoil):
-    assert len(trefoil.crossings) == 3
+    assert len(trefoil) == 3
     assert trefoil.arc_count == 6
     assert len(trefoil.faces) == 5
     assert trefoil.component_count() == 1
@@ -20,13 +21,13 @@ def test_trefoil_shape(trefoil):
 
 def test_face_count_is_crossings_plus_two(trefoil, fig8, hopf, kink):
     for d in (trefoil, fig8, hopf, kink):
-        assert len(d.faces) == len(d.crossings) + 2
+        assert len(d.faces) == len(d) + 2
 
 
 def test_face_corners_partition_gaps(fig8):
     # a corner is the dart 4 * crossing + gap a traversal arrives on
     corners = [c for f in fig8.faces for c in f]
-    assert len(corners) == 4 * len(fig8.crossings)
+    assert len(corners) == 4 * len(fig8)
     assert len(set(corners)) == len(corners)
     for fi, f in enumerate(fig8.faces):
         for c in f:
@@ -45,14 +46,44 @@ def test_component_counts(hopf, fig8):
 
 def test_mirror_is_involution(fig8):
     back = fig8.mirror().mirror()
-    assert back.crossings == fig8.crossings
+    assert rows_of(back) == rows_of(fig8)
 
 
 def test_mirror_flips_under_axis_only(trefoil):
-    m = trefoil.mirror()
-    for a, b in zip(trefoil.crossings, m.crossings):
-        assert a.slots == b.slots
-        assert a.under_axis != b.under_axis
+    rows, axes = rows_of(trefoil)
+    m_rows, m_axes = rows_of(trefoil.mirror())
+    assert rows == m_rows
+    for a, b in zip(axes, m_axes):
+        assert a != b
+
+
+def _outcome(fn, d):
+    try:
+        return fn(d)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def _routes(d):
+    return [_outcome(f, d) for f in (check_main, check_tait, augment)]
+
+
+def test_mirror_shares_alpha_and_matches_a_fresh_build(
+    trefoil, fig8, hopf, kink
+):
+    for d in [trefoil, fig8, hopf, kink, *unreduced_inputs(120)]:
+        alpha = list(d.alpha)
+        _routes(d)  # what d keeps of its routes must not reach its mirror
+        m = d.mirror()
+        assert m.alpha is d.alpha
+        assert m.mirror().to_pd() == d.to_pd()
+        assert parse_pd(m.to_pd()).to_pd() == m.to_pd()
+        # PD text turns each under_axis 1 crossing by a slot, so its
+        # darts are numbered differently; JSON keeps the numbering
+        fresh = LinkDiagram.from_json(m.to_json())
+        assert _routes(m) == _routes(fresh)
+        # nothing writes into the dart map the two diagrams share
+        assert d.alpha == alpha
 
 
 def test_pd_round_trip(trefoil, fig8):
@@ -64,12 +95,12 @@ def test_pd_round_trip(trefoil, fig8):
 
 def test_json_round_trip(fig8):
     back = LinkDiagram.from_json(fig8.to_json())
-    assert back.crossings == fig8.crossings
+    assert rows_of(back) == rows_of(fig8)
 
 
 def test_mirror_to_pd_reparses(trefoil):
     m = parse_pd(trefoil.mirror().to_pd())
-    assert len(m.crossings) == 3
+    assert len(m) == 3
     assert len(m.faces) == 5
 
 

@@ -1,10 +1,10 @@
-"""No module but diagram.py reads a diagram's crossings view.
+"""No module reads a crossings attribute off a diagram.
 
-LinkDiagram.crossings builds one Crossing record per crossing from the
-arc labels; the library's own passes read the flat alpha and axes lists
-instead.  A twist region keeps its own crossings field, a tuple of
-crossing indices, and the package reads it through the names r and
-region only, so those two receivers are allowed.
+A diagram is its flat alpha and axes lists and keeps no record per
+crossing; its arc labels are read back through to_pd or to_json.  A
+twist region keeps its own crossings field, a tuple of crossing
+indices, and the package reads it through the names r and region only,
+so those two receivers are allowed.
 """
 
 import ast
@@ -40,11 +40,10 @@ rows = [x.crossings for x in regions]
     assert crossing_reads(source) == [2, 3, 8, 9]
 
 
-def test_no_crossings_view_read_outside_diagram():
+def test_no_crossings_read_in_the_package():
     found = {
         path.name: lines
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "diagram.py"
-        and (lines := crossing_reads(path.read_text()))
+        if (lines := crossing_reads(path.read_text()))
     }
     assert found == {}

@@ -1,24 +1,25 @@
 """Label reading against the record-building reference.
 
 parse_pd checks the whole text with one regex and reads the labels into
-one flat list; LinkDiagram(crossings) flattens its records into the same
-list, and from_darts checks a dart map without deriving labels.  The
-references below are the way the package did it before: a token regex
-per whitespace-separated token, one Crossing record per crossing, labels
-validated record by record, and a loop over the darts.  Both must give
-the same diagrams, the same text and JSON, and the same errors with the
-same messages.
+one flat list; from_json reads its rows into the same list, and
+from_darts checks a dart map without deriving labels.  The references
+below are the way the package did it before: a token regex per
+whitespace-separated token, JSON rows turned into one Crossing record
+per crossing, labels validated record by record, and a loop over the
+darts.  Both must give the same diagrams, the same text and JSON, and
+the same errors with the same messages.
 """
 
 import json
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
 from foliar import LinkDiagram, parse_pd
-from foliar.diagram import _BAD, Crossing
+from foliar.diagram import _BAD
 from foliar.errors import (
     ArcCountMismatch,
     EmptyDiagram,
@@ -36,7 +37,9 @@ from conftest import (
     KINK,
     SQUARE_KNOT,
     TREFOIL,
+    from_rows,
     pieces,
+    rows_of,
     seeded,
     trace_faces,
     unreduced_inputs,
@@ -48,6 +51,14 @@ _REF_TOKEN = re.compile(
 
 
 # -- references -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Crossing:
+    """The record the package once kept per crossing."""
+
+    slots: tuple
+    under_axis: int = 0
+
 
 class RefDiagram:
     """A diagram kept as Crossing records and validated label by label."""
@@ -133,6 +144,22 @@ def ref_parse_pd(text):
     return RefDiagram(crossings)
 
 
+def ref_from_json(text):
+    """JSON rows read into records, then validated as records."""
+    try:
+        data = json.loads(text)
+        slots = data["crossings"]
+        axes = data["under_axis"]
+        if len(slots) != len(axes):
+            raise MalformedToken("crossings and under_axis lengths differ")
+        # a row or list of the wrong type raises TypeError here
+        crossings = [Crossing(tuple(s), ax) for s, ax in zip(slots, axes)]
+    # RecursionError: arrays nested deeper than the decoder can follow
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+        raise MalformedToken(f"bad diagram json: {exc}") from None
+    return RefDiagram(crossings)
+
+
 def ref_lower_dart_records(alpha, axes):
     """Crossing records with arcs numbered in the order of lower darts."""
     labels = [0] * len(alpha)
@@ -165,12 +192,16 @@ def _outcome(fn, arg):
         return None, (type(exc), str(exc))
 
 
+def _records(d):
+    return [Crossing(tuple(s), ax) for s, ax in zip(*rows_of(d))]
+
+
 def _same(got, want):
     assert got.alpha == want.alpha
     assert got.faces == want.faces
     assert got.face_at == want.face_at
     assert got.arc_count == want.arc_count
-    assert got.crossings == want.crossings
+    assert _records(got) == list(want.crossings)
     assert got.to_pd() == want.to_pd()
     assert got.to_json() == want.to_json()
 
@@ -295,7 +326,7 @@ def test_the_syntax_check_keeps_no_state_per_token():
     assert peak < len(text) + 64 * 1024  # the padded copy, and little else
 
 
-def _records(text):
+def _pd_records(text):
     return [
         Crossing(tuple([int(a) for a in tok[2:-1].split(",")]))
         for tok in text.split()
@@ -303,33 +334,119 @@ def _records(text):
 
 
 RECORDS = [
-    [Crossing((1, 4, 2, 5), 2)] + _records(TREFOIL)[1:],
-    [Crossing((1, 4, 2, 5), True)] + _records(TREFOIL)[1:],
-    [Crossing((1, 4, 2.0, 5))] + _records(TREFOIL)[1:],
-    [Crossing((1, "4", 2, 5))] + _records(TREFOIL)[1:],
-    [Crossing((1, 4, 2, None))] + _records(TREFOIL)[1:],
-    [Crossing((True, 4, 2, 5))] + _records(TREFOIL)[1:],
-    [Crossing((1, 4, 2, 5, 6))] + _records(TREFOIL)[1:],
+    [Crossing((1, 4, 2, 5), 2)] + _pd_records(TREFOIL)[1:],
+    [Crossing((1, 4, 2, 5), True)] + _pd_records(TREFOIL)[1:],
+    [Crossing((1, 4, 2.0, 5))] + _pd_records(TREFOIL)[1:],
+    [Crossing((1, "4", 2, 5))] + _pd_records(TREFOIL)[1:],
+    [Crossing((1, 4, 2, None))] + _pd_records(TREFOIL)[1:],
+    [Crossing((True, 4, 2, 5))] + _pd_records(TREFOIL)[1:],
+    [Crossing((1, 4, 2, 5, 6))] + _pd_records(TREFOIL)[1:],
     # a bad label is named before a later crossing's slot count ...
     [Crossing((1, "a", 2, 5)), Crossing((3, 6, 4))],
     # ... but a crossing's slot count before its own labels
     [Crossing((3, 6, 4, 1)), Crossing(("a", 2, 6))],
     [Crossing((1, 4, 2, 5)), Crossing((3, 6, 4, 1))],
     [],
-    _records(FIG8),
-    [Crossing(c.slots, 1) for c in _records(SQUARE_KNOT)],
+    _pd_records(FIG8),
+    [Crossing(c.slots, 1) for c in _pd_records(SQUARE_KNOT)],
 ]
+
+
+def _from_records(records):
+    return from_rows(
+        [list(c.slots) for c in records], [c.under_axis for c in records]
+    )
 
 
 @pytest.mark.parametrize("records", RECORDS)
 def test_records_keep_errors_and_messages(records):
-    _same_outcome(LinkDiagram, RefDiagram, records)
+    _same_outcome(_from_records, RefDiagram, records)
 
 
 def test_json_round_trip_matches_the_reference():
     for text in valid_texts()[:60]:
         want = ref_parse_pd(text).mirror()
         _same(LinkDiagram.from_json(want.to_json()), want)
+
+
+def _edit_json(rng, rows, axes):
+    """One random edit of JSON rows and axes, mostly making them bad."""
+    if not (isinstance(rows, list) and isinstance(axes, list)):
+        return rows, axes  # a field already replaced whole
+    i = rng.randrange(len(rows)) if rows else 0
+    row = rows[i] if rows and isinstance(rows[i], list) else None
+    edit = rng.randrange(9)
+    if edit == 0 and rows:  # a row that is no list of labels
+        rows[i] = rng.choice([7, "1452", {"1": 4}, None, 2.5, True])
+    elif edit == 1 and row:  # 3 or 5 labels
+        rows[i] = row[:3] if rng.random() < 0.5 else row + [row[0]]
+    elif edit == 2 and row:  # a label of the wrong type or value
+        row[rng.randrange(len(row))] = rng.choice(
+            [2.0, 1.5, True, False, None, "4", 0, -1, 10 ** 20, [1]]
+        )
+    elif edit == 3 and row:  # a label out of place: ArcCountMismatch
+        row[rng.randrange(len(row))] = rng.randint(1, 2 * len(rows) + 1)
+    elif edit == 4 and axes:  # an under_axis of the wrong type or value
+        axes[rng.randrange(len(axes))] = rng.choice(
+            [[0], [], True, False, 2, -1, 1.5, None, "0", {"a": 0}]
+        )
+    elif edit == 5:  # lengths that differ
+        if axes and rng.random() < 0.5:
+            axes.pop()
+        else:
+            axes.append(0)
+    elif edit == 6:  # a whole field of the wrong type
+        if rng.random() < 0.5:
+            return rng.choice([5, "abcd", {"1": 2}, None, True]), axes
+        return rows, rng.choice([True, 0, None, "01", {"0": 1}])
+    elif edit == 7 and rows:  # a row nested past the decoder's depth
+        rows[i] = "DEEP"
+    else:  # both flipped, which keeps them valid
+        axes = [1 - a if type(a) is int and a in (0, 1) else a for a in axes]
+    return rows, axes
+
+
+def malformed_json(n):
+    rng = seeded(47)
+    bases = [TREFOIL, FIG8, HOPF, KINK, SQUARE_KNOT, GRANNY3]
+    bases += [d.to_pd() for d in unreduced_inputs(20)]
+    texts = [
+        "", "[]", "7", '"x"', "null", "{}", '{"crossings": []}',
+        '{"under_axis": []}', '{"crossings": [], "under_axis": []}',
+        "[" * 10 ** 5 + "]" * 10 ** 5,
+    ]
+    while len(texts) < n:
+        rows, axes = rows_of(parse_pd(rng.choice(bases)))
+        for _ in range(rng.randint(1, 3)):
+            rows, axes = _edit_json(rng, rows, axes)
+        text = json.dumps({"crossings": rows, "under_axis": axes})
+        texts.append(text.replace('"DEEP"', "[" * 5000 + "]" * 5000))
+    return texts
+
+
+def test_from_json_keeps_errors_and_messages():
+    errors = Counter()
+    for text in malformed_json(2000):
+        err = _same_outcome(LinkDiagram.from_json, ref_from_json, text)
+        errors[err and err[1].split(" ")[0]] += 1
+    # each check of the JSON route is reached, and some edits stay valid
+    assert {
+        "bad", "crossings", "under_axis", "crossing", "arc", "expected", None
+    } <= set(errors), errors
+
+
+@pytest.mark.parametrize(
+    "axes, bad",
+    [([1.0, 0, 0], "1.0"), ([0, 0.0, 0], "0.0"), ([0, 1, 1.0], "1.0")],
+)
+def test_from_json_rejects_an_under_axis_that_is_no_int(axes, bad):
+    # the record path compared under_axis with 0 and 1 only, so 1.0 got
+    # through to the twist layer, which fails on a float with TypeError
+    rows = [list(c.slots) for c in _pd_records(TREFOIL)]
+    text = json.dumps({"crossings": rows, "under_axis": axes})
+    with pytest.raises(MalformedToken) as exc:
+        LinkDiagram.from_json(text)
+    assert str(exc.value) == f"under_axis {bad}"
 
 
 def test_built_diagrams_print_the_lower_dart_labels():

@@ -32,7 +32,13 @@ from foliar.errors import FoliarError, InternalError
 from foliar.sidegraphs import FaceEdge
 from foliar.tait import ContractedTait, build_tait
 
-from conftest import DisjointSets, random_tree_text, seeded, unreduced_inputs
+from conftest import (
+    DisjointSets,
+    random_tree_text,
+    rows_of,
+    seeded,
+    unreduced_inputs,
+)
 
 REGION_FIELDS = (
     "index",
@@ -84,11 +90,12 @@ def ref_detect(d):
     raw.sort(key=lambda ch: min(ch[0]))
 
     regions = []
+    axes = rows_of(d)[1]
     for idx, (crossings, gaps, cyclic) in enumerate(raw):
         hs = []
         for c in crossings:
             gap_parity = gaps[c][0] % 2 if gaps[c] else 0
-            hs.append(1 if gap_parity == d.crossings[c].under_axis else -1)
+            hs.append(1 if gap_parity == axes[c] else -1)
         handed = hs[0] if len(set(hs)) == 1 else 0
         if cyclic:
             ends = None
@@ -159,13 +166,14 @@ def plain_bigons(d, regions):
     """Bigons between two crossings that join no chain: their corners
     are not both on the chain gaps of one region."""
     region_of, parity = {}, {}
+    axes = rows_of(d)[1]
     for r in regions:
         for c in r["crossings"]:
             region_of[c] = r["index"]
         if r["count"] > 1:
             for c, h in zip(r["crossings"], r["crossing_handedness"]):
                 # handedness +1 when the chain gap parity is under_axis
-                parity[c] = d.crossings[c].under_axis ^ (h < 0)
+                parity[c] = axes[c] ^ (h < 0)
     count = 0
     for k1, k2 in [f for f in d.faces if len(f) == 2]:
         c1, c2 = k1 >> 2, k2 >> 2
@@ -204,8 +212,8 @@ class RefGraph:
 
 def ref_build_tait(d):
     rows = []
-    for ci, c in enumerate(d.crossings):
-        s = 1 if c.under_axis else -1
+    for ci, ax in enumerate(rows_of(d)[1]):
+        s = 1 if ax else -1
         rows.append((4 * ci, 4 * ci + 2, s, ci))
         rows.append((4 * ci + 1, 4 * ci + 3, -s, ci))
     coloring = two_color(d)

@@ -37,6 +37,7 @@ from conftest import (
     connected_sum,
     random_tree_text,
     relabel,
+    rows_of,
     seeded,
     unreduced_inputs,
 )
@@ -87,9 +88,10 @@ def ref_cancel(d, ci, cj):
     )
     corners = {k >> 2: k & 3 for k in bigon}
     gc, gd = corners[ci], corners[cj]
+    rows, under = rows_of(d)
 
     def arc_at(c, slot):
-        return d.crossings[c].slots[slot % 4]
+        return rows[c][slot % 4]
 
     ds = DisjointSets()
     # strands through the pair: external slot g+3 of one meets g+2 of the other
@@ -97,11 +99,11 @@ def ref_cancel(d, ci, cj):
     ds.union(arc_at(ci, gc + 2), arc_at(cj, gd + 3))
     slot_lists = []
     axes = []
-    for k, c in enumerate(d.crossings):
+    for k, (slots, ax) in enumerate(zip(rows, under)):
         if k in (ci, cj):
             continue
-        slot_lists.append(tuple(ds.find(a) for a in c.slots))
-        axes.append(c.under_axis)
+        slot_lists.append(tuple(ds.find(a) for a in slots))
+        axes.append(ax)
     if not slot_lists:
         raise UnknotCollapse("removed the last crossings")
     kept = {a for slots in slot_lists for a in slots}
@@ -141,7 +143,7 @@ def ref_one_chain_per_round(d):
         kept = [k for k in range(len(d)) if k not in gone]
         d = relabel(
             [[min(e, alpha[e]) for e in range(4 * k, 4 * k + 4)] for k in kept],
-            [d.crossings[k].under_axis for k in kept],
+            [d.axes[k] for k in kept],
         )
 
 

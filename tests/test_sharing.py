@@ -17,7 +17,6 @@ import pytest
 import foliar.sidegraphs
 import foliar.twists
 from foliar import (
-    LinkDiagram,
     augment,
     braid_to_diagram,
     check_arborescent,
@@ -31,14 +30,15 @@ from foliar import (
     reduce_assumption1,
 )
 from foliar.criterion import normal_form
-from foliar.diagram import Crossing
 from foliar.errors import InputError, NonAlternatingChain, NonSphericalEmbedding
 
 from conftest import (
     HOPF,
     DisjointSets,
+    from_rows,
     random_braid_text,
     random_tree_text,
+    rows_of,
     seeded,
 )
 from test_rounds import _count_builds
@@ -86,18 +86,18 @@ def _count_calls(monkeypatch, module, name):
 
 def _ref_components(d):
     ds = DisjointSets()
-    for c in d.crossings:
-        ds.union(c.slots[0], c.slots[2])
-        ds.union(c.slots[1], c.slots[3])
+    for s in rows_of(d)[0]:
+        ds.union(s[0], s[2])
+        ds.union(s[1], s[3])
     return len({ds.find(a) for a in range(1, d.arc_count + 1)})
 
 
-def _ref_pieces(crossings):
+def _ref_pieces(rows):
     ds = DisjointSets()
-    for ci, c in enumerate(crossings):
-        for a in c.slots:
+    for ci, s in enumerate(rows):
+        for a in s:
             ds.union(("c", ci), ("a", a))
-    return len({ds.find(("c", ci)) for ci in range(len(crossings))})
+    return len({ds.find(("c", ci)) for ci in range(len(rows))})
 
 
 def _seeded_diagrams():
@@ -113,14 +113,13 @@ def _seeded_diagrams():
 
 
 def _disjoint_union(diagrams):
-    crossings, shift = [], 0
+    rows, axes, shift = [], [], 0
     for d in diagrams:
-        crossings += [
-            Crossing(tuple(a + shift for a in c.slots), c.under_axis)
-            for c in d.crossings
-        ]
+        d_rows, d_axes = rows_of(d)
+        rows += [[a + shift for a in s] for s in d_rows]
+        axes += d_axes
         shift += d.arc_count
-    return crossings
+    return rows, axes
 
 
 def test_dart_walks_match_disjoint_sets():
@@ -130,10 +129,10 @@ def test_dart_walks_match_disjoint_sets():
         assert d.component_count() == _ref_components(d)
     rng = seeded(12)
     for _ in range(40):
-        crossings = _disjoint_union(rng.sample(diagrams, rng.randint(2, 4)))
+        rows, axes = _disjoint_union(rng.sample(diagrams, rng.randint(2, 4)))
         with pytest.raises(NonSphericalEmbedding) as exc:
-            LinkDiagram(crossings)
-        want = _ref_pieces(crossings)
+            from_rows(rows, axes)
+        want = _ref_pieces(rows)
         assert str(exc.value) == f"projection splits into {want} pieces"
 
 

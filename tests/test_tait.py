@@ -35,8 +35,8 @@ def test_build_trefoil(trefoil):
 
 def test_one_edge_per_crossing_per_color(fig8):
     g, r = build_tait(fig8)
-    assert len(g.edges) == len(fig8.crossings)
-    assert len(r.edges) == len(fig8.crossings)
+    assert len(g.edges) == len(fig8)
+    assert len(r.edges) == len(fig8)
     assert sorted(e.source for e in g.edges) == [0, 1, 2, 3]
 
 

@@ -77,7 +77,7 @@ def test_regions_partition_crossings(fig8, trefoil):
     for d in (fig8, trefoil):
         dec = detect_twist_regions(d)
         seen = sorted(c for r in dec for c in r.crossings)
-        assert seen == list(range(len(d.crossings)))
+        assert seen == list(range(len(d)))
 
 
 def test_reduce_noop_on_coherent(fig8):
@@ -97,9 +97,9 @@ def test_reduce_rejects_split_strand():
 
 def test_reduce_shrinks_incoherent_chain():
     d = braid_to_diagram(parse_braid("s1^4 s1^-1"))
-    assert len(d.crossings) == 5
+    assert len(d) == 5
     out = reduce_assumption1(d)
-    assert len(out.crossings) == 3
+    assert len(out) == 3
     r = detect_twist_regions(out)[0]
     assert (r.count, r.handedness, r.cyclic) == (3, 1, True)
 
