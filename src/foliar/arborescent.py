@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .criterion import Status, Verdict, normal_form, weight_reasons
 from .diagram import LinkDiagram
 from .errors import ConstructionMismatch, MalformedTree, ZeroWeight
-from .twists import detect_twist_regions
+from .twists import flat_regions, region_crossings
 
 
 class WeightedPlanarTree:
@@ -234,31 +234,33 @@ def generate_diagram(tree):
 
 
 def _validate(tree, d, owner):
-    dec = detect_twist_regions(d)
-    if len(dec) != len(tree):
+    signed = flat_regions(d)[0]
+    if len(signed) != len(tree):
         raise ConstructionMismatch(
-            f"{len(dec)} twist regions for {len(tree)} vertices"
+            f"{len(signed)} twist regions for {len(tree)} vertices"
         )
     size = Counter(owner)  # crossings per vertex
-    for r in dec:
+    for i, s in enumerate(signed):
         # only the first crossing's owner can match; the region is that
         # vertex's crossings when it has as many and each is owned by it
-        v = owner[r.crossings[0]]
-        if r.count != size[v] or any(owner[c] != v for c in r.crossings):
+        crossings = region_crossings(d, i)
+        v = owner[crossings[0]]
+        if abs(s) != size[v] or any(owner[c] != v for c in crossings):
             raise ConstructionMismatch(
-                f"region {r.index} does not match a single vertex"
+                f"region {i} does not match a single vertex"
             )
         w = tree.weight[v]
-        if r.count != abs(w):
+        if abs(s) != abs(w):
             raise ConstructionMismatch(
-                f"vertex {v}: weight {w} became count {r.count}"
+                f"vertex {v}: weight {w} became count {abs(s)}"
             )
         if len(tree) == 1 and abs(w) == 2:
             continue  # a closed 2-chain reads either axis equally well
         want = (1 if w > 0 else -1) * (1 if tree.depth[v] % 2 == 0 else -1)
-        if r.handedness != want:
+        h = 1 if s > 0 else -1
+        if h != want:
             raise ConstructionMismatch(
-                f"vertex {v}: handedness {r.handedness}, expected {want}"
+                f"vertex {v}: handedness {h}, expected {want}"
             )
     cg, green, red = normal_form(d)
     if len(cg) != len(tree) or not (green.is_tree() and red.is_tree()):

@@ -10,7 +10,9 @@ about them.
 
 The normal form, the collapsed graph and both side graphs after
 cancellation and merging, is kept on the diagram: check_main, diagnose,
-the dot output and tree validation all read it from there.
+the dot output and tree validation all read it from there, and each
+side graph counts its components once.  check_main reads region counts
+off the diagrams' flat region lists and builds no region record.
 """
 
 import json
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .sidegraphs import connectivity_report, normalize_assumption2
-from .twists import collapse, detect_twist_regions, reduce_assumption1
+from .twists import collapse, flat_regions, reduce_assumption1
 
 
 class Status(Enum):
@@ -102,25 +104,23 @@ def reshaped(verdict):
 def normal_form(d):
     """(collapsed graph, green, red) of d after cancellation and merging."""
     if d._normal is None:
-        r = reduce_assumption1(d)
-        d._normal = normalize_assumption2(collapse(r, detect_twist_regions(r)))
+        d._normal = normalize_assumption2(collapse(reduce_assumption1(d)))
     return d._normal
 
 
 def check_main(d):
     comps = d.component_count()
     if comps != 1:
-        n = len(detect_twist_regions(d, allow_mixed=True))
         return Verdict(
             Status.HYPOTHESES_FAIL,
             (f"NotAKnot({comps})",),
-            twist_regions=n,
+            twist_regions=len(flat_regions(d, allow_mixed=True)[0]),
         )
     cg, green, red = normal_form(d)
     r = d if d._reduced is None else d._reduced  # kept by normal_form
     detail = {
         "reduced": r is not d,
-        "merged": len(cg) != len(detect_twist_regions(r)),
+        "merged": len(cg) != len(flat_regions(r)[0]),
     }
     k = detect_dk(cg)
     if k is not None:

@@ -2,14 +2,12 @@
 
 Faces of a diagram on the sphere two-colour like a checkerboard.  The
 side graphs are FaceGraphs, one per colour, whose vertices are the
-faces of that colour.  The checkerboard graphs of the tait module use
-the same colouring and FaceEdge but read their edges off the diagram
-itself.
-
-Side graphs: each twist region contributes one edge to the graph of its
-own side colour, joining the two faces its bigons separated, which sit
-at the region vertex's gaps 1 and 3.  The signed weight is the crossing
-count times the handedness.
+faces of that colour.  Each twist region contributes one edge to the
+graph of its own side colour, joining the two faces its bigons
+separated, which sit at the region vertex's gaps 1 and 3, with the
+region's signed count as its weight.  A FaceGraph keeps its edges as
+the flat lists u, v, signed and source; the edges view makes FaceEdge
+records, which the checkerboard graphs of the tait module print too.
 
 Two regions joining the same pair of faces in the same graph can be
 slid into each other, so parallel side edges merge: the signed weights
@@ -20,19 +18,19 @@ the strands on either side close up and none crosses the other.
 (Carrying the two strands through an odd region would make them cross
 at no vertex, and the map would no longer be planar.)  Merging works
 in rounds: each round builds the side graphs once, merges every
-parallel family of both colours and builds one collapsed graph.  A
-smoothing can join faces and so make new parallel edges; rounds repeat
-until none remain, which is the normal form the certification
-criterion inspects.
+parallel family of both colours and builds one collapsed graph, whose
+vertices keep their colour bits.  A smoothing can join faces and so
+make new parallel edges; rounds repeat until none remain, which is the
+normal form the certification criterion inspects.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from ._planar import (
     compact,
     component_count,
-    is_tree,
     splice_out,
     strands,
     to_dot,
@@ -58,28 +56,35 @@ class FaceEdge(NamedTuple):
 
 
 class FaceGraph:
-    """Faces of one colour joined by the side edges of the regions."""
+    """Faces of one colour; edge j joins faces u[j] < v[j], has weight
+    signed[j] and comes from collapsed vertex source[j]."""
 
-    def __init__(self, color, vertices, edges):
+    def __init__(self, color, vertices, u, v, signed, source):
         self.color = color
         self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
+        self.u, self.v, self.signed, self.source = u, v, signed, source
+        self._components = None  # counted on first use
 
     @property
     def color_name(self):
         return "green" if self.color == GREEN else "red"
 
-    def weights(self):
-        return tuple(sorted([abs(e.signed) for e in self.edges]))
+    @property
+    def edges(self):  # new records, for tests and printing
+        edges = zip(self.u, self.v, self.signed, self.source)
+        return tuple([FaceEdge(*e) for e in edges])
 
-    def _pairs(self):
-        return [(e.u, e.v) for e in self.edges]
+    def weights(self):
+        return tuple(sorted(map(abs, self.signed)))
 
     def is_connected(self):
-        return component_count(self.vertices, self._pairs()) <= 1
+        if self._components is None:
+            pairs = zip(self.u, self.v)
+            self._components = component_count(self.vertices, pairs)
+        return self._components <= 1
 
     def is_tree(self):
-        return is_tree(self.vertices, self._pairs())
+        return self.is_connected() and len(self.u) == len(self.vertices) - 1
 
     def to_dot(self):
         return face_dot(f"side_{self.color_name}", self.vertices, self.edges)
@@ -98,22 +103,24 @@ def build_side_graphs(cg):
     """The (green, red) side graphs of a collapsed graph: vertex i joins
     the faces at its gaps 1 and 3, which must share a colour."""
     coloring = two_color(cg)
-    verts = ([], [])
-    for fi, c in enumerate(coloring):
-        verts[c].append(fi)
-    edges = ([], [])
     g1, g3 = cg.ARC_GAPS
-    for i, w in enumerate(cg.vertices):
-        a, b = cg.face_at[4 * i + g1], cg.face_at[4 * i + g3]
-        if coloring[a] != coloring[b]:
-            raise InternalError(
-                f"side edge of {i} joins faces {a}, {b} of two colours"
-            )
-        edges[coloring[a]].append(FaceEdge(min(a, b), max(a, b), w, i))
-    return (
-        FaceGraph(GREEN, verts[GREEN], edges[GREEN]),
-        FaceGraph(RED, verts[RED], edges[RED]),
-    )
+    a, b = cg.face_at[g1::4], cg.face_at[g3::4]
+    red = list(map(coloring.__getitem__, a))  # 1 where a side edge is red
+    if red != list(map(coloring.__getitem__, b)):
+        i = next(i for i, c in enumerate(red) if coloring[b[i]] != c)
+        raise InternalError(
+            f"side edge of {i} joins faces {a[i]}, {b[i]} of two colours"
+        )
+    faces = _by_color(coloring, range(len(coloring)))
+    u, v = list(map(min, a, b)), list(map(max, a, b))
+    edges = _by_color(red, u, v, cg.vertices, range(len(a)))
+    return tuple([FaceGraph(c, *faces[c], *edges[c]) for c in (GREEN, RED)])
+
+
+def _by_color(colors, *columns):
+    """The entries of each column where colors is GREEN, then RED."""
+    green = [c ^ 1 for c in colors]
+    return [[list(compress(x, m)) for x in columns] for m in (green, colors)]
 
 
 @dataclass(frozen=True)
@@ -144,21 +151,22 @@ def normalize_assumption2(cg):
     """
     while True:
         green, red = build_side_graphs(cg)
-        families = {}  # faces of both colours are faces of one map
-        for e in green.edges + red.edges:
-            families.setdefault((e.u, e.v), []).append(e)
+        # faces of both colours are faces of one map
+        pairs = [*zip(green.u, green.v), *zip(red.u, red.v)]
+        if len(set(pairs)) == len(pairs):
+            return cg, green, red
+        families = {}
+        for pair, i in zip(pairs, green.source + red.source):
+            families.setdefault(pair, []).append(i)
         sums = {}  # survivor -> signed sum of its family
         removed = set()
-        for edges in families.values():
-            if len(edges) < 2:
+        for regions in families.values():  # each in increasing order
+            if len(regions) < 2:
                 continue
-            s = sum(e.signed for e in edges)
-            regions = sorted(e.source for e in edges)
+            s = sum([cg.vertices[i] for i in regions])
             if s:
                 sums[regions.pop(0)] = s  # a zero sum cancels them all
             removed.update(regions)
-        if not removed:
-            return cg, green, red
         alpha = list(cg.alpha)
         kept, vertices = [], []
         for i, w in enumerate(cg.vertices):
@@ -177,4 +185,7 @@ def normalize_assumption2(cg):
             raise NonSphericalEmbedding(
                 f"merging splits the link into {n} pieces"
             )
-        cg = CollapsedGraph(vertices, alpha)
+        # the faces a smoothing merges, at its gaps 0 and 2, share a
+        # colour, so the kept vertices keep their colour bits
+        bits = cg.bits and [cg.bits[i] for i in kept]
+        cg = CollapsedGraph(vertices, alpha, bits)

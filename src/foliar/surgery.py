@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, MalformedToken, Unsatisfiable, ZeroK
-from .twists import detect_twist_regions
+from .twists import flat_regions
 
 
 class Slope:
@@ -166,8 +166,7 @@ def augment(d):
 
     A region of count 1 has no full twist to encircle and raises ZeroK.
     """
-    regions = detect_twist_regions(d)
-    return circles_from_counts([r.handedness * r.count for r in regions])
+    return circles_from_counts(flat_regions(d)[0])
 
 
 # -- configuration planning -------------------------------------------------

@@ -1,11 +1,14 @@
 """The array-reading layers against record-building references.
 
 The checkerboard graphs and the twist chains are read straight off a
-diagram's faces and face_at lists.  The references below build them
-the way the library did before: one FaceEdge per crossing and colour
-contracted through a dict union-find, and chains grown with a dict of
-gaps per chain and sorted into regions.  Both must give the same
-verdicts, contractions and regions, field by field.
+diagram's faces and face_at lists, and the collapsed graph off the flat
+region lists, coloured by the strand walk's bits.  The references below
+build them the way the library did before: one FaceEdge per crossing
+and colour contracted through a dict union-find, chains grown with a
+dict of gaps per chain and sorted into regions, a collapsed graph from
+region records, and colours by a search over the faces.  Both must give
+the same verdicts, contractions, regions and collapsed graphs, field by
+field.
 """
 
 from collections import Counter
@@ -23,22 +26,31 @@ from foliar import (
     generate_diagram,
     make_pretzel_pd,
     parse_braid,
+    parse_pd,
     parse_tree,
     reduce_assumption1,
 )
-from foliar._planar import two_color
-from foliar.criterion import Verdict, weight_reasons
+from foliar._planar import sigma, two_color
+from foliar.arborescent import WeightedPlanarTree
+from foliar.criterion import Verdict, normal_form, weight_reasons
 from foliar.errors import FoliarError, InternalError
 from foliar.sidegraphs import FaceEdge
 from foliar.tait import ContractedTait, build_tait
+from foliar.twists import CollapsedGraph, collapse
 
 from conftest import (
+    CANCELLING_COLUMNS,
+    GRANNY3,
+    TREFOIL,
     DisjointSets,
+    connected_sum,
     random_tree_text,
     rows_of,
     seeded,
+    trace_faces,
     unreduced_inputs,
 )
+from test_rounds import ref_normalize_assumption2
 
 REGION_FIELDS = (
     "index",
@@ -186,6 +198,51 @@ def plain_bigons(d, regions):
         )
         count += not in_chain
     return count
+
+
+# -- reference collapsed graph -----------------------------------------------
+
+def ref_collapse(d):
+    """(vertices, alpha) of the collapsed graph of d's ref_detect regions."""
+    regions = ref_detect(d)
+    vertices = [r["handedness"] * r["count"] for r in regions]
+    if regions[0]["cyclic"]:
+        return vertices, [3, 2, 1, 0]
+    stubs = []
+    for r in regions:
+        (e1, g1), (e2, g2) = r["end_gaps"]
+        if r["count"] == 1:
+            stubs += range(4 * e1, 4 * e1 + 4)
+            continue
+        for e, g in ((e1, g1), (e2, g2)):
+            stubs += [4 * e + (g + 2) % 4, 4 * e + (g + 3) % 4]
+    local = {dart: i for i, dart in enumerate(stubs)}
+    return vertices, [local[d.alpha[dart]] for dart in stubs]
+
+
+def ref_two_color(plane):
+    """Face colours of a map, face 0 green, by a search over the faces
+    across each edge; the reference for colours read off bits."""
+    faces, face_at = trace_faces(len(plane.alpha), plane.alpha)
+    color = {0: 0}
+    todo = [0]
+    while todo:
+        f = todo.pop()
+        for c in faces[f]:
+            g = face_at[sigma(c)]  # across the edge at the next slot
+            if g not in color:
+                color[g] = 1 - color[f]
+                todo.append(g)
+            assert color[g] != color[f]
+    return [color[f] for f in range(len(faces))]
+
+
+def assert_collapsed(cg, vertices, alpha):
+    faces, face_at = trace_faces(len(alpha), alpha)
+    assert cg.vertices == vertices
+    assert cg.alpha == alpha
+    assert cg.faces == faces and cg.face_at == face_at
+    assert two_color(cg) == ref_two_color(cg)
 
 
 # -- reference checkerboard route -------------------------------------------
@@ -405,3 +462,50 @@ def test_check_tait_builds_no_face_edge(monkeypatch):
     # the patched class is the one the graphs would build edges from
     green, _ = build_tait(d)
     assert len(green.edges) == len(d) and len(made) == len(d)
+
+
+def _granny_chains():
+    """Trefoils summed in a row along random arcs, as GRANNY3 is."""
+    rng = seeded(31)
+    trefoil = parse_pd(TREFOIL)
+    out = []
+    for _ in range(40):
+        d = trefoil
+        for _ in range(rng.randint(1, 4)):
+            d = connected_sum(rng, d, rng.choice([trefoil, trefoil.mirror()]))
+        out.append(d)
+    return out
+
+
+def _big_tree():
+    """A seeded tree of 2 000 vertices with weights +-2..+-4."""
+    rng = seeded(37)
+    weights = [rng.choice([-4, -3, -2, 2, 3, 4]) for _ in range(2000)]
+    parents = [None] + [rng.randrange(i) for i in range(1, 2000)]
+    return generate_diagram(WeightedPlanarTree(weights, parents))
+
+
+def test_collapsed_graphs_match_the_reference(inputs):
+    fixtures = [parse_pd(GRANNY3), parse_pd(CANCELLING_COLUMNS)]
+    read = inherited = 0
+    for d in inputs + fixtures + _granny_chains() + [_big_tree()]:
+        try:
+            r = reduce_assumption1(d)
+            cg = collapse(r)
+        except FoliarError:
+            continue
+        vertices, alpha = ref_collapse(r)
+        assert_collapsed(cg, vertices, alpha)
+        read += cg.bits is not None
+        try:
+            want = ref_normalize_assumption2(CollapsedGraph(vertices, alpha))
+        except FoliarError as exc:
+            with pytest.raises(type(exc)):
+                normal_form(d)
+            continue
+        got = normal_form(d)[0]
+        assert_collapsed(got, want[0].vertices, want[0].alpha)
+        inherited += len(got) < len(cg) and got.bits is not None
+    # colours come off the strand walk's bits, and off the bits merged
+    # normal forms inherit
+    assert read >= 250 and inherited >= 30, (read, inherited)

@@ -30,6 +30,7 @@ from foliar import (
     reduce_assumption1,
 )
 from foliar.criterion import normal_form
+from foliar.twists import flat_regions
 from foliar.errors import InputError, NonAlternatingChain, NonSphericalEmbedding
 
 from conftest import (
@@ -181,12 +182,13 @@ def test_strict_detection_raises_from_stored_regions(monkeypatch):
         with pytest.raises(NonAlternatingChain) as exc:
             detect_twist_regions(d)
         assert str(exc.value) == MIXED_MESSAGE
-    assert detect_twist_regions(d, allow_mixed=True) is mixed
+    # the records are built anew from the kept lists on every call
+    assert detect_twist_regions(d, allow_mixed=True) == mixed
     assert detections == []
 
 
-class _Watched(tuple):
-    """Kept regions that record each scan over them."""
+class _Watched(list):
+    """Kept signed counts that record each scan over them."""
 
     scans = 0
 
@@ -201,9 +203,10 @@ def test_strict_detection_does_not_scan_the_regions(monkeypatch):
     monkeypatch.setattr(_Watched, "scans", 0)
     clean, mixed = _braid(CLEAN), _braid(MIXED)
     for d in (clean, mixed):
-        d._regions = _Watched(detect_twist_regions(d, allow_mixed=True))
+        signed, *rest = flat_regions(d, allow_mixed=True)
+        d._regions = (_Watched(signed), *rest)
     detections = _count_detections(monkeypatch)
-    assert detect_twist_regions(clean) is clean._regions
+    assert flat_regions(clean) is clean._regions
     assert reduce_assumption1(clean) is clean
     with pytest.raises(NonAlternatingChain) as exc:
         detect_twist_regions(mixed)
