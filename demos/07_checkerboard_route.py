@@ -15,18 +15,20 @@ square = parse_pd(
 )
 
 # Each crossing contributes one edge to each colour, signed by the
-# side of the strand that crosses on top.
+# side of the strand that crosses on top.  Both graphs are FaceGraphs,
+# the type the side graphs of the main route have.
 green, red = build_tait(square)
 print("green:", [(e.u, e.v, e.signed) for e in green.edges])
 print("red:", [(e.u, e.v, e.signed) for e in red.edges])
 
 # Contracting runs of two-valent vertices recovers the twist weights:
 # a run of j edges is a chain of weight j, and leftover parallel edges
-# merge by their signed weights.
+# merge by their signed weights.  contract returns the chain weights and
+# the graph of the surviving faces, one edge per merged family.
 for name, tg in (("green", green), ("red", red)):
-    c = contract(tg)
-    print(name, "chains:", c.chain_weights, "merged:", c.merged_weights,
-          "tree:", c.is_tree())
+    chain_weights, merged = contract(tg)
+    print(name, "chains:", chain_weights, "merged:", tuple(merged.signed),
+          "tree:", merged.is_tree())
 
 # Both routes certify the square knot.
 print("direct route:", check_main(square).status.value)

@@ -209,13 +209,6 @@ def component_count(vertices, pairs):
     return count
 
 
-def is_tree(vertices, pairs):
-    return (
-        component_count(vertices, pairs) <= 1
-        and len(pairs) == len(vertices) - 1
-    )
-
-
 def to_dot(name, nodes, edges):
     """Graphviz text: nodes are (id, label), edges (u, v, label).
 

@@ -12,7 +12,8 @@ The normal form, the collapsed graph and both side graphs after
 cancellation and merging, is kept on the diagram: check_main, diagnose,
 the dot output and tree validation all read it from there, and each
 side graph counts its components once.  check_main reads region counts
-off the diagrams' flat region lists and builds no region record.
+off the diagrams' flat region lists and builds no region record; a link
+fails before any region is read.
 """
 
 import json
@@ -111,11 +112,7 @@ def normal_form(d):
 def check_main(d):
     comps = d.component_count()
     if comps != 1:
-        return Verdict(
-            Status.HYPOTHESES_FAIL,
-            (f"NotAKnot({comps})",),
-            twist_regions=len(flat_regions(d, allow_mixed=True)[0]),
-        )
+        return Verdict(Status.HYPOTHESES_FAIL, (f"NotAKnot({comps})",))
     cg, green, red = normal_form(d)
     r = d if d._reduced is None else d._reduced  # kept by normal_form
     detail = {

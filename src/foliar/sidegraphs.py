@@ -7,7 +7,8 @@ graph of its own side colour, joining the two faces its bigons
 separated, which sit at the region vertex's gaps 1 and 3, with the
 region's signed count as its weight.  A FaceGraph keeps its edges as
 the flat lists u, v, signed and source; the edges view makes FaceEdge
-records, which the checkerboard graphs of the tait module print too.
+records for tests and printing.  The checkerboard graphs of the tait
+module are FaceGraphs too, split by colour by the same face_graphs.
 
 Two regions joining the same pair of faces in the same graph can be
 slid into each other, so parallel side edges merge: the signed weights
@@ -56,10 +57,12 @@ class FaceEdge(NamedTuple):
 
 
 class FaceGraph:
-    """Faces of one colour; edge j joins faces u[j] < v[j], has weight
-    signed[j] and comes from collapsed vertex source[j]."""
+    """Faces of one colour; edge j joins faces u[j] <= v[j], has weight
+    signed[j] and comes from source[j]: a collapsed vertex in a "side"
+    graph, a crossing in a "tait" graph, -1 for a merged family."""
 
-    def __init__(self, color, vertices, u, v, signed, source):
+    def __init__(self, kind, color, vertices, u, v, signed, source):
+        self.kind = kind  # "side" or "tait", the prefix of its dot name
         self.color = color
         self.vertices = tuple(vertices)
         self.u, self.v, self.signed, self.source = u, v, signed, source
@@ -84,19 +87,26 @@ class FaceGraph:
         return self._components <= 1
 
     def is_tree(self):
-        return self.is_connected() and len(self.u) == len(self.vertices) - 1
+        return len(self.u) == len(self.vertices) - 1 and self.is_connected()
 
     def to_dot(self):
-        return face_dot(f"side_{self.color_name}", self.vertices, self.edges)
+        edges = zip(self.u, self.v, self.signed)
+        return to_dot(
+            f"{self.kind}_{self.color_name}",
+            [(f"f{x}", None) for x in self.vertices],
+            [(f"f{a}", f"f{b}", f"{s:+d}") for a, b, s in edges],
+        )
 
 
-def face_dot(name, vertices, edges):
-    """Graphviz text of a face graph: faces by id, edges by FaceEdge."""
-    return to_dot(
-        name,
-        [(f"f{v}", None) for v in vertices],
-        [(f"f{e.u}", f"f{e.v}", f"{e.signed:+d}") for e in edges],
-    )
+def face_graphs(kind, coloring, edges):
+    """The (green, red) FaceGraphs of kind on the faces coloured by
+    coloring; edges[c] holds the u, v, signed and source lists of the
+    edges of colour c."""
+    return tuple([
+        FaceGraph(kind, c, [f for f, k in enumerate(coloring) if k == c],
+                  *edges[c])
+        for c in (GREEN, RED)
+    ])
 
 
 def build_side_graphs(cg):
@@ -111,10 +121,9 @@ def build_side_graphs(cg):
         raise InternalError(
             f"side edge of {i} joins faces {a[i]}, {b[i]} of two colours"
         )
-    faces = _by_color(coloring, range(len(coloring)))
     u, v = list(map(min, a, b)), list(map(max, a, b))
     edges = _by_color(red, u, v, cg.vertices, range(len(a)))
-    return tuple([FaceGraph(c, *faces[c], *edges[c]) for c in (GREEN, RED)])
+    return face_graphs("side", coloring, edges)
 
 
 def _by_color(colors, *columns):

@@ -5,12 +5,11 @@ joining the two same-coloured faces across it.  Its signed weight is +1
 when sweeping the over strand counterclockwise onto the under strand
 crosses the gaps holding that graph's faces, so a twist region shows up
 as equal-signed parallel edges in the graph of its side colour and as a
-path through bivalent vertices in the other.  A graph is a TaitGraph, a
-view of the diagram under one two-colouring of its faces: its edges are
-read off the corners of each crossing and a face's degree is its corner
-count, so no record is made per crossing.  Apart from the type II
-cancellation it starts from, the route reads no twist region, so it
-stays an independent check of the main route.
+path through bivalent vertices in the other.  Both graphs are FaceGraphs
+of the sidegraphs module, listed in one pass over the crossings; a
+face's degree, counted from the edge ends, is its corner count.  Apart
+from the type II cancellation it starts from, the route reads no twist
+region, so it stays an independent check of the main route.
 
 Evaluating a graph: maximal runs of bivalent vertices are removed,
 each run of j vertices recording a twist weight j + 1; the surviving
@@ -26,138 +25,105 @@ reasons, or the red graph's when the green graph certifies.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
-from ._planar import find, is_tree, two_color
+from ._planar import find, two_color
 from .criterion import Status, Verdict, weight_reasons
 from .errors import InternalError
-from .sidegraphs import GREEN, RED, FaceEdge, face_dot
+from .sidegraphs import FaceGraph, face_graphs
 from .twists import reduce_assumption1
 
 
-class TaitGraph:
-    """The checkerboard graph of one colour, as a view of a diagram.
-
-    Its vertices are the faces of d that coloring gives the colour, and
-    its edges the crossings: crossing ci joins the faces at its gaps g
-    and g + 2 for the g in {0, 1} whose faces have the colour.  A face
-    meets one edge per corner, so its degree is its corner count and
-    the bivalent vertices are the bigons.
-    """
-
-    def __init__(self, d, coloring, color):
-        self.d = d
-        self.coloring = coloring
-        self.color = color
-        self.vertices = tuple([f for f, k in enumerate(coloring) if k == color])
-
-    @property
-    def color_name(self):
-        return "green" if self.color == GREEN else "red"
-
-    def ends(self):
-        """(us, vs, signs): the faces each crossing joins and its signed
-        weight, three lists in crossing order."""
-        coloring, color, face_at = self.coloring, self.color, self.d.face_at
-        us, vs, signs = [], [], []
-        for ci, axis in enumerate(self.d.axes):
-            k = 4 * ci
-            if coloring[face_at[k]] != color:
-                k += 1  # this colour's faces sit at gaps 1 and 3
-            u, v = face_at[k], face_at[k + 2]
-            if coloring[u] != coloring[v]:
-                raise InternalError(
-                    f"tait edge of {ci} joins faces {u}, {v} of two colours"
-                )
-            us.append(u)
-            vs.append(v)
-            # +1 on the gap pair whose parity differs from under_axis
-            signs.append(1 if axis != k & 1 else -1)
-        return us, vs, signs
-
-    @property
-    def edges(self):
-        return tuple([
-            FaceEdge(min(u, v), max(u, v), s, ci)
-            for ci, (u, v, s) in enumerate(zip(*self.ends()))
-        ])
-
-    def all_bivalent(self):
-        start = self.d.start
-        return all(start[f + 1] - start[f] == 2 for f in self.vertices)
-
-    def signed_sum(self):
-        return sum(self.ends()[2])
-
-    def to_dot(self):
-        return face_dot(f"tait_{self.color_name}", self.vertices, self.edges)
-
-
 def build_tait(d):
-    """The (green, red) checkerboard graphs of d under one colouring."""
+    """The (green, red) checkerboard graphs of d, edges in crossing order.
+
+    Crossing ci joins the faces at its gaps 0 and 2 in the graph of
+    their colour, with weight +1 when its under_axis is 1, and the faces
+    at its gaps 1 and 3 in the other graph, with the opposite weight.
+    """
     coloring = two_color(d)
-    return TaitGraph(d, coloring, GREEN), TaitGraph(d, coloring, RED)
+    face_at = d.face_at
+    source = list(range(len(d)))  # each crossing has an edge of each colour
+    edges = [[], [], [], source], [[], [], [], source]  # u, v, signed, source
+    rows = zip(face_at[0::4], face_at[1::4], face_at[2::4], face_at[3::4],
+               d.axes)
+    for ci, (a, b, c, e, axis) in enumerate(rows):
+        x = coloring[a]
+        if coloring[c] != x or coloring[b] == x or coloring[e] == x:
+            raise InternalError(f"tait edges of {ci} join two colours")
+        s = 1 if axis else -1
+        u, v, signed, _ = edges[x]
+        u.append(a if a < c else c)
+        v.append(c if a < c else a)
+        signed.append(s)
+        u, v, signed, _ = edges[x ^ 1]
+        u.append(b if b < e else e)
+        v.append(e if b < e else b)
+        signed.append(-s)
+    return face_graphs("tait", coloring, edges)
 
 
-@dataclass
-class ContractedTait:
-    chain_weights: tuple
-    merged_weights: tuple
-    vertices: tuple
-    edge_pairs: tuple  # (u, v) per surviving structural edge
-
-    @property
-    def weights(self):
-        return tuple(sorted(self.chain_weights + self.merged_weights))
-
-    def is_tree(self):
-        return is_tree(self.vertices, self.edge_pairs)
+def _degrees(g):
+    """The number of edge ends at each face of g, in a list by face."""
+    deg = [0] * (max(g.vertices) + 1)
+    for f in g.u:
+        deg[f] += 1
+    for f in g.v:
+        deg[f] += 1
+    return deg
 
 
-def contract(tg):
-    """Remove bivalent runs and merge parallel survivors."""
-    start = tg.d.start
-    bigon = [b - a == 2 for a, b in zip(start, start[1:])]
-    vertices = tg.vertices
-    bivalent = [v for v in vertices if bigon[v]]
+def _bivalent(g):
+    """Whether every face of g has degree 2; only a graph with as many
+    edges as faces has its degrees counted."""
+    return len(g.u) == len(g.vertices) == _degrees(g).count(2)
+
+
+def contract(g):
+    """(chain_weights, merged): remove the bivalent runs of g, each run
+    of j faces recording a weight j + 1, and merge the parallel families
+    of the surviving faces into a FaceGraph with one edge per family of
+    nonzero sum, of weight |sum| and source -1."""
+    bigon = [k == 2 for k in _degrees(g)]
+    vertices = g.vertices
+    bivalent = [f for f in vertices if bigon[f]]
     if len(bivalent) == len(vertices):
         raise InternalError("contract called on an all-bivalent graph")
     parent = list(range(len(bigon)))  # runs of bivalent faces
     families = {}  # signed sum per pair of surviving faces
-    for u, v, s in zip(*tg.ends()):
+    for u, v, s in zip(g.u, g.v, g.signed):
         if bigon[u]:
             if bigon[v]:
                 ru, rv = find(parent, u), find(parent, v)
                 parent[rv] = ru
         elif not bigon[v]:
-            pair = (u, v) if u < v else (v, u)
+            pair = u, v
             families[pair] = families.get(pair, 0) + s
         # an edge with one bivalent end is consumed by that end's run
     runs = Counter([find(parent, v) for v in bivalent])
     chain_weights = tuple(sorted([n + 1 for n in runs.values()]))
-    kept = [(pair, abs(s)) for pair, s in sorted(families.items()) if s]
-    return ContractedTait(
-        chain_weights,
-        tuple([w for _, w in kept]),
-        tuple([v for v in vertices if not bigon[v]]),
-        tuple([pair for pair, _ in kept]),
+    pairs = sorted([pair for pair, s in families.items() if s])
+    return chain_weights, FaceGraph(
+        g.kind, g.color, [f for f in vertices if not bigon[f]],
+        [u for u, _ in pairs], [v for _, v in pairs],
+        [abs(families[pair]) for pair in pairs],
+        [-1] * len(pairs),  # a family has no single crossing
     )
 
 
 def _dk_value(green, red):
-    gb, rb = green.all_bivalent(), red.all_bivalent()
+    gb, rb = _bivalent(green), _bivalent(red)
     if not (gb or rb):
         return None
     # a single looped vertex is the parallel side of a one-crossing curl;
     # otherwise the all-bivalent graph is the cycle side and the twist
     # count is read off the other graph
     if gb and len(green.vertices) == 1:
-        return green.signed_sum()
+        return sum(green.signed)
     if rb and len(red.vertices) == 1:
-        return red.signed_sum()
+        return sum(red.signed)
     if gb:
-        return red.signed_sum()
-    return green.signed_sum()
+        return sum(red.signed)
+    return sum(green.signed)
 
 
 def check_tait(d):
@@ -168,27 +134,23 @@ def check_tait(d):
     green, red = build_tait(d)
     k = _dk_value(green, red)
     if k is not None:
-        return Verdict(
-            Status.EXCLUDED,
-            (f"DkDiagram({k})",),
-            (abs(k),),
-            (),
-            1,
-        )
+        reasons = (f"DkDiagram({k})",)
+        return Verdict(Status.EXCLUDED, reasons, (abs(k),), (), 1)
     results = []
     for g in (green, red):
-        cg = contract(g)
+        chain_weights, merged = contract(g)
+        weights = tuple(sorted(chain_weights + merged.weights()))
         name = g.color_name
-        reasons = weight_reasons(cg.weights, lambda i, w: f"{name},weight={w}")
-        if not cg.is_tree():
+        reasons = weight_reasons(weights, lambda i, w: f"{name},weight={w}")
+        if not merged.is_tree():
             reasons.append(f"NotContractible({name})")
-        results.append((cg, tuple(reasons)))
-    (cg_green, reasons_green), (cg_red, reasons_red) = results
+        results.append((weights, tuple(reasons)))
+    (weights_green, reasons_green), (weights_red, reasons_red) = results
     reasons = reasons_green or reasons_red
     return Verdict(
         Status.HYPOTHESES_FAIL if reasons else Status.CERTIFIED,
         reasons,
-        cg_green.weights,
-        cg_red.weights,
-        len(cg_green.weights),
+        weights_green,
+        weights_red,
+        len(weights_green),
     )

@@ -351,9 +351,6 @@ class CollapsedGraph:
     def __len__(self):
         return len(self.vertices)
 
-    def side_faces(self, vi):
-        return tuple([self.face_at[4 * vi + g] for g in self.ARC_GAPS])
-
     def to_dot(self):
         nodes = [
             (f"v{i}", f"{abs(w)}@{1 if w > 0 else -1:+d}")

@@ -6,6 +6,7 @@ from foliar import (
     Status,
     braid_to_diagram,
     check_main,
+    check_tait,
     collapse,
     detect_dk,
     diagnose,
@@ -64,6 +65,14 @@ def test_hopf_not_a_knot(hopf):
     v = check_main(hopf)
     assert v.status == Status.HYPOTHESES_FAIL
     assert v.reasons == ("NotAKnot(2)",)
+
+
+def test_link_verdict_runs_no_twist_detection(hopf):
+    # a link fails before any region is read, with the same verdict on
+    # both routes: no region count
+    assert check_main(hopf) == check_tait(hopf)
+    assert check_main(hopf).twist_regions == 0
+    assert hopf._regions is None
 
 
 def test_flat_pretzel_fails_connectivity():

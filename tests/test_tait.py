@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from foliar import (
@@ -29,8 +31,9 @@ def test_build_trefoil(trefoil):
         (1, 4, -1),
         (3, 4, -1),
     ]
-    assert r.all_bivalent()
-    assert g.signed_sum() == 3
+    # every red face meets two edge ends
+    assert Counter(r.u + r.v) == dict.fromkeys(r.vertices, 2)
+    assert sum(g.signed) == 3
 
 
 def test_one_edge_per_crossing_per_color(fig8):
@@ -43,12 +46,12 @@ def test_one_edge_per_crossing_per_color(fig8):
 def test_contract_fig8(fig8):
     g, r = build_tait(fig8)
     for tg in (g, r):
-        c = contract(tg)
-        assert c.chain_weights == (2,)
-        assert c.merged_weights == (2,)
-        assert c.is_tree()
-    assert contract(g).vertices == (0, 2)
-    assert contract(r).vertices == (1, 4)
+        chain_weights, merged = contract(tg)
+        assert chain_weights == (2,)
+        assert merged.signed == [2] and merged.source == [-1]
+        assert merged.is_tree()
+    assert contract(g)[1].vertices == (0, 2)
+    assert contract(r)[1].vertices == (1, 4)
 
 
 def test_contract_refuses_all_bivalent(trefoil):
@@ -102,8 +105,8 @@ def test_weight_multiset_preserved(fig8):
     for d, expected in ((fig8, [2, 2]), (parse_pd(SQUARE_KNOT), [3, 3])):
         g, r = build_tait(d)
         for tg in (g, r):
-            c = contract(tg)
-            assert sorted(c.chain_weights + c.merged_weights) == expected
+            chain_weights, merged = contract(tg)
+            assert sorted(chain_weights + merged.weights()) == expected
 
 
 def test_agreement_on_clean_inputs(trefoil, fig8, kink, hopf):

@@ -141,7 +141,7 @@ def test_collapse_face_invariant_random_braids():
 def test_collapse_side_faces_and_dot(fig8):
     cg = collapse(fig8)
     for i in range(len(cg)):
-        a, b = cg.side_faces(i)
+        a, b = cg.face_at[4 * i + 1], cg.face_at[4 * i + 3]
         assert a != b
     dot = cg.to_dot()
     assert dot.startswith("graph") and "v0" in dot
