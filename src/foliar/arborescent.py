@@ -5,7 +5,9 @@ runs horizontally at even depth and vertically at odd depth, and the
 chains of the children are boxed into the parent's chain in planar
 order.  Closing the root chain gives the diagram.  Positive weight
 means the strand from the lower left passes over, read with the chain
-axis horizontal.
+axis horizontal.  The chains are written and boxed by the chain writer
+that pretzels and braid closures share, diagram._twist_chain and
+diagram._compose, into a diagram._Builder.
 
 For trees with every |w| >= 2 the generated diagram's twist regions
 reproduce the vertices, and its normal form merges nothing and has tree
@@ -14,10 +16,9 @@ side graphs; generation checks this and raises on any mismatch.
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .criterion import Status, Verdict, normal_form, weight_reasons
-from .diagram import LinkDiagram
+from .diagram import _Builder, _compose, _twist_chain
 from .errors import ConstructionMismatch, MalformedTree, ZeroWeight
 from .twists import flat_regions, region_crossings
 
@@ -28,6 +29,8 @@ class WeightedPlanarTree:
 
     def __init__(self, weight, parent):
         self.weight = tuple(weight)
+        if 0 in self.weight:
+            raise ZeroWeight(f"vertex {self.weight.index(0)} has weight 0")
         self.parent = tuple(parent)
         self.children = [[] for _ in self.weight]
         self.depth = [0] * len(self.weight)
@@ -144,77 +147,11 @@ def family_tree(kind, params):
 
 # -- tangle assembly --------------------------------------------------------
 
-class _Builder:
-    """Crossings and the joins between their ports, as a dart map."""
-
-    def __init__(self):
-        self.alpha = []  # dart 4k + slot of crossing k -> its partner
-        self.owner = []  # tree vertex index per crossing
-
-    def join(self, a, b):
-        self.alpha[a] = b
-        self.alpha[b] = a
-
-    def finish(self, t):
-        """Close tangle t, NW to NE and SW to SE, into a diagram."""
-        self.join(t.NW, t.NE)
-        self.join(t.SW, t.SE)
-        return LinkDiagram.from_darts(self.alpha, [0] * len(self.owner))
-
-
-@dataclass
-class _Tangle:
-    NW: int
-    NE: int
-    SW: int
-    SE: int
-
-
-def _twist_chain(b, axis, weight, owner):
-    """|weight| new crossings in a row along axis, each joined to the
-    next; returns the chain's tangle."""
-    # the slots hold NW, SW, SE, NE counterclockwise when the NE-SW
-    # diagonal passes over (positive weight), NE, NW, SW, SE when NW-SE does
-    nw = 0 if weight > 0 else 1
-    sw, se, ne = nw + 1, nw + 2, (nw + 3) & 3
-    n = abs(weight)
-    first = len(b.alpha)
-    last = first + 4 * (n - 1)
-    alpha = b.alpha
-    alpha += [-1] * (4 * n)
-    b.owner += [owner] * n
-    if axis == "h":  # NE and SE of each crossing meet NW and SW of the next
-        for k in range(first, last, 4):
-            alpha[k + ne] = k + 4 + nw
-            alpha[k + 4 + nw] = k + ne
-            alpha[k + se] = k + 4 + sw
-            alpha[k + 4 + sw] = k + se
-        return _Tangle(first + nw, last + ne, first + sw, last + se)
-    for k in range(first, last, 4):  # SW and SE meet NW and NE of the next
-        alpha[k + sw] = k + 4 + nw
-        alpha[k + 4 + nw] = k + sw
-        alpha[k + se] = k + 4 + ne
-        alpha[k + 4 + ne] = k + se
-    return _Tangle(first + nw, first + ne, last + sw, last + se)
-
-
-def _compose(b, axis, a, t):
-    if axis == "h":
-        b.join(a.NE, t.NW)
-        b.join(a.SE, t.SW)
-        return _Tangle(a.NW, t.NE, a.SW, t.SE)
-    b.join(a.SW, t.NW)
-    b.join(a.SE, t.NE)
-    return _Tangle(a.NW, a.NE, t.SW, t.SE)
-
-
 def _assemble(b, tree):
     """Chains in preorder, so crossings are numbered by vertex; then each
     vertex boxes its children's finished tangles in, last vertex first."""
     axes, tangles = [], []
     for i, w in enumerate(tree.weight):
-        if w == 0:
-            raise ZeroWeight(f"vertex {i} has weight 0")
         axes.append("hv"[tree.depth[i] % 2])
         tangles.append(_twist_chain(b, axes[i], w, i))
     for i in reversed(range(len(tangles))):

@@ -7,7 +7,8 @@ the syllable picture matches the twist regions exactly when every
 return to a generator crosses the bridging generator first: after
 sigma_h for odd h comes sigma_{h+1} before sigma_h again, and for even
 h the bridge is sigma_{h-1}.  The test only applies to braids on an
-odd number of strands.
+odd number of strands.  The closure is written by the chain writer
+that trees and pretzels share, diagram._twist_chain.
 """
 
 import re
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from ._planar import component_count
 from .criterion import Status, Verdict, weight_reasons
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, _Builder, _twist_chain
 from .errors import (
     BadGenerator,
     EmptyWord,
@@ -133,42 +134,37 @@ def check_interleaving(word):
 def braid_to_diagram(word):
     """Diagram of the braid closure.
 
-    Positive exponents give twist chains of positive handedness.  If a
-    strand meets no crossing its closure is a crossing-free circle the
-    PD model cannot carry, so that case raises.
+    Syllable s_i^e is a vertical chain of weight -e, so positive
+    exponents give twist chains of positive handedness.  Its NW and NE
+    ports join the open ends of strands i and i+1, and its SW and SE
+    ports become their new open ends.  If a strand meets no crossing its
+    closure is a crossing-free circle the PD model cannot carry, so that
+    case raises.
     """
-    alpha = []
+    b = _Builder()
     top = [None] * word.n_strands  # each strand's first dart from the top
     cur = [None] * word.n_strands  # each strand's open bottom dart so far
-    for s in word.syllables:
+    for k, s in enumerate(word.syllables):
         i = s.gen - 1
         if s.gen > word.n_strands - 1:
             raise BadGenerator(f"s{s.gen} in a {word.n_strands}-strand braid")
-        for _ in range(abs(s.exp)):
-            k = len(alpha)
-            alpha += [-1] * 4
-            # slots counterclockwise: from NE when the over strand runs
-            # NW-SE, from NW otherwise
-            if s.exp > 0:
-                nw, ne, sw, se = k + 1, k, k + 2, k + 3
+        if not s.exp:
+            continue
+        t = _twist_chain(b, "v", -s.exp, k)
+        for j, dart in ((i, t.NW), (i + 1, t.NE)):
+            if cur[j] is None:
+                top[j] = dart
             else:
-                nw, ne, sw, se = k, k + 3, k + 1, k + 2
-            for j, dart in ((i, nw), (i + 1, ne)):
-                if cur[j] is None:
-                    top[j] = dart
-                else:
-                    alpha[cur[j]] = dart
-                    alpha[dart] = cur[j]
-            cur[i], cur[i + 1] = sw, se
+                b.join(cur[j], dart)
+        cur[i], cur[i + 1] = t.SW, t.SE
     if None in cur:
-        idle = [i + 1 for i, b in enumerate(cur) if b is None]
+        idle = [i + 1 for i, e in enumerate(cur) if e is None]
         raise NonSphericalEmbedding(
             f"closure of strands {idle} has no crossings"
         )
-    for t, b in zip(top, cur):
-        alpha[t] = b
-        alpha[b] = t
-    return LinkDiagram.from_darts(alpha, [0] * (len(alpha) // 4))
+    for a, e in zip(top, cur):
+        b.join(a, e)
+    return LinkDiagram.from_darts(b.alpha, [0] * len(b.owner))
 
 
 def check_braid(word):

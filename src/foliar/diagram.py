@@ -27,12 +27,15 @@ a mirror image shares it and alpha, flipping only axes.  Constructions
 and build through LinkDiagram.from_darts, which checks that alpha is a
 fixed-point-free involution and keeps no labels: their arcs are
 numbered 1..2n in the order of their lower darts when printed.  Every
-way in ends in _finish, the one place that sets a diagram's state.
+way in calls LinkDiagram(alpha, axes, labels), whose __init__ is the
+one place that sets a diagram's state.  Trees, pretzels and braid
+closures share one chain writer, _twist_chain, which lays rows of
+crossings into a _Builder's dart map by slot arithmetic.
 """
 
 import json
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import repeat
 
 from ._planar import face_lists, strands, trace_faces
@@ -57,31 +60,13 @@ _UNLABEL = str.maketrans("X[,]", "    ")
 class LinkDiagram:
     """Validated diagram with faces, components and corner lookups.
 
-    Built by parse_pd, from_json, from_darts or mirror, never directly.
+    Built by parse_pd, from_json, from_darts or mirror, which check the
+    dart map that __init__ trusts.
     """
 
-    @classmethod
-    def from_darts(cls, alpha, axes):
-        """Diagram of the dart map alpha, a list over the 4n darts of n
-        crossings with under_axis bits axes; both are kept, not copied.
-        """
-        n = 4 * len(axes)
-        if len(alpha) != n:
-            raise InternalError(
-                f"{len(alpha)} darts for {len(axes)} crossings"
-            )
-        for d, e in enumerate(alpha):
-            if not 0 <= e < n or e == d or alpha[e] != d:
-                raise InternalError(
-                    f"dart map is not a fixed-point-free involution at {d}"
-                )
-        return cls._finish(alpha, axes, None)
-
-    @classmethod
-    def _finish(cls, alpha, axes, labels):
+    def __init__(self, alpha, axes, labels):
         """A diagram's state, checks and faces, for every way in; labels
         is the flat label list read from labelled input, else None."""
-        self = cls.__new__(cls)
         self.alpha = alpha
         self.axes = axes
         self._labels = labels
@@ -103,7 +88,23 @@ class LinkDiagram:
         # filled on first use; twists: regions, the first mixed region,
         # reduction; criterion: normal form
         self._regions = self._mixed = self._reduced = self._normal = None
-        return self
+
+    @classmethod
+    def from_darts(cls, alpha, axes):
+        """Diagram of the dart map alpha, a list over the 4n darts of n
+        crossings with under_axis bits axes; both are kept, not copied.
+        """
+        n = 4 * len(axes)
+        if len(alpha) != n:
+            raise InternalError(
+                f"{len(alpha)} darts for {len(axes)} crossings"
+            )
+        for d, e in enumerate(alpha):
+            if not 0 <= e < n or e == d or alpha[e] != d:
+                raise InternalError(
+                    f"dart map is not a fixed-point-free involution at {d}"
+                )
+        return cls(alpha, axes, None)
 
     # -- queries -----------------------------------------------------------
 
@@ -120,7 +121,7 @@ class LinkDiagram:
         """Swap over and under strands at every crossing.  The mirror
         image shares alpha and the labels; neither is ever written to."""
         axes = [1 - a for a in self.axes]
-        return self._finish(self.alpha, axes, self._labels)
+        return type(self)(self.alpha, axes, self._labels)
 
     # -- serialisation -----------------------------------------------------
 
@@ -169,7 +170,7 @@ class LinkDiagram:
             if len(row) != 4:
                 _check_labels(labels[:4 * ci])  # a bad label is named first
                 raise MalformedToken(f"crossing {ci} has {len(row)} slots")
-        return cls._finish(_pair(labels), axes, labels)
+        return cls(_pair(labels), axes, labels)
 
 
 def parse_pd(text):
@@ -178,7 +179,7 @@ def parse_pd(text):
         bad = next(t for t in text.split() if not _TOKEN.fullmatch(t))
         raise MalformedToken(f"bad token {bad!r}")
     labels = list(map(int, text.translate(_UNLABEL).split()))
-    return LinkDiagram._finish(_pair(labels), [0] * (len(labels) >> 2), labels)
+    return LinkDiagram(_pair(labels), [0] * (len(labels) >> 2), labels)
 
 
 def _check_labels(labels):
@@ -217,3 +218,65 @@ def _pair(labels):
         f"offending labels {bad or ordered}"
     )
 
+
+# -- chain writer: dart maps for from_darts ----------------------------------
+
+class _Builder:
+    """Crossings and the joins between their ports, as a dart map."""
+
+    def __init__(self):
+        self.alpha = []  # dart 4k + slot of crossing k -> its partner
+        self.owner = []  # per crossing: its tree vertex, strip or syllable
+
+    def join(self, a, b):
+        self.alpha[a] = b
+        self.alpha[b] = a
+
+    def finish(self, t):
+        """Close tangle t, NW to NE and SW to SE, into a diagram."""
+        self.join(t.NW, t.NE)
+        self.join(t.SW, t.SE)
+        return LinkDiagram.from_darts(self.alpha, [0] * len(self.owner))
+
+
+_Tangle = namedtuple("_Tangle", "NW NE SW SE")  # a chain's four free ports
+
+
+def _twist_chain(b, axis, weight, owner):
+    """|weight| new crossings in a row along axis, each joined to the
+    next; returns the chain's tangle.  A horizontal chain's twist region
+    has the sign of weight as its handedness, a vertical chain's the
+    opposite sign."""
+    # the slots hold NW, SW, SE, NE counterclockwise when the NE-SW
+    # diagonal passes over (positive weight), NE, NW, SW, SE when NW-SE does
+    nw = 0 if weight > 0 else 1
+    sw, se, ne = nw + 1, nw + 2, (nw + 3) & 3
+    n = abs(weight)
+    first = len(b.alpha)
+    last = first + 4 * (n - 1)
+    alpha = b.alpha
+    alpha += [-1] * (4 * n)
+    b.owner += [owner] * n
+    if axis == "h":  # NE and SE of each crossing meet NW and SW of the next
+        for k in range(first, last, 4):
+            alpha[k + ne] = k + 4 + nw
+            alpha[k + 4 + nw] = k + ne
+            alpha[k + se] = k + 4 + sw
+            alpha[k + 4 + sw] = k + se
+        return _Tangle(first + nw, last + ne, first + sw, last + se)
+    for k in range(first, last, 4):  # SW and SE meet NW and NE of the next
+        alpha[k + sw] = k + 4 + nw
+        alpha[k + 4 + nw] = k + sw
+        alpha[k + se] = k + 4 + ne
+        alpha[k + 4 + ne] = k + se
+    return _Tangle(first + nw, first + ne, last + sw, last + se)
+
+
+def _compose(b, axis, a, t):
+    if axis == "h":
+        b.join(a.NE, t.NW)
+        b.join(a.SE, t.SW)
+        return _Tangle(a.NW, t.NE, a.SW, t.SE)
+    b.join(a.SW, t.NW)
+    b.join(a.SE, t.NE)
+    return _Tangle(a.NW, a.NE, t.SW, t.SE)

@@ -121,7 +121,8 @@ def build_side_graphs(cg):
         raise InternalError(
             f"side edge of {i} joins faces {a[i]}, {b[i]} of two colours"
         )
-    u, v = list(map(min, a, b)), list(map(max, a, b))
+    u = [x if x < y else y for x, y in zip(a, b)]
+    v = [y if x < y else x for x, y in zip(a, b)]
     edges = _by_color(red, u, v, cg.vertices, range(len(a)))
     return face_graphs("side", coloring, edges)
 

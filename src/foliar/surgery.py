@@ -74,8 +74,10 @@ class Slope:
         return Fraction(self.p, self.q)
 
     def __eq__(self, other):
-        if not isinstance(other, Slope):
+        if isinstance(other, (int, Fraction)):
             other = Slope(other)
+        elif not isinstance(other, Slope):
+            return NotImplemented
         return (self.p, self.q) == (other.p, other.q)
 
     def __hash__(self):

@@ -36,6 +36,18 @@ def test_parse_errors():
         parse_tree("(2 x)")
 
 
+def test_trees_built_without_parsing_reject_a_zero_weight():
+    # (0 (3)) would print as text that parse_tree rejects
+    for kind, params, message in [
+        ("two_bridge", [0, 3], "vertex 0 has weight 0"),
+        ("pretzel", [2, 3, 0], "vertex 2 has weight 0"),
+        ("montesinos", [3, (2, 0)], "vertex 2 has weight 0"),
+    ]:
+        with pytest.raises(ZeroWeight) as exc:
+            family_tree(kind, params)
+        assert str(exc.value) == message
+
+
 def test_weights_and_len():
     t = parse_tree("(2 (3))")
     assert len(t) == 2

@@ -28,7 +28,6 @@ from foliar.errors import (
 
 from conftest import (
     DisjointSets,
-    random_braid_text,
     random_tree_text,
     relabel,
     rows_of,
@@ -114,12 +113,19 @@ def test_tree_diagrams_match_relabel():
 
 
 def test_braid_closure_matches_the_disjoint_set_reference():
+    # 2-5 strands, so the chain writer runs at every generator position,
+    # the outermost strands included
     rng = seeded(9)
+    exps = (-4, -3, -2, -1, 1, 2, 3, 4)
     seen = idle = 0
     for _ in range(300):
+        n = rng.randint(2, 5)
         word = parse_braid(
-            random_braid_text(rng, 6, exps=(-3, -2, -1, 1, 2, 3)),
-            3,
+            " ".join(
+                f"s{rng.randint(1, n - 1)}^{rng.choice(exps)}"
+                for _ in range(rng.randint(1, 8))
+            ),
+            n,
         )
         try:
             want = ref_braid_to_diagram(word)

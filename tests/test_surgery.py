@@ -36,6 +36,15 @@ def test_slope_fraction_and_str():
     assert str(Slope(-7, 2)) == "-7/2"
 
 
+def test_slope_equals_numbers_and_nothing_else():
+    assert Slope(3, 2) == Fraction(3, 2)
+    assert Slope(4, 1) == 4 and 4 == Slope(4, 1)
+    assert Slope(1, 2) != None  # noqa: E711 -- the comparison under test
+    assert Slope(1, 2) not in [None, "1/2", 0.5]
+    # a tuple of equal hash is compared, not converted
+    assert {Slope(1, 2): 1}.get((1, 2)) is None
+
+
 def test_interval_membership():
     iv = Interval(-1, 1)
     assert iv.contains(Slope(0, 1))
