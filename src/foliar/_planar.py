@@ -190,7 +190,8 @@ def face_lists(plane):
 
 
 def find(parent, x):
-    """Root of x in the union-find list parent, halving the path to it."""
+    """Root of x in the union-find list or dict parent, halving the path
+    to it."""
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     return x

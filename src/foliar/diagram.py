@@ -21,16 +21,17 @@ through is alpha, axes, bits, corners, start and face_at.
 
 Arc labels are not part of that state.  Labelled input (PD text or
 JSON rows) becomes one flat list of four labels per crossing, which one
-loop validates and pairs into alpha; the list is kept for printing, and
-a mirror image shares it and alpha, flipping only axes.  Constructions
-(trees, braid closures, type II cancellation) hold a dart map already
-and build through LinkDiagram.from_darts, which checks that alpha is a
-fixed-point-free involution and keeps no labels: their arcs are
-numbered 1..2n in the order of their lower darts when printed.  Every
-way in calls LinkDiagram(alpha, axes, labels), whose __init__ is the
-one place that sets a diagram's state.  Trees, pretzels and braid
-closures share one chain writer, _twist_chain, which lays rows of
-crossings into a _Builder's dart map by slot arithmetic.
+loop validates and pairs into alpha.  The list is dropped: the diagram
+keeps the text, which printing reads again, and a mirror image shares
+it and alpha, flipping only axes.  Constructions (trees, braid
+closures, type II cancellation) hold a dart map already and build
+through LinkDiagram.from_darts, which checks that alpha is a
+fixed-point-free involution and keeps no text: their arcs are numbered
+1..2n in the order of their lower darts when printed.  Every way in
+calls LinkDiagram(alpha, axes, text), whose __init__ is the one place
+that sets a diagram's state.  Trees, pretzels and braid closures share
+one chain writer, _twist_chain, which lays rows of crossings into a
+_Builder's dart map by slot arithmetic.
 """
 
 import json
@@ -64,12 +65,12 @@ class LinkDiagram:
     dart map that __init__ trusts.
     """
 
-    def __init__(self, alpha, axes, labels):
-        """A diagram's state, checks and faces, for every way in; labels
-        is the flat label list read from labelled input, else None."""
+    def __init__(self, alpha, axes, text):
+        """A diagram's state, checks and faces, for every way in; text
+        is the checked PD text or JSON it was read from, else None."""
         self.alpha = alpha
         self.axes = axes
-        self._labels = labels
+        self._text = text
         self.arc_count = len(alpha) >> 1
         n = len(axes)
         if not n:
@@ -119,17 +120,17 @@ class LinkDiagram:
 
     def mirror(self):
         """Swap over and under strands at every crossing.  The mirror
-        image shares alpha and the labels; neither is ever written to."""
+        image shares alpha, which is never written to, and the text."""
         axes = [1 - a for a in self.axes]
-        return type(self)(self.alpha, axes, self._labels)
+        return type(self)(self.alpha, axes, self._text)
 
     # -- serialisation -----------------------------------------------------
 
     def _rows(self):
-        """Four arc labels per crossing: the labels read for labelled
-        input, else arcs numbered 1..2n in the order of their lower darts."""
-        labels = self._labels
-        if labels is None:
+        """Four arc labels per crossing: the labels read again from the
+        text, else arcs numbered 1..2n in the order of their lower darts."""
+        labels = self._text and _read_labels(self._text)
+        if labels is None:  # built from a dart map
             labels = [0] * len(self.alpha)
             arc = 0
             for d, e in enumerate(self.alpha):
@@ -170,7 +171,7 @@ class LinkDiagram:
             if len(row) != 4:
                 _check_labels(labels[:4 * ci])  # a bad label is named first
                 raise MalformedToken(f"crossing {ci} has {len(row)} slots")
-        return cls(_pair(labels), axes, labels)
+        return cls(_pair(labels), axes, text)
 
 
 def parse_pd(text):
@@ -178,8 +179,16 @@ def parse_pd(text):
     if _BAD.search(" " + text):
         bad = next(t for t in text.split() if not _TOKEN.fullmatch(t))
         raise MalformedToken(f"bad token {bad!r}")
-    labels = list(map(int, text.translate(_UNLABEL).split()))
-    return LinkDiagram(_pair(labels), [0] * (len(labels) >> 2), labels)
+    labels = _read_labels(text)
+    return LinkDiagram(_pair(labels), [0] * (len(labels) >> 2), text)
+
+
+def _read_labels(text):
+    """The flat label list of checked PD text or of diagram JSON, the
+    only one of the two that starts with {."""
+    if text.lstrip()[:1] == "{":
+        return [a for row in json.loads(text)["crossings"] for a in row]
+    return list(map(int, text.translate(_UNLABEL).split()))
 
 
 def _check_labels(labels):

@@ -22,17 +22,23 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InputError, MalformedToken, Unsatisfiable, ZeroK
 from .twists import flat_regions
 
 
 class Slope:
-    """A fraction p/q in lowest terms; q = 0 is the slope at infinity."""
+    """A fraction p/q in lowest terms; q = 0 is the slope at infinity.
+    Nothing writes p or q after __init__, so circles may share a Slope."""
 
     __slots__ = ("p", "q")
 
     def __init__(self, p, q=1):
+        if not isinstance(p, (int, Fraction, Slope)):
+            raise MalformedToken(f"slope {p!r} is no int, Fraction or Slope")
+        if not isinstance(q, int):
+            raise MalformedToken(f"slope denominator {q!r} is no int")
         if isinstance(p, Slope):
             p, q = p.p, p.q * q
         if isinstance(p, Fraction):
@@ -154,13 +160,12 @@ def realized_interval(config, k=None, flipped=False):
 
 # -- crossing circles -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossingCircle:
+class CrossingCircle(NamedTuple):
     region: int
     count: int
     parity: int  # count mod 2
     k: int
-    coefficient: Slope
+    coefficient: Slope  # 1/k, shared by the circles of equal k
 
 
 def augment(d):
@@ -260,6 +265,7 @@ def circles_from_counts(signed_counts):
     without building diagrams.
     """
     circles = []
+    slopes = {}  # one coefficient 1/k per distinct k
     for i, sc in enumerate(signed_counts):
         c = abs(int(sc))
         if c == 0:
@@ -268,7 +274,9 @@ def circles_from_counts(signed_counts):
         k = h * (c // 2)
         if k == 0:
             raise ZeroK(f"region {i} has count {c}; no full twist")
-        circles.append(CrossingCircle(i, c, c % 2, k, Slope(1, k)))
+        if k not in slopes:
+            slopes[k] = Slope(1, k)
+        circles.append(CrossingCircle(i, c, c % 2, k, slopes[k]))
     return circles
 
 

@@ -34,7 +34,8 @@ from .twists import reduce_assumption1
 
 
 def build_tait(d):
-    """The (green, red) checkerboard graphs of d, edges in crossing order.
+    """The (green, red) checkerboard graphs of d, edges in crossing order,
+    so both graphs share range(len(d)) as their source.
 
     Crossing ci joins the faces at its gaps 0 and 2 in the graph of
     their colour, with weight +1 when its under_axis is 1, and the faces
@@ -42,7 +43,7 @@ def build_tait(d):
     """
     coloring = two_color(d)
     face_at = d.face_at
-    source = list(range(len(d)))  # each crossing has an edge of each colour
+    source = range(len(d))  # each crossing has an edge of each colour
     edges = [[], [], [], source], [[], [], [], source]  # u, v, signed, source
     rows = zip(face_at[0::4], face_at[1::4], face_at[2::4], face_at[3::4],
                d.axes)
@@ -88,7 +89,7 @@ def contract(g):
     bivalent = [f for f in vertices if bigon[f]]
     if len(bivalent) == len(vertices):
         raise InternalError("contract called on an all-bivalent graph")
-    parent = list(range(len(bigon)))  # runs of bivalent faces
+    parent = dict(zip(bivalent, bivalent))  # runs of bivalent faces
     families = {}  # signed sum per pair of surviving faces
     for u, v, s in zip(g.u, g.v, g.signed):
         if bigon[u]:

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,19 @@ def goeritz_determinant(plane, counts, color):
     det, rest = divmod(abs(bareiss(m)) * scale, scale ** len(m))
     assert not rest
     return det
+
+
+def traced_memory(call, *args):
+    """(kept, peak): the bytes call(*args) still holds when it returns,
+    its result included, and the most it held at once, as tracemalloc
+    counts them."""
+    tracemalloc.start()
+    try:
+        result = call(*args)  # held until kept is read
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return kept, peak
 
 
 def from_rows(rows, axes):

@@ -12,7 +12,6 @@ the same errors with the same messages.
 
 import json
 import re
-import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 
@@ -42,6 +41,7 @@ from conftest import (
     rows_of,
     seeded,
     trace_faces,
+    traced_memory,
     unreduced_inputs,
 )
 
@@ -317,13 +317,38 @@ def test_the_syntax_check_keeps_no_state_per_token():
     text = " ".join(
         f"X[{k},{k + 1},{k + 2},{k + 3}]" for k in range(1, 40001, 4)
     )
-    tracemalloc.start()
-    try:
-        assert _BAD.search(" " + text) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert _BAD.search(" " + text) is None
+    peak = traced_memory(lambda: _BAD.search(" " + text))[1]
     assert peak < len(text) + 64 * 1024  # the padded copy, and little else
+
+
+# PD texts and JSON that a diagram reads its labels from again when it
+# prints: leading zeros, Arabic-Indic digits, Unicode separators, and
+# JSON whose labels and under_axis bits hold bools, which are ints
+REREAD = [
+    "X[01,4,2,5] X[3,6,4,001] X[5,2,6,3]",
+    "X[\u0661,4,2,5] X[3,6,4,\u0661] X[5,2,6,3]",
+    "X[1,4,2,5]\u00a0X[3,6,4,1]\u2003X[5,2,6,3]\x1c",
+    '{"crossings": [[true, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]],'
+    ' "under_axis": [true, 0, false]}',
+    ' \n{"under_axis": [0, 1, true], '
+    '"crossings": [[1, 4, 2, 5], [3, 6, 4, true], [5, 2, 6, 3]]}',
+]
+
+
+@pytest.mark.parametrize("text", REREAD)
+def test_printing_reads_the_labels_again_from_the_text(text):
+    # the diagram keeps the text, not its labels, and prints what a
+    # diagram keeping a record per crossing prints
+    if text.lstrip().startswith("{"):
+        got, want = LinkDiagram.from_json(text), ref_from_json(text)
+    else:
+        got, want = parse_pd(text), ref_parse_pd(text)
+    labels = [a for c in want.crossings for a in c.slots]
+    assert not [v for v in vars(got).values() if v == labels]
+    for got, want in ((got, want), (got.mirror(), want.mirror())):
+        assert got.to_pd() == want.to_pd()
+        assert got.to_json() == want.to_json()
 
 
 def _pd_records(text):

@@ -16,7 +16,7 @@ from foliar import (
     realized_interval,
     verify_plan,
 )
-from foliar.errors import Unsatisfiable, ZeroK
+from foliar.errors import MalformedToken, Unsatisfiable, ZeroK
 
 from conftest import FIG8, KINK
 
@@ -43,6 +43,17 @@ def test_slope_equals_numbers_and_nothing_else():
     assert Slope(1, 2) not in [None, "1/2", 0.5]
     # a tuple of equal hash is compared, not converted
     assert {Slope(1, 2): 1}.get((1, 2)) is None
+
+
+@pytest.mark.parametrize("slope", ["1/2", 0.5, None])
+def test_slopes_of_no_int_fraction_or_slope_are_malformed(slope):
+    # Slope.parse is the way in for text; gcd once raised TypeError here
+    with pytest.raises(MalformedToken) as exc:
+        classify_borromean(slope, 1, 2)
+    assert str(exc.value) == f"slope {slope!r} is no int, Fraction or Slope"
+    with pytest.raises(MalformedToken) as exc:
+        Slope(1, slope)
+    assert str(exc.value) == f"slope denominator {slope!r} is no int"
 
 
 def test_interval_membership():
@@ -102,6 +113,17 @@ def test_augment_coefficient_table():
         else:
             # otherwise mirroring the chain negates the coefficient
             assert ks[1] == -ks[-1] == count // 2
+
+
+def test_crossing_circles_are_tuples_sharing_one_slope_per_k():
+    circles = circles_from_counts([3, 5, -4, 3, 4, -5])
+    assert circles[0] == (0, 3, 1, 1, Slope(1, 1))
+    assert repr(circles[1]) == (
+        "CrossingCircle(region=1, count=5, parity=1, k=2, "
+        "coefficient=Slope(1/2))"
+    )
+    assert len({id(c.coefficient) for c in circles}) == 3
+    assert circles[1].coefficient is circles[4].coefficient
 
 
 def test_augment_zero_k():

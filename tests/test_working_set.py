@@ -1,0 +1,43 @@
+"""What a large diagram holds, and what its checkerboard route makes.
+
+A parsed diagram keeps the text it was read from, not a list of its
+labels, and the checkerboard route makes no list of crossing or face
+indices: the graphs share range(len(d)) as their source, and contract
+joins its runs in a dict over the bivalent faces.  Both are pinned on
+the closure of (s1^3 s2^3)^1667, a knot of 10 002 crossings.
+"""
+
+import pytest
+
+from foliar import (
+    braid_to_diagram,
+    check_main,
+    check_tait,
+    parse_braid,
+    parse_pd,
+)
+
+from conftest import traced_memory
+
+
+@pytest.fixture(scope="module")
+def closure_text():
+    d = braid_to_diagram(parse_braid(" ".join(["s1^3 s2^3"] * 1667)))
+    assert len(d) == 10002 and d.component_count() == 1
+    return d.to_pd()
+
+
+def test_a_parsed_diagram_keeps_no_label_list(closure_text):
+    # keeping the 40 008 labels took 436 bytes per crossing
+    kept = traced_memory(parse_pd, closure_text)[0]
+    assert kept <= 320 * 10002
+
+
+def test_the_checkerboard_route_makes_no_index_lists(closure_text):
+    # two lists of crossing indices and one of face indices peaked at
+    # 2.0 MB; check_main first, so check_tait's type II cancellation is
+    # the one both routes share
+    d = parse_pd(closure_text)
+    check_main(d)
+    peak = traced_memory(check_tait, d)[1]
+    assert peak <= 1.6e6
