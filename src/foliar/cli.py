@@ -24,7 +24,13 @@ from .criterion import (
     tree_must_agree,
 )
 from .diagram import LinkDiagram, parse_pd
-from .errors import InputError, InternalError, Unsatisfiable
+from .errors import (
+    EmptyWord,
+    InputError,
+    InternalError,
+    NonSphericalEmbedding,
+    Unsatisfiable,
+)
 from .surgery import Slope, augment, classify_borromean, plan_configurations
 from .tait import check_tait
 
@@ -79,10 +85,11 @@ def _pd_crosscheck(verdict, d, out):
 
 
 def _closure(word, out):
-    """The reduced word's closure, or None with the reason in out."""
+    """The reduced word's closure, or None with the reason in out if the
+    word reduces to the identity or the closure splits; others raise."""
     try:
         return braid_to_diagram(reduce_braid(word))
-    except InputError as exc:
+    except (EmptyWord, NonSphericalEmbedding) as exc:
         out["diagram_error"] = str(exc)
         return None
 

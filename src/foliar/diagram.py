@@ -43,6 +43,7 @@ from ._planar import face_lists, strands, trace_faces
 from .errors import (
     ArcCountMismatch,
     EmptyDiagram,
+    InputError,
     InternalError,
     MalformedToken,
     NonSphericalEmbedding,
@@ -264,7 +265,12 @@ def _twist_chain(b, axis, weight, owner):
     first = len(b.alpha)
     last = first + 4 * (n - 1)
     alpha = b.alpha
-    alpha += [-1] * (4 * n)
+    try:
+        alpha += [-1] * (4 * n)
+    except (OverflowError, MemoryError):
+        raise InputError(
+            f"a weight of {n} crossings is too large to build"
+        ) from None
     b.owner += [owner] * n
     if axis == "h":  # NE and SE of each crossing meet NW and SW of the next
         for k in range(first, last, 4):

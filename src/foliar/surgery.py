@@ -19,7 +19,7 @@ sits inside its interval.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -186,14 +186,7 @@ class Plan:
     flipped: bool
 
     def to_json(self):
-        return json.dumps(
-            {
-                "assignments": list(self.assignments),
-                "distinguished": self.distinguished,
-                "secondary": self.secondary,
-                "flipped": self.flipped,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _allowed(i, circle, dist, sec, n):
@@ -209,12 +202,17 @@ def _allowed(i, circle, dist, sec, n):
 
 
 def plan_configurations(circles):
-    """Assign a configuration to every crossing circle.
+    """Assign a configuration to every crossing circle in one pass.
 
-    One distinguished circle needs its whole interval around 0, so it
-    must be even with |k| >= 2 or odd with count >= 3; a second circle
-    carries the remaining cusp.  With a single circle both cusps land
-    on it and any configuration containing its coefficient will do.
+    The distinguished circle needs its whole interval around 0, so it is
+    the first strong one: even with |k| >= 2 or odd with count >= 3.
+    The secondary circle carries the other cusp: the last other circle,
+    or the circle itself when it is alone.  Each circle takes the first
+    configuration it is allowed whose unflipped interval holds 1/k.
+    That always verifies: a holds 1/k once |k| >= 2, b holds every
+    finite slope, c holds 1/k unless k = -1 and then d does, and each
+    odd interval holds 1/k of its own sign.  Only a hand-built circle
+    whose fields disagree can fit none, and that raises Unsatisfiable.
     """
     n = len(circles)
     if n == 0:
@@ -228,33 +226,18 @@ def plan_configurations(circles):
         raise Unsatisfiable(
             "no circle has an even count >= 4 or an odd count >= 3"
         )
-    failures = []
-    for dist in strong:
-        # the secondary cusp sits on the last other circle by default
-        secondaries = [i for i in reversed(range(n)) if i != dist] or [dist]
-        for sec in secondaries:
-            for flipped in (False, True):
-                assignment = []
-                ok = True
-                for i, c in enumerate(circles):
-                    choice = None
-                    for config in _allowed(i, c, dist, sec, n):
-                        iv = realized_interval(config, c.k, flipped)
-                        if iv.contains(c.coefficient):
-                            choice = config
-                            break
-                    if choice is None:
-                        ok = False
-                        failures.append(
-                            f"circle {i} (k={c.k}) fits none of "
-                            f"{_allowed(i, c, dist, sec, n)}"
-                            f"{' flipped' if flipped else ''}"
-                        )
-                        break
-                    assignment.append(choice)
-                if ok:
-                    return Plan(tuple(assignment), dist, sec, flipped)
-    raise Unsatisfiable("; ".join(failures[:4]) or "no assignment found")
+    dist = strong[0]
+    sec = ([i for i in range(n) if i != dist] or [dist])[-1]
+    assignment = []
+    for i, c in enumerate(circles):
+        allowed = _allowed(i, c, dist, sec, n)
+        for config in allowed:
+            if realized_interval(config, c.k).contains(c.coefficient):
+                assignment.append(config)
+                break
+        else:
+            raise Unsatisfiable(f"circle {i} (k={c.k}) fits none of {allowed}")
+    return Plan(tuple(assignment), dist, sec, False)
 
 
 def circles_from_counts(signed_counts):
@@ -307,6 +290,8 @@ def verify_plan(circles, plan):
                     None if hi is None else -hi,
                     None if lo is None else -lo,
                 )
+        if c.k == 0:  # no coefficient 1/k
+            return False
         v = Fraction(1, c.k)
         if lo is not None and not v > lo:
             return False
@@ -329,13 +314,7 @@ class BorromeanVerdict:
     has_zero: bool
 
     def to_json(self):
-        return json.dumps(
-            {
-                "outcome": self.outcome,
-                "has_infinity": self.has_infinity,
-                "has_zero": self.has_zero,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def classify_borromean(r1, r2, r3):

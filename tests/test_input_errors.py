@@ -1,0 +1,141 @@
+"""Input errors with their class and message, in the library and at the
+command line, where each exits 2 without a traceback."""
+
+import json
+
+import pytest
+
+from foliar import (
+    Slope,
+    braid_to_diagram,
+    circles_from_counts,
+    family_tree,
+    generate_diagram,
+    make_pretzel_pd,
+    parse_braid,
+    parse_tree,
+    plan_configurations,
+    realized_interval,
+)
+from foliar.braids import BraidWord, Syllable
+from foliar.errors import (
+    BadGenerator,
+    InputError,
+    MalformedToken,
+    MalformedTree,
+    Unsatisfiable,
+    ZeroK,
+    ZeroWeight,
+)
+
+from test_cli import run
+
+BIG = 10**20  # the list of darts for it overflows an index
+HUGE = 2**61  # as does its 4 * 2**61 darts
+
+
+@pytest.mark.parametrize(
+    "call, cls, message",
+    [
+        (lambda: parse_tree("x"), MalformedTree, "expected '('"),
+        (lambda: parse_tree("( )"), MalformedTree,
+         "expected a weight, got ')'"),
+        (lambda: parse_tree("(1) (2)"), MalformedTree,
+         "trailing input ['(', '2', ')']"),
+        (lambda: family_tree("two_bridge", []), MalformedTree,
+         "two_bridge needs at least one weight"),
+        (lambda: family_tree("pretzel", []), MalformedTree,
+         "pretzel needs at least one strip"),
+        (lambda: family_tree("montesinos", [3]), MalformedTree,
+         "montesinos needs a centre and arms"),
+        (lambda: family_tree("torus", [2, 3]), MalformedTree,
+         "unknown family 'torus'"),
+        (lambda: make_pretzel_pd([3, 0]), ZeroWeight,
+         "strips need nonzero twist counts"),
+        (lambda: parse_braid("s1^2 t"), MalformedToken, "bad syllable 't'"),
+        (lambda: braid_to_diagram(BraidWord(2, (Syllable(2, 3),))),
+         BadGenerator, "s2 in a 2-strand braid"),
+        (lambda: Slope(0, 0), MalformedToken, "0/0 is not a slope"),
+        (lambda: Slope.parse("1/x"), MalformedToken, "bad slope '1/x'"),
+        (lambda: Slope(1, 0).as_fraction(), InputError,
+         "infinity has no fraction value"),
+        (lambda: realized_interval("e"), InputError,
+         "unknown configuration 'e'"),
+        (lambda: realized_interval("odd"), InputError,
+         "odd configuration needs a nonzero k"),
+        (lambda: plan_configurations([]), Unsatisfiable,
+         "no crossing circles"),
+        (lambda: circles_from_counts([0]), ZeroK, "count 0 has no crossings"),
+    ],
+)
+def test_input_errors_name_their_cause(call, cls, message):
+    with pytest.raises(cls) as exc:
+        call()
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("tree", "x"), "expected '('"),
+        (("tree", "( )"), "expected a weight, got ')'"),
+        (("tree", "(1) (2)"), "trailing input ['(', '2', ')']"),
+        (("braid", "s1^2 t"), "bad syllable 't'"),
+        (("borromean", "0/0", "1", "1"), "0/0 is not a slope"),
+        (("borromean", "1/x", "1", "1"), "bad slope '1/x'"),
+    ],
+)
+def test_the_cli_exits_2_on_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# -- weights too large to build -----------------------------------------------
+
+def _too_large(n):
+    return f"a weight of {n} crossings is too large to build"
+
+
+@pytest.mark.parametrize(
+    "call, n",
+    [
+        (lambda: make_pretzel_pd([BIG, 3]), BIG),
+        (lambda: make_pretzel_pd([3, -HUGE]), HUGE),
+        (lambda: generate_diagram(parse_tree(f"({HUGE} (3))")), HUGE),
+        (lambda: braid_to_diagram(parse_braid(f"s1^{BIG} s2^3", 3)), BIG),
+    ],
+)
+def test_an_oversized_weight_is_an_input_error(call, n):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert type(exc.value) is InputError
+    assert str(exc.value) == _too_large(n)
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (("tree", f"({BIG})"), BIG),
+        (("tree", f"(3 ({HUGE}))", "--crosscheck"), HUGE),
+        (("braid", f"s1^{BIG} s2^3", "--strands", "3", "--crosscheck"), BIG),
+    ],
+)
+def test_the_cli_exits_2_on_an_oversized_weight(capsys, argv, n):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {_too_large(n)}\n")
+
+
+def test_corpus_reports_an_oversized_weight_and_goes_on(tmp_path, capsys):
+    (tmp_path / "a.tree").write_text(f"({BIG})")
+    (tmp_path / "b.braid").write_text(f"s1^{HUGE} s2^3")
+    (tmp_path / "c.tree").write_text("(3 (3) (3))")
+    code, out, err = run(capsys, "corpus", str(tmp_path), "--crosscheck")
+    assert (code, err) == (2, "")
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"file": "a.tree", "error": _too_large(BIG)},
+        {"file": "b.braid", "error": _too_large(HUGE)},
+        {"file": "c.tree", "status": "certified", "reasons": [],
+         "diagram_status": "certified"},
+        {"files": 3, "certified": 1, "fail": 0, "excluded": 0},
+    ]

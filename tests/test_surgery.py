@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +19,18 @@ from foliar import (
     realized_interval,
     verify_plan,
 )
-from foliar.errors import MalformedToken, Unsatisfiable, ZeroK
+from foliar.errors import InputError, MalformedToken, Unsatisfiable, ZeroK
+from foliar.surgery import CrossingCircle, Plan, _allowed
 
-from conftest import FIG8, KINK
+from conftest import (
+    CANCELLING_COLUMNS,
+    FIG8,
+    GRANNY3,
+    HOPF,
+    KINK,
+    SQUARE_KNOT,
+    TREFOIL,
+)
 
 
 def test_slope_parse_and_normalize():
@@ -162,6 +174,160 @@ def test_plan_unsatisfiable():
         plan_configurations(circles_from_counts([2]))
     with pytest.raises(Unsatisfiable):
         plan_configurations(circles_from_counts([2, 2, 2]))
+
+
+def ref_plan_configurations(circles):
+    """The planner as a search: every strong distinguished circle, every
+    other circle as secondary from the last one down, unflipped then
+    flipped, returning the first choice that fits every circle."""
+    n = len(circles)
+    if n == 0:
+        raise Unsatisfiable("no crossing circles")
+    strong = [
+        i
+        for i, c in enumerate(circles)
+        if (c.parity == 0 and abs(c.k) >= 2) or (c.parity == 1 and c.count >= 3)
+    ]
+    if not strong:
+        raise Unsatisfiable(
+            "no circle has an even count >= 4 or an odd count >= 3"
+        )
+    failures = []
+    for dist in strong:
+        secondaries = [i for i in reversed(range(n)) if i != dist] or [dist]
+        for sec in secondaries:
+            for flipped in (False, True):
+                assignment = []
+                for i, c in enumerate(circles):
+                    fits = [
+                        config
+                        for config in _allowed(i, c, dist, sec, n)
+                        if realized_interval(config, c.k, flipped).contains(
+                            c.coefficient
+                        )
+                    ]
+                    if not fits:
+                        failures.append(
+                            f"circle {i} (k={c.k}) fits none of "
+                            f"{_allowed(i, c, dist, sec, n)}"
+                            f"{' flipped' if flipped else ''}"
+                        )
+                        break
+                    assignment.append(fits[0])
+                else:
+                    return Plan(tuple(assignment), dist, sec, flipped)
+    raise Unsatisfiable("; ".join(failures[:4]) or "no assignment found")
+
+
+def _plan_or_refusal(planner, circles):
+    try:
+        return planner(circles)
+    except Unsatisfiable as exc:
+        return str(exc)
+
+
+def _fixture_circle_lists():
+    for text in (TREFOIL, FIG8, HOPF, SQUARE_KNOT, GRANNY3, CANCELLING_COLUMNS):
+        for d in (parse_pd(text), parse_pd(text).mirror()):
+            try:
+                yield augment(d)
+            except InputError:
+                pass
+    for counts in (
+        [4, 4, 6], [3, 4], [3], [2], [2, 2, 2], [3, 5, -4, 3, 4, -5], [-2, 4],
+    ):
+        yield circles_from_counts(counts)
+    for length in range(1, 6):
+        for counts in itertools.combinations_with_replacement(
+            range(2, 10), length
+        ):
+            yield circles_from_counts(list(counts))
+
+
+def test_planner_equals_the_search_on_every_fixture():
+    seen = 0
+    for circles in _fixture_circle_lists():
+        assert _plan_or_refusal(plan_configurations, circles) == (
+            _plan_or_refusal(ref_plan_configurations, circles)
+        ), circles
+        seen += 1
+    assert seen > 1286
+
+
+def test_planner_equals_the_search_on_seeded_circle_lists():
+    rng = random.Random(7)
+    compared = planned = 0
+    while compared < 20000:
+        counts = [
+            rng.choice((-1, 1)) * rng.randint(1, 11)
+            for _ in range(rng.randint(1, 8))
+        ]
+        try:
+            circles = circles_from_counts(counts)
+        except ZeroK:  # a count of 1 has no full twist
+            continue
+        got = _plan_or_refusal(plan_configurations, circles)
+        assert got == _plan_or_refusal(ref_plan_configurations, circles), (
+            counts
+        )
+        if isinstance(got, Plan):
+            assert verify_plan(circles, got), counts
+            planned += 1
+        compared += 1
+    assert planned > 15000
+
+
+def test_a_circle_whose_fields_disagree_is_unsatisfiable():
+    # k = 2 makes circle 0 distinguished, allowed only a, but its
+    # coefficient 1 lies outside (-1, 1)
+    circles = [CrossingCircle(0, 4, 0, 2, Slope(1)), *circles_from_counts([4])]
+    with pytest.raises(Unsatisfiable) as exc:
+        plan_configurations(circles)
+    assert str(exc.value) == "circle 0 (k=2) fits none of ('a',)"
+    # the search went on to distinguish circle 1 and put c on circle 0
+    assert ref_plan_configurations(circles) == Plan(("c", "a"), 1, 0, False)
+
+
+def _broken(counts, **change):
+    """A plan for the circles of counts, with the fields in change
+    replaced; the plan verifies before the change."""
+    circles = circles_from_counts(counts)
+    plan = plan_configurations(circles)
+    assert verify_plan(circles, plan)
+    return circles, dataclasses.replace(plan, **change)
+
+
+@pytest.mark.parametrize(
+    "circles, plan",
+    [
+        # one assignment too few
+        _broken([4, 4, 6], assignments=("a", "b")),
+        # distinguished, then secondary, out of range
+        _broken([4, 4, 6], distinguished=3),
+        _broken([4, 4, 6], secondary=-1),
+        # both cusps on one circle while there are three
+        _broken([4, 4, 6], secondary=0),
+        # a ride-along circle may take only b
+        _broken([4, 4, 6], assignments=("a", "a", "c")),
+        # k = -1 on c: (-1, oo) misses -1 at its lower end
+        _broken([4, 4, -2], assignments=("a", "b", "c")),
+        # k = 1 on d: (-oo, 1) misses 1 at its upper end
+        _broken([4, 4, 2], assignments=("a", "b", "d")),
+        # k = -1 on d flipped: (-1, oo) misses -1
+        _broken([4, 4, -2], flipped=True),
+        # a lone even circle with |k| < 2 distinguished
+        (circles_from_counts([2]), Plan(("c",), 0, 0, False)),
+        # a lone odd circle of count 1 distinguished
+        (
+            [circles_from_counts([3])[0]._replace(count=1)],
+            plan_configurations(circles_from_counts([3])),
+        ),
+        # no coefficient 1/k for k = 0
+        ([CrossingCircle(0, 4, 0, 0, Slope(1, 0))], Plan(("a",), 0, 0, False)),
+    ],
+)
+def test_verify_plan_refuses_a_broken_plan(circles, plan):
+    assert verify_plan(circles, plan) is False
 
 
 def test_plan_json():
