@@ -16,10 +16,11 @@ square = parse_pd(
 
 # Each crossing contributes one edge to each colour, signed by the
 # side of the strand that crosses on top.  Both graphs are FaceGraphs,
-# the type the side graphs of the main route have.
+# the type the side graphs of the main route have: edge j joins faces
+# u[j] and v[j] with weight signed[j].
 green, red = build_tait(square)
-print("green:", [(e.u, e.v, e.signed) for e in green.edges])
-print("red:", [(e.u, e.v, e.signed) for e in red.edges])
+print("green:", list(zip(green.u, green.v, green.signed)))
+print("red:", list(zip(red.u, red.v, red.signed)))
 
 # Contracting runs of two-valent vertices recovers the twist weights:
 # a run of j edges is a chain of weight j, and leftover parallel edges

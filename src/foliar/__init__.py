@@ -21,25 +21,20 @@ from .braids import (
     parse_braid,
     reduce_braid,
 )
-from .criterion import Status, Verdict, check_main, detect_dk, diagnose
+from .criterion import Status, Verdict, check_main, diagnose
 from .diagram import LinkDiagram, parse_pd
 from .errors import FoliarError, InputError, InternalError
 from .sidegraphs import (
-    GREEN,
-    RED,
     build_side_graphs,
-    color_faces,
     connectivity_report,
     normalize_assumption2,
 )
 from .surgery import (
-    Interval,
     Slope,
     augment,
     circles_from_counts,
     classify_borromean,
     plan_configurations,
-    realized_interval,
     verify_plan,
 )
 from .tait import build_tait, check_tait, contract
@@ -53,12 +48,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FoliarError",
-    "GREEN",
     "InputError",
     "InternalError",
-    "Interval",
     "LinkDiagram",
-    "RED",
     "Slope",
     "Status",
     "Verdict",
@@ -75,10 +67,8 @@ __all__ = [
     "classify_borromean",
     "closure_components",
     "collapse",
-    "color_faces",
     "connectivity_report",
     "contract",
-    "detect_dk",
     "detect_twist_regions",
     "diagnose",
     "family_tree",
@@ -89,7 +79,6 @@ __all__ = [
     "parse_pd",
     "parse_tree",
     "plan_configurations",
-    "realized_interval",
     "reduce_braid",
     "reduce_assumption1",
     "verify_plan",

@@ -19,7 +19,7 @@ from collections import Counter
 
 from .criterion import Status, Verdict, normal_form, weight_reasons
 from .diagram import _Builder, _compose, _twist_chain
-from .errors import ConstructionMismatch, MalformedTree, ZeroWeight
+from .errors import ConstructionMismatch, MalformedTree, ZeroWeight, integer
 from .twists import flat_regions, region_crossings
 
 
@@ -28,7 +28,7 @@ class WeightedPlanarTree:
     so children[i] lists the children of i in planar order."""
 
     def __init__(self, weight, parent):
-        self.weight = tuple(weight)
+        self.weight = tuple([integer(w, "weight") for w in weight])
         if 0 in self.weight:
             raise ZeroWeight(f"vertex {self.weight.index(0)} has weight 0")
         self.parent = tuple(parent)
@@ -124,22 +124,19 @@ def family_tree(kind, params):
     if kind == "two_bridge":
         if not params:
             raise MalformedTree("two_bridge needs at least one weight")
-        return WeightedPlanarTree(
-            [int(w) for w in params], [None, *range(len(params) - 1)]
-        )
+        return WeightedPlanarTree(params, [None, *range(len(params) - 1)])
     if kind == "pretzel":
         if len(params) < 1:
             raise MalformedTree("pretzel needs at least one strip")
-        return WeightedPlanarTree(
-            [int(x) for x in params], [None] + [0] * (len(params) - 1)
-        )
+        return WeightedPlanarTree(params, [None] + [0] * (len(params) - 1))
     if kind == "montesinos":
         if len(params) < 2:
             raise MalformedTree("montesinos needs a centre and arms")
-        weight, parent = [int(params[0])], [None]
-        for pair in params[1:]:
-            a, b = (int(x) for x in pair)
-            weight += [a, b]
+        weight, parent = [params[0]], [None]
+        for arm in params[1:]:
+            if not isinstance(arm, (list, tuple)) or len(arm) != 2:
+                raise MalformedTree(f"montesinos arm {arm!r} is not a pair")
+            weight += arm
             parent += [0, len(parent)]
         return WeightedPlanarTree(weight, parent)
     raise MalformedTree(f"unknown family {kind!r}")
@@ -206,7 +203,7 @@ def _validate(tree, d, owner):
 
 def make_pretzel_pd(qs):
     """Flat strip-by-strip diagram: |q_i| vertical twists per strip."""
-    qs = [int(q) for q in qs]
+    qs = [integer(q, "weight") for q in qs]
     if not qs or any(q == 0 for q in qs):
         raise ZeroWeight("strips need nonzero twist counts")
     b = _Builder()

@@ -176,7 +176,7 @@ def cmd_augment(args):
             {
                 "region": c.region,
                 "count": c.count,
-                "parity": c.parity,
+                "parity": c.count % 2,
                 "k": c.k,
                 "coefficient": str(c.coefficient),
             }

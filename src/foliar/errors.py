@@ -5,6 +5,8 @@ reductions) all derive from InputError so callers can distinguish them
 from internal invariant failures, which derive from InternalError.
 """
 
+from operator import index
+
 
 class FoliarError(Exception):
     pass
@@ -16,6 +18,14 @@ class InputError(FoliarError):
 
 class InternalError(FoliarError):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+
+def integer(value, what):
+    """value if operator.index takes it, else an InputError naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"{what} {value!r} is not an integer") from None
 
 
 # -- diagram parsing / validation ------------------------------------------

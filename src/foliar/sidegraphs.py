@@ -6,9 +6,8 @@ faces of that colour.  Each twist region contributes one edge to the
 graph of its own side colour, joining the two faces its bigons
 separated, which sit at the region vertex's gaps 1 and 3, with the
 region's signed count as its weight.  A FaceGraph keeps its edges as
-the flat lists u, v, signed and source; the edges view makes FaceEdge
-records for tests and printing.  The checkerboard graphs of the tait
-module are FaceGraphs too, split by colour by the same face_graphs.
+the flat lists u, v, signed and source.  The checkerboard graphs of the
+tait module are FaceGraphs too, split by colour by the same face_graphs.
 
 Two regions joining the same pair of faces in the same graph can be
 slid into each other, so parallel side edges merge: the signed weights
@@ -27,7 +26,6 @@ normal form the certification criterion inspects.
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import NamedTuple
 
 from ._planar import (
     compact,
@@ -45,15 +43,7 @@ from .errors import (
 )
 from .twists import CollapsedGraph
 
-GREEN, RED = 0, 1
-color_faces = two_color  # checkerboard colouring of a map; face 0 is GREEN
-
-
-class FaceEdge(NamedTuple):
-    u: int
-    v: int
-    signed: int
-    source: int  # collapsed vertex (side graphs) or crossing (tait graphs)
+GREEN, RED = 0, 1  # the colours two_color gives; face 0 is GREEN
 
 
 class FaceGraph:
@@ -71,11 +61,6 @@ class FaceGraph:
     @property
     def color_name(self):
         return "green" if self.color == GREEN else "red"
-
-    @property
-    def edges(self):  # new records, for tests and printing
-        edges = zip(self.u, self.v, self.signed, self.source)
-        return tuple([FaceEdge(*e) for e in edges])
 
     def weights(self):
         return tuple(sorted(map(abs, self.signed)))

@@ -12,10 +12,10 @@ interval of slopes on that cusp:
     a: (-1, 1)    b: all finite    c: (-1, oo)    d: (-oo, 1)
     odd circles, k > 0: (-1, oo);  k < 0: (-oo, 1)
 
-Mirroring the diagram negates the intervals, swapping c and d; the odd
-intervals are unchanged.  A plan picks one distinguished circle and one
-secondary circle and assigns configurations so every coefficient 1/k
-sits inside its interval.
+A plan picks one distinguished circle and one secondary circle and
+assigns configurations so every coefficient 1/k sits inside its
+interval.  No plan needs mirrored intervals: a mirror image negates
+every k, and the configurations a plan picks follow the sign of k.
 """
 
 import json
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import InputError, MalformedToken, Unsatisfiable, ZeroK
+from .errors import InputError, MalformedToken, Unsatisfiable, ZeroK, integer
 from .twists import flat_regions
 
 
@@ -106,13 +106,10 @@ class Interval:
     hi: object
 
     def contains(self, slope):
-        if isinstance(slope, Slope):
-            if slope.is_infinity:
-                return False
-            p, q = slope.p, slope.q
-        else:
-            v = Fraction(slope)
-            p, q = v.numerator, v.denominator
+        """Whether the Slope lies inside; infinity never does."""
+        if slope.is_infinity:
+            return False
+        p, q = slope.p, slope.q
         # with q and the bounds' denominators b positive, p/q > a/b
         # exactly when p*b > a*q
         lo, hi = self.lo, self.hi
@@ -122,15 +119,6 @@ class Interval:
             return False
         return True
 
-    def mirrored(self):
-        neg = lambda x: None if x is None else -x
-        return Interval(neg(self.hi), neg(self.lo))
-
-    def __str__(self):
-        lo = "-oo" if self.lo is None else str(self.lo)
-        hi = "oo" if self.hi is None else str(self.hi)
-        return f"({lo}, {hi})"
-
 
 _EVEN_INTERVALS = {
     "a": Interval(Fraction(-1), Fraction(1)),
@@ -138,14 +126,13 @@ _EVEN_INTERVALS = {
     "c": Interval(Fraction(-1), None),
     "d": Interval(None, Fraction(1)),
 }
-_MIRRORED_INTERVALS = {c: iv.mirrored() for c, iv in _EVEN_INTERVALS.items()}
 _ODD_INTERVALS = {  # by whether k > 0
     True: Interval(Fraction(-1), None),
     False: Interval(None, Fraction(1)),
 }
 
 
-def realized_interval(config, k=None, flipped=False):
+def realized_interval(config, k=None):
     """Slopes realizable on a crossing circle cusp in one configuration."""
     if config == "odd":
         if k is None or k == 0:
@@ -153,7 +140,7 @@ def realized_interval(config, k=None, flipped=False):
         # mirror-invariant: handedness flips with the diagram
         return _ODD_INTERVALS[k > 0]
     try:
-        return (_MIRRORED_INTERVALS if flipped else _EVEN_INTERVALS)[config]
+        return _EVEN_INTERVALS[config]
     except KeyError:
         raise InputError(f"unknown configuration {config!r}") from None
 
@@ -163,7 +150,6 @@ def realized_interval(config, k=None, flipped=False):
 class CrossingCircle(NamedTuple):
     region: int
     count: int
-    parity: int  # count mod 2
     k: int
     coefficient: Slope  # 1/k, shared by the circles of equal k
 
@@ -183,14 +169,13 @@ class Plan:
     assignments: tuple  # configuration name per circle
     distinguished: int
     secondary: int
-    flipped: bool
 
     def to_json(self):
         return json.dumps(asdict(self))
 
 
 def _allowed(i, circle, dist, sec, n):
-    if circle.parity == 1:
+    if circle.count % 2 == 1:
         return ("odd",)
     if n == 1:
         return ("a", "c", "d")
@@ -208,11 +193,11 @@ def plan_configurations(circles):
     the first strong one: even with |k| >= 2 or odd with count >= 3.
     The secondary circle carries the other cusp: the last other circle,
     or the circle itself when it is alone.  Each circle takes the first
-    configuration it is allowed whose unflipped interval holds 1/k.
-    That always verifies: a holds 1/k once |k| >= 2, b holds every
-    finite slope, c holds 1/k unless k = -1 and then d does, and each
-    odd interval holds 1/k of its own sign.  Only a hand-built circle
-    whose fields disagree can fit none, and that raises Unsatisfiable.
+    configuration it is allowed whose interval holds 1/k.  That always
+    verifies: a holds 1/k once |k| >= 2, b holds every finite slope, c
+    holds 1/k unless k = -1 and then d does, and each odd interval holds
+    1/k of its own sign.  Only a hand-built circle whose fields disagree
+    can fit none, and that raises Unsatisfiable.
     """
     n = len(circles)
     if n == 0:
@@ -220,7 +205,8 @@ def plan_configurations(circles):
     strong = [
         i
         for i, c in enumerate(circles)
-        if (c.parity == 0 and abs(c.k) >= 2) or (c.parity == 1 and c.count >= 3)
+        if (c.count % 2 == 0 and abs(c.k) >= 2)
+        or (c.count % 2 == 1 and c.count >= 3)
     ]
     if not strong:
         raise Unsatisfiable(
@@ -237,7 +223,7 @@ def plan_configurations(circles):
                 break
         else:
             raise Unsatisfiable(f"circle {i} (k={c.k}) fits none of {allowed}")
-    return Plan(tuple(assignment), dist, sec, False)
+    return Plan(tuple(assignment), dist, sec)
 
 
 def circles_from_counts(signed_counts):
@@ -250,7 +236,8 @@ def circles_from_counts(signed_counts):
     circles = []
     slopes = {}  # one coefficient 1/k per distinct k
     for i, sc in enumerate(signed_counts):
-        c = abs(int(sc))
+        sc = integer(sc, "count")
+        c = abs(sc)
         if c == 0:
             raise ZeroK("count 0 has no crossings")
         h = 1 if sc > 0 else -1
@@ -259,7 +246,7 @@ def circles_from_counts(signed_counts):
             raise ZeroK(f"region {i} has count {c}; no full twist")
         if k not in slopes:
             slopes[k] = Slope(1, k)
-        circles.append(CrossingCircle(i, c, c % 2, k, slopes[k]))
+        circles.append(CrossingCircle(i, c, k, slopes[k]))
     return circles
 
 
@@ -275,7 +262,7 @@ def verify_plan(circles, plan):
     for i, (c, config) in enumerate(zip(circles, plan.assignments)):
         if config not in _allowed(i, c, plan.distinguished, plan.secondary, n):
             return False
-        if c.parity == 1:
+        if c.count % 2 == 1:
             lo, hi = (Fraction(-1), None) if c.k > 0 else (None, Fraction(1))
         else:
             table = {
@@ -285,11 +272,6 @@ def verify_plan(circles, plan):
                 "d": (None, Fraction(1)),
             }
             lo, hi = table[config]
-            if plan.flipped:
-                lo, hi = (
-                    None if hi is None else -hi,
-                    None if lo is None else -lo,
-                )
         if c.k == 0:  # no coefficient 1/k
             return False
         v = Fraction(1, c.k)
@@ -298,9 +280,9 @@ def verify_plan(circles, plan):
         if hi is not None and not v < hi:
             return False
     dc = circles[plan.distinguished]
-    if dc.parity == 0 and abs(dc.k) < 2:
+    if dc.count % 2 == 0 and abs(dc.k) < 2:
         return False
-    if dc.parity == 1 and dc.count < 3:
+    if dc.count % 2 == 1 and dc.count < 3:
         return False
     return True
 

@@ -2,17 +2,18 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from foliar import (
     braid_to_diagram,
-    color_faces,
     generate_diagram,
     parse_braid,
     parse_pd,
     parse_tree,
 )
+from foliar._planar import two_color
 from foliar.diagram import LinkDiagram
 from foliar.errors import FoliarError
 
@@ -85,6 +86,21 @@ class DisjointSets:
         if ra != rb:
             self.parent[rb] = ra
         return ra
+
+
+class FaceEdge(NamedTuple):
+    """One edge of a FaceGraph as a record, as the reference routes
+    build their graphs."""
+
+    u: int
+    v: int
+    signed: int
+    source: int  # collapsed vertex (side graphs) or crossing (tait graphs)
+
+
+def edges_of(g):
+    """The edges of a FaceGraph's flat lists as FaceEdge records."""
+    return tuple([FaceEdge(*e) for e in zip(g.u, g.v, g.signed, g.source)])
 
 
 def trace_faces(n_darts, alpha):
@@ -201,7 +217,7 @@ def goeritz_determinant(plane, counts, color):
     -sign(w) / |w|, and the chain's |w| multiplies the weighted count
     of spanning trees, |det| of the reduced Laplacian.
     """
-    coloring, face_at = color_faces(plane), plane.face_at
+    coloring, face_at = two_color(plane), plane.face_at
     index = {}
     for f, k in enumerate(coloring):
         if k == color:

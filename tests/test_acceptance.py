@@ -3,11 +3,13 @@
 Each test here pins one externally visible guarantee of the package:
 the closed-chain table, the flat pretzel failure, the side-graph
 dichotomy, face invariants, route agreement, the family sweeps, the
-exact surgery classifier, and the slope planner.  Seeds and bucket
-counts are frozen; a change in any of them is a behaviour change.
+exact surgery classifier, the slope planner, and the theorem on every
+small plane tree.  Seeds and bucket counts are frozen; a change in any
+of them is a behaviour change.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from foliar import (
@@ -24,7 +26,6 @@ from foliar import (
     classify_borromean,
     collapse,
     connectivity_report,
-    detect_dk,
     diagnose,
     generate_diagram,
     make_pretzel_pd,
@@ -35,7 +36,7 @@ from foliar import (
     reduce_assumption1,
     verify_plan,
 )
-from foliar.criterion import reshaped
+from foliar.criterion import detect_dk, normal_form, reshaped
 from foliar.errors import (
     EmptyWord,
     FoliarError,
@@ -335,6 +336,57 @@ def test_augmentation_coefficient_table():
             assert len(circles) == 1
             c = circles[0]
             assert c.count == count
-            assert c.parity == count % 2
             assert abs(c.k) == count // 2
             assert c.coefficient.as_fraction() == Fraction(1, c.k)
+
+
+# -- 11. the theorem on every plane tree of 2-4 vertices ---------------------
+
+def _plane_tree_table(weights):
+    """Every plane tree of 2-4 vertices with every vertex weighted from
+    weights, as tree text."""
+    for n in (2, 3, 4):
+        for shape in _tree_shapes(n):
+            for ws in itertools.product(weights, repeat=n):
+                yield ws, _shape_to_text(shape, ws, [0])
+
+
+def test_every_small_plane_tree_knot_is_certified_and_planned():
+    # weights from +-2, +-3, +-4 with some |w| >= 3: the theorem's trees
+    trees = knots = 0
+    links = Counter()
+    for ws, text in _plane_tree_table((2, -2, 3, -3, 4, -4)):
+        if all(abs(w) == 2 for w in ws):
+            continue
+        trees += 1
+        t = parse_tree(text)
+        v = check_arborescent(t)
+        if v.status != Status.CERTIFIED:
+            links[v.reasons] += 1
+            continue
+        knots += 1
+        d = generate_diagram(t)
+        assert check_main(d).status == Status.CERTIFIED, text
+        assert check_tait(d).status == Status.CERTIFIED, text
+        for circles in (
+            augment(d),
+            circles_from_counts(normal_form(d)[0].vertices),
+        ):
+            assert verify_plan(circles, plan_configurations(circles)), text
+    assert (trees, knots) == (6848, 3948)
+    assert links == {("NotAKnot(2)",): 2164, ("NotAKnot(3)",): 736}
+
+
+def test_every_small_all_two_tree_knot_fails_every_route():
+    trees = knots = 0
+    for _, text in _plane_tree_table((2, -2)):
+        trees += 1
+        t = parse_tree(text)
+        d = generate_diagram(t)
+        if d.component_count() != 1:
+            continue
+        knots += 1
+        assert check_arborescent(t).reasons == ("NoWeightAboveTwo",), text
+        assert check_main(d).status == Status.HYPOTHESES_FAIL, text
+        assert check_tait(d).status == Status.HYPOTHESES_FAIL, text
+    assert (trees, knots) == (100, 52)

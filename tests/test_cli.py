@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from foliar import make_pretzel_pd
 from foliar.cli import main
 from foliar.errors import InternalError
 
@@ -254,6 +255,22 @@ def test_augment_command(capsys):
     assert [c["k"] for c in payload["circles"]] == [1, -1]
     assert payload["plan"] is None
     assert "unsatisfiable" in payload
+
+
+def test_augment_prints_its_plan_byte_for_byte(capsys):
+    pd = make_pretzel_pd([-2, 3, 7]).to_pd()
+    code, out, err = run(capsys, "augment", pd, "--plan")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"circles": ['
+        '{"region": 0, "count": 2, "parity": 0, "k": 1, "coefficient": "1"}, '
+        '{"region": 1, "count": 3, "parity": 1, "k": -1, '
+        '"coefficient": "-1"}, '
+        '{"region": 2, "count": 7, "parity": 1, "k": -3, '
+        '"coefficient": "-1/3"}], '
+        '"plan": {"assignments": ["b", "odd", "odd"], '
+        '"distinguished": 1, "secondary": 2}}\n'
+    )
 
 
 def test_augment_zero_k_is_input_error(capsys):

@@ -8,7 +8,6 @@ from foliar import (
     check_main,
     check_tait,
     collapse,
-    detect_dk,
     diagnose,
     generate_diagram,
     make_pretzel_pd,
@@ -16,7 +15,7 @@ from foliar import (
     parse_pd,
     parse_tree,
 )
-from foliar.criterion import normal_form
+from foliar.criterion import detect_dk, normal_form
 
 from foliar.errors import FoliarError
 

@@ -15,8 +15,8 @@ from foliar import (
     parse_braid,
     parse_tree,
     plan_configurations,
-    realized_interval,
 )
+from foliar.arborescent import WeightedPlanarTree
 from foliar.braids import BraidWord, Syllable
 from foliar.errors import (
     BadGenerator,
@@ -27,6 +27,7 @@ from foliar.errors import (
     ZeroK,
     ZeroWeight,
 )
+from foliar.surgery import realized_interval
 
 from test_cli import run
 
@@ -66,6 +67,22 @@ HUGE = 2**61  # as does its 4 * 2**61 darts
         (lambda: plan_configurations([]), Unsatisfiable,
          "no crossing circles"),
         (lambda: circles_from_counts([0]), ZeroK, "count 0 has no crossings"),
+        # a weight is checked by operator.index: 2.5 once built as 2, "x"
+        # escaped as ValueError and a bare Montesinos arm as TypeError
+        (lambda: family_tree("pretzel", [2.5, 3]), InputError,
+         "weight 2.5 is not an integer"),
+        (lambda: make_pretzel_pd([2.5, 3]), InputError,
+         "weight 2.5 is not an integer"),
+        (lambda: circles_from_counts([2.5]), InputError,
+         "count 2.5 is not an integer"),
+        (lambda: family_tree("two_bridge", [2, "x"]), InputError,
+         "weight 'x' is not an integer"),
+        (lambda: family_tree("montesinos", [3, [2]]), MalformedTree,
+         "montesinos arm [2] is not a pair"),
+        (lambda: family_tree("montesinos", [3, 5]), MalformedTree,
+         "montesinos arm 5 is not a pair"),
+        (lambda: generate_diagram(WeightedPlanarTree([2.5, 3], [None, 0])),
+         InputError, "weight 2.5 is not an integer"),
     ],
 )
 def test_input_errors_name_their_cause(call, cls, message):

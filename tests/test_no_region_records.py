@@ -1,11 +1,11 @@
 """No module of the package builds region or face-edge records.
 
-A diagram keeps its twist regions as flat lists and a side graph its
+A diagram keeps its twist regions as flat lists and a face graph its
 edges as flat lists; the main route, augment and tree validation read
-those.  detect_twist_regions and the edges views build TwistRegion and
-FaceEdge records on every call, for tests, demos and printing, so the
-package calls detect_twist_regions nowhere and builds a record only
-inside the view that returns it.
+those.  detect_twist_regions builds TwistRegion records on every call,
+for tests, demos and the benchmark, so the package calls it nowhere and
+builds a TwistRegion only inside it.  Face-edge records exist only as
+the tests' reference, so the package names no FaceEdge at all.
 """
 
 import ast
@@ -13,17 +13,20 @@ import pathlib
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "foliar"
 
-# the function a record may be built in: the view that returns it
-VIEWS = {"TwistRegion": "detect_twist_regions", "FaceEdge": "edges"}
-
 
 def record_calls(source):
-    """(line, name) of each call of detect_twist_regions, and of each
-    TwistRegion or FaceEdge built outside its view."""
+    """(line, name) of each call of detect_twist_regions, of each
+    TwistRegion built outside it, and of each FaceEdge named at all."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
+            if "FaceEdge" in (
+                getattr(child, "id", None),
+                getattr(child, "attr", None),
+                getattr(child, "name", None),
+            ):
+                found.append((child.lineno, "FaceEdge"))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
@@ -33,7 +36,7 @@ def record_calls(source):
                     f, "attr", None
                 )
                 if name == "detect_twist_regions" or (
-                    name in VIEWS and VIEWS[name] != scope
+                    name == "TwistRegion" and scope != "detect_twist_regions"
                 ):
                     found.append((child.lineno, name))
             visit(child, scope)
@@ -46,25 +49,24 @@ def test_guard_sees_record_calls():
     source = '''
 def detect_twist_regions(d):
     return tuple([TwistRegion(i) for i in range(3)])
-class Graph:
-    @property
-    def edges(self):
-        return [FaceEdge(*e) for e in self.rows]
-    def weights(self):
-        return [e.signed for e in self.edges]
+class FaceEdge(tuple):
+    pass
 def count(d):
     return len(twists.detect_twist_regions(d))
 def main(d):
     r = TwistRegion(0)
-    def edges():
-        return FaceEdge(1, 2, 3, 4)
-    return sidegraphs.FaceEdge(0, 1, 2, 3), edges
+    def FaceEdge():
+        return FaceEdge
+    return sidegraphs.FaceEdge(0, 1, 2, 3), r
 x = detect_twist_regions
 '''
     assert record_calls(source) == [
-        (11, "detect_twist_regions"),
-        (13, "TwistRegion"),
-        (16, "FaceEdge"),
+        (4, "FaceEdge"),
+        (7, "detect_twist_regions"),
+        (9, "TwistRegion"),
+        (10, "FaceEdge"),
+        (11, "FaceEdge"),
+        (12, "FaceEdge"),
     ]
 
 

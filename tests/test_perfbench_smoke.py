@@ -20,10 +20,10 @@ RESHAPE_SEED1_DIGEST = (
     "d06b12bb141d760b9a028a2c1a862598ea7af28441d964dc991ba2af4eda3f9e"
 )
 CORPUS_SEED1_DIGEST = (
-    "40de6687e90346278674f07d7a785b8f417afc1b4a608cdb336a7c1bb00f5654"
+    "bd4548cb3ed29caf7235aaca8de7d58eab0b3c0efcbddd421eb9e992b56e942a"
 )
 LARGE_SEED1_DIGEST = (
-    "7139841ac3c13e5d8a946414ea9af52b30bef582ddf16e191ccc1d9fddbeac02"
+    "2e5e016530318d545200101a1b1adff51915d9ea8645b506332fafe3504c3df5"
 )
 
 

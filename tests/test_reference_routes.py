@@ -16,16 +16,13 @@ from dataclasses import dataclass
 
 import pytest
 
-import foliar.sidegraphs
 from foliar import (
     Status,
-    braid_to_diagram,
     check_tait,
     contract,
     detect_twist_regions,
     generate_diagram,
     make_pretzel_pd,
-    parse_braid,
     parse_pd,
     parse_tree,
     reduce_assumption1,
@@ -34,7 +31,6 @@ from foliar._planar import sigma, two_color
 from foliar.arborescent import WeightedPlanarTree
 from foliar.criterion import Verdict, normal_form, weight_reasons
 from foliar.errors import FoliarError, InternalError
-from foliar.sidegraphs import FaceEdge
 from foliar.tait import _bivalent, build_tait
 from foliar.twists import CollapsedGraph, collapse
 
@@ -43,7 +39,9 @@ from conftest import (
     GRANNY3,
     TREFOIL,
     DisjointSets,
+    FaceEdge,
     connected_sum,
+    edges_of,
     random_tree_text,
     rows_of,
     seeded,
@@ -447,7 +445,7 @@ def test_tait_views_list_the_reference_edges(inputs):
             continue
         r = reduce_assumption1(d)
         for got, ref in zip(build_tait(r), ref_build_tait(r)):
-            assert got.edges == ref.edges
+            assert edges_of(got) == ref.edges
             assert got.vertices == ref.vertices
             assert got.color_name == ref.color_name
             assert _bivalent(got) == ref.all_bivalent()
@@ -455,26 +453,6 @@ def test_tait_views_list_the_reference_edges(inputs):
             dot = got.to_dot().splitlines()
             assert dot[0] == f"graph tait_{ref.color_name} {{"
             assert sum("--" in line for line in dot) == len(ref.edges)
-
-
-def test_check_tait_builds_no_face_edge(monkeypatch):
-    made = []
-
-    class CountingEdge(FaceEdge):
-        def __new__(cls, *args):
-            made.append(args)
-            return super().__new__(cls, *args)
-
-    monkeypatch.setattr(foliar.sidegraphs, "FaceEdge", CountingEdge)
-    # 332 copies of a 3-cycle on three strands close up into one knot
-    d = braid_to_diagram(parse_braid(" ".join(["s1^3 s2^-3"] * 332)))
-    assert len(d) == 1992
-    v = check_tait(d)
-    assert v.status != Status.EXCLUDED and v.weights_green
-    assert made == []
-    # the patched class is the one the graphs would build edges from
-    green, _ = build_tait(d)
-    assert len(green.edges) == len(d) and len(made) == len(d)
 
 
 def _granny_chains():

@@ -35,6 +35,7 @@ from foliar.twists import CollapsedGraph
 from conftest import (
     DisjointSets,
     connected_sum,
+    edges_of,
     random_tree_text,
     relabel,
     rows_of,
@@ -150,7 +151,7 @@ def ref_one_chain_per_round(d):
 def ref_first_parallel_family(green, red):
     for g in (green, red):
         groups = {}
-        for e in g.edges:
+        for e in edges_of(g):
             groups.setdefault((e.u, e.v), []).append(e)
         for key in sorted(groups):
             if len(groups[key]) >= 2:

@@ -1,19 +1,17 @@
 import pytest
 
 from foliar import (
-    GREEN,
-    RED,
     build_side_graphs,
     check_main,
     check_tait,
     collapse,
-    color_faces,
     connectivity_report,
     normalize_assumption2,
     parse_pd,
     reduce_assumption1,
 )
-from foliar._planar import sigma
+from foliar._planar import sigma, two_color
+from foliar.sidegraphs import GREEN, RED
 from foliar.twists import CollapsedGraph
 from foliar.errors import (
     DegenerateCollapse,
@@ -25,7 +23,7 @@ from conftest import CANCELLING_COLUMNS, GRANNY3, unreduced_inputs
 
 
 def test_two_coloring_fig8(fig8):
-    coloring = color_faces(fig8)
+    coloring = two_color(fig8)
     assert coloring[0] == GREEN
     for fi, face in enumerate(fig8.faces):
         for c in face:
@@ -74,13 +72,13 @@ def ref_two_color(plane):
 def test_two_coloring_matches_the_dart_reference():
     maps = 0
     for d in unreduced_inputs(200):
-        assert color_faces(d) == ref_two_color(d), d.to_pd()
+        assert two_color(d) == ref_two_color(d), d.to_pd()
         maps += 1
         try:
             cg = collapse(reduce_assumption1(d))
         except FoliarError:
             continue
-        assert color_faces(cg) == ref_two_color(cg), d.to_pd()
+        assert two_color(cg) == ref_two_color(cg), d.to_pd()
         maps += 1
     assert maps >= 300
 
@@ -89,8 +87,8 @@ def test_side_graphs_fig8(fig8):
     cg = collapse(fig8)
     g, r = build_side_graphs(cg)
     assert g.color == GREEN and r.color == RED
-    assert [(e.source, e.u, e.v, e.signed) for e in g.edges] == [(0, 0, 2, 2)]
-    assert [(e.source, e.u, e.v, e.signed) for e in r.edges] == [(1, 1, 3, -2)]
+    assert list(zip(g.source, g.u, g.v, g.signed)) == [(0, 0, 2, 2)]
+    assert list(zip(r.source, r.u, r.v, r.signed)) == [(1, 1, 3, -2)]
     assert g.vertices == (0, 2)
     assert r.vertices == (1, 3)
     assert g.weights() == (2,)
@@ -141,7 +139,7 @@ def test_normalize_degenerate_raises():
     # darts 0-5, 1-4, 2-7 and 3-6 paired
     cg = CollapsedGraph([2, -2], [5, 4, 7, 6, 1, 0, 3, 2])
     g, r = build_side_graphs(cg)
-    assert [(e.u, e.v, e.signed) for e in g.edges] == [(0, 2, 2), (0, 2, -2)]
+    assert list(zip(g.u, g.v, g.signed)) == [(0, 2, 2), (0, 2, -2)]
     with pytest.raises(DegenerateCollapse):
         normalize_assumption2(cg)
 

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from foliar import (
-    Interval,
     Slope,
     augment,
     circles_from_counts,
@@ -16,11 +15,16 @@ from foliar import (
     parse_pd,
     parse_tree,
     plan_configurations,
-    realized_interval,
     verify_plan,
 )
 from foliar.errors import InputError, MalformedToken, Unsatisfiable, ZeroK
-from foliar.surgery import CrossingCircle, Plan, _allowed
+from foliar.surgery import (
+    CrossingCircle,
+    Interval,
+    Plan,
+    _allowed,
+    realized_interval,
+)
 
 from conftest import (
     CANCELLING_COLUMNS,
@@ -79,11 +83,6 @@ def test_interval_membership():
     assert not unbounded.contains(Slope(1, 0))
 
 
-def test_interval_mirroring():
-    assert Interval(-1, None).mirrored() == Interval(None, 1)
-    assert Interval(-1, 1).mirrored() == Interval(-1, 1)
-
-
 def test_realized_intervals_frozen():
     assert realized_interval("a") == Interval(-1, 1)
     assert realized_interval("b") == Interval(None, None)
@@ -91,16 +90,13 @@ def test_realized_intervals_frozen():
     assert realized_interval("d") == Interval(None, 1)
     assert realized_interval("odd", k=2) == Interval(-1, None)
     assert realized_interval("odd", k=-2) == Interval(None, 1)
-    # flipping mirrors every interval; a and b are symmetric already
-    assert realized_interval("c", flipped=True) == Interval(None, 1)
-    assert realized_interval("a", flipped=True) == Interval(-1, 1)
 
 
 def test_augment_fig8():
     circles = augment(parse_pd(FIG8))
-    assert [(c.region, c.count, c.parity, c.k) for c in circles] == [
-        (0, 2, 0, 1),
-        (1, 2, 0, -1),
+    assert [(c.region, c.count, c.k) for c in circles] == [
+        (0, 2, 1),
+        (1, 2, -1),
     ]
     assert [c.coefficient for c in circles] == [Fraction(1), Fraction(-1)]
 
@@ -114,7 +110,6 @@ def test_augment_coefficient_table():
             assert len(circles) == 1
             c = circles[0]
             assert c.count == count
-            assert c.parity == count % 2
             assert abs(c.k) == count // 2
             assert c.coefficient.as_fraction() == Fraction(1, c.k)
             ks[sign] = c.k
@@ -129,10 +124,9 @@ def test_augment_coefficient_table():
 
 def test_crossing_circles_are_tuples_sharing_one_slope_per_k():
     circles = circles_from_counts([3, 5, -4, 3, 4, -5])
-    assert circles[0] == (0, 3, 1, 1, Slope(1, 1))
+    assert circles[0] == (0, 3, 1, Slope(1, 1))
     assert repr(circles[1]) == (
-        "CrossingCircle(region=1, count=5, parity=1, k=2, "
-        "coefficient=Slope(1/2))"
+        "CrossingCircle(region=1, count=5, k=2, coefficient=Slope(1/2))"
     )
     assert len({id(c.coefficient) for c in circles}) == 3
     assert circles[1].coefficient is circles[4].coefficient
@@ -149,7 +143,6 @@ def test_plan_anchor_4_4_6():
     assert plan.assignments == ("a", "b", "c")
     assert plan.distinguished == 0
     assert plan.secondary == 2
-    assert plan.flipped is False
     assert verify_plan(circles, plan)
 
 
@@ -176,17 +169,36 @@ def test_plan_unsatisfiable():
         plan_configurations(circles_from_counts([2, 2, 2]))
 
 
+# the even interval table on the mirror image: each bound negated, so
+# c and d swap; the odd intervals follow the sign of k and stay
+MIRRORED_INTERVALS = {
+    "a": Interval(-1, 1),
+    "b": Interval(None, None),
+    "c": Interval(None, 1),
+    "d": Interval(-1, None),
+}
+
+
+def _interval(config, k, flipped):
+    if flipped and config != "odd":
+        return MIRRORED_INTERVALS[config]
+    return realized_interval(config, k)
+
+
 def ref_plan_configurations(circles):
     """The planner as a search: every strong distinguished circle, every
-    other circle as secondary from the last one down, unflipped then
-    flipped, returning the first choice that fits every circle."""
+    other circle as secondary from the last one down, on the interval
+    table and then on its mirror image, returning the first choice that
+    fits every circle; a choice that fits only mirrored comes back as
+    ("flipped", plan), which no planner result equals."""
     n = len(circles)
     if n == 0:
         raise Unsatisfiable("no crossing circles")
     strong = [
         i
         for i, c in enumerate(circles)
-        if (c.parity == 0 and abs(c.k) >= 2) or (c.parity == 1 and c.count >= 3)
+        if (c.count % 2 == 0 and abs(c.k) >= 2)
+        or (c.count % 2 == 1 and c.count >= 3)
     ]
     if not strong:
         raise Unsatisfiable(
@@ -202,7 +214,7 @@ def ref_plan_configurations(circles):
                     fits = [
                         config
                         for config in _allowed(i, c, dist, sec, n)
-                        if realized_interval(config, c.k, flipped).contains(
+                        if _interval(config, c.k, flipped).contains(
                             c.coefficient
                         )
                     ]
@@ -215,7 +227,8 @@ def ref_plan_configurations(circles):
                         break
                     assignment.append(fits[0])
                 else:
-                    return Plan(tuple(assignment), dist, sec, flipped)
+                    plan = Plan(tuple(assignment), dist, sec)
+                    return ("flipped", plan) if flipped else plan
     raise Unsatisfiable("; ".join(failures[:4]) or "no assignment found")
 
 
@@ -280,12 +293,12 @@ def test_planner_equals_the_search_on_seeded_circle_lists():
 def test_a_circle_whose_fields_disagree_is_unsatisfiable():
     # k = 2 makes circle 0 distinguished, allowed only a, but its
     # coefficient 1 lies outside (-1, 1)
-    circles = [CrossingCircle(0, 4, 0, 2, Slope(1)), *circles_from_counts([4])]
+    circles = [CrossingCircle(0, 4, 2, Slope(1)), *circles_from_counts([4])]
     with pytest.raises(Unsatisfiable) as exc:
         plan_configurations(circles)
     assert str(exc.value) == "circle 0 (k=2) fits none of ('a',)"
     # the search went on to distinguish circle 1 and put c on circle 0
-    assert ref_plan_configurations(circles) == Plan(("c", "a"), 1, 0, False)
+    assert ref_plan_configurations(circles) == Plan(("c", "a"), 1, 0)
 
 
 def _broken(counts, **change):
@@ -313,17 +326,17 @@ def _broken(counts, **change):
         _broken([4, 4, -2], assignments=("a", "b", "c")),
         # k = 1 on d: (-oo, 1) misses 1 at its upper end
         _broken([4, 4, 2], assignments=("a", "b", "d")),
-        # k = -1 on d flipped: (-1, oo) misses -1
-        _broken([4, 4, -2], flipped=True),
+        # an odd circle may take only odd
+        _broken([3, 4], assignments=("a", "c")),
         # a lone even circle with |k| < 2 distinguished
-        (circles_from_counts([2]), Plan(("c",), 0, 0, False)),
+        (circles_from_counts([2]), Plan(("c",), 0, 0)),
         # a lone odd circle of count 1 distinguished
         (
             [circles_from_counts([3])[0]._replace(count=1)],
             plan_configurations(circles_from_counts([3])),
         ),
         # no coefficient 1/k for k = 0
-        ([CrossingCircle(0, 4, 0, 0, Slope(1, 0))], Plan(("a",), 0, 0, False)),
+        ([CrossingCircle(0, 4, 0, Slope(1, 0))], Plan(("a",), 0, 0)),
     ],
 )
 def test_verify_plan_refuses_a_broken_plan(circles, plan):
@@ -337,7 +350,6 @@ def test_plan_json():
         "assignments": ["a", "b", "c"],
         "distinguished": 0,
         "secondary": 2,
-        "flipped": False,
     }
 
 

@@ -21,12 +21,12 @@ from conftest import GRANNY3, SQUARE_KNOT
 
 def test_build_trefoil(trefoil):
     g, r = build_tait(trefoil)
-    assert [(e.u, e.v, e.signed) for e in g.edges] == [
+    assert list(zip(g.u, g.v, g.signed)) == [
         (0, 2, 1),
         (0, 2, 1),
         (0, 2, 1),
     ]
-    assert sorted((e.u, e.v, e.signed) for e in r.edges) == [
+    assert sorted(zip(r.u, r.v, r.signed)) == [
         (1, 3, -1),
         (1, 4, -1),
         (3, 4, -1),
@@ -38,9 +38,9 @@ def test_build_trefoil(trefoil):
 
 def test_one_edge_per_crossing_per_color(fig8):
     g, r = build_tait(fig8)
-    assert len(g.edges) == len(fig8)
-    assert len(r.edges) == len(fig8)
-    assert sorted(e.source for e in g.edges) == [0, 1, 2, 3]
+    assert len(g.u) == len(fig8)
+    assert len(r.u) == len(fig8)
+    assert sorted(g.source) == [0, 1, 2, 3]
 
 
 def test_contract_fig8(fig8):
