@@ -32,10 +32,18 @@ class WeightedPlanarTree:
         if 0 in self.weight:
             raise ZeroWeight(f"vertex {self.weight.index(0)} has weight 0")
         self.parent = tuple(parent)
+        if len(self.parent) != len(self.weight) or self.parent[:1] != (None,):
+            raise MalformedTree(
+                f"parent {parent!r} needs None first and one entry per weight"
+            )
         self.children = [[] for _ in self.weight]
         self.depth = [0] * len(self.weight)
         for i in range(1, len(self.weight)):
             p = self.parent[i]
+            if not isinstance(p, int) or not 0 <= p < i:
+                raise MalformedTree(
+                    f"vertex {i} has parent {p!r}, not in 0..{i - 1}"
+                )
             self.children[p].append(i)
             self.depth[i] = self.depth[p] + 1
         self._diagram = None  # kept by generate_diagram

@@ -25,7 +25,6 @@ from .criterion import (
 )
 from .diagram import LinkDiagram, parse_pd
 from .errors import (
-    EmptyWord,
     InputError,
     InternalError,
     NonSphericalEmbedding,
@@ -86,10 +85,10 @@ def _pd_crosscheck(verdict, d, out):
 
 def _closure(word, out):
     """The reduced word's closure, or None with the reason in out if the
-    word reduces to the identity or the closure splits; others raise."""
+    closure splits; others raise."""
     try:
         return braid_to_diagram(reduce_braid(word))
-    except (EmptyWord, NonSphericalEmbedding) as exc:
+    except NonSphericalEmbedding as exc:
         out["diagram_error"] = str(exc)
         return None
 

@@ -10,10 +10,10 @@ about them.
 
 The normal form, the collapsed graph and both side graphs after
 cancellation and merging, is kept on the diagram: check_main, diagnose,
-the dot output and tree validation all read it from there, and each
-side graph counts its components once.  check_main reads region counts
-off the diagrams' flat region lists and builds no region record; a link
-fails before any region is read.
+augment, the dot output and tree validation all read it from there,
+and each side graph counts its components once.  check_main reads
+region counts off the diagrams' flat region lists and builds no region
+record; a link fails before any region is read.
 """
 
 import json

@@ -163,10 +163,10 @@ def normalize_assumption2(cg):
                 sums[regions.pop(0)] = s  # a zero sum cancels them all
             removed.update(regions)
         alpha = list(cg.alpha)
-        kept, vertices = [], []
+        kept, vertices, closed = [], [], 0
         for i, w in enumerate(cg.vertices):
             if i in removed:
-                splice_out(alpha, i, ((1, 2), (3, 0)))
+                closed += splice_out(alpha, i, ((1, 2), (3, 0)))
                 continue
             kept.append(i)
             vertices.append(sums.get(i, w))
@@ -175,8 +175,8 @@ def normalize_assumption2(cg):
                 "every twist region cancelled during edge merging"
             )
         alpha = compact(alpha, kept)
-        n = strands(alpha)[1]
-        if n > 1:  # smoothing can cut a link apart
+        n = strands(alpha)[1] + closed
+        if n > 1:  # smoothing can cut a link apart or close a strand
             raise NonSphericalEmbedding(
                 f"merging splits the link into {n} pieces"
             )

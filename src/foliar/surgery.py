@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from .criterion import normal_form
 from .errors import InputError, MalformedToken, Unsatisfiable, ZeroK, integer
-from .twists import flat_regions
 
 
 class Slope:
@@ -155,11 +155,15 @@ class CrossingCircle(NamedTuple):
 
 
 def augment(d):
-    """Crossing circles of a diagram's coherent twist regions.
+    """Crossing circles of a knot's normal form: circle i sits on vertex
+    i of the collapsed graph that check_main certifies.
 
-    A region of count 1 has no full twist to encircle and raises ZeroK.
+    A link raises InputError; a region of count 1 raises ZeroK.
     """
-    return circles_from_counts(flat_regions(d)[0])
+    comps = d.component_count()
+    if comps != 1:
+        raise InputError(f"NotAKnot({comps}): crossing circles need a knot")
+    return circles_from_counts(normal_form(d)[0].vertices)
 
 
 # -- configuration planning -------------------------------------------------
@@ -230,7 +234,7 @@ def circles_from_counts(signed_counts):
     """Crossing circles from signed twist counts, one per region.
 
     The sign carries handedness; |c| is the crossing count.  augment
-    feeds it a diagram's regions; on its own it exercises the planner
+    feeds it the normal form's vertices; on its own it drives the planner
     without building diagrams.
     """
     circles = []

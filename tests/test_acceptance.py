@@ -3,14 +3,18 @@
 Each test here pins one externally visible guarantee of the package:
 the closed-chain table, the flat pretzel failure, the side-graph
 dichotomy, face invariants, route agreement, the family sweeps, the
-exact surgery classifier, the slope planner, and the theorem on every
-small plane tree.  Seeds and bucket counts are frozen; a change in any
-of them is a behaviour change.
+exact surgery classifier, the slope planner, the theorem on every
+small plane tree, and a verified slope plan for every certified knot.
+Seeds and bucket counts are frozen; a change in any of them is a
+behaviour change.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from foliar import (
     Slope,
@@ -30,6 +34,7 @@ from foliar import (
     generate_diagram,
     make_pretzel_pd,
     parse_braid,
+    parse_pd,
     parse_tree,
     plan_configurations,
     reduce_braid,
@@ -40,11 +45,24 @@ from foliar.criterion import detect_dk, normal_form, reshaped
 from foliar.errors import (
     EmptyWord,
     FoliarError,
+    InputError,
     NonSphericalEmbedding,
     Unsatisfiable,
 )
 
-from conftest import random_braid_text, random_tree_text, seeded
+from conftest import (
+    CANCELLING_COLUMNS,
+    FIG8,
+    GRANNY3,
+    HOPF,
+    KINK,
+    SQUARE_KNOT,
+    TREFOIL,
+    random_braid_text,
+    random_tree_text,
+    seeded,
+    unreduced_inputs,
+)
 
 
 # -- 1. closed twist chains are recognised with their signed count ----------
@@ -332,7 +350,12 @@ def test_augmentation_coefficient_table():
     for count in range(2, 10):
         for sign in (1, -1):
             d = generate_diagram(parse_tree(f"({sign * count})"))
-            circles = augment(d)
+            if count % 2:
+                circles = augment(d)
+            else:  # an even closed chain is a link, which augment refuses
+                with pytest.raises(InputError, match=r"^NotAKnot\(2\)"):
+                    augment(d)
+                circles = circles_from_counts(normal_form(d)[0].vertices)
             assert len(circles) == 1
             c = circles[0]
             assert c.count == count
@@ -368,11 +391,8 @@ def test_every_small_plane_tree_knot_is_certified_and_planned():
         d = generate_diagram(t)
         assert check_main(d).status == Status.CERTIFIED, text
         assert check_tait(d).status == Status.CERTIFIED, text
-        for circles in (
-            augment(d),
-            circles_from_counts(normal_form(d)[0].vertices),
-        ):
-            assert verify_plan(circles, plan_configurations(circles)), text
+        circles = augment(d)
+        assert verify_plan(circles, plan_configurations(circles)), text
     assert (trees, knots) == (6848, 3948)
     assert links == {("NotAKnot(2)",): 2164, ("NotAKnot(3)",): 736}
 
@@ -390,3 +410,62 @@ def test_every_small_all_two_tree_knot_fails_every_route():
         assert check_main(d).status == Status.HYPOTHESES_FAIL, text
         assert check_tait(d).status == Status.HYPOTHESES_FAIL, text
     assert (trees, knots) == (100, 52)
+
+
+# -- 12. every certified verdict yields a slope plan that verifies -----------
+
+PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def _benchmark_inputs(workload):
+    """The benchmark's seed-1 inputs of one workload."""
+    # compiled from source so nothing is written beside the benchmark
+    namespace = {"__name__": "gen"}
+    exec(compile(PERFBENCH_GEN.read_text(), str(PERFBENCH_GEN), "exec"),
+         namespace)
+    return namespace["WORKLOADS"][workload](1)
+
+
+_BUILD = {
+    "pd": parse_pd,
+    "braid": lambda text: braid_to_diagram(reduce_braid(parse_braid(text))),
+    "tree": lambda text: generate_diagram(parse_tree(text)),
+}
+
+
+def _plan_sample():
+    """(family, build, source): the fixtures, the unreduced inputs, 1 500
+    seeded trees with weights +-1..+-4 and the benchmark's seed-1
+    diagrams, braids and trees."""
+    for text in (TREFOIL, FIG8, HOPF, KINK, SQUARE_KNOT, GRANNY3,
+                 CANCELLING_COLUMNS):
+        yield "fixtures", parse_pd, text
+    for d in unreduced_inputs(400):
+        yield "unreduced", lambda d: d, d
+    rng = seeded(3)
+    for _ in range(1500):
+        yield "trees", _BUILD["tree"], random_tree_text(rng, 7, 1, 4)
+    for workload in ("corpus", "reshape", "large"):
+        for item in _benchmark_inputs(workload):
+            if item.kind in _BUILD:
+                yield workload, _BUILD[item.kind], item.text
+
+
+def test_every_certified_verdict_yields_a_verified_plan():
+    # augment reads the normal form check_main certified, so a verdict
+    # and its crossing circles cannot disagree on the twist regions
+    certified = Counter()
+    for family, build, source in _plan_sample():
+        try:
+            d = build(source)
+        except InputError:
+            continue
+        if check_main(d).status != Status.CERTIFIED:
+            continue
+        certified[family] += 1
+        circles = augment(d)
+        assert verify_plan(circles, plan_configurations(circles)), source
+    assert certified == {
+        "fixtures": 2, "unreduced": 31, "trees": 248,
+        "corpus": 277, "reshape": 13, "large": 18,
+    }

@@ -178,6 +178,13 @@ def test_check_braid_even_strands():
     assert "EvenStrandCount" in v.reasons
 
 
+def test_check_braid_interleaving():
+    # between the two s1 syllables stands only s3, not their bridge s2
+    v = check_braid(parse_braid("s1^3 s3^3 s1^3 s2^3 s4^3"))
+    assert v.status == Status.HYPOTHESES_FAIL
+    assert v.reasons == ("Interleaving", "NotAKnot(2)")
+
+
 def test_check_braid_identity_propagates():
     with pytest.raises(EmptyWord):
         check_braid(parse_braid("s1^2 s1^-2"))

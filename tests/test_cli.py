@@ -7,7 +7,7 @@ from foliar import make_pretzel_pd
 from foliar.cli import main
 from foliar.errors import InternalError
 
-from conftest import FIG8, KINK, TREFOIL
+from conftest import FIG8, GRANNY3, HOPF, KINK, TREFOIL
 
 
 def run(capsys, *argv):
@@ -90,6 +90,31 @@ def test_check_emit_dot(tmp_path, capsys):
     }
 
 
+def test_check_emit_dot_on_a_link_writes_no_file(tmp_path, capsys):
+    target = tmp_path / "dots"
+    code, out, _ = run(capsys, "check", HOPF, "--emit-dot", str(target))
+    assert code == 0
+    assert json.loads(out)["reasons"] == ["NotAKnot(2)"]
+    assert os.listdir(target) == []
+
+
+def test_check_crosscheck_disagreement_exits_3(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from foliar.criterion import Status
+    from foliar.tait import check_tait
+
+    def check_tait_excluded(d):
+        return replace(check_tait(d), status=Status.EXCLUDED)
+
+    monkeypatch.setattr("foliar.cli.check_tait", check_tait_excluded)
+    code, out, _ = run(capsys, "check", FIG8, "--crosscheck")
+    assert code == 3
+    payload = json.loads(out)
+    assert (payload["status"], payload["tait_status"]) == ("fail", "excluded")
+    assert "note" not in payload
+
+
 def test_check_input_error_exit_code(capsys):
     code, out, err = run(capsys, "check", "X[1,4,2,5] X[3,6,4,1]")
     assert code == 2
@@ -154,6 +179,48 @@ def test_braid_command(capsys):
     payload = json.loads(out)
     assert payload["status"] == "certified"
     assert payload["diagram_status"] == "certified"
+
+
+def test_braid_diagram_prints_the_closure(capsys):
+    code, out, _ = run(capsys, "braid", "s1^3 s2^-3", "--diagram")
+    assert code == 0
+    payload = json.loads(out)
+    assert "diagram_status" not in payload
+    assert payload["pd"] == (
+        "X[1,2,3,4] X[4,3,5,6] X[6,5,2,7] X[7,8,9,10] X[8,11,12,9] "
+        "X[11,1,10,12]"
+    )
+
+
+def test_braid_crosscheck_disagreement_exits_3(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from foliar.criterion import Status, check_main
+
+    def check_main_failed(d):
+        return replace(check_main(d), status=Status.HYPOTHESES_FAIL)
+
+    monkeypatch.setattr("foliar.cli.check_main", check_main_failed)
+    code, out, _ = run(capsys, "braid", "s1^3 s2^-3", "--crosscheck")
+    assert code == 3
+    payload = json.loads(out)
+    assert (payload["status"], payload["diagram_status"]) == (
+        "certified", "fail"
+    )
+    assert "note" not in payload
+
+
+def test_braid_crosscheck_reports_a_closure_that_splits(capsys):
+    code, out, _ = run(
+        capsys, "braid", "s1^3", "--strands", "3", "--crosscheck"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["reasons"] == ["Interleaving", "NotAKnot(2)"]
+    assert payload["diagram_error"] == (
+        "closure of strands [3] has no crossings"
+    )
+    assert "diagram_status" not in payload
 
 
 def test_braid_identity_is_input_error(capsys):
@@ -273,9 +340,29 @@ def test_augment_prints_its_plan_byte_for_byte(capsys):
     )
 
 
+def test_augment_plans_the_normal_form_byte_for_byte(capsys):
+    # GRANNY3 certifies after merging; its circles sit on the merged regions
+    code, out, err = run(capsys, "augment", GRANNY3, "--plan")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"circles": ['
+        '{"region": 0, "count": 3, "parity": 1, "k": 1, "coefficient": "1"}, '
+        '{"region": 1, "count": 3, "parity": 1, "k": 1, "coefficient": "1"}, '
+        '{"region": 2, "count": 3, "parity": 1, "k": 1, "coefficient": "1"}], '
+        '"plan": {"assignments": ["odd", "odd", "odd"], '
+        '"distinguished": 0, "secondary": 2}}\n'
+    )
+
+
 def test_augment_zero_k_is_input_error(capsys):
     code, _, err = run(capsys, "augment", KINK)
     assert code == 2
+
+
+def test_augment_on_a_link_is_input_error(capsys):
+    code, out, err = run(capsys, "augment", HOPF, "--plan")
+    assert (code, out) == (2, "")
+    assert err == "error: NotAKnot(2): crossing circles need a knot\n"
 
 
 def test_corpus_walk(tmp_path, capsys):

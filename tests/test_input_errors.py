@@ -83,6 +83,26 @@ HUGE = 2**61  # as does its 4 * 2**61 darts
          "montesinos arm 5 is not a pair"),
         (lambda: generate_diagram(WeightedPlanarTree([2.5, 3], [None, 0])),
          InputError, "weight 2.5 is not an integer"),
+        # a parent array that does not describe a preorder tree once
+        # escaped as IndexError or TypeError, or built a split diagram
+        (lambda: WeightedPlanarTree([2, 3], [None]), MalformedTree,
+         "parent [None] needs None first and one entry per weight"),
+        (lambda: WeightedPlanarTree([2, 3], [None, 0, 0]), MalformedTree,
+         "parent [None, 0, 0] needs None first and one entry per weight"),
+        (lambda: WeightedPlanarTree([2, 3], [0, None]), MalformedTree,
+         "parent [0, None] needs None first and one entry per weight"),
+        (lambda: WeightedPlanarTree([], []), MalformedTree,
+         "parent [] needs None first and one entry per weight"),
+        (lambda: WeightedPlanarTree([2, 3], [None, 5]), MalformedTree,
+         "vertex 1 has parent 5, not in 0..0"),
+        (lambda: WeightedPlanarTree([2, 3], [None, 1]), MalformedTree,
+         "vertex 1 has parent 1, not in 0..0"),
+        (lambda: WeightedPlanarTree([2, 3], [None, -1]), MalformedTree,
+         "vertex 1 has parent -1, not in 0..0"),
+        (lambda: WeightedPlanarTree([2, 3, 4], [None, 0, None]),
+         MalformedTree, "vertex 2 has parent None, not in 0..1"),
+        (lambda: WeightedPlanarTree([2, 3], [None, 0.0]), MalformedTree,
+         "vertex 1 has parent 0.0, not in 0..0"),
     ],
 )
 def test_input_errors_name_their_cause(call, cls, message):

@@ -17,10 +17,10 @@ from pathlib import Path
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 RESHAPE_SEED1_DIGEST = (
-    "d06b12bb141d760b9a028a2c1a862598ea7af28441d964dc991ba2af4eda3f9e"
+    "25ec246dfb04a5c01c8d968b648fb34cba1b70253443c9caf262e963a6088859"
 )
 CORPUS_SEED1_DIGEST = (
-    "bd4548cb3ed29caf7235aaca8de7d58eab0b3c0efcbddd421eb9e992b56e942a"
+    "15d8a430aef06138253b247c3efa81d7803c11f17a40cf4aca438cb714a47a49"
 )
 LARGE_SEED1_DIGEST = (
     "2e5e016530318d545200101a1b1adff51915d9ea8645b506332fafe3504c3df5"

@@ -160,15 +160,19 @@ def ref_first_parallel_family(green, red):
 
 
 def ref_splice_out(alpha, vertex):
-    # smooth the region out: the strands on either side close up
+    # smooth the region out: the strands on either side close up; returns
+    # how many of them closed on themselves
+    closed = 0
     for p, q in ((1, 2), (3, 0)):
         dp, dq = 4 * vertex + p, 4 * vertex + q
         a, b = alpha[dp], alpha[dq]
         del alpha[dp], alpha[dq]
         if a == dq:
+            closed += 1
             continue
         alpha[a] = b
         alpha[b] = a
+    return closed
 
 
 def ref_normalize_assumption2(cg):
@@ -182,8 +186,7 @@ def ref_normalize_assumption2(cg):
         survivor = regions[0] if s else None
         removed = set(regions) - {survivor}
         alpha = dict(enumerate(cg.alpha))
-        for i in sorted(removed):
-            ref_splice_out(alpha, i)
+        closed = sum([ref_splice_out(alpha, i) for i in sorted(removed)])
         new_vertices = []
         vmap = {}
         for i, w in enumerate(cg.vertices):
@@ -193,6 +196,8 @@ def ref_normalize_assumption2(cg):
             new_vertices.append(s if i == survivor else w)
         if not new_vertices:
             raise DegenerateCollapse("every twist region cancelled")
+        if closed:  # a strand with no crossings left is a split piece
+            raise NonSphericalEmbedding("merging closed a strand")
         new_alpha = {
             4 * vmap[d >> 2] + (d & 3): 4 * vmap[e >> 2] + (e & 3)
             for d, e in alpha.items()

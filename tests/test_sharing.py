@@ -145,9 +145,10 @@ def test_routes_share_one_cancellation(monkeypatch):
     check_main(d)
     assert builds == [30]
     check_tait(d)
-    with pytest.raises(NonAlternatingChain):
-        augment(d)
-    assert builds == [30]
+    # augment reads the normal form kept on d: no build, no detection
+    detections = _count_detections(monkeypatch)
+    assert [c.count for c in augment(d)] == [3] * 10
+    assert (builds, detections) == ([30], [])
 
 
 def test_routes_share_one_detection(monkeypatch):
@@ -241,10 +242,7 @@ def test_tree_diagram_is_normalised_once(monkeypatch):
 def _run_all(d):
     check_main(d)
     check_tait(d)
-    try:
-        augment(d)
-    except NonAlternatingChain:
-        pass  # a mixed input; unbound, so no traceback keeps d alive
+    augment(d)
 
 
 @pytest.fixture

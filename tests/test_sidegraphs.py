@@ -1,16 +1,19 @@
 import pytest
 
 from foliar import (
+    braid_to_diagram,
     build_side_graphs,
     check_main,
     check_tait,
     collapse,
     connectivity_report,
     normalize_assumption2,
+    parse_braid,
     parse_pd,
     reduce_assumption1,
 )
 from foliar._planar import sigma, two_color
+from foliar.criterion import normal_form
 from foliar.sidegraphs import GREEN, RED
 from foliar.twists import CollapsedGraph
 from foliar.errors import (
@@ -126,11 +129,36 @@ def test_normalize_merges_parallel_family():
     assert r.weights() == ()
 
 
+# a braid closure knot whose first merging round smooths out the parallel
+# pair -2, 2 whole, and whose second merges 3 and 2
+ZERO_SUM_KNOT = (
+    "X[1,2,3,4] X[2,5,6,3] X[7,6,8,9] X[9,8,10,11] X[11,10,12,13] "
+    "X[5,14,15,12] X[13,15,16,17] X[17,16,18,7] X[18,14,19,20] "
+    "X[20,19,21,22] X[22,21,23,24] X[24,23,25,26] X[25,27,28,26] "
+    "X[27,29,4,28] X[30,30,1,29]"
+)
+
+
 def test_normalize_drops_zero_sum_family():
-    cg = collapse(parse_pd(CANCELLING_COLUMNS))
-    assert len(cg.vertices) == 4
+    cg = collapse(reduce_assumption1(parse_pd(ZERO_SUM_KNOT)))
+    assert list(cg.vertices) == [-2, 3, 1, 2, 2, 1]
     out, g, r = normalize_assumption2(cg)
-    assert sorted(abs(w) for w in out.vertices) == [1, 1]
+    assert list(out.vertices) == [5, 1, 1]
+
+
+def test_merging_that_closes_a_strand_raises():
+    # smoothing a zero-sum family of a link can leave a strand with no
+    # crossings; it is a piece of its own, not a strand to drop
+    for d in (
+        parse_pd(CANCELLING_COLUMNS),
+        braid_to_diagram(parse_braid(
+            "s2^-2 s1^3 s2^-1 s1^-2 s1^-2 s1^1 s2^3 s3^3 s2^-1", 4
+        )),
+    ):
+        assert d.component_count() == 2
+        with pytest.raises(NonSphericalEmbedding) as exc:
+            normal_form(d)
+        assert str(exc.value) == "merging splits the link into 2 pieces"
 
 
 def test_normalize_degenerate_raises():

@@ -17,6 +17,7 @@ from foliar import (
     plan_configurations,
     verify_plan,
 )
+from foliar.criterion import normal_form
 from foliar.errors import InputError, MalformedToken, Unsatisfiable, ZeroK
 from foliar.surgery import (
     CrossingCircle,
@@ -105,8 +106,13 @@ def test_augment_coefficient_table():
     for count in range(2, 10):
         ks = {}
         for sign in (1, -1):
-            tree = parse_tree(f"({sign * count})")
-            circles = augment(generate_diagram(tree))
+            d = generate_diagram(parse_tree(f"({sign * count})"))
+            if count % 2:
+                circles = augment(d)
+            else:  # an even closed chain is a link: read its normal form
+                with pytest.raises(InputError, match=r"^NotAKnot\(2\)"):
+                    augment(d)
+                circles = circles_from_counts(normal_form(d)[0].vertices)
             assert len(circles) == 1
             c = circles[0]
             assert c.count == count
