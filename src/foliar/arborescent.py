@@ -105,7 +105,10 @@ def parse_tree(text):
             w = toks[pos + 1] if pos + 1 < len(toks) else None
             if w is None or not _WEIGHT.fullmatch(w):
                 raise MalformedTree(f"expected a weight, got {w!r}")
-            w = int(w)
+            try:
+                w = int(w)
+            except ValueError:  # beyond the digit limit
+                raise MalformedTree._overlong(w) from None
             if w == 0:
                 raise ZeroWeight("vertex weight 0")
             parent.append(open_[-1] if open_ else None)

@@ -13,8 +13,8 @@ that trees and pretzels share, diagram._twist_chain.
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
-from ._planar import component_count
 from .criterion import Status, Verdict, weight_reasons
 from .diagram import LinkDiagram, _Builder, _twist_chain
 from .errors import (
@@ -50,8 +50,11 @@ def parse_braid(text, n_strands=None):
         m = _SYLLABLE.fullmatch(tok)
         if not m:
             raise MalformedToken(f"bad syllable {tok!r}")
-        gen = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) else 1
+        try:
+            gen = int(m.group(1))
+            exp = int(m.group(2)) if m.group(2) else 1
+        except ValueError:  # beyond the digit limit
+            raise MalformedToken._overlong(tok) from None
         if gen < 1:
             raise BadGenerator(f"generator index {gen}")
         if n_strands is not None and gen > n_strands - 1:
@@ -90,43 +93,42 @@ def reduce_braid(word):
 
 
 def closure_components(word):
-    perm = list(range(word.n_strands))
+    """Components of the closure: one per cycle of the strands the odd
+    syllables permute, and one per strand they leave in place."""
+    perm = {}  # moved strand -> the strand it ends on
     for s in word.syllables:
         if s.exp % 2:
-            i = s.gen - 1
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return component_count(range(word.n_strands), enumerate(perm))
+            i, j = s.gen - 1, s.gen
+            perm[i], perm[j] = perm.get(j, j), perm.get(i, i)
+    comps = word.n_strands - len(perm)
+    while perm:
+        comps += 1
+        j = perm.popitem()[1]
+        while j in perm:  # follow the cycle round, removing it
+            j = perm.pop(j)
+    return comps
+
+
+def _violations(gens):
+    """The generators h with two uses in a row, cyclically, once the list
+    gens is cut down to h and its bridge: no bridge between them."""
+    out = []
+    for h in sorted(set(gens)):
+        bridge = h + 1 if h % 2 else h - 1
+        cut = [g for g in gens if g == h or g == bridge]
+        if (h, h) in zip(cut, cut[1:] + cut[:1]):
+            out.append(h)
+    return out
 
 
 def check_interleaving(word):
-    """Violations of the return-bridge rule, plus generators never used.
-
-    Returns (violations, vacuous): violations lists generators h whose
-    cyclically consecutive uses miss the bridge generator in between;
-    vacuous lists generators of the braid group that never occur.
-    Raises EvenStrandCount unless the strand count is odd.
-    """
+    """(violations, vacuous): the generators that break the return-bridge
+    rule, and those of the braid group that never occur.  Raises
+    EvenStrandCount unless the strand count is odd."""
     if word.n_strands % 2 == 0:
         raise EvenStrandCount(f"{word.n_strands} strands")
     gens = [s.gen for s in word.syllables]
-    present = set(gens)
-    vacuous = [
-        h for h in range(1, word.n_strands) if h not in present
-    ]
-    violations = []
-    m = len(gens)
-    for h in sorted(present):
-        bridge = h + 1 if h % 2 else h - 1
-        spots = [i for i, g in enumerate(gens) if g == h]
-        ok = True
-        for a, b in zip(spots, spots[1:] + [spots[0] + m]):
-            between = [gens[i % m] for i in range(a + 1, b)]
-            if bridge not in between:
-                ok = False
-                break
-        if not ok:
-            violations.append(h)
-    return violations, vacuous
+    return _violations(gens), sorted(set(range(1, word.n_strands)) - set(gens))
 
 
 # -- closure diagram --------------------------------------------------------
@@ -141,15 +143,26 @@ def braid_to_diagram(word):
     closure is a crossing-free circle the PD model cannot carry, so that
     case raises.
     """
+    n = word.n_strands
+    for s in word.syllables:
+        if s.gen > n - 1:
+            raise BadGenerator(f"s{s.gen} in a {n}-strand braid")
+    # the strands 1 to n some crossing meets, before any list per strand
+    used = {j for s in word.syllables if s.exp for j in (s.gen, s.gen + 1)}
+    if len(used) < n:
+        idle = list(islice((j for j in range(1, n + 1) if j not in used), 8))
+        more = n - len(used) - len(idle)
+        idle = f"{idle} and {more} more" if more else idle
+        raise NonSphericalEmbedding(
+            f"closure of strands {idle} has no crossings"
+        )
     b = _Builder()
-    top = [None] * word.n_strands  # each strand's first dart from the top
-    cur = [None] * word.n_strands  # each strand's open bottom dart so far
+    top = [None] * n  # each strand's first dart from the top
+    cur = [None] * n  # each strand's open bottom dart so far
     for k, s in enumerate(word.syllables):
-        i = s.gen - 1
-        if s.gen > word.n_strands - 1:
-            raise BadGenerator(f"s{s.gen} in a {word.n_strands}-strand braid")
         if not s.exp:
             continue
+        i = s.gen - 1
         t = _twist_chain(b, "v", -s.exp, k)
         for j, dart in ((i, t.NW), (i + 1, t.NE)):
             if cur[j] is None:
@@ -157,11 +170,6 @@ def braid_to_diagram(word):
             else:
                 b.join(cur[j], dart)
         cur[i], cur[i + 1] = t.SW, t.SE
-    if None in cur:
-        idle = [i + 1 for i, e in enumerate(cur) if e is None]
-        raise NonSphericalEmbedding(
-            f"closure of strands {idle} has no crossings"
-        )
     for a, e in zip(top, cur):
         b.join(a, e)
     return LinkDiagram.from_darts(b.alpha, [0] * len(b.owner))
@@ -172,12 +180,10 @@ def check_braid(word):
         word = parse_braid(word)
     word = reduce_braid(word)
     reasons = []
-    try:
-        violations, _ = check_interleaving(word)
-        if violations:
-            reasons.append("Interleaving")
-    except EvenStrandCount:
+    if word.n_strands % 2 == 0:
         reasons.append("EvenStrandCount")
+    elif _violations([s.gen for s in word.syllables]):
+        reasons.append("Interleaving")
     comps = closure_components(word)
     if comps != 1:
         reasons.append(f"NotAKnot({comps})")

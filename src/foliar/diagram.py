@@ -165,6 +165,8 @@ class LinkDiagram:
         # RecursionError: arrays nested deeper than the decoder can follow
         except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedToken(f"bad diagram json: {exc}") from None
+        except ValueError:  # an integer beyond the digit limit
+            raise MalformedToken._overlong(text) from None
         for ax in axes:
             if not isinstance(ax, int) or ax not in (0, 1):  # bools pass
                 raise MalformedToken(f"under_axis {ax}")
@@ -180,7 +182,10 @@ def parse_pd(text):
     if _BAD.search(" " + text):
         bad = next(t for t in text.split() if not _TOKEN.fullmatch(t))
         raise MalformedToken(f"bad token {bad!r}")
-    labels = _read_labels(text)
+    try:
+        labels = _read_labels(text)
+    except ValueError:  # a label beyond the digit limit
+        raise MalformedToken._overlong(text) from None
     return LinkDiagram(_pair(labels), [0] * (len(labels) >> 2), text)
 
 

@@ -5,6 +5,7 @@ reductions) all derive from InputError so callers can distinguish them
 from internal invariant failures, which derive from InternalError.
 """
 
+import re
 from operator import index
 
 
@@ -14,6 +15,13 @@ class FoliarError(Exception):
 
 class InputError(FoliarError):
     """The input is malformed or outside the domain of the operation."""
+
+    @classmethod
+    def _overlong(cls, text):
+        """The error naming the longest digit run of text by its head and
+        length: the integer int() refused as beyond its digit limit."""
+        t = max(re.findall(r"\d+", text), key=len)
+        return cls(f"integer {t[:8]}... of {len(t)} digits is too long")
 
 
 class InternalError(FoliarError):

@@ -6,8 +6,9 @@ faces of that colour.  Each twist region contributes one edge to the
 graph of its own side colour, joining the two faces its bigons
 separated, which sit at the region vertex's gaps 1 and 3, with the
 region's signed count as its weight.  A FaceGraph keeps its edges as
-the flat lists u, v, signed and source.  The checkerboard graphs of the
-tait module are FaceGraphs too, split by colour by the same face_graphs.
+the flat lists u, v and signed.  The checkerboard graphs of the tait
+module are the same construction one scale down, a crossing for a
+region, so face_graphs builds both from a traced map and its gaps.
 
 Two regions joining the same pair of faces in the same graph can be
 slid into each other, so parallel side edges merge: the signed weights
@@ -25,7 +26,6 @@ normal form the certification criterion inspects.
 """
 
 from dataclasses import dataclass
-from itertools import compress
 
 from ._planar import (
     compact,
@@ -47,15 +47,14 @@ GREEN, RED = 0, 1  # the colours two_color gives; face 0 is GREEN
 
 
 class FaceGraph:
-    """Faces of one colour; edge j joins faces u[j] <= v[j], has weight
-    signed[j] and comes from source[j]: a collapsed vertex in a "side"
-    graph, a crossing in a "tait" graph, -1 for a merged family."""
+    """Faces of one colour; edge j joins faces u[j] <= v[j] and has
+    weight signed[j]."""
 
-    def __init__(self, kind, color, vertices, u, v, signed, source):
+    def __init__(self, kind, color, vertices, u, v, signed):
         self.kind = kind  # "side" or "tait", the prefix of its dot name
         self.color = color
         self.vertices = tuple(vertices)
-        self.u, self.v, self.signed, self.source = u, v, signed, source
+        self.u, self.v, self.signed = u, v, signed
         self._components = None  # counted on first use
 
     @property
@@ -83,10 +82,27 @@ class FaceGraph:
         )
 
 
-def face_graphs(kind, coloring, edges):
-    """The (green, red) FaceGraphs of kind on the faces coloured by
-    coloring; edges[c] holds the u, v, signed and source lists of the
-    edges of colour c."""
+def face_graphs(kind, plane, weights, gaps):
+    """The (green, red) FaceGraphs of kind on the faces of a traced map.
+
+    For each (g, sign) of gaps in turn, each vertex i in vertex order
+    joins the faces at its gaps g and g + 2, which must share a colour,
+    in the graph of that colour, with weight sign * weights[i].
+    """
+    coloring = two_color(plane)
+    face_at = plane.face_at
+    edges = ([], [], []), ([], [], [])  # u, v, signed by colour
+    for g, sign in gaps:
+        for a, b, w in zip(face_at[g::4], face_at[g + 2::4], weights):
+            c = coloring[a]
+            if coloring[b] != c:
+                raise InternalError(
+                    f"{kind} edge joins faces {a}, {b} of two colours"
+                )
+            u, v, signed = edges[c]
+            u.append(a if a < b else b)
+            v.append(b if a < b else a)
+            signed.append(sign * w)
     return tuple([
         FaceGraph(kind, c, [f for f, k in enumerate(coloring) if k == c],
                   *edges[c])
@@ -96,26 +112,8 @@ def face_graphs(kind, coloring, edges):
 
 def build_side_graphs(cg):
     """The (green, red) side graphs of a collapsed graph: vertex i joins
-    the faces at its gaps 1 and 3, which must share a colour."""
-    coloring = two_color(cg)
-    g1, g3 = cg.ARC_GAPS
-    a, b = cg.face_at[g1::4], cg.face_at[g3::4]
-    red = list(map(coloring.__getitem__, a))  # 1 where a side edge is red
-    if red != list(map(coloring.__getitem__, b)):
-        i = next(i for i, c in enumerate(red) if coloring[b[i]] != c)
-        raise InternalError(
-            f"side edge of {i} joins faces {a[i]}, {b[i]} of two colours"
-        )
-    u = [x if x < y else y for x, y in zip(a, b)]
-    v = [y if x < y else x for x, y in zip(a, b)]
-    edges = _by_color(red, u, v, cg.vertices, range(len(a)))
-    return face_graphs("side", coloring, edges)
-
-
-def _by_color(colors, *columns):
-    """The entries of each column where colors is GREEN, then RED."""
-    green = [c ^ 1 for c in colors]
-    return [[list(compress(x, m)) for x in columns] for m in (green, colors)]
+    the faces at its gaps 1 and 3 with its signed count."""
+    return face_graphs("side", cg, cg.vertices, ((cg.ARC_GAPS[0], 1),))
 
 
 @dataclass(frozen=True)
@@ -146,13 +144,14 @@ def normalize_assumption2(cg):
     """
     while True:
         green, red = build_side_graphs(cg)
-        # faces of both colours are faces of one map
-        pairs = [*zip(green.u, green.v), *zip(red.u, red.v)]
-        if len(set(pairs)) == len(pairs):
-            return cg, green, red
+        # the regions by the side faces at their arc gaps; faces of both
+        # colours are faces of one map
+        g1, g3 = cg.ARC_GAPS
         families = {}
-        for pair, i in zip(pairs, green.source + red.source):
-            families.setdefault(pair, []).append(i)
+        for i, (a, b) in enumerate(zip(cg.face_at[g1::4], cg.face_at[g3::4])):
+            families.setdefault((a, b) if a < b else (b, a), []).append(i)
+        if len(families) == len(cg.vertices):
+            return cg, green, red
         sums = {}  # survivor -> signed sum of its family
         removed = set()
         for regions in families.values():  # each in increasing order

@@ -6,7 +6,7 @@ when sweeping the over strand counterclockwise onto the under strand
 crosses the gaps holding that graph's faces, so a twist region shows up
 as equal-signed parallel edges in the graph of its side colour and as a
 path through bivalent vertices in the other.  Both graphs are FaceGraphs
-of the sidegraphs module, listed in one pass over the crossings; a
+built by the sidegraphs module's face_graphs at gaps 0 and 1; a
 face's degree, counted from the edge ends, is its corner count.  Apart
 from the type II cancellation it starts from, the route reads no twist
 region, so it stays an independent check of the main route.
@@ -26,7 +26,7 @@ reasons, or the red graph's when the green graph certifies.
 
 from collections import Counter
 
-from ._planar import find, two_color
+from ._planar import find
 from .criterion import Status, Verdict, weight_reasons
 from .errors import InternalError
 from .sidegraphs import FaceGraph, face_graphs
@@ -34,33 +34,11 @@ from .twists import reduce_assumption1
 
 
 def build_tait(d):
-    """The (green, red) checkerboard graphs of d, edges in crossing order,
-    so both graphs share range(len(d)) as their source.
-
-    Crossing ci joins the faces at its gaps 0 and 2 in the graph of
-    their colour, with weight +1 when its under_axis is 1, and the faces
-    at its gaps 1 and 3 in the other graph, with the opposite weight.
-    """
-    coloring = two_color(d)
-    face_at = d.face_at
-    source = range(len(d))  # each crossing has an edge of each colour
-    edges = [[], [], [], source], [[], [], [], source]  # u, v, signed, source
-    rows = zip(face_at[0::4], face_at[1::4], face_at[2::4], face_at[3::4],
-               d.axes)
-    for ci, (a, b, c, e, axis) in enumerate(rows):
-        x = coloring[a]
-        if coloring[c] != x or coloring[b] == x or coloring[e] == x:
-            raise InternalError(f"tait edges of {ci} join two colours")
-        s = 1 if axis else -1
-        u, v, signed, _ = edges[x]
-        u.append(a if a < c else c)
-        v.append(c if a < c else a)
-        signed.append(s)
-        u, v, signed, _ = edges[x ^ 1]
-        u.append(b if b < e else e)
-        v.append(e if b < e else b)
-        signed.append(-s)
-    return face_graphs("tait", coloring, edges)
+    """The (green, red) checkerboard graphs of d: crossing i joins the
+    faces at its gaps 0 and 2, weight +1 when its under_axis is 1, and
+    those at 1 and 3, the opposite weight; the gap 0 edges come first."""
+    return face_graphs("tait", d, [1 if a else -1 for a in d.axes],
+                       ((0, 1), (1, -1)))
 
 
 def _degrees(g):
@@ -83,7 +61,7 @@ def contract(g):
     """(chain_weights, merged): remove the bivalent runs of g, each run
     of j faces recording a weight j + 1, and merge the parallel families
     of the surviving faces into a FaceGraph with one edge per family of
-    nonzero sum, of weight |sum| and source -1."""
+    nonzero sum, of weight |sum|."""
     bigon = [k == 2 for k in _degrees(g)]
     vertices = g.vertices
     bivalent = [f for f in vertices if bigon[f]]
@@ -107,7 +85,6 @@ def contract(g):
         g.kind, g.color, [f for f in vertices if not bigon[f]],
         [u for u, _ in pairs], [v for _, v in pairs],
         [abs(families[pair]) for pair in pairs],
-        [-1] * len(pairs),  # a family has no single crossing
     )
 
 

@@ -90,7 +90,8 @@ class DisjointSets:
 
 class FaceEdge(NamedTuple):
     """One edge of a FaceGraph as a record, as the reference routes
-    build their graphs."""
+    build their graphs; source is the crossing the reference read it
+    off, which the graph under test does not keep."""
 
     u: int
     v: int
@@ -99,8 +100,9 @@ class FaceEdge(NamedTuple):
 
 
 def edges_of(g):
-    """The edges of a FaceGraph's flat lists as FaceEdge records."""
-    return tuple([FaceEdge(*e) for e in zip(g.u, g.v, g.signed, g.source)])
+    """The edges of a FaceGraph's flat lists as (u, v, signed) triples,
+    in the order the graph lists them."""
+    return list(zip(g.u, g.v, g.signed))
 
 
 def trace_faces(n_darts, alpha):

@@ -412,6 +412,64 @@ def test_every_small_all_two_tree_knot_fails_every_route():
     assert (trees, knots) == (100, 52)
 
 
+
+def _one_unit_weight_trees():
+    """Every plane tree of 2-4 vertices with exactly one weight +-1, the
+    others from +-2, +-3 and at least one of them +-3: (i, w, text)
+    for the unit weight w at vertex i."""
+    for n in (2, 3, 4):
+        for shape in _tree_shapes(n):
+            for ws in itertools.product((2, -2, 3, -3), repeat=n - 1):
+                if 3 not in map(abs, ws):
+                    continue
+                for i in range(n):
+                    for w in (1, -1):
+                        weights = (*ws[:i], w, *ws[i:])
+                        yield i, w, _shape_to_text(shape, weights, [0])
+
+
+def _diagram_statuses(d):
+    return check_main(d).status.value, check_tait(d).status.value
+
+
+def test_a_tree_with_one_unit_weight_fails_on_that_weight_alone():
+    statuses = Counter()
+    for i, w, text in _one_unit_weight_trees():
+        t = parse_tree(text)
+        d = generate_diagram(t)
+        want = [f"WeightTooSmall(vertex={i},weight={w})"]
+        if d.component_count() != 1:
+            want.append(f"NotAKnot({d.component_count()})")
+        assert check_arborescent(t).reasons == tuple(want), text
+        statuses[len(want), _diagram_statuses(d)] += 1
+    # (reasons, (check_main, check_tait)): 1 reason for a knot, 2 for a
+    # link.  A unit weight is reshaped away by cancellation and merging,
+    # so the diagram routes may certify; where they disagree (56 knots)
+    # the route cross-check excuses reshaped inputs
+    assert statuses == {
+        (1, ("certified", "certified")): 632,
+        (1, ("certified", "fail")): 56,
+        (1, ("fail", "fail")): 768,
+        (2, ("fail", "fail")): 936,
+    }
+
+
+def test_a_single_vertex_fails_as_a_single_vertex():
+    statuses = Counter()
+    for w in (2, -2, 3, -3, 4, -4, 5, -5, 6, -6):
+        t = parse_tree(f"({w})")
+        want = ["SingleVertex"]
+        if abs(w) == 2:
+            want.append("NoWeightAboveTwo")
+        if w % 2 == 0:
+            want.append("NotAKnot(2)")
+        assert check_arborescent(t).reasons == tuple(want), w
+        statuses[_diagram_statuses(generate_diagram(t))] += 1
+    # a closed chain: the odd ones are excluded Dk diagrams, the even ones
+    # links
+    assert statuses == {("excluded", "excluded"): 4, ("fail", "fail"): 6}
+
+
 # -- 12. every certified verdict yields a slope plan that verifies -----------
 
 PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"

@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import pytest
 
 from foliar import (
@@ -18,7 +21,8 @@ from foliar.errors import (
     NonSphericalEmbedding,
 )
 
-from conftest import seeded
+from conftest import DisjointSets, seeded
+from test_cli import run
 
 
 def test_parse_basic():
@@ -211,3 +215,93 @@ def test_braid_diagram_agreement_seeded():
         assert (bv.status == Status.CERTIFIED) == (mv.status == Status.CERTIFIED)
         compared += 1
     assert compared >= 30
+
+
+# -- the interleaving rule and the closure's components against loops --------
+
+def ref_violations(gens):
+    """The generators h some pair of cyclically consecutive uses of which
+    has no bridge of h between them, found by scanning each gap."""
+    violations = []
+    m = len(gens)
+    for h in sorted(set(gens)):
+        bridge = h + 1 if h % 2 else h - 1
+        spots = [i for i, g in enumerate(gens) if g == h]
+        for a, b in zip(spots, spots[1:] + [spots[0] + m]):
+            between = [gens[i % m] for i in range(a + 1, b)]
+            if bridge not in between:
+                violations.append(h)
+                break
+    return violations
+
+
+def ref_closure_components(word):
+    """Cycles of the strand permutation, over a list of every strand."""
+    perm = list(range(word.n_strands))
+    for s in word.syllables:
+        if s.exp % 2:
+            i = s.gen - 1
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    ds = DisjointSets()
+    for i, j in enumerate(perm):
+        ds.union(i, j)
+    return len({ds.find(i) for i in range(word.n_strands)})
+
+
+def _generator_sequences():
+    """Every generator sequence on 3, 5 and 7 strands up to lengths 7, 7
+    and 5."""
+    for n, longest in ((3, 7), (5, 7), (7, 5)):
+        for m in range(1, longest + 1):
+            for gens in itertools.product(range(1, n), repeat=m):
+                yield n, gens
+
+
+def test_interleaving_and_components_match_the_loops():
+    seen = violating = 0
+    for n, gens in _generator_sequences():
+        # exponents of both parities, so the permutation moves
+        word = BraidWord(n, tuple(
+            [Syllable(g, 2 + (i * g) % 2) for i, g in enumerate(gens)]
+        ))
+        violations, vacuous = check_interleaving(word)
+        assert violations == ref_violations(list(gens)), gens
+        assert vacuous == [h for h in range(1, n) if h not in gens]
+        assert closure_components(word) == ref_closure_components(word)
+        seen += 1
+        violating += bool(violations)
+    assert (seen, violating) == (31428, 31182)
+
+
+# -- a strand count costs nothing per strand ---------------------------------
+
+MANY = 10**20 + 1  # odd, and far more strands than any list could hold
+
+
+def test_closure_components_counts_idle_strands():
+    word = BraidWord(MANY, (Syllable(1, 3), Syllable(2, 2)))
+    assert closure_components(word) == MANY - 1
+
+
+def test_check_braid_on_many_strands():
+    v = check_braid(parse_braid("s1^3 s2^3", MANY))
+    assert v.reasons == (f"NotAKnot({MANY - 2})",)
+
+
+def test_braid_to_diagram_refuses_many_strands_first():
+    with pytest.raises(NonSphericalEmbedding) as exc:
+        braid_to_diagram(parse_braid("s1^3 s4^3", MANY))
+    assert str(exc.value) == (
+        "closure of strands [3, 6, 7, 8, 9, 10, 11, 12] and "
+        f"{MANY - 12} more has no crossings"
+    )
+
+
+def test_cli_braid_on_many_strands(capsys):
+    code, out, err = run(
+        capsys, "braid", "s1^3", "--strands", str(MANY - 1), "--crosscheck"
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["reasons"] == ["EvenStrandCount", f"NotAKnot({MANY - 2})"]
+    assert payload["diagram_error"].startswith("closure of strands [3, 4,")

@@ -2,17 +2,21 @@
 command line, where each exits 2 without a traceback."""
 
 import json
+import sys
 
 import pytest
 
 from foliar import (
+    LinkDiagram,
     Slope,
     braid_to_diagram,
+    check_arborescent,
     circles_from_counts,
     family_tree,
     generate_diagram,
     make_pretzel_pd,
     parse_braid,
+    parse_pd,
     parse_tree,
     plan_configurations,
 )
@@ -175,4 +179,62 @@ def test_corpus_reports_an_oversized_weight_and_goes_on(tmp_path, capsys):
         {"file": "c.tree", "status": "certified", "reasons": [],
          "diagram_status": "certified"},
         {"files": 3, "certified": 1, "fail": 0, "excluded": 0},
+    ]
+
+
+# -- integers beyond the interpreter's digit limit ----------------------------
+
+# longer than the 4 300 digits CPython converts by default; on an
+# interpreter with no limit each input fails later, still as bad input
+LONG = "9" * 5000
+LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG)
+LONG_PD = f"X[1,4,2,{LONG}] X[3,6,4,1] X[5,2,6,3]"
+LONG_JSON = (
+    f'{{"crossings": [[1, 4, 2, {LONG}], [3, 6, 4, 1], [5, 2, 6, 3]], '
+    '"under_axis": [0, 0, 0]}'
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_pd(LONG_PD),
+        lambda: LinkDiagram.from_json(LONG_JSON),
+        lambda: check_arborescent(parse_tree(f"(3 ({LONG}))")),
+        lambda: braid_to_diagram(parse_braid(f"s1^{LONG} s2^3", 3)),
+    ],
+)
+def test_an_overlong_integer_is_an_input_error(call):
+    with pytest.raises(InputError) as exc:
+        call()
+    if LIMITED:  # the parser names the integer without all its digits
+        assert "of 5000 digits is too long" in str(exc.value)
+        assert LONG not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", LONG_PD),
+        ("check", LONG_JSON),
+        ("tree", f"(3 ({LONG}))"),
+        ("braid", f"s1^{LONG} s2^3", "--strands", "3", "--diagram"),
+    ],
+)
+def test_the_cli_exits_2_on_an_overlong_integer(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_corpus_reports_an_overlong_integer_and_goes_on(tmp_path, capsys):
+    (tmp_path / "a.tree").write_text(f"(3 ({LONG}))")
+    (tmp_path / "b.pd").write_text("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+    code, out, err = run(capsys, "corpus", str(tmp_path))
+    assert (code, err) == (2, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows[0]["file"] == "a.tree" and "error" in rows[0]
+    assert rows[1:] == [
+        {"file": "b.pd", "status": "excluded", "reasons": ["DkDiagram(3)"]},
+        {"files": 2, "certified": 0, "fail": 0, "excluded": 1},
     ]

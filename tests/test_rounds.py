@@ -23,7 +23,7 @@ from foliar import (
     parse_tree,
     reduce_assumption1,
 )
-from foliar._planar import splice_out
+from foliar._planar import splice_out, two_color
 from foliar.errors import (
     DegenerateCollapse,
     FoliarError,
@@ -35,11 +35,11 @@ from foliar.twists import CollapsedGraph
 from conftest import (
     DisjointSets,
     connected_sum,
-    edges_of,
     random_tree_text,
     relabel,
     rows_of,
     seeded,
+    trace_faces,
     unreduced_inputs,
 )
 
@@ -148,14 +148,19 @@ def ref_one_chain_per_round(d):
         )
 
 
-def ref_first_parallel_family(green, red):
-    for g in (green, red):
-        groups = {}
-        for e in edges_of(g):
-            groups.setdefault((e.u, e.v), []).append(e)
-        for key in sorted(groups):
-            if len(groups[key]) >= 2:
-                return groups[key]
+def ref_first_parallel_family(cg):
+    """The regions of the first parallel family, green before red and
+    then by face pair; each region's side faces, at its gaps 1 and 3,
+    come from a fresh trace of the map, not from the side graphs."""
+    _, face_at = trace_faces(4 * len(cg), cg.alpha)
+    color = two_color(cg)
+    groups = {}
+    for i in range(len(cg)):
+        a, b = sorted((face_at[4 * i + 1], face_at[4 * i + 3]))
+        groups.setdefault((color[a], a, b), []).append(i)
+    for key in sorted(groups):
+        if len(groups[key]) >= 2:
+            return groups[key]
     return None
 
 
@@ -177,12 +182,10 @@ def ref_splice_out(alpha, vertex):
 
 def ref_normalize_assumption2(cg):
     while True:
-        green, red = build_side_graphs(cg)
-        edges = ref_first_parallel_family(green, red)
-        if edges is None:
-            return cg, green, red
-        s = sum(e.signed for e in edges)
-        regions = sorted(e.source for e in edges)
+        regions = ref_first_parallel_family(cg)
+        if regions is None:
+            return (cg, *build_side_graphs(cg))
+        s = sum([cg.vertices[i] for i in regions])
         survivor = regions[0] if s else None
         removed = set(regions) - {survivor}
         alpha = dict(enumerate(cg.alpha))

@@ -22,7 +22,12 @@ from foliar.errors import (
     NonSphericalEmbedding,
 )
 
-from conftest import CANCELLING_COLUMNS, GRANNY3, unreduced_inputs
+from conftest import (
+    CANCELLING_COLUMNS,
+    GRANNY3,
+    trace_faces,
+    unreduced_inputs,
+)
 
 
 def test_two_coloring_fig8(fig8):
@@ -90,8 +95,13 @@ def test_side_graphs_fig8(fig8):
     cg = collapse(fig8)
     g, r = build_side_graphs(cg)
     assert g.color == GREEN and r.color == RED
-    assert list(zip(g.source, g.u, g.v, g.signed)) == [(0, 0, 2, 2)]
-    assert list(zip(r.source, r.u, r.v, r.signed)) == [(1, 1, 3, -2)]
+    assert list(zip(g.u, g.v, g.signed)) == [(0, 2, 2)]
+    assert list(zip(r.u, r.v, r.signed)) == [(1, 3, -2)]
+    # the edges are regions 0 and 1: their side faces on a fresh trace
+    _, face_at = trace_faces(4 * len(cg), cg.alpha)
+    sides = [sorted((face_at[4 * i + 1], face_at[4 * i + 3])) for i in (0, 1)]
+    assert sides == [[0, 2], [1, 3]]
+    assert cg.vertices == [2, -2]
     assert g.vertices == (0, 2)
     assert r.vertices == (1, 3)
     assert g.weights() == (2,)

@@ -16,7 +16,7 @@ from foliar import (
 from foliar.criterion import reshaped
 from foliar.errors import InternalError
 
-from conftest import GRANNY3, SQUARE_KNOT
+from conftest import GRANNY3, SQUARE_KNOT, trace_faces
 
 
 def test_build_trefoil(trefoil):
@@ -40,7 +40,20 @@ def test_one_edge_per_crossing_per_color(fig8):
     g, r = build_tait(fig8)
     assert len(g.u) == len(fig8)
     assert len(r.u) == len(fig8)
-    assert sorted(g.source) == [0, 1, 2, 3]
+    # every crossing's faces at gaps 0, 2, then every crossing's at 1, 3,
+    # read off a fresh trace; each pair is an edge of the graph of its
+    # colour, in that order
+    _, face_at = trace_faces(4 * len(fig8), fig8.alpha)
+    pairs = [
+        tuple(sorted((face_at[4 * ci + k], face_at[4 * ci + k + 2])))
+        for k in (0, 1)
+        for ci in range(len(fig8))
+    ]
+    assert list(zip(g.u, g.v)) == [p for p in pairs if p[0] in g.vertices]
+    assert list(zip(r.u, r.v)) == [p for p in pairs if p[0] in r.vertices]
+    n = len(fig8)
+    green = [p[0] in g.vertices for p in pairs]
+    assert all(green[ci] != green[ci + n] for ci in range(n))
 
 
 def test_contract_fig8(fig8):
@@ -48,7 +61,7 @@ def test_contract_fig8(fig8):
     for tg in (g, r):
         chain_weights, merged = contract(tg)
         assert chain_weights == (2,)
-        assert merged.signed == [2] and merged.source == [-1]
+        assert merged.signed == [2]
         assert merged.is_tree()
     assert contract(g)[1].vertices == (0, 2)
     assert contract(r)[1].vertices == (1, 4)
