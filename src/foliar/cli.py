@@ -4,12 +4,15 @@ Every subcommand prints JSON on stdout.  Exit codes: 0 for any verdict
 (including hypothesis failures), 1 for an internal error (a bug; so is
 recursion too deep for the interpreter), 2 for unreadable or
 out-of-domain input, 3 when a cross-check between independent routes
-disagrees.
+disagrees.  `corpus` runs each file exactly as `check`, `braid` (without
+--strands) or `tree` would, so a row's status, reasons and cross-check
+keys are those the subcommand prints.
 """
 
 import argparse
 import json
 import os
+import re
 import sys
 
 from .arborescent import check_arborescent, generate_diagram, parse_tree
@@ -45,9 +48,7 @@ def _read_file(path):
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _read_diagram(text, path=None):
-    if path:
-        text = _read_file(path)
+def _read_diagram(text):
     t = text.strip()
     if t.startswith("{"):
         return LinkDiagram.from_json(t)
@@ -65,27 +66,8 @@ def _emit_dot(directory, d):
             fh.write(graph.to_dot() + "\n")
 
 
-def _pd_crosscheck(verdict, d, out):
-    """Add the checkerboard route's status to out.
-
-    Returns True when the routes disagree on an input that was not
-    reshaped; on a reshaped input a disagreement only adds a note.
-    """
-    tv = check_tait(d)
-    out["tait_status"] = tv.status.value
-    if tv.status == verdict.status:
-        return False
-    if reshaped(verdict):
-        out["note"] = (
-            "routes differ after cancellation or merging reshaped the diagram"
-        )
-        return False
-    return True
-
-
 def _closure(word, out):
-    """The reduced word's closure, or None with the reason in out if the
-    closure splits; others raise."""
+    """The reduced word's closure, or None with diagram_error if it splits."""
     try:
         return braid_to_diagram(reduce_braid(word))
     except NonSphericalEmbedding as exc:
@@ -93,70 +75,80 @@ def _closure(word, out):
         return None
 
 
-def _braid_crosscheck(verdict, word, d, out):
-    """Add the closure's status to out; True on an unexplained disagreement."""
-    if d is None:
+def _certify(kind, text, strands=None):
+    """(verdict, diagram, must_agree) for one check, braid or tree input;
+    diagram(out) builds what the second route judges: the diagram itself,
+    a braid's closure (None if it splits, with diagram_error in out) or
+    the tree's generated diagram."""
+    if kind == "braid":
+        word = parse_braid(text, strands)
+        verdict = check_braid(word)  # weights_green: the sorted |e|
+        return verdict, lambda out: _closure(word, out), braid_must_agree(
+            verdict.weights_green, "Interleaving" not in verdict.reasons)
+    if kind == "tree":
+        tree = parse_tree(text)
+        verdict = check_arborescent(tree)
+        return (verdict, lambda out: generate_diagram(tree),
+                tree_must_agree(tree.weights()))
+    d = _read_diagram(text)
+    verdict = check_main(d)
+    return verdict, lambda out: d, not reshaped(verdict)
+
+
+# why a kind's routes may disagree where they need not agree
+_NOTES = {
+    "check": "routes differ after cancellation or merging reshaped the diagram",
+    "braid": "word fails interleaving or has an exponent below 2; "
+    "closure judged on its own",
+    "tree": "single vertex or a weight below 2; diagram judged on its own",
+}
+
+
+def _crosscheck(kind, verdict, d, must_agree, out):
+    """Add the second route's status to out: the checkerboard route's for
+    a diagram, the pipeline's on d otherwise (for a braid, certification
+    is compared).  True when the routes disagree where they must agree."""
+    if d is None:  # the closure split; out holds why
         return False
-    mv = check_main(d)
-    out["diagram_status"] = mv.status.value
-    if (mv.status == Status.CERTIFIED) == (verdict.status == Status.CERTIFIED):
-        return False
-    exponents = [s.exp for s in reduce_braid(word).syllables]
-    if not braid_must_agree(exponents, "Interleaving" not in verdict.reasons):
-        out["note"] = (
-            "word fails interleaving or has an exponent below 2; "
-            "closure judged on its own"
-        )
-        return False
-    return True
+    route, key = ((check_tait, "tait_status") if kind == "check"
+                  else (check_main, "diagram_status"))
+    ours, theirs = verdict.status, route(d).status
+    out[key] = theirs.value
+    if kind == "braid":
+        ours, theirs = ours == Status.CERTIFIED, theirs == Status.CERTIFIED
+    if ours != theirs and not must_agree:
+        out["note"] = _NOTES[kind]
+    return ours != theirs and must_agree
 
 
-def _tree_crosscheck(verdict, tree, d, out):
-    """Add the generated diagram's status to out; True if they disagree."""
-    mv = check_main(d)
-    out["diagram_status"] = mv.status.value
-    if mv.status == verdict.status:
-        return False
-    if not tree_must_agree(tree.weights()):
-        out["note"] = (
-            "single vertex or a weight below 2; diagram judged on its own"
-        )
-        return False
-    return True
+def _strand_count(text):
+    """--strands as an int; an integer past the interpreter's digit limit
+    is named by its head and length rather than echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        msg = f"invalid int value: {text!r}"
+        if re.fullmatch(r"[+-]?\d+", text.strip()):  # past the digit limit
+            msg = str(InputError._overlong(text))
+        raise argparse.ArgumentTypeError(msg) from None
 
 
-def cmd_check(args):
-    d = _read_diagram(args.diagram, args.file)
-    diagnosis = diagnose(d) if args.diagnose else None
-    verdict = diagnosis.verdict if diagnosis else check_main(d)
-    out = json.loads((diagnosis or verdict).to_json())
-    mismatch = args.crosscheck and _pd_crosscheck(verdict, d, out)
-    if args.emit_dot:
-        _emit_dot(args.emit_dot, d)
-    print(json.dumps(out))
-    return 3 if mismatch else 0
-
-
-def cmd_braid(args):
-    word = parse_braid(args.word, args.strands)
-    verdict = check_braid(word)
+def cmd_certify(args):
+    """check, braid and tree: judge the input, then its second route."""
+    text = _read_file(args.file) if args.file else args.text
+    verdict, diagram, must_agree = _certify(args.command, text, args.strands)
     out = json.loads(verdict.to_json())
-    d = _closure(word, out) if args.diagram or args.crosscheck else None
+    wanted = args.command == "check" or args.diagram or args.crosscheck
+    d = diagram(out) if wanted else None
+    if args.diagnose:
+        out = json.loads(diagnose(d).to_json())
     if d is not None and args.diagram:
         out["pd"] = d.to_pd()
-    mismatch = args.crosscheck and _braid_crosscheck(verdict, word, d, out)
-    print(json.dumps(out))
-    return 3 if mismatch else 0
-
-
-def cmd_tree(args):
-    tree = parse_tree(args.tree)
-    verdict = check_arborescent(tree)
-    out = json.loads(verdict.to_json())
-    d = generate_diagram(tree) if args.diagram or args.crosscheck else None
-    if args.diagram:
-        out["pd"] = d.to_pd()
-    mismatch = args.crosscheck and _tree_crosscheck(verdict, tree, d, out)
+    mismatch = args.crosscheck and _crosscheck(
+        args.command, verdict, d, must_agree, out
+    )
+    if args.emit_dot:
+        _emit_dot(args.emit_dot, d)
     print(json.dumps(out))
     return 3 if mismatch else 0
 
@@ -168,20 +160,13 @@ def cmd_borromean(args):
 
 
 def cmd_augment(args):
-    d = _read_diagram(args.diagram, args.file)
-    circles = augment(d)
-    out = {
-        "circles": [
-            {
-                "region": c.region,
-                "count": c.count,
-                "parity": c.count % 2,
-                "k": c.k,
-                "coefficient": str(c.coefficient),
-            }
-            for c in circles
-        ]
-    }
+    text = _read_file(args.file) if args.file else args.text
+    circles = augment(_read_diagram(text))
+    out = {"circles": [
+        {"region": c.region, "count": c.count, "parity": c.count % 2,
+         "k": c.k, "coefficient": str(c.coefficient)}
+        for c in circles
+    ]}
     if args.plan:
         try:
             out["plan"] = json.loads(plan_configurations(circles).to_json())
@@ -190,26 +175,6 @@ def cmd_augment(args):
             out["unsatisfiable"] = str(exc)
     print(json.dumps(out))
     return 0
-
-
-def _corpus_entry(path):
-    """The verdict on one file and its kind's cross-check, run on demand."""
-    text = _read_file(path)
-    if path.endswith(".braid"):
-        word = parse_braid(text)
-        verdict = check_braid(word)
-        return verdict, lambda out: _braid_crosscheck(
-            verdict, word, _closure(word, out), out
-        )
-    if path.endswith(".tree"):
-        tree = parse_tree(text)
-        verdict = check_arborescent(tree)
-        return verdict, lambda out: _tree_crosscheck(
-            verdict, tree, generate_diagram(tree), out
-        )
-    d = _read_diagram(text)
-    verdict = check_main(d)
-    return verdict, lambda out: _pd_crosscheck(verdict, d, out)
 
 
 def cmd_corpus(args):
@@ -224,11 +189,15 @@ def cmd_corpus(args):
     code = 0
     for path in paths:
         base = os.path.basename(path)
+        kind = ("braid" if path.endswith(".braid")
+                else "tree" if path.endswith(".tree") else "check")
         try:
-            verdict, crosscheck = _corpus_entry(path)
+            verdict, diagram, must_agree = _certify(kind, _read_file(path))
             row = {"file": base, "status": verdict.status.value,
                    "reasons": list(verdict.reasons)}
-            if args.crosscheck and crosscheck(row):
+            if args.crosscheck and _crosscheck(
+                kind, verdict, diagram(row), must_agree, row
+            ):
                 code = max(code, 3)
         except InputError as exc:
             print(json.dumps({"file": base, "error": str(exc)}))
@@ -249,28 +218,31 @@ def main(argv=None):
         prog="foliar",
         description="Certify diagrammatic conditions for persistent foliations",
     )
+    # what cmd_certify reads of a flag its subcommand lacks
+    ap.set_defaults(file=None, strands=None, diagram=False, diagnose=False,
+                    emit_dot=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="certify a diagram from its PD code")
-    p.add_argument("diagram", nargs="?", default="")
+    p.add_argument("text", nargs="?", default="", metavar="diagram")
     p.add_argument("-f", "--file")
     p.add_argument("--diagnose", action="store_true")
     p.add_argument("--crosscheck", action="store_true")
     p.add_argument("--emit-dot", metavar="DIR")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("braid", help="certify a braid closure from its word")
-    p.add_argument("word")
-    p.add_argument("--strands", type=int)
+    p.add_argument("text", metavar="word")
+    p.add_argument("--strands", type=_strand_count)
     p.add_argument("--diagram", action="store_true")
     p.add_argument("--crosscheck", action="store_true")
-    p.set_defaults(fn=cmd_braid)
+    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("tree", help="certify a weighted planar tree")
-    p.add_argument("tree")
+    p.add_argument("text", metavar="tree")
     p.add_argument("--diagram", action="store_true")
     p.add_argument("--crosscheck", action="store_true")
-    p.set_defaults(fn=cmd_tree)
+    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser(
         "borromean", help="classify surgery on the three-chain"
@@ -279,7 +251,7 @@ def main(argv=None):
     p.set_defaults(fn=cmd_borromean)
 
     p = sub.add_parser("augment", help="crossing circles of a diagram")
-    p.add_argument("diagram", nargs="?", default="")
+    p.add_argument("text", nargs="?", default="", metavar="diagram")
     p.add_argument("-f", "--file")
     p.add_argument("--plan", action="store_true")
     p.set_defaults(fn=cmd_augment)

@@ -19,6 +19,7 @@ every k, and the configurations a plan picks follow the sign of k.
 """
 
 import json
+import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
@@ -59,15 +60,15 @@ class Slope:
         t = text.strip()
         if t.lower() in ("inf", "infty", "infinity") or t == "∞":
             return cls(1, 0)
-        if "/" in t:
-            a, b = t.split("/", 1)
-            try:
-                return cls(int(a), int(b))
-            except ValueError:
-                raise MalformedToken(f"bad slope {text!r}") from None
         try:
+            if "/" in t:
+                a, b = t.split("/", 1)
+                return cls(int(a), int(b))
             return cls(int(t))
         except ValueError:
+            if re.fullmatch(r"[+-]?\d+\s*(/\s*[+-]?\d+)?", t):
+                # a digit run int() refused: beyond the interpreter's limit
+                raise MalformedToken._overlong(t) from None
             raise MalformedToken(f"bad slope {text!r}") from None
 
     @property

@@ -450,6 +450,55 @@ def test_corpus_crosscheck_uses_each_kinds_rule(tmp_path, capsys):
     assert "note" in rows["a.tree"]
 
 
+CROSSCHECK_KEYS = (
+    "status", "reasons", "tait_status", "diagram_status", "diagram_error",
+    "note",
+)
+
+
+def test_corpus_rows_equal_the_subcommand_on_every_kind(tmp_path, capsys):
+    # a reshaped diagram gets a Tait status and a note; s2^3 leaves strand
+    # 1 idle, so its closure splits and the row carries diagram_error
+    inputs = {
+        "r.pd": ("check", RESHAPED),
+        "s.braid": ("braid", "s2^3"),
+        "t.tree": ("tree", "(5)"),
+    }
+    want = {}
+    for name, (command, text) in inputs.items():
+        (tmp_path / name).write_text(text)
+        code, out, _ = run(capsys, command, text, "--crosscheck")
+        assert code == 0
+        want[name] = json.loads(out)
+
+    code, out, _ = run(capsys, "corpus", str(tmp_path), "--crosscheck")
+    assert code == 0
+    rows = {row["file"]: row for row in map(json.loads, out.splitlines()[:-1])}
+    assert rows.keys() == inputs.keys()
+    for name, single in want.items():
+        for key in CROSSCHECK_KEYS:
+            assert rows[name].get(key) == single.get(key), (name, key)
+    assert {"tait_status", "note"} <= rows["r.pd"].keys()
+    assert rows["s.braid"]["diagram_error"] == (
+        "closure of strands [1] has no crossings"
+    )
+    assert "diagram_status" not in rows["s.braid"]
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [("check", "[diagram]"), ("augment", "[diagram]"), ("braid", "word"),
+     ("tree", "tree")],
+)
+def test_usage_names_the_positional_input(capsys, command, name):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.startswith(f"usage: foliar {command} ")
+    assert usage.split()[-1] == name
+
+
 def test_corpus_crosscheck_disagreement_exits_3(tmp_path, capsys, monkeypatch):
     from dataclasses import replace
 

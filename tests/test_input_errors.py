@@ -31,6 +31,7 @@ from foliar.errors import (
     ZeroK,
     ZeroWeight,
 )
+from foliar.cli import main
 from foliar.surgery import realized_interval
 
 from test_cli import run
@@ -125,6 +126,9 @@ def test_input_errors_name_their_cause(call, cls, message):
         (("braid", "s1^2 t"), "bad syllable 't'"),
         (("borromean", "0/0", "1", "1"), "0/0 is not a slope"),
         (("borromean", "1/x", "1", "1"), "bad slope '1/x'"),
+        (("borromean", "abc", "1", "1"), "bad slope 'abc'"),
+        # digits, but no slope: not mistaken for an over-long integer
+        (("borromean", "1/2/3", "1", "1"), "bad slope '1/2/3'"),
     ],
 )
 def test_the_cli_exits_2_on_input_errors(capsys, argv, message):
@@ -238,3 +242,34 @@ def test_corpus_reports_an_overlong_integer_and_goes_on(tmp_path, capsys):
         {"file": "b.pd", "status": "excluded", "reasons": ["DkDiagram(3)"]},
         {"files": 2, "certified": 0, "fail": 0, "excluded": 1},
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("borromean", LONG, "1", "2"),
+        ("borromean", f"1/{LONG}", "1", "2"),
+        ("braid", "s1^3", "--strands", LONG),
+    ],
+    ids=["slope", "fraction slope", "strands"],
+)
+def test_the_cli_names_an_overlong_integer_without_echoing_it(capsys, argv):
+    # argparse refuses --strands with SystemExit; without a digit limit
+    # the integer is accepted, so no exit code is asserted
+    try:
+        main(list(argv))
+    except SystemExit:
+        pass
+    cap = capsys.readouterr()
+    lines = (cap.out + cap.err).splitlines()
+    assert lines and not any(LONG in line for line in lines)
+    if LIMITED:
+        assert "integer 99999999... of 5000 digits is too long" in cap.err
+
+
+def test_strands_that_are_no_integer_are_still_echoed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["braid", "s1^3", "--strands", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --strands: invalid int value: 'abc'\n")
