@@ -16,11 +16,12 @@ side graphs; generation checks this and raises on any mismatch.
 
 import re
 from collections import Counter
+from itertools import chain, count, repeat
 
 from .criterion import Status, Verdict, normal_form, weight_reasons
 from .diagram import _Builder, _compose, _twist_chain
 from .errors import ConstructionMismatch, MalformedTree, ZeroWeight, integer
-from .twists import flat_regions, region_crossings
+from .twists import flat_regions
 
 
 class WeightedPlanarTree:
@@ -172,40 +173,46 @@ def generate_diagram(tree):
     if tree._diagram is None:
         b = _Builder()
         d = b.finish(_assemble(b, tree))
-        if all(abs(w) >= 2 for w in tree.weights()):
+        if min(map(abs, tree.weight)) >= 2:
             _validate(tree, d, b.owner)
         tree._diagram = d
     return tree._diagram
 
 
 def _validate(tree, d, owner):
-    signed = flat_regions(d)[0]
+    signed, _, order, start, _ = flat_regions(d)
     if len(signed) != len(tree):
         raise ConstructionMismatch(
             f"{len(signed)} twist regions for {len(tree)} vertices"
         )
     size = Counter(owner)  # crossings per vertex
-    for i, s in enumerate(signed):
-        # only the first crossing's owner can match; the region is that
-        # vertex's crossings when it has as many and each is owned by it
-        crossings = region_crossings(d, i)
-        v = owner[crossings[0]]
-        if abs(s) != size[v] or any(owner[c] != v for c in crossings):
+    owned = [owner[c] for c in order]  # the owners region after region
+    # only the first crossing's owner can match; the region is that
+    # vertex's crossings when it has as many and each is owned by it
+    heads = [owned[a] for a in start[:-1]]
+    whole = owned == list(
+        chain.from_iterable(map(repeat, heads, map(abs, signed)))
+    )
+    weight, depth = tree.weight, tree.depth
+    closed = len(tree) == 1  # a closed 2-chain reads either axis equally well
+    for i, v, s in zip(count(), heads, signed):
+        k = s if s > 0 else -s
+        if k != size[v] or not (
+            whole or owned[start[i]:start[i + 1]] == [v] * k
+        ):
             raise ConstructionMismatch(
                 f"region {i} does not match a single vertex"
             )
-        w = tree.weight[v]
-        if abs(s) != abs(w):
+        w = weight[v]
+        if k != w and k != -w:
             raise ConstructionMismatch(
-                f"vertex {v}: weight {w} became count {abs(s)}"
+                f"vertex {v}: weight {w} became count {k}"
             )
-        if len(tree) == 1 and abs(w) == 2:
-            continue  # a closed 2-chain reads either axis equally well
-        want = (1 if w > 0 else -1) * (1 if tree.depth[v] % 2 == 0 else -1)
-        h = 1 if s > 0 else -1
-        if h != want:
+        # a chain at odd depth is written with the opposite sign
+        if s != (-w if depth[v] & 1 else w) and not (closed and k == 2):
             raise ConstructionMismatch(
-                f"vertex {v}: handedness {h}, expected {want}"
+                f"vertex {v}: handedness {1 if s > 0 else -1}, expected "
+                f"{1 if (w > 0) != depth[v] & 1 else -1}"
             )
     cg, green, red = normal_form(d)
     if len(cg) != len(tree) or not (green.is_tree() and red.is_tree()):

@@ -125,6 +125,8 @@ def _strand_count(text):
     """--strands as an int; an integer past the interpreter's digit limit
     is named by its head and length rather than echoed."""
     try:
+        if "_" in text:  # int() reads 1_1 as 11; no other parser takes "_"
+            raise ValueError(text)
         return int(text)
     except ValueError:
         msg = f"invalid int value: {text!r}"

@@ -144,17 +144,22 @@ def normalize_assumption2(cg):
     """
     while True:
         green, red = build_side_graphs(cg)
-        # the regions by the side faces at their arc gaps; faces of both
-        # colours are faces of one map
+        # each region's pair of side faces at its arc gaps as one int;
+        # faces of both colours are faces of one map
         g1, g3 = cg.ARC_GAPS
-        families = {}
-        for i, (a, b) in enumerate(zip(cg.face_at[g1::4], cg.face_at[g3::4])):
-            families.setdefault((a, b) if a < b else (b, a), []).append(i)
-        if len(families) == len(cg.vertices):
+        m = len(cg.start)  # more than any face index
+        keys = [
+            a * m + b if a < b else b * m + a
+            for a, b in zip(cg.face_at[g1::4], cg.face_at[g3::4])
+        ]
+        if len(set(keys)) == len(keys):
             return cg, green, red
+        families = {}  # the regions of each pair, in increasing order
+        for i, key in enumerate(keys):
+            families.setdefault(key, []).append(i)
         sums = {}  # survivor -> signed sum of its family
         removed = set()
-        for regions in families.values():  # each in increasing order
+        for regions in families.values():
             if len(regions) < 2:
                 continue
             s = sum([cg.vertices[i] for i in regions])

@@ -22,7 +22,9 @@ import json
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import count, repeat
 from math import gcd
+from operator import index
 from typing import NamedTuple
 
 from .criterion import normal_form
@@ -60,6 +62,8 @@ class Slope:
         t = text.strip()
         if t.lower() in ("inf", "infty", "infinity") or t == "∞":
             return cls(1, 0)
+        if "_" in t:  # int() reads 1_0 as 10; no other parser takes "_"
+            raise MalformedToken(f"bad slope {text!r}")
         try:
             if "/" in t:
                 a, b = t.split("/", 1)
@@ -207,27 +211,38 @@ def plan_configurations(circles):
     n = len(circles)
     if n == 0:
         raise Unsatisfiable("no crossing circles")
-    strong = [
-        i
-        for i, c in enumerate(circles)
-        if (c.count % 2 == 0 and abs(c.k) >= 2)
-        or (c.count % 2 == 1 and c.count >= 3)
-    ]
-    if not strong:
+    for dist, (_, size, k, _) in enumerate(circles):
+        if size >= 3 if size % 2 else k >= 2 or k <= -2:
+            break
+    else:
         raise Unsatisfiable(
             "no circle has an even count >= 4 or an odd count >= 3"
         )
-    dist = strong[0]
-    sec = ([i for i in range(n) if i != dist] or [dist])[-1]
+    sec = n - 1 if dist < n - 1 or n == 1 else n - 2
     assignment = []
-    for i, c in enumerate(circles):
-        allowed = _allowed(i, c, dist, sec, n)
-        for config in allowed:
-            if realized_interval(config, c.k).contains(c.coefficient):
-                assignment.append(config)
-                break
+    for i, (_, size, k, slope) in enumerate(circles):
+        # the intervals of realized_interval, read off p/q with q > 0:
+        # a finite slope is above -1 when p > -q and below 1 when p < q
+        p, q = slope.p, slope.q
+        above = q and -q < p
+        below = q and p < q
+        if size % 2:
+            if not k:
+                realized_interval("odd", k)  # raises
+            config = "odd" if (above if k > 0 else below) else None
+        elif n == 1:
+            config = ("a" if above and below else "c" if above
+                      else "d" if below else None)
+        elif i == dist:
+            config = "a" if above and below else None
+        elif i == sec:
+            config = "c" if above else "d" if below else None
         else:
-            raise Unsatisfiable(f"circle {i} (k={c.k}) fits none of {allowed}")
+            config = "b" if q else None
+        if config is None:
+            allowed = _allowed(i, circles[i], dist, sec, n)
+            raise Unsatisfiable(f"circle {i} (k={k}) fits none of {allowed}")
+        assignment.append(config)
     return Plan(tuple(assignment), dist, sec)
 
 
@@ -236,23 +251,30 @@ def circles_from_counts(signed_counts):
 
     The sign carries handedness; |c| is the crossing count.  augment
     feeds it the normal form's vertices; on its own it drives the planner
-    without building diagrams.
+    without building diagrams.  The first count that is no integer or
+    has |c| < 2 raises.
     """
-    circles = []
-    slopes = {}  # one coefficient 1/k per distinct k
-    for i, sc in enumerate(signed_counts):
-        sc = integer(sc, "count")
-        c = abs(sc)
-        if c == 0:
+    counts = []
+    try:
+        counts += map(index, signed_counts)
+    except TypeError:  # counts holds those before it
+        bad = signed_counts[len(counts)]
+    else:
+        bad = None
+    small = [counts.index(c) for c in (0, 1, -1) if c in counts]
+    if small:
+        i = min(small)
+        if not counts[i]:
             raise ZeroK("count 0 has no crossings")
-        h = 1 if sc > 0 else -1
-        k = h * (c // 2)
-        if k == 0:
-            raise ZeroK(f"region {i} has count {c}; no full twist")
-        if k not in slopes:
-            slopes[k] = Slope(1, k)
-        circles.append(CrossingCircle(i, c, k, slopes[k]))
-    return circles
+        raise ZeroK(f"region {i} has count 1; no full twist")
+    if bad is not None:
+        integer(bad, "count")  # raises
+    ks = [c // 2 if c > 0 else -(-c // 2) for c in counts]
+    slopes = {k: Slope(1, k) for k in set(ks)}  # one 1/k per distinct k
+    # CrossingCircle(i, |c|, k, 1/k), built as the tuple it is
+    return list(map(tuple.__new__, repeat(CrossingCircle), zip(
+        count(), map(abs, counts), ks, map(slopes.__getitem__, ks)
+    )))
 
 
 def verify_plan(circles, plan):

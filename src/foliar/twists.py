@@ -9,8 +9,12 @@ parallel strands) the extras are left as plain faces, so the regions
 always partition the crossings.
 
 Detection reads the diagram's flat face lists.  The two corners of each
-bigon a chain may use point at each other, so a chain grows from a
-corner to the partner of the corner at its opposite gap.  The
+bigon a chain may use point at each other in one list over the corners,
+so a chain grows from a corner to the partner of the corner at its
+opposite gap, and a bigon is crossed out of that list once looked at.
+Each chain grows in one loop, ahead and then behind from the bigon it
+starts at, and is kept as links: the next crossing of each chain
+crossing, and at the chain's lowest crossing its first.  The
 handedness of a chain crossing is +1 when the parity of the gap by
 which it joined matches its under_axis bit; a single crossing's chain
 axis runs through gaps 0 and 2.  Equal handedness along a chain is
@@ -19,11 +23,15 @@ II move.
 
 The regions are found once per diagram, mixed chains allowed, and kept
 on it as flat lists (flat_regions), in crossing order with a chain at
-its lowest crossing: signed counts, 0 for a mixed chain; four stub
-darts per region, None for a cyclic chain; each crossing's chain id and
-join gap; the crossings of each chain; and the first mixed region, from
-which a strict call raises.  detect_twist_regions builds records from
-them on each call; the verdict path and augment build none.
+its lowest crossing.  One pass over the crossings writes them, walking
+each chain's links as it reaches the chain, with list appends and no
+function call, tuple or dict per region: signed counts, 0 for a mixed
+chain; four stub darts per region, None for a cyclic chain; order and
+start, which hold the regions as a traced map holds its faces, region
+i being the crossings order[start[i]:start[i + 1]] in chain order;
+each crossing's join gap; and, beside them, the first mixed region,
+from which a strict call raises.  detect_twist_regions builds records
+from them on each call; the verdict path and augment build none.
 
 reduce_assumption1 cancels in rounds.  Each round takes the mixed
 chains of one detection in region order.  For each it matches the
@@ -84,7 +92,7 @@ class TwistRegion(NamedTuple):
 
 
 def flat_regions(d, allow_mixed=False):
-    """(signed, stubs, chain, gap, chains) of d, found once and kept on
+    """(signed, stubs, order, start, gap) of d, found once and kept on
     d; unless allow_mixed, the first region that mixes handedness raises."""
     if d._regions is None:
         d._regions, d._mixed = _detect(d)
@@ -98,20 +106,19 @@ def flat_regions(d, allow_mixed=False):
 
 
 def region_crossings(d, i):
-    """The crossings of region i of d in chain order, by its first stub."""
-    _, stubs, chain, _, chains = d._regions
-    c = 0 if stubs is None else stubs[4 * i] >> 2
-    return (c,) if chain[c] < 0 else chains[chain[c]]
+    """The crossings of region i of d in chain order."""
+    _, _, order, start, _ = d._regions
+    return tuple(order[start[i]:start[i + 1]])
 
 
 def _hands(d, crossings):
-    gap, axes = d._regions[3], d.axes
+    gap, axes = d._regions[4], d.axes
     return tuple([1 if gap[c] & 1 == axes[c] else -1 for c in crossings])
 
 
 def detect_twist_regions(d, allow_mixed=False):
     """The regions of flat_regions(d, allow_mixed) as new records."""
-    signed, stubs, _, gap, _ = flat_regions(d, allow_mixed)
+    signed, stubs, _, _, gap = flat_regions(d, allow_mixed)
     out = []
     for i, s in enumerate(signed):
         cs = region_crossings(d, i)
@@ -125,21 +132,22 @@ def detect_twist_regions(d, allow_mixed=False):
 
 
 def _detect(d):
-    """((signed, stubs, chain, gap, chains), the first mixed region or
-    None) of d."""
-    corners, start = d.corners, d.start
-    n = len(d)
+    """((signed, stubs, order, start, gap), the first mixed region or
+    None) of d, read from its corners, start and axes."""
+    corners, axes = d.corners, d.axes
+    n = len(axes)
     kink = bytearray(n)
     bigons = []  # the offset of each bigon in corners
     a = 0
-    for b in islice(start, 1, None):  # face [a, b) of corners
+    for b in islice(d.start, 1, None):  # face [a, b) of corners
         if b - a < 3:
             if b - a == 2:
                 bigons.append(a)
             else:
                 kink[corners[a] >> 2] = 1
         a = b
-    port = [-1] * (4 * n)  # the partner corner of an eligible bigon
+    # the partner corner of each eligible bigon not yet looked at, else -1
+    port = [-1] * (4 * n)
     eligible = []  # the first corner of each eligible bigon
     for a in bigons:
         k1, k2 = corners[a], corners[a + 1]
@@ -149,89 +157,108 @@ def _detect(d):
             port[k2] = k1
             eligible.append(k1)
 
-    used = bytearray(4 * n)  # both corners of every bigon looked at
-    chain = [-1] * n  # chain id per crossing; -1 for a single crossing
     gap = [0] * n  # the gap by which a crossing joined its chain
-    chains = []  # the crossings of each chain id
+    succ = [-1] * n  # the next crossing along its chain, -1 at its last
+    # -1 for a single crossing, -2 inside a chain, and at a chain's
+    # lowest crossing its first in chain order
+    lead = [-1] * n
     cyclic = False
     for k1 in eligible:
-        if used[k1]:
-            continue
         k2 = port[k1]
-        used[k1] = used[k2] = 1
-        if chain[k1 >> 2] >= 0 or chain[k2 >> 2] >= 0:
+        if k2 < 0:
+            continue
+        port[k1] = port[k2] = -1
+        c1, c2 = k1 >> 2, k2 >> 2
+        if lead[c1] != -1 or lead[c2] != -1:
             continue  # a bigon beside a chain stays a plain face
-        crossings, cyclic = _grow_chain(
-            k1, k2, len(chains), port, used, chain, gap
-        )
-        chains.append(crossings)
+        lead[c1] = lead[c2] = -2
+        gap[c1], gap[c2] = k1 & 3, k2 & 3
+        succ[c1] = c2
+        low = c1 if c1 < c2 else c2
+        # grow ahead from c2, then behind from c1, each way by the
+        # bigons at the gaps opposite the corner last joined
+        head, tail, k, ahead = c1, c2, k2, True
+        while True:
+            far = port[k ^ 2]
+            if far >= 0:
+                f = far >> 2
+                if f == (head if ahead else tail):
+                    # proper closure lands on the far end's free
+                    # opposite gap; the closing bigon always joins the
+                    # last crossing to the first
+                    if far & 3 == gap[f] ^ 2:
+                        port[k ^ 2] = port[far] = -1
+                        cyclic = True
+                        break
+                else:
+                    port[k ^ 2] = port[far] = -1
+                    if lead[f] != -1:
+                        # a bigon at a side gap of a chain crossing ends
+                        # at its chain neighbour, and one at a chain
+                        # end's free chain gap would have grown that
+                        # chain, so no bigon leads into a chain
+                        raise InternalError(
+                            f"twist chain reached crossing {f}, "
+                            "already in a chain"
+                        )
+                    lead[f] = -2
+                    gap[f] = far & 3
+                    if ahead:
+                        succ[tail] = f
+                        tail = f
+                    else:
+                        succ[f] = head
+                        head = f
+                    if f < low:
+                        low = f
+                    k = far
+                    continue
+            if not ahead:
+                break
+            ahead, k = False, k1
+        lead[low] = head
         if cyclic:
             break  # collapse checks that it is the whole diagram
 
-    # 1 where a crossing's handedness is -1; a single crossing has gap 0
-    left = [g & 1 ^ x for g, x in zip(gap, d.axes)]
-    emitted = bytearray(len(chains))
+    # regions in crossing order, a chain at its lowest crossing; a
+    # crossing's handedness is -1 when its join gap's parity differs
+    # from its under_axis bit, and a single crossing joined by gap 0
     signed = []
+    order = []
+    start = []
     stubs = []  # slots 0, 1 at a region's first crossing, 2, 3 at its last
-    for ci in range(n):
-        cid = chain[ci]
-        if cid < 0:
-            signed.append(1 - 2 * left[ci])
-            stubs += (4 * ci, 4 * ci + 1, 4 * ci + 2, 4 * ci + 3)
+    for c in range(n):
+        f = lead[c]
+        if f == -2:
             continue
-        if emitted[cid]:
+        start.append(len(order))
+        if f == -1:
+            order.append(c)
+            signed.append(1 - 2 * axes[c])
+            c *= 4
+            stubs.append(c)
+            stubs.append(c + 1)
+            stubs.append(c + 2)
+            stubs.append(c + 3)
             continue
-        emitted[cid] = 1  # at its lowest crossing
-        crossings = chains[cid]
-        k = len(crossings)
-        s = k - 2 * sum(map(left.__getitem__, crossings))
-        signed.append(s if s * s == k * k else 0)  # 0 when handedness mixes
         # the stubs at the free chain gap of each end, g + 2 and g + 3
-        a = (4 * crossings[0] + gap[crossings[0]]) ^ 2
-        b = (4 * crossings[-1] + gap[crossings[-1]]) ^ 2
-        stubs += (a, sigma(a), b, sigma(b))
+        a = (4 * f + gap[f]) ^ 2
+        k = len(order)
+        left = 0  # crossings of handedness -1
+        while f >= 0:
+            order.append(f)
+            left += gap[f] & 1 ^ axes[f]
+            t, f = f, succ[f]
+        k = len(order) - k
+        signed.append(k if not left else -k if left == k else 0)
+        b = (4 * t + gap[t]) ^ 2
+        stubs.append(a)
+        stubs.append(a & ~3 | a + 1 & 3)
+        stubs.append(b)
+        stubs.append(b & ~3 | b + 1 & 3)
+    start.append(n)
     mixed = signed.index(0) if 0 in signed else None
-    return (signed, None if cyclic else stubs, chain, gap, chains), mixed
-
-
-def _grow_chain(k1, k2, cid, port, used, chain, gap):
-    """The chain grown both ways from the bigon with corners k1, k2, as
-    (crossings, cyclic); its crossings get chain id cid and their gaps.
-    Each way follows the bigons at the gaps opposite the last corner."""
-    c1, c2 = k1 >> 2, k2 >> 2
-    chain[c1] = chain[c2] = cid
-    gap[c1], gap[c2] = k1 & 3, k2 & 3
-    ahead, behind = [c1, c2], []
-    for k, out, end in ((k2, ahead, 0), (k1, behind, -1)):
-        head = ahead[end]  # where the chain would close up
-        while True:
-            near = k ^ 2  # the bigon at the opposite gap
-            far = port[near]
-            if far < 0 or used[near]:
-                break
-            f = far >> 2
-            if f == head:
-                # proper closure lands on the head's free opposite gap;
-                # the closing bigon always joins the last crossing to
-                # the first
-                if far & 3 == gap[head] ^ 2:
-                    used[near] = used[far] = 1
-                    return tuple(behind[::-1] + ahead), True
-                break
-            used[near] = used[far] = 1
-            if chain[f] >= 0:
-                # a bigon at a side gap of a chain crossing ends at its
-                # chain neighbour, and one at a chain end's free chain
-                # gap would have grown that chain, so no bigon leads
-                # into a chain
-                raise InternalError(
-                    f"twist chain reached crossing {f}, already in a chain"
-                )
-            chain[f] = cid
-            gap[f] = far & 3
-            out.append(f)
-            k = far
-    return tuple(behind[::-1] + ahead), False
+    return (signed, None if cyclic else stubs, order, start, gap), mixed
 
 
 # -- type II cancellation ---------------------------------------------------
@@ -301,7 +328,7 @@ def _splits(d, matched, faces):
     the joins made so far in the round; a join of two faces that are
     already one closes a ring of faces around part of the diagram.
     """
-    gap = d._regions[3]
+    gap = d._regions[4]
     ring = False
     for c in matched:
         p = gap[c] & 1  # both chain gaps have the parity of the join gap
@@ -385,11 +412,12 @@ def collapse(d, regions=None):
     local = [-1] * (4 * len(d))  # the collapsed dart at each stub
     for i, dart in enumerate(stubs):
         local[dart] = i
-    alpha = [local[e] for e in map(d.alpha.__getitem__, stubs)]
+    darts = d.alpha
+    alpha = [local[darts[s]] for s in stubs]
     if -1 in alpha:
         dart = stubs[alpha.index(-1)]
         raise InternalError(f"stub dart {dart} leads into a region")
     bits = d.bits  # a vertex's colour is its first stub's corner colour
     if bits is not None:
-        bits = [bits[s >> 2] ^ (s & 1) for s in islice(stubs, 0, None, 4)]
+        bits = [bits[s >> 2] ^ (s & 1) for s in stubs[::4]]
     return CollapsedGraph(signed[:], alpha, bits)

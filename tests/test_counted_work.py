@@ -1,0 +1,50 @@
+"""Work counted, not timed, on the scaling family of knot closures.
+
+The closures of (s1^3 s2^-3)^m at 96, 996 and 9 996 crossings need no
+cancellation and no merging.  Whatever their size, both routes and
+augment then share one build of the diagram, one twist detection, one
+collapsed graph and one build of the side graphs.  Counts do not vary
+between runs the way times do on a shared machine, so a stage that
+starts to repeat itself fails here at any size.
+"""
+
+import pytest
+
+from foliar import augment, braid_to_diagram, check_main, check_tait
+from foliar import parse_braid, plan_configurations, sidegraphs, twists
+from foliar.criterion import Status
+from foliar.diagram import LinkDiagram
+from foliar.twists import CollapsedGraph
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of each counted stage, by name."""
+    calls = {"build": 0, "detect": 0, "collapsed": 0, "side": 0}
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(LinkDiagram, "__init__", "build")
+    counting(twists, "_detect", "detect")
+    counting(CollapsedGraph, "__init__", "collapsed")
+    counting(sidegraphs, "build_side_graphs", "side")
+    return calls
+
+
+@pytest.mark.parametrize("m", [16, 166, 1666])
+def test_each_stage_runs_once_per_diagram(counts, m):
+    d = braid_to_diagram(parse_braid(" ".join(["s1^3 s2^-3"] * m)))
+    assert len(d) == 6 * m and d.component_count() == 1
+    assert check_main(d).status == Status.CERTIFIED
+    assert check_tait(d).status == Status.CERTIFIED
+    circles = augment(d)
+    assert len(circles) == 2 * m
+    assert plan_configurations(circles).distinguished == 0
+    assert counts == {"build": 1, "detect": 1, "collapsed": 1, "side": 1}

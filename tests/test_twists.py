@@ -17,7 +17,9 @@ from foliar.errors import (
     UnknotCollapse,
 )
 
-from foliar.twists import _grow_chain
+from types import SimpleNamespace
+
+from foliar.twists import _detect
 
 from conftest import CANCELLING_COLUMNS, unreduced_inputs
 
@@ -220,18 +222,19 @@ def test_through_is_the_strand_walk():
 
 
 def test_chain_growth_into_a_chain_raises():
-    # No diagram reaches this: the chain guard in _grow_chain never fired
-    # on the inputs of test_reference_routes, the benchmark workloads at
+    # No diagram reaches this: the chain guard in _detect never fired on
+    # the inputs of test_reference_routes, the benchmark workloads at
     # seed 1, 20 000 random braid closures and 10 000 random trees and
-    # mirrors.  So the arrays are made by hand: chain 1 grows from the
-    # bigon joining gap 0 of crossings 0 and 1, chain 0 holds crossing
-    # 2, and the bigon at gap 2 of crossing 1 leads to gap 1 of crossing 2.
-    port = [-1] * 12
-    port[0], port[4] = 4, 0
-    port[6], port[9] = 9, 6
-    chain = [-1, -1, 0]
+    # mirrors.  So the face lists are made by hand, and only their
+    # bigons matter: the first joins gap 0 of crossings 2 and 3 into a
+    # chain, the second gap 0 of crossings 0 and 1, and the third leads
+    # from gap 2 of crossing 1 to gap 1 of crossing 2, inside the first
+    # chain.
+    d = SimpleNamespace(
+        corners=[8, 12, 0, 4, 6, 9], start=[0, 2, 4, 6], axes=[0] * 4
+    )
     with pytest.raises(InternalError) as exc:
-        _grow_chain(0, 4, 1, port, bytearray(12), chain, [0] * 3)
+        _detect(d)
     assert str(exc.value) == (
         "twist chain reached crossing 2, already in a chain"
     )
