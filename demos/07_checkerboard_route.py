@@ -15,21 +15,24 @@ square = parse_pd(
 )
 
 # Each crossing contributes one edge to each colour, signed by the
-# side of the strand that crosses on top.  Both graphs are FaceGraphs,
-# the type the side graphs of the main route have: edge j joins faces
-# u[j] and v[j] with weight signed[j].
+# side of the strand that crosses on top.  build_tait lists both graphs
+# as FaceGraphs, the type the side graphs of the main route have: edge j
+# joins faces u[j] and v[j] with weight signed[j].  It is a view for
+# printing; the route itself reads the same edges straight off the
+# diagram's corner lists.
 green, red = build_tait(square)
 print("green:", list(zip(green.u, green.v, green.signed)))
 print("red:", list(zip(red.u, red.v, red.signed)))
 
 # Contracting runs of two-valent vertices recovers the twist weights:
-# a run of j edges is a chain of weight j, and leftover parallel edges
-# merge by their signed weights.  contract returns the chain weights and
-# the graph of the surviving faces, one edge per merged family.
-for name, tg in (("green", green), ("red", red)):
-    chain_weights, merged = contract(tg)
-    print(name, "chains:", chain_weights, "merged:", tuple(merged.signed),
-          "tree:", merged.is_tree())
+# a face's degree in its graph is its corner count, so a bigon is
+# two-valent, and a run of j bigons is a chain of weight j + 1;
+# leftover parallel edges merge by their signed weights.  contract
+# returns, per colour, the chain weights and the graph of the surviving
+# faces, one edge per merged family.
+for chain_weights, merged in contract(square):
+    print(merged.color_name, "chains:", chain_weights,
+          "merged:", tuple(merged.signed), "tree:", merged.is_tree())
 
 # Both routes certify the square knot.
 print("direct route:", check_main(square).status.value)

@@ -21,10 +21,11 @@ through is alpha, axes, bits, corners, start and face_at.
 
 Arc labels are not part of that state.  Labelled input (PD text or
 JSON rows) becomes one flat list of four labels per crossing, which one
-loop validates and pairs into alpha.  The list is dropped: the diagram
-keeps the text, which printing reads again, and a mirror image shares
-it and alpha, flipping only axes.  Constructions (trees, braid
-closures, type II cancellation) hold a dart map already and build
+loop validates and pairs into alpha; PD text is decoded as JSON where
+JSON accepts it, so no string per label is made.  The list is dropped:
+the diagram keeps the text, which printing reads again, and a mirror
+image shares it and alpha, flipping only axes.  Constructions (trees,
+braid closures, type II cancellation) hold a dart map already and build
 through LinkDiagram.from_darts, which checks that alpha is a
 fixed-point-free involution and keeps no text: their arcs are numbered
 1..2n in the order of their lower darts when printed.  Every way in
@@ -55,8 +56,11 @@ _TOKEN = re.compile(r"X\[\d+,\d+,\d+,\d+\]")
 # front finds none.  Matching the whole text as repeated tokens instead
 # keeps backtracking state for every token, 4 MB at 10^4 crossings.
 _BAD = re.compile(rf"\s(?!{_TOKEN.pattern}(?!\S))\S")
-# in a checked text, everything but whitespace and labels is X [ , ]
+# in a checked text, everything but whitespace and labels is X [ , ];
+# _ARRAY makes checked ASCII text a JSON array but for its brackets and
+# last comma, JSON knowing only space, tab, CR and LF as whitespace
 _UNLABEL = str.maketrans("X[,]", "    ")
+_ARRAY = str.maketrans("]\v\f\x1c\x1d\x1e\x1f", ",      ", "X[")
 
 
 class LinkDiagram:
@@ -186,14 +190,30 @@ def parse_pd(text):
         labels = _read_labels(text)
     except ValueError:  # a label beyond the digit limit
         raise MalformedToken._overlong(text) from None
-    return LinkDiagram(_pair(labels), [0] * (len(labels) >> 2), text)
+    alpha = _pair(labels)
+    del labels  # before the faces are traced
+    return LinkDiagram(alpha, [0] * (len(alpha) >> 2), text)
 
 
 def _read_labels(text):
     """The flat label list of checked PD text or of diagram JSON, the
-    only one of the two that starts with {."""
+    only one of the two that starts with {.
+
+    Checked ASCII text decodes as one JSON array, with a 0 after its
+    last comma.  JSON refuses what else the check lets through (a label
+    with a leading zero, and digits or whitespace beyond ASCII), which
+    int reads label by label.
+    """
     if text.lstrip()[:1] == "{":
         return [a for row in json.loads(text)["crossings"] for a in row]
+    if text.isascii():
+        try:
+            labels = json.loads(f"[{text.translate(_ARRAY)}0]")
+        except json.JSONDecodeError:  # before ValueError, its base
+            pass
+        else:
+            labels.pop()
+            return labels
     return list(map(int, text.translate(_UNLABEL).split()))
 
 

@@ -3,7 +3,9 @@
 The closures of (s1^3 s2^-3)^m at 96, 996 and 9 996 crossings need no
 cancellation and no merging.  Whatever their size, both routes and
 augment then share one build of the diagram, one twist detection, one
-collapsed graph and one build of the side graphs.  Counts do not vary
+collapsed graph and one build of the side graphs, which is the only
+call of face_graphs: the checkerboard route reads its graphs off the
+diagram's lists and lists no edge per crossing.  Counts do not vary
 between runs the way times do on a shared machine, so a stage that
 starts to repeat itself fails here at any size.
 """
@@ -11,7 +13,7 @@ starts to repeat itself fails here at any size.
 import pytest
 
 from foliar import augment, braid_to_diagram, check_main, check_tait
-from foliar import parse_braid, plan_configurations, sidegraphs, twists
+from foliar import parse_braid, plan_configurations, sidegraphs, tait, twists
 from foliar.criterion import Status
 from foliar.diagram import LinkDiagram
 from foliar.twists import CollapsedGraph
@@ -20,7 +22,9 @@ from foliar.twists import CollapsedGraph
 @pytest.fixture
 def counts(monkeypatch):
     """Calls of each counted stage, by name."""
-    calls = {"build": 0, "detect": 0, "collapsed": 0, "side": 0}
+    calls = {
+        "build": 0, "detect": 0, "collapsed": 0, "side": 0, "face_graphs": 0
+    }
 
     def counting(owner, name, key):
         original = getattr(owner, name)
@@ -35,6 +39,9 @@ def counts(monkeypatch):
     counting(twists, "_detect", "detect")
     counting(CollapsedGraph, "__init__", "collapsed")
     counting(sidegraphs, "build_side_graphs", "side")
+    # every module that binds face_graphs, so no route escapes the count
+    counting(sidegraphs, "face_graphs", "face_graphs")
+    counting(tait, "face_graphs", "face_graphs")
     return calls
 
 
@@ -47,4 +54,6 @@ def test_each_stage_runs_once_per_diagram(counts, m):
     circles = augment(d)
     assert len(circles) == 2 * m
     assert plan_configurations(circles).distinguished == 0
-    assert counts == {"build": 1, "detect": 1, "collapsed": 1, "side": 1}
+    assert counts == {
+        "build": 1, "detect": 1, "collapsed": 1, "side": 1, "face_graphs": 1
+    }

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from foliar import LinkDiagram, parse_pd
-from foliar.diagram import _BAD
+from foliar import LinkDiagram, braid_to_diagram, parse_braid, parse_pd
+from foliar.diagram import _ARRAY, _BAD
 from foliar.errors import (
     ArcCountMismatch,
     EmptyDiagram,
@@ -226,6 +226,8 @@ def _relabelled(rng, text):
     names = list(range(1, m + 1))
     rng.shuffle(names)
     spaces = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c", " \r\n "]
+    # whitespace that str.split cuts at and JSON does not know
+    spaces += ["\x0b", "\x0c", "\x1d", "\x1e", "\x1f", "\x85"]
     out = []
     for tok in tokens:
         labels = [names[int(a) - 1] for a in tok[2:-1].split(",")]
@@ -278,6 +280,9 @@ MALFORMED = [
 def test_parse_pd_matches_the_reference_on_valid_texts():
     texts = valid_texts()
     assert len(texts) >= 200
+    # each separator JSON does not know is among them
+    for c in "\v\f\x1c\x1d\x1e\x1f\x85":
+        assert any(c in t for t in texts), repr(c)
     for text in texts:
         assert _same_outcome(parse_pd, ref_parse_pd, text) is None
 
@@ -320,6 +325,31 @@ def test_the_syntax_check_keeps_no_state_per_token():
     assert _BAD.search(" " + text) is None
     peak = traced_memory(lambda: _BAD.search(" " + text))[1]
     assert peak < len(text) + 64 * 1024  # the padded copy, and little else
+
+
+def test_ascii_whitespace_becomes_json_whitespace():
+    # text JSON refuses is read label by label, right but slower, so
+    # every ASCII separator that str.split cuts at must decode as JSON
+    spaces = [c for c in map(chr, range(128)) if c.isspace()]
+    assert len(spaces) == 10
+    for c in spaces:
+        assert json.loads("[" + f"1{c}".translate(_ARRAY) + "]") == [1]
+
+
+@pytest.fixture(scope="module")
+def closure_text():
+    d = braid_to_diagram(parse_braid(" ".join(["s1^3 s2^3"] * 1667)))
+    assert len(d) == 10002
+    return d.to_pd()
+
+
+@pytest.mark.parametrize("digit", ["01", "\u0661"])
+def test_text_json_refuses_reads_by_int_at_size(closure_text, digit):
+    # a leading zero and an Arabic-Indic digit are valid PD text that the
+    # JSON decoder refuses, so every label of the text is read by int
+    assert closure_text.startswith("X[1,")
+    text = f"X[{digit}," + closure_text[4:]
+    assert _same_outcome(parse_pd, ref_parse_pd, text) is None
 
 
 # PD texts and JSON that a diagram reads its labels from again when it

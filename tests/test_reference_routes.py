@@ -31,7 +31,7 @@ from foliar._planar import sigma, two_color
 from foliar.arborescent import WeightedPlanarTree
 from foliar.criterion import Verdict, normal_form, weight_reasons
 from foliar.errors import FoliarError, InternalError
-from foliar.tait import _bivalent, build_tait
+from foliar.tait import build_tait
 from foliar.twists import CollapsedGraph, collapse
 
 from conftest import (
@@ -430,8 +430,12 @@ def test_tait_route_matches_the_reference(inputs):
         if want_cts is None:
             continue
         contracted += 1
-        got_cts = [contract(g) for g in build_tait(reduce_assumption1(d))]
-        for (chain_weights, merged), ref in zip(got_cts, want_cts):
+        got_cts = contract(reduce_assumption1(d))
+        # per colour, green first
+        for c, ((chain_weights, merged), ref) in enumerate(
+            zip(got_cts, want_cts)
+        ):
+            assert merged.color == c, d.to_pd()
             assert chain_weights == ref.chain_weights, d.to_pd()
             assert tuple(merged.signed) == ref.merged_weights, d.to_pd()
             assert merged.vertices == ref.vertices, d.to_pd()
@@ -445,17 +449,27 @@ def test_tait_views_list_the_reference_edges(inputs):
         if d.component_count() != 1:
             continue
         r = reduce_assumption1(d)
-        for got, ref in zip(build_tait(r), ref_build_tait(r)):
+        refs = ref_build_tait(r)
+        for got, ref in zip(build_tait(r), refs):
             # the j-th edge of each colour is the reference's, whose
             # crossing the reference reads off the map itself
             assert edges_of(got) == [e[:3] for e in ref.edges]
             assert got.vertices == ref.vertices
             assert got.color_name == ref.color_name
-            assert _bivalent(got) == ref.all_bivalent()
+            # a face's degree in its graph is its corner count
+            assert ref.degrees() == {
+                f: r.start[f + 1] - r.start[f] for f in ref.vertices
+            }
             assert sum(got.signed) == ref.signed_sum()
             dot = got.to_dot().splitlines()
             assert dot[0] == f"graph tait_{ref.color_name} {{"
             assert sum("--" in line for line in dot) == len(ref.edges)
+        # contract refuses exactly the diagrams with an all-bivalent graph
+        if any(ref.all_bivalent() for ref in refs):
+            with pytest.raises(InternalError):
+                contract(r)
+        else:
+            contract(r)
 
 
 def _granny_chains():

@@ -57,20 +57,19 @@ def test_one_edge_per_crossing_per_color(fig8):
 
 
 def test_contract_fig8(fig8):
-    g, r = build_tait(fig8)
-    for tg in (g, r):
-        chain_weights, merged = contract(tg)
+    green, red = contract(fig8)
+    for chain_weights, merged in (green, red):
         assert chain_weights == (2,)
         assert merged.signed == [2]
         assert merged.is_tree()
-    assert contract(g)[1].vertices == (0, 2)
-    assert contract(r)[1].vertices == (1, 4)
+    assert green[1].vertices == (0, 2)
+    assert red[1].vertices == (1, 4)
 
 
 def test_contract_refuses_all_bivalent(trefoil):
-    g, r = build_tait(trefoil)
+    # the trefoil's red graph is a cycle of three bigons
     with pytest.raises(InternalError):
-        contract(r)
+        contract(trefoil)
 
 
 def test_check_tait_trefoil(trefoil):
@@ -116,9 +115,7 @@ def test_weight_multiset_preserved(fig8):
     # every twist region appears once in each color, either as a chain
     # or as a merged family
     for d, expected in ((fig8, [2, 2]), (parse_pd(SQUARE_KNOT), [3, 3])):
-        g, r = build_tait(d)
-        for tg in (g, r):
-            chain_weights, merged = contract(tg)
+        for chain_weights, merged in contract(d):
             assert sorted(chain_weights + merged.weights()) == expected
 
 

@@ -1,10 +1,11 @@
 """The checkerboard route reads no twist region.
 
 tait.py starts from the type II cancellation of the twists module and
-builds its graphs with the face-graph type and colour split of the
-sidegraphs module, and nothing else of either: were it to read the
-regions, the collapsed graph or the merged normal form, the two routes
-would agree by construction and the cross-check would mean nothing.
+keeps its merged graphs in the face-graph type of the sidegraphs
+module, whose face_graphs lists the edges of build_tait's view, and
+reads nothing else of either: were it to read the regions, the
+collapsed graph or the merged normal form, the two routes would agree
+by construction and the cross-check would mean nothing.
 """
 
 import ast
@@ -15,7 +16,7 @@ TAIT = pathlib.Path(__file__).parent.parent / "src" / "foliar" / "tait.py"
 # what tait.py may import from each module of the main route
 ALLOWED = {
     "twists": {"reduce_assumption1"},
-    "sidegraphs": {"FaceGraph", "GREEN", "RED", "face_graphs"},
+    "sidegraphs": {"FaceGraph", "face_graphs"},
 }
 FORBIDDEN = {
     "normalize_assumption2",
