@@ -20,7 +20,13 @@ from itertools import chain, count, repeat
 
 from .criterion import Status, Verdict, normal_form, weight_reasons
 from .diagram import _Builder, _compose, _twist_chain
-from .errors import ConstructionMismatch, MalformedTree, ZeroWeight, integer
+from .errors import (
+    ConstructionMismatch,
+    MalformedTree,
+    ZeroWeight,
+    integer,
+    read_int,
+)
 from .twists import flat_regions
 
 
@@ -88,41 +94,32 @@ class WeightedPlanarTree:
 
 
 _TOKEN = re.compile(r"\(|\)|-?\d+|[^\s()]+")
-_WEIGHT = re.compile(r"-?\d+")
 
 
 def parse_tree(text):
-    toks = _TOKEN.findall(text)
-    if not toks:
-        raise MalformedTree("empty input")
-    if toks[0] != "(":
-        raise MalformedTree("expected '('")
+    toks = _TOKEN.findall(text)[::-1]  # read by popping off the end
+    if toks[-1:] != ["("]:
+        raise MalformedTree("expected '('" if toks else "empty input")
     weight, parent = [], []
     open_ = []  # vertices whose ')' is still to come
-    pos = 0
     while not weight or open_:
-        tok = toks[pos] if pos < len(toks) else None
+        tok = toks.pop() if toks else None
         if tok == "(":
-            w = toks[pos + 1] if pos + 1 < len(toks) else None
-            if w is None or not _WEIGHT.fullmatch(w):
+            w = toks.pop() if toks else None
+            n = None if w is None else read_int(w, MalformedTree)
+            if n is None:
                 raise MalformedTree(f"expected a weight, got {w!r}")
-            try:
-                w = int(w)
-            except ValueError:  # beyond the digit limit
-                raise MalformedTree._overlong(w) from None
-            if w == 0:
+            if n == 0:
                 raise ZeroWeight("vertex weight 0")
             parent.append(open_[-1] if open_ else None)
             open_.append(len(weight))
-            weight.append(w)
-            pos += 2
+            weight.append(n)
         elif tok == ")":
             open_.pop()
-            pos += 1
         else:
             raise MalformedTree("expected ')'")
-    if pos != len(toks):
-        raise MalformedTree(f"trailing input {toks[pos:]!r}")
+    if toks:
+        raise MalformedTree(f"trailing input {toks[::-1]!r}")
     return WeightedPlanarTree(weight, parent)
 
 

@@ -23,6 +23,7 @@ from .errors import (
     EvenStrandCount,
     MalformedToken,
     NonSphericalEmbedding,
+    read_int,
 )
 
 _SYLLABLE = re.compile(r"s(\d+)(?:\^(-?\d+))?")
@@ -50,11 +51,8 @@ def parse_braid(text, n_strands=None):
         m = _SYLLABLE.fullmatch(tok)
         if not m:
             raise MalformedToken(f"bad syllable {tok!r}")
-        try:
-            gen = int(m.group(1))
-            exp = int(m.group(2)) if m.group(2) else 1
-        except ValueError:  # beyond the digit limit
-            raise MalformedToken._overlong(tok) from None
+        gen = read_int(m.group(1), MalformedToken)
+        exp = read_int(m.group(2), MalformedToken) if m.group(2) else 1
         if gen < 1:
             raise BadGenerator(f"generator index {gen}")
         if n_strands is not None and gen > n_strands - 1:
@@ -62,9 +60,8 @@ def parse_braid(text, n_strands=None):
                 f"s{gen} needs {gen + 1} strands, braid has {n_strands}"
             )
         top = max(top, gen)
-        if exp == 0:
-            continue
-        sylls.append(Syllable(gen, exp))
+        if exp:
+            sylls.append(Syllable(gen, exp))
     if not sylls:
         raise EmptyWord("no syllables with nonzero exponent")
     return BraidWord(n_strands if n_strands else top + 1, tuple(sylls))

@@ -12,7 +12,6 @@ keys are those the subcommand prints.
 import argparse
 import json
 import os
-import re
 import sys
 
 from .arborescent import check_arborescent, generate_diagram, parse_tree
@@ -32,6 +31,7 @@ from .errors import (
     InternalError,
     NonSphericalEmbedding,
     Unsatisfiable,
+    read_int,
 )
 from .surgery import Slope, augment, classify_borromean, plan_configurations
 from .tait import check_tait
@@ -122,17 +122,11 @@ def _crosscheck(kind, verdict, d, must_agree, out):
 
 
 def _strand_count(text):
-    """--strands as an int; an integer past the interpreter's digit limit
-    is named by its head and length rather than echoed."""
-    try:
-        if "_" in text:  # int() reads 1_1 as 11; no other parser takes "_"
-            raise ValueError(text)
-        return int(text)
-    except ValueError:
-        msg = f"invalid int value: {text!r}"
-        if re.fullmatch(r"[+-]?\d+", text.strip()):  # past the digit limit
-            msg = str(InputError._overlong(text))
-        raise argparse.ArgumentTypeError(msg) from None
+    """--strands, read by the one rule for integers in input."""
+    n = read_int(text.strip(), argparse.ArgumentTypeError)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return n
 
 
 def cmd_certify(args):
@@ -204,13 +198,12 @@ def cmd_corpus(args):
         except InputError as exc:
             print(json.dumps({"file": base, "error": str(exc)}))
             code = max(code, 2)
-            continue
         except (InternalError, RecursionError) as exc:
             print(json.dumps({"file": base, "error": str(exc), "internal": True}))
             code = max(code, 1)
-            continue
-        counts[verdict.status.value] += 1
-        print(json.dumps(row))
+        else:
+            counts[verdict.status.value] += 1
+            print(json.dumps(row))
     print(json.dumps({"files": len(paths), **counts}))
     return code
 

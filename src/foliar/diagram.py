@@ -48,6 +48,7 @@ from .errors import (
     InternalError,
     MalformedToken,
     NonSphericalEmbedding,
+    _overlong,
 )
 
 _TOKEN = re.compile(r"X\[\d+,\d+,\d+,\d+\]")
@@ -170,7 +171,7 @@ class LinkDiagram:
         except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedToken(f"bad diagram json: {exc}") from None
         except ValueError:  # an integer beyond the digit limit
-            raise MalformedToken._overlong(text) from None
+            raise _overlong(MalformedToken, text) from None
         for ax in axes:
             if not isinstance(ax, int) or ax not in (0, 1):  # bools pass
                 raise MalformedToken(f"under_axis {ax}")
@@ -189,7 +190,7 @@ def parse_pd(text):
     try:
         labels = _read_labels(text)
     except ValueError:  # a label beyond the digit limit
-        raise MalformedToken._overlong(text) from None
+        raise _overlong(MalformedToken, text) from None
     alpha = _pair(labels)
     del labels  # before the faces are traced
     return LinkDiagram(alpha, [0] * (len(alpha) >> 2), text)

@@ -16,16 +16,27 @@ class FoliarError(Exception):
 class InputError(FoliarError):
     """The input is malformed or outside the domain of the operation."""
 
-    @classmethod
-    def _overlong(cls, text):
-        """The error naming the longest digit run of text by its head and
-        length: the integer int() refused as beyond its digit limit."""
-        t = max(re.findall(r"\d+", text), key=len)
-        return cls(f"integer {t[:8]}... of {len(t)} digits is too long")
-
 
 class InternalError(FoliarError):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+
+_INTEGER = re.compile(r"-?\d+").fullmatch
+
+
+def read_int(text, cls):
+    """The integer text spells if it is an optional - and decimal digits,
+    else None; past the digit limit, cls naming its head and length."""
+    try:
+        return int(text) if _INTEGER(text) else None
+    except ValueError:  # beyond the digit limit
+        raise _overlong(cls, text) from None
+
+
+def _overlong(cls, text):
+    """cls naming the longest digit run of text by its head and length."""
+    t = max(re.findall(r"\d+", text), key=len)
+    return cls(f"integer {t[:8]}... of {len(t)} digits is too long")
 
 
 def integer(value, what):

@@ -19,7 +19,6 @@ every k, and the configurations a plan picks follow the sign of k.
 """
 
 import json
-import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import count, repeat
@@ -28,7 +27,14 @@ from operator import index
 from typing import NamedTuple
 
 from .criterion import normal_form
-from .errors import InputError, MalformedToken, Unsatisfiable, ZeroK, integer
+from .errors import (
+    InputError,
+    MalformedToken,
+    Unsatisfiable,
+    ZeroK,
+    integer,
+    read_int,
+)
 
 
 class Slope:
@@ -62,18 +68,12 @@ class Slope:
         t = text.strip()
         if t.lower() in ("inf", "infty", "infinity") or t == "∞":
             return cls(1, 0)
-        if "_" in t:  # int() reads 1_0 as 10; no other parser takes "_"
+        a, slash, b = t.partition("/")
+        p = read_int(a, MalformedToken)
+        q = read_int(b, MalformedToken) if slash else 1
+        if p is None or q is None:
             raise MalformedToken(f"bad slope {text!r}")
-        try:
-            if "/" in t:
-                a, b = t.split("/", 1)
-                return cls(int(a), int(b))
-            return cls(int(t))
-        except ValueError:
-            if re.fullmatch(r"[+-]?\d+\s*(/\s*[+-]?\d+)?", t):
-                # a digit run int() refused: beyond the interpreter's limit
-                raise MalformedToken._overlong(t) from None
-            raise MalformedToken(f"bad slope {text!r}") from None
+        return cls(p, q)
 
     @property
     def is_infinity(self):

@@ -7,7 +7,9 @@ collapsed graph and one build of the side graphs, which is the only
 call of face_graphs: the checkerboard route reads its graphs off the
 diagram's lists and lists no edge per crossing.  Counts do not vary
 between runs the way times do on a shared machine, so a stage that
-starts to repeat itself fails here at any size.
+starts to repeat itself fails here at any size.  One raw word whose
+closure cancels and then merges pins the rounds of the worst case
+found.
 """
 
 import pytest
@@ -56,4 +58,27 @@ def test_each_stage_runs_once_per_diagram(counts, m):
     assert plan_configurations(circles).distinguished == 0
     assert counts == {
         "build": 1, "detect": 1, "collapsed": 1, "side": 1, "face_graphs": 1
+    }
+
+
+# the worst of a search of 40 000 random 3- and 4-strand words: its raw
+# closure cancels in one round and then merges in three
+MERGE_WORD = (
+    "s2^3 s3^1 s2^-3 s1^-3 s2^-2 s2^-1 s1^2 s1^-1 s2^-3 s2^-3 s2^2 s1^3"
+)
+
+
+def test_merge_rounds_of_the_worst_word_found(counts):
+    d = braid_to_diagram(parse_braid(MERGE_WORD))
+    assert len(d) == 27 and d.component_count() == 1
+    counts.update(dict.fromkeys(counts, 0))  # check_main's work alone
+    v = check_main(d)
+    assert v.status == Status.HYPOTHESES_FAIL
+    assert v.reasons == (
+        "WeightTooSmall(region=0,count=1)", "WeightTooSmall(region=2,count=1)"
+    )
+    # one build of the reduced diagram, a detection on each diagram, and
+    # one collapsed graph and side-graph build per merge round and the last
+    assert counts == {
+        "build": 1, "detect": 2, "collapsed": 4, "side": 4, "face_graphs": 4
     }

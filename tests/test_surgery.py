@@ -359,20 +359,6 @@ def test_plan_json():
     }
 
 
-def test_classify_borromean_anchors():
-    cases = [
-        (("1", "1", "1"), "lspace"),
-        (("1/2", "3", "5"), "taut_foliation"),
-        (("inf", "2", "-3"), "lspace"),
-        (("0", "7", "-7"), "taut_foliation"),
-        (("inf", "inf", "inf"), "lspace"),
-        (("inf", "0", "5"), "out_of_scope"),
-    ]
-    for slopes, outcome in cases:
-        v = classify_borromean(*(Slope.parse(s) for s in slopes))
-        assert v.outcome == outcome, slopes
-
-
 def test_classify_flags():
     v = classify_borromean(Slope(1, 0), Slope(0, 1), Slope(5, 1))
     assert v.has_infinity and v.has_zero
