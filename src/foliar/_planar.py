@@ -13,12 +13,11 @@ each face in corners and then len(corners), so face i is the slice
 from start[i] to start[i + 1] and its degree is their difference.
 face_at maps each corner to its face.  The faces at corners 4*v + g and
 4*v + g+1 meet along the edge at slot g+1, so face adjacency is read
-from face_at too.  A map also keeps bits: None, or one colour bit per
-vertex such that corner k has colour bits[k >> 2] ^ (k & 1).  A
-diagram's strand walk finds them for a knot.
+from face_at too.  A map also keeps bits, one colour bit per vertex
+such that corner k has colour bits[k >> 2] ^ (k & 1).  A diagram's
+strand walk finds them, and a collapsed graph takes them from the
+diagram it collapses.
 """
-
-from .errors import NotBipartite
 
 
 def sigma(d):
@@ -57,19 +56,22 @@ def trace_faces(n_darts, alpha):
 def strands(alpha):
     """(count, pieces, bits) for the dart map alpha of a non-empty
     4-valent map whose strands run through opposite slots: the number
-    of strands, the number of connected pieces of the map, and for a
-    single strand the colour bits of its vertices if they two-colour
-    the faces, else None.
+    of strands, the number of connected pieces of the map, and the
+    colour bits of its vertices if they two-colour the faces, else
+    None.
 
     The walk d -> alpha[d] ^ 2 follows a strand and crosses each of its
     edges once.  The face that leaves a vertex on dart d, from the
     corner before d, arrives at corner e = alpha[d]; so a colouring in
     which corner k has colour bits[k >> 2] ^ (k & 1) has bits[e >> 2]
-    == bits[d >> 2] ^ 1 ^ ((d ^ e) & 1).  One strand through every dart
-    connects the map and checks that on every edge, so its bits
-    two-colour the faces unless the walk finds a conflict.  Otherwise
-    every strand is walked again to number it, and the pieces are those
-    of the graph in which each vertex joins the two strands through it.
+    == bits[d >> 2] ^ 1 ^ ((d ^ e) & 1).  Every edge lies on one strand,
+    so walking every strand checks that on every edge, and the bits
+    two-colour the faces unless the walk finds a conflict.  One strand
+    through every dart connects the map.  Otherwise the strands are
+    walked again from a stack of darts at vertices whose bits are set: a
+    vertex reached first pushes its other strand, dart e ^ 1, so the
+    walk covers a piece before it restarts at a vertex it has not
+    reached, and the restarts count the pieces.
     """
     n = len(alpha)
     bits = [-1] * (n >> 2)
@@ -91,20 +93,36 @@ def strands(alpha):
             break
     if 2 * steps == n:  # a strand never runs back over itself
         return 1, 1, bits if ok else None
-    strand = [-1] * n  # the strand of each dart
-    count = 0
-    for s in range(n):
-        if strand[s] >= 0:
+    bits = [-1] * (n >> 2)
+    seen = [0] * n  # the darts each walk leaves by
+    ok = True
+    count = pieces = 0
+    for v in range(n >> 2):
+        if bits[v] >= 0:
             continue
-        d = s
-        while strand[d] < 0:  # along the strand, back to s
-            e = alpha[d]
-            strand[d] = strand[e] = count
-            d = e ^ 2
-        count += 1
-    # slots 0 and 1 of a vertex lie on its two strands
-    meets = set(zip(strand[0::4], strand[1::4]))
-    return count, component_count(range(count), meets), None
+        bits[v] = 0  # a new piece
+        pieces += 1
+        stack = [4 * v + 1, 4 * v]
+        while stack:
+            s = d = stack.pop()
+            if seen[d] or seen[alpha[d]]:  # walked, one way or the other
+                continue
+            count += 1
+            b = bits[d >> 2]
+            while True:
+                seen[d] = 1
+                e = alpha[d]
+                b ^= ~(d ^ e) & 1
+                x = bits[e >> 2]
+                if x < 0:
+                    bits[e >> 2] = b
+                    stack.append(e ^ 1)
+                elif x != b:
+                    ok = False
+                d = e ^ 2
+                if d == s:
+                    break
+    return count, pieces, bits if ok else None
 
 
 def splice_out(alpha, v, pairs):
@@ -144,41 +162,17 @@ def compact(alpha, kept):
 def two_color(plane):
     """Two-colour the faces of a traced map so edge-adjacent faces differ.
 
-    plane has the corners, start, face_at and bits of a traced map;
-    returns a list of colours by face, and colour 0 holds face 0.  A
-    map with colour bits is read off them, at one corner per face;
-    otherwise the faces are searched.
+    plane has the corners, start and bits of a traced map; returns a
+    list of colours by face, read off the bits at one corner per face,
+    and colour 0 holds face 0.
     """
-    corners, start, face_at = plane.corners, plane.start, plane.face_at
-    bits = plane.bits
-    if bits is not None:
-        k = corners[0]
-        flip = bits[k >> 2] ^ (k & 1)  # face 0 holds corner corners[0]
-        return [
-            bits[k >> 2] ^ (k & 1) ^ flip
-            for k in map(corners.__getitem__, start[:-1])
-        ]
-    n_faces = len(start) - 1
-    color = [-1] * n_faces
-    for root in range(n_faces):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            f = stack.pop()
-            other = 1 - color[f]
-            for i in range(start[f], start[f + 1]):
-                # every edge of f is the one it leaves a corner by, and
-                # the face at the next gap lies across it
-                c = corners[i]
-                g = face_at[(c & ~3) | ((c + 1) & 3)]
-                if color[g] < 0:
-                    color[g] = other
-                    stack.append(g)
-                elif color[g] != other:
-                    raise NotBipartite(f"faces {f} and {g} conflict")
-    return color
+    corners, bits = plane.corners, plane.bits
+    k = corners[0]
+    flip = bits[k >> 2] ^ (k & 1)  # face 0 holds corner corners[0]
+    return [
+        bits[k >> 2] ^ (k & 1) ^ flip
+        for k in map(corners.__getitem__, plane.start[:-1])
+    ]
 
 
 def face_lists(plane):

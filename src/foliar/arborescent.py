@@ -109,8 +109,6 @@ def parse_tree(text):
             n = None if w is None else read_int(w, MalformedTree)
             if n is None:
                 raise MalformedTree(f"expected a weight, got {w!r}")
-            if n == 0:
-                raise ZeroWeight("vertex weight 0")
             parent.append(open_[-1] if open_ else None)
             open_.append(len(weight))
             weight.append(n)

@@ -15,9 +15,9 @@ knot walks its darts twice.  The strand walk finds one strand through
 every dart, which shows that the map is connected, and gives bits, one
 checkerboard colour bit per crossing.  The face trace gives the flat
 corners, start and face_at lists of _planar.  A link's strands are
-walked once more, to number them and count the pieces they form, and
-its bits are None.  So the state a diagram is checked with and read
-through is alpha, axes, bits, corners, start and face_at.
+walked once more, piece by piece, to count them and the pieces they
+form and to give its bits.  So the state a diagram is checked with and
+read through is alpha, axes, bits, corners, start and face_at.
 
 Arc labels are not part of that state.  Labelled input (PD text or
 JSON rows) becomes one flat list of four labels per crossing, which one
@@ -89,7 +89,7 @@ class LinkDiagram:
             raise NonSphericalEmbedding(
                 f"{len(self.start) - 1} faces for {n} crossings"
             )
-        if bits is None and self._components == 1:
+        if bits is None:
             raise InternalError("no checkerboard colouring along the strand")
         self.bits = bits
         # filled on first use; twists: regions, the first mixed region,

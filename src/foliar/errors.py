@@ -77,10 +77,6 @@ class UnknotCollapse(InputError):
 
 # -- side graphs ------------------------------------------------------------
 
-class NotBipartite(InternalError):
-    """Face two-colouring failed; impossible for 4-valent plane graphs."""
-
-
 class DegenerateCollapse(InputError):
     """Normalisation removed every twist region."""
 

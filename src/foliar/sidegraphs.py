@@ -186,5 +186,4 @@ def normalize_assumption2(cg):
             )
         # the faces a smoothing merges, at its gaps 0 and 2, share a
         # colour, so the kept vertices keep their colour bits
-        bits = cg.bits and [cg.bits[i] for i in kept]
-        cg = CollapsedGraph(vertices, alpha, bits)
+        cg = CollapsedGraph(vertices, alpha, [cg.bits[i] for i in kept])

@@ -103,53 +103,6 @@ class Slope:
         )
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Open interval of finite slopes; None means unbounded on that side."""
-
-    lo: object
-    hi: object
-
-    def contains(self, slope):
-        """Whether the Slope lies inside; infinity never does."""
-        if slope.is_infinity:
-            return False
-        p, q = slope.p, slope.q
-        # with q and the bounds' denominators b positive, p/q > a/b
-        # exactly when p*b > a*q
-        lo, hi = self.lo, self.hi
-        if lo is not None and not p * lo.denominator > lo.numerator * q:
-            return False
-        if hi is not None and not p * hi.denominator < hi.numerator * q:
-            return False
-        return True
-
-
-_EVEN_INTERVALS = {
-    "a": Interval(Fraction(-1), Fraction(1)),
-    "b": Interval(None, None),
-    "c": Interval(Fraction(-1), None),
-    "d": Interval(None, Fraction(1)),
-}
-_ODD_INTERVALS = {  # by whether k > 0
-    True: Interval(Fraction(-1), None),
-    False: Interval(None, Fraction(1)),
-}
-
-
-def realized_interval(config, k=None):
-    """Slopes realizable on a crossing circle cusp in one configuration."""
-    if config == "odd":
-        if k is None or k == 0:
-            raise InputError("odd configuration needs a nonzero k")
-        # mirror-invariant: handedness flips with the diagram
-        return _ODD_INTERVALS[k > 0]
-    try:
-        return _EVEN_INTERVALS[config]
-    except KeyError:
-        raise InputError(f"unknown configuration {config!r}") from None
-
-
 # -- crossing circles -------------------------------------------------------
 
 class CrossingCircle(NamedTuple):
@@ -221,14 +174,14 @@ def plan_configurations(circles):
     sec = n - 1 if dist < n - 1 or n == 1 else n - 2
     assignment = []
     for i, (_, size, k, slope) in enumerate(circles):
-        # the intervals of realized_interval, read off p/q with q > 0:
+        # the intervals of the module docstring, read off p/q with q > 0:
         # a finite slope is above -1 when p > -q and below 1 when p < q
         p, q = slope.p, slope.q
         above = q and -q < p
         below = q and p < q
         if size % 2:
             if not k:
-                realized_interval("odd", k)  # raises
+                raise InputError("odd configuration needs a nonzero k")
             config = "odd" if (above if k > 0 else below) else None
         elif n == 1:
             config = ("a" if above and below else "c" if above
@@ -277,6 +230,16 @@ def circles_from_counts(signed_counts):
     )))
 
 
+# the open interval (lo, hi) of slopes each even configuration realizes;
+# None is unbounded
+_INTERVALS = {
+    "a": (-1, 1),
+    "b": (None, None),
+    "c": (-1, None),
+    "d": (None, 1),
+}
+
+
 def verify_plan(circles, plan):
     """Independent check that a plan satisfies every constraint."""
     n = len(circles)
@@ -290,15 +253,9 @@ def verify_plan(circles, plan):
         if config not in _allowed(i, c, plan.distinguished, plan.secondary, n):
             return False
         if c.count % 2 == 1:
-            lo, hi = (Fraction(-1), None) if c.k > 0 else (None, Fraction(1))
+            lo, hi = (-1, None) if c.k > 0 else (None, 1)
         else:
-            table = {
-                "a": (Fraction(-1), Fraction(1)),
-                "b": (None, None),
-                "c": (Fraction(-1), None),
-                "d": (None, Fraction(1)),
-            }
-            lo, hi = table[config]
+            lo, hi = _INTERVALS[config]
         if c.k == 0:  # no coefficient 1/k
             return False
         v = Fraction(1, c.k)

@@ -56,8 +56,9 @@ and 2, 3 those at the last's, so the two strands through the region
 pair the slots by the parity of its count alone: (0, 2) and (1, 3) when
 it is odd, (0, 3) and (1, 2) when it is even.  The collapsed map pairs
 each stub with the stub its edge leads to in the diagram's alpha.  A
-knot's collapsed vertex keeps the strand walk's colour bit of its first
-stub's corner, so two_color reads the colouring instead of searching.
+collapsed vertex keeps the strand walk's colour bit of its first
+stub's corner, so two_color reads the colouring off the diagram's
+bits.
 """
 
 from itertools import islice
@@ -362,10 +363,10 @@ class CollapsedGraph:
     ARC_GAPS = (1, 3)
     faces = property(face_lists)
 
-    def __init__(self, vertices, alpha, bits=None):
+    def __init__(self, vertices, alpha, bits):
         self.vertices = vertices  # a list of signed counts, kept as given
         self.alpha = alpha  # a list over darts, kept as given
-        self.bits = bits  # colour bits per vertex, or None: two_color searches
+        self.bits = bits  # a colour bit per vertex, as _planar keeps them
         self.corners, self.start, self.face_at = trace_faces(
             4 * len(vertices), alpha
         )
@@ -408,7 +409,7 @@ def collapse(d, regions=None):
         if len(signed) != 1:
             raise InternalError("cyclic chain inside a larger diagram")
         # two nested loops at one vertex: three faces, sides at gaps 1, 3
-        return CollapsedGraph(signed[:], [3, 2, 1, 0])
+        return CollapsedGraph(signed[:], [3, 2, 1, 0], [0])
     local = [-1] * (4 * len(d))  # the collapsed dart at each stub
     for i, dart in enumerate(stubs):
         local[dart] = i
@@ -418,6 +419,6 @@ def collapse(d, regions=None):
         dart = stubs[alpha.index(-1)]
         raise InternalError(f"stub dart {dart} leads into a region")
     bits = d.bits  # a vertex's colour is its first stub's corner colour
-    if bits is not None:
-        bits = [bits[s >> 2] ^ (s & 1) for s in stubs[::4]]
-    return CollapsedGraph(signed[:], alpha, bits)
+    return CollapsedGraph(
+        signed[:], alpha, [bits[s >> 2] ^ (s & 1) for s in stubs[::4]]
+    )

@@ -37,14 +37,17 @@ def test_parse_errors():
 
 
 def test_trees_built_without_parsing_reject_a_zero_weight():
-    # (0 (3)) would print as text that parse_tree rejects
-    for kind, params, message in [
-        ("two_bridge", [0, 3], "vertex 0 has weight 0"),
-        ("pretzel", [2, 3, 0], "vertex 2 has weight 0"),
-        ("montesinos", [3, (2, 0)], "vertex 2 has weight 0"),
+    # (0 (3)) would print as text that parse_tree rejects; parse_tree
+    # leaves the check to the same constructor, so text names the vertex
+    for build, message in [
+        (lambda: family_tree("two_bridge", [0, 3]), "vertex 0 has weight 0"),
+        (lambda: family_tree("pretzel", [2, 3, 0]), "vertex 2 has weight 0"),
+        (lambda: family_tree("montesinos", [3, (2, 0)]),
+         "vertex 2 has weight 0"),
+        (lambda: parse_tree("(3 (2) (0))"), "vertex 2 has weight 0"),
     ]:
         with pytest.raises(ZeroWeight) as exc:
-            family_tree(kind, params)
+            build()
         assert str(exc.value) == message
 
 

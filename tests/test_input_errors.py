@@ -32,7 +32,7 @@ from foliar.errors import (
     ZeroWeight,
 )
 from foliar.cli import main
-from foliar.surgery import realized_interval
+from foliar.surgery import CrossingCircle
 
 from test_cli import run
 
@@ -65,10 +65,12 @@ HUGE = 2**61  # as does its 4 * 2**61 darts
         (lambda: Slope.parse("1/x"), MalformedToken, "bad slope '1/x'"),
         (lambda: Slope(1, 0).as_fraction(), InputError,
          "infinity has no fraction value"),
-        (lambda: realized_interval("e"), InputError,
-         "unknown configuration 'e'"),
-        (lambda: realized_interval("odd"), InputError,
-         "odd configuration needs a nonzero k"),
+        # hand-built odd circles with k = 0: alone, and behind a strong one
+        (lambda: plan_configurations([CrossingCircle(0, 3, 0, Slope(1, 0))]),
+         InputError, "odd configuration needs a nonzero k"),
+        (lambda: plan_configurations(
+            [*circles_from_counts([4]), CrossingCircle(1, 1, 0, Slope(1, 0))]
+        ), InputError, "odd configuration needs a nonzero k"),
         (lambda: plan_configurations([]), Unsatisfiable,
          "no crossing circles"),
         (lambda: circles_from_counts([0]), ZeroK, "count 0 has no crossings"),

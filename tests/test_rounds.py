@@ -23,7 +23,7 @@ from foliar import (
     parse_tree,
     reduce_assumption1,
 )
-from foliar._planar import splice_out, two_color
+from foliar._planar import splice_out, strands, two_color
 from foliar.errors import (
     DegenerateCollapse,
     FoliarError,
@@ -205,9 +205,8 @@ def ref_normalize_assumption2(cg):
             4 * vmap[d >> 2] + (d & 3): 4 * vmap[e >> 2] + (e & 3)
             for d, e in alpha.items()
         }
-        cg = CollapsedGraph(
-            new_vertices, [new_alpha[d] for d in range(len(new_alpha))]
-        )
+        new_alpha = [new_alpha[d] for d in range(len(new_alpha))]
+        cg = CollapsedGraph(new_vertices, new_alpha, strands(new_alpha)[2])
 
 
 # -- the round rules ---------------------------------------------------------

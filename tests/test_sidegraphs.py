@@ -12,7 +12,7 @@ from foliar import (
     parse_pd,
     reduce_assumption1,
 )
-from foliar._planar import sigma, two_color
+from foliar._planar import sigma, strands, two_color
 from foliar.criterion import normal_form
 from foliar.sidegraphs import GREEN, RED
 from foliar.twists import CollapsedGraph
@@ -175,7 +175,8 @@ def test_normalize_degenerate_raises():
     # two twist boxes in a cycle sharing both side faces; their signed
     # counts cancel so the merge empties the graph
     # darts 0-5, 1-4, 2-7 and 3-6 paired
-    cg = CollapsedGraph([2, -2], [5, 4, 7, 6, 1, 0, 3, 2])
+    alpha = [5, 4, 7, 6, 1, 0, 3, 2]
+    cg = CollapsedGraph([2, -2], alpha, strands(alpha)[2])
     g, r = build_side_graphs(cg)
     assert list(zip(g.u, g.v, g.signed)) == [(0, 2, 2), (0, 2, -2)]
     with pytest.raises(DegenerateCollapse):

@@ -1,11 +1,11 @@
 """The strand walk and the flat face lists against the references.
 
-Building a diagram walks its strands once, for the component count,
-for connectivity when one strand runs through every dart, and for the
-checkerboard colour bits of a knot, and traces its faces once into the
-flat corners, start and face_at lists.  The references are the way the
-package did it before: one list per face, a strand walk that marks
-every dart, and a colouring that traces the faces again from the darts.
+Building a diagram walks its strands, for the component count, for
+connectivity and for the checkerboard colour bits of a knot or link,
+and traces its faces once into the flat corners, start and face_at
+lists.  The references are the way the package did it before: one list
+per face, a strand walk that marks every dart, and a colouring that
+traces the faces again from the darts.
 """
 
 import hashlib
@@ -16,7 +16,14 @@ from itertools import accumulate
 import pytest
 
 import foliar.diagram
-from foliar import check_main, check_tait, collapse, parse_pd
+from foliar import (
+    check_main,
+    check_tait,
+    collapse,
+    generate_diagram,
+    parse_pd,
+    parse_tree,
+)
 from foliar._planar import strands, two_color
 from foliar.criterion import normal_form
 from foliar.diagram import _pair
@@ -44,6 +51,8 @@ def _maps():
     texts = [TREFOIL, FIG8, HOPF, KINK, SQUARE_KNOT, GRANNY3]
     texts.append(CANCELLING_COLUMNS)
     diagrams = [parse_pd(t) for t in texts] + list(unreduced_inputs(200))
+    # link trees, whose validation colours their normal forms
+    diagrams += [generate_diagram(parse_tree(t)) for t in LINK_TREES]
     diagrams += [d.mirror() for d in diagrams]
     maps = list(diagrams)
     for d in diagrams:
@@ -58,10 +67,14 @@ def _maps():
     return maps, sum(d.component_count() != 1 for d in diagrams)
 
 
+LINK_TREES = ("(3 (3))", "(3 (2) (2))")
+
+
 def test_flat_faces_strands_and_colours_match_the_references():
     maps, links = _maps()
     assert links >= 200 and len(maps) >= 1000
     for m in maps:
+        assert m.bits is not None
         faces, face_at = trace_faces(len(m.alpha), m.alpha)
         assert m.corners == [c for f in faces for c in f]
         assert m.start == [0, *accumulate(map(len, faces))]
@@ -70,7 +83,6 @@ def test_flat_faces_strands_and_colours_match_the_references():
         assert two_color(m) == ref_two_color(m)
         if hasattr(m, "component_count"):
             assert m.component_count() == strand_count(m.alpha)
-            assert (m.bits is None) == (m.component_count() != 1)
 
 
 def _random_texts(count):
@@ -86,12 +98,35 @@ def _random_texts(count):
         )
 
 
+def _corner_rule_holds(alpha):
+    """Whether bits per vertex exist with bits[e >> 2] == bits[d >> 2] ^
+    1 ^ ((d ^ e) & 1) on every edge d, e: a search over the vertices
+    across each edge."""
+    bits = {}
+    for root in range(len(alpha) >> 2):
+        if root in bits:
+            continue
+        bits[root] = 0
+        todo = [root]
+        while todo:
+            v = todo.pop()
+            for d in range(4 * v, 4 * v + 4):
+                e = alpha[d]
+                want = bits[v] ^ 1 ^ ((d ^ e) & 1)
+                if e >> 2 not in bits:
+                    bits[e >> 2] = want
+                    todo.append(e >> 2)
+                elif bits[e >> 2] != want:
+                    return False
+    return True
+
+
 def test_strand_graph_counts_the_pieces_of_random_maps():
     # diagrams and collapsed graphs both count pieces on the strand
     # graph; these maps are one to four random label pairings side by
-    # side, their crossings shuffled together
+    # side, their crossings shuffled together, and are often not planar
     rng = random.Random(5)
-    split = 0
+    split = coloured = 0
     for _ in range(3000):
         rows, m = [], 0
         for _ in range(rng.randint(1, 4)):
@@ -104,9 +139,13 @@ def test_strand_graph_counts_the_pieces_of_random_maps():
         alpha = _pair([a for r in rows for a in r])
         count, k, bits = strands(alpha)
         assert (count, k) == (strand_count(alpha), pieces(alpha))
-        assert bits is None or count == 1
+        assert (bits is None) == (not _corner_rule_holds(alpha))
+        if bits is not None:
+            coloured += 1
+            for d, e in enumerate(alpha):
+                assert bits[e >> 2] == bits[d >> 2] ^ 1 ^ ((d ^ e) & 1)
         split += k > 1
-    assert split >= 2000
+    assert split >= 2000 and 300 <= coloured <= 2700, (split, coloured)
 
 
 def _outcome(check, d):
@@ -155,11 +194,12 @@ def test_a_one_strand_torus_text_is_not_spherical():
 
 
 def test_a_conflict_on_a_spherical_knot_is_an_internal_error(monkeypatch):
-    # a knot that passes the face count lies on the sphere, whose maps
-    # always two-colour, so a conflict there is a fault of the walk
-    monkeypatch.setattr(
-        foliar.diagram, "strands", lambda alpha: (1, 1, None)
-    )
-    with pytest.raises(InternalError) as exc:
-        parse_pd(TREFOIL)
-    assert str(exc.value) == "no checkerboard colouring along the strand"
+    # a knot or link that passes the face count lies on the sphere, whose
+    # maps always two-colour, so a conflict there is a fault of the walk
+    for text, count in ((TREFOIL, 1), (HOPF, 2)):
+        monkeypatch.setattr(
+            foliar.diagram, "strands", lambda alpha, k=count: (k, 1, None)
+        )
+        with pytest.raises(InternalError) as exc:
+            parse_pd(text)
+        assert str(exc.value) == "no checkerboard colouring along the strand"

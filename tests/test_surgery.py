@@ -19,13 +19,7 @@ from foliar import (
 )
 from foliar.criterion import normal_form
 from foliar.errors import InputError, MalformedToken, Unsatisfiable, ZeroK
-from foliar.surgery import (
-    CrossingCircle,
-    Interval,
-    Plan,
-    _allowed,
-    realized_interval,
-)
+from foliar.surgery import CrossingCircle, Plan, _allowed
 
 from conftest import (
     CANCELLING_COLUMNS,
@@ -71,6 +65,46 @@ def test_slopes_of_no_int_fraction_or_slope_are_malformed(slope):
     with pytest.raises(MalformedToken) as exc:
         Slope(1, slope)
     assert str(exc.value) == f"slope denominator {slope!r} is no int"
+
+
+# -- the reference planner's interval table ---------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Interval:
+    """Open interval of finite slopes; None means unbounded on that side."""
+
+    lo: object
+    hi: object
+
+    def contains(self, slope):
+        """Whether the Slope lies inside; infinity never does."""
+        if slope.is_infinity:
+            return False
+        p, q = slope.p, slope.q
+        # with q and the bounds' denominators b positive, p/q > a/b
+        # exactly when p*b > a*q
+        lo, hi = self.lo, self.hi
+        if lo is not None and not p * lo.denominator > lo.numerator * q:
+            return False
+        if hi is not None and not p * hi.denominator < hi.numerator * q:
+            return False
+        return True
+
+
+EVEN_INTERVALS = {
+    "a": Interval(-1, 1),
+    "b": Interval(None, None),
+    "c": Interval(-1, None),
+    "d": Interval(None, 1),
+}
+
+
+def realized_interval(config, k=None):
+    """Slopes realizable on a crossing circle cusp in one configuration;
+    an odd circle's interval follows the sign of k."""
+    if config == "odd":
+        return Interval(-1, None) if k > 0 else Interval(None, 1)
+    return EVEN_INTERVALS[config]
 
 
 def test_interval_membership():
