@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from itertools import chain, count, repeat
 
-from .criterion import Status, Verdict, normal_form, weight_reasons
+from .criterion import judge, normal_form, weight_reasons
 from .diagram import _Builder, _compose, _twist_chain
 from .errors import (
     ConstructionMismatch,
@@ -241,11 +241,4 @@ def check_arborescent(tree):
     comps = d.component_count()
     if comps != 1:
         reasons.append(f"NotAKnot({comps})")
-    status = Status.CERTIFIED if not reasons else Status.HYPOTHESES_FAIL
-    return Verdict(
-        status,
-        tuple(reasons),
-        tuple(sorted(abs(w) for w in weights)),
-        (),
-        len(tree),
-    )
+    return judge(reasons, tuple(sorted(map(abs, weights))), (), len(tree))

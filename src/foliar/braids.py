@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 
-from .criterion import Status, Verdict, weight_reasons
+from .criterion import judge, weight_reasons
 from .diagram import LinkDiagram, _Builder, _twist_chain
 from .errors import (
     BadGenerator,
@@ -184,15 +184,6 @@ def check_braid(word):
     comps = closure_components(word)
     if comps != 1:
         reasons.append(f"NotAKnot({comps})")
-    reasons += weight_reasons(
-        [s.exp for s in word.syllables],
-        lambda i, w: f"syllable={i},exp={w}",
-    )
-    status = Status.CERTIFIED if not reasons else Status.HYPOTHESES_FAIL
-    return Verdict(
-        status,
-        tuple(reasons),
-        tuple(sorted(abs(s.exp) for s in word.syllables)),
-        (),
-        len(word.syllables),
-    )
+    exps = [s.exp for s in word.syllables]
+    reasons += weight_reasons(exps, lambda i, w: f"syllable={i},exp={w}")
+    return judge(reasons, tuple(sorted(map(abs, exps))), (), len(exps))

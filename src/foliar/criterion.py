@@ -8,6 +8,11 @@ that normalise to a single twist region are the closed twist family
 D_k and are excluded rather than failed: the criterion does not speak
 about them.
 
+Every route (the diagram's, the checkerboard graphs', a braid's and a
+tree's) gives its verdict through judge by one rule: it certifies
+exactly when no hypothesis fails, that is, when it has no reasons.
+Only the closed twist family's exclusion is not read off the reasons.
+
 The normal form, the collapsed graph and both side graphs after
 cancellation and merging, is kept on the diagram: check_main, diagnose,
 augment, the dot output and tree validation all read it from there,
@@ -49,6 +54,13 @@ class Verdict:
                 "twist_regions": self.twist_regions,
             }
         )
+
+
+def judge(reasons, green=(), red=(), regions=0, detail=None):
+    """The verdict of a diagram, tree or braid whose hypotheses failed
+    for reasons: certified exactly when there are none."""
+    status = Status.HYPOTHESES_FAIL if reasons else Status.CERTIFIED
+    return Verdict(status, tuple(reasons), green, red, regions, detail or {})
 
 
 def detect_dk(cg):
@@ -112,7 +124,7 @@ def normal_form(d):
 def check_main(d):
     comps = d.component_count()
     if comps != 1:
-        return Verdict(Status.HYPOTHESES_FAIL, (f"NotAKnot({comps})",))
+        return judge([f"NotAKnot({comps})"])
     cg, green, red = normal_form(d)
     r = d if d._reduced is None else d._reduced  # kept by normal_form
     detail = {
@@ -137,14 +149,8 @@ def check_main(d):
         reasons.append(f"Disconnected({green.color_name})")
     if not rep.connected_red:
         reasons.append(f"Disconnected({red.color_name})")
-    status = Status.CERTIFIED if not reasons else Status.HYPOTHESES_FAIL
-    return Verdict(
-        status,
-        tuple(reasons),
-        green.weights(),
-        red.weights(),
-        len(cg.vertices),
-        detail,
+    return judge(
+        reasons, green.weights(), red.weights(), len(cg.vertices), detail
     )
 
 

@@ -11,9 +11,10 @@ module are the same construction one scale down, a crossing for a
 region, so face_graphs builds both from a traced map and its gaps.
 
 Two regions joining the same pair of faces in the same graph can be
-slid into each other, so parallel side edges merge: the signed weights
-add, the surviving region keeps |sum| crossings, and the others, or all
-of them when the sum is zero, are smoothed out of the collapsed graph:
+slid into each other, so parallel side edges merge by one rule: the
+signed counts of each pair of faces add, the first region of the pair
+keeps the sum, and the later ones, or all of them when the sum is
+zero, are smoothed out of the collapsed graph:
 the region becomes its 0-tangle, joining slots 1 to 2 and 3 to 0, so
 the strands on either side close up and none crosses the other.
 (Carrying the two strands through an odd region would make them cross
@@ -154,26 +155,20 @@ def normalize_assumption2(cg):
         ]
         if len(set(keys)) == len(keys):
             return cg, green, red
-        families = {}  # the regions of each pair, in increasing order
-        for i, key in enumerate(keys):
-            families.setdefault(key, []).append(i)
-        sums = {}  # survivor -> signed sum of its family
-        removed = set()
-        for regions in families.values():
-            if len(regions) < 2:
-                continue
-            s = sum([cg.vertices[i] for i in regions])
-            if s:
-                sums[regions.pop(0)] = s  # a zero sum cancels them all
-            removed.update(regions)
+        sums = dict.fromkeys(keys, 0)  # the signed sum of each pair
+        for key, w in zip(keys, cg.vertices):
+            sums[key] += w
         alpha = list(cg.alpha)
         kept, vertices, closed = [], [], 0
-        for i, w in enumerate(cg.vertices):
-            if i in removed:
+        for i, key in enumerate(keys):
+            # the first region of a pair takes its sum; the later ones,
+            # and all of a zero-sum family, are smoothed out
+            s = sums.pop(key, 0)
+            if s:
+                kept.append(i)
+                vertices.append(s)
+            else:
                 closed += splice_out(alpha, i, ((1, 2), (3, 0)))
-                continue
-            kept.append(i)
-            vertices.append(sums.get(i, w))
         if not vertices:
             raise DegenerateCollapse(
                 "every twist region cancelled during edge merging"

@@ -36,7 +36,7 @@ from itertools import compress
 from operator import sub
 
 from ._planar import two_color
-from .criterion import Status, Verdict, weight_reasons
+from .criterion import Status, Verdict, judge, weight_reasons
 from .errors import InternalError
 from .sidegraphs import FaceGraph, face_graphs
 from .twists import reduce_assumption1
@@ -149,7 +149,7 @@ def _dk_value(d, coloring, c, single):
 def check_tait(d):
     comps = d.component_count()
     if comps != 1:
-        return Verdict(Status.HYPOTHESES_FAIL, (f"NotAKnot({comps})",))
+        return judge([f"NotAKnot({comps})"])
     k, graphs = _contract(reduce_assumption1(d))
     if k is not None:
         reasons = (f"DkDiagram({k})",)
@@ -161,13 +161,7 @@ def check_tait(d):
         reasons = weight_reasons(weights, lambda i, w: f"{name},weight={w}")
         if not merged.is_tree():
             reasons.append(f"NotContractible({name})")
-        results.append((weights, tuple(reasons)))
+        results.append((weights, reasons))
     (weights_green, reasons_green), (weights_red, reasons_red) = results
-    reasons = reasons_green or reasons_red
-    return Verdict(
-        Status.HYPOTHESES_FAIL if reasons else Status.CERTIFIED,
-        reasons,
-        weights_green,
-        weights_red,
-        len(weights_green),
-    )
+    return judge(reasons_green or reasons_red, weights_green, weights_red,
+                 len(weights_green))

@@ -129,6 +129,24 @@ def trace_faces(n_darts, alpha):
     return faces, face_at
 
 
+def ref_two_color(plane):
+    """Face colours of a map, face 0 green, by a search over the faces
+    across each edge; the reference for colours read off bits."""
+    faces, face_at = trace_faces(len(plane.alpha), plane.alpha)
+    color = {0: 0}
+    todo = [0]
+    while todo:
+        f = todo.pop()
+        for c in faces[f]:
+            # the face across the edge at the next slot
+            g = face_at[(c & ~3) | ((c + 1) & 3)]
+            if g not in color:
+                color[g] = 1 - color[f]
+                todo.append(g)
+            assert color[g] != color[f]
+    return [color[f] for f in range(len(faces))]
+
+
 def strand_count(alpha):
     """Number of strands of a dart map, each strand walked through
     opposite slots and marked dart by dart."""

@@ -154,12 +154,14 @@ def test_check_braid_certifies():
     v = check_braid(parse_braid("s1^3 s2^-3"))
     assert v.status == Status.CERTIFIED
     assert v.weights_green == (3, 3)
+    assert check_braid("s1^3 s2^-3") == v  # text is parsed first
 
 
 def test_check_braid_link_rejected():
     v = check_braid(parse_braid("s1^2 s2^2"))
     assert v.status == Status.HYPOTHESES_FAIL
     assert "NotAKnot(3)" in v.reasons
+    assert check_braid("s1^2 s2^2") == v
 
 
 def test_check_braid_weights():

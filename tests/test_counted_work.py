@@ -9,16 +9,21 @@ diagram's lists and lists no edge per crossing.  Counts do not vary
 between runs the way times do on a shared machine, so a stage that
 starts to repeat itself fails here at any size.  One raw word whose
 closure cancels and then merges pins the rounds of the worst case
-found.
+found, and one knot whose merging drops a zero-sum family pins the
+rounds of that case.
 """
 
 import pytest
 
 from foliar import augment, braid_to_diagram, check_main, check_tait
-from foliar import parse_braid, plan_configurations, sidegraphs, tait, twists
+from foliar import collapse, normalize_assumption2, parse_braid, parse_pd
+from foliar import plan_configurations, reduce_assumption1
+from foliar import sidegraphs, tait, twists
 from foliar.criterion import Status
 from foliar.diagram import LinkDiagram
 from foliar.twists import CollapsedGraph
+
+from test_sidegraphs import ZERO_SUM_KNOT
 
 
 @pytest.fixture
@@ -81,4 +86,17 @@ def test_merge_rounds_of_the_worst_word_found(counts):
     # one collapsed graph and side-graph build per merge round and the last
     assert counts == {
         "build": 1, "detect": 2, "collapsed": 4, "side": 4, "face_graphs": 4
+    }
+
+
+def test_merge_rounds_of_a_zero_sum_family(counts):
+    cg = collapse(reduce_assumption1(parse_pd(ZERO_SUM_KNOT)))
+    assert list(cg.vertices) == [-2, 3, 1, 2, 2, 1]
+    counts.update(dict.fromkeys(counts, 0))  # the merging's work alone
+    out = normalize_assumption2(cg)[0]
+    assert list(out.vertices) == [5, 1, 1]
+    # a collapsed graph per merge round, and a side-graph build per
+    # round and the last, which finds no parallel edges
+    assert counts == {
+        "build": 0, "detect": 0, "collapsed": 2, "side": 3, "face_graphs": 3
     }

@@ -27,7 +27,7 @@ from foliar import (
     parse_tree,
     reduce_assumption1,
 )
-from foliar._planar import sigma, strands, two_color
+from foliar._planar import strands, two_color
 from foliar.arborescent import WeightedPlanarTree
 from foliar.criterion import Verdict, normal_form, weight_reasons
 from foliar.errors import FoliarError, InternalError
@@ -43,6 +43,7 @@ from conftest import (
     connected_sum,
     edges_of,
     random_tree_text,
+    ref_two_color,
     rows_of,
     seeded,
     trace_faces,
@@ -216,23 +217,6 @@ def ref_collapse(d):
             stubs += [4 * e + (g + 2) % 4, 4 * e + (g + 3) % 4]
     local = {dart: i for i, dart in enumerate(stubs)}
     return vertices, [local[d.alpha[dart]] for dart in stubs]
-
-
-def ref_two_color(plane):
-    """Face colours of a map, face 0 green, by a search over the faces
-    across each edge; the reference for colours read off bits."""
-    faces, face_at = trace_faces(len(plane.alpha), plane.alpha)
-    color = {0: 0}
-    todo = [0]
-    while todo:
-        f = todo.pop()
-        for c in faces[f]:
-            g = face_at[sigma(c)]  # across the edge at the next slot
-            if g not in color:
-                color[g] = 1 - color[f]
-                todo.append(g)
-            assert color[g] != color[f]
-    return [color[f] for f in range(len(faces))]
 
 
 def assert_collapsed(cg, vertices, alpha):

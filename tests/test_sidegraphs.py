@@ -12,7 +12,7 @@ from foliar import (
     parse_pd,
     reduce_assumption1,
 )
-from foliar._planar import sigma, strands, two_color
+from foliar._planar import strands, two_color
 from foliar.criterion import normal_form
 from foliar.sidegraphs import GREEN, RED
 from foliar.twists import CollapsedGraph
@@ -25,6 +25,7 @@ from foliar.errors import (
 from conftest import (
     CANCELLING_COLUMNS,
     GRANNY3,
+    ref_two_color,
     trace_faces,
     unreduced_inputs,
 )
@@ -38,43 +39,6 @@ def test_two_coloring_fig8(fig8):
             v, gap = c >> 2, c & 3
             opp = fig8.face_at[4 * v + (gap + 1) % 4]
             assert coloring[opp] != coloring[fi]
-
-
-def ref_two_color(plane):
-    """Trace the faces again, recording the face that consumes each dart,
-    and two-colour them so the faces on the two sides of a dart differ."""
-    faces, dart_face = [], {}
-    for start in range(4 * len(plane)):
-        if start in dart_face:
-            continue
-        corners = []
-        d = start
-        while True:
-            dart_face[d] = len(faces)
-            e = plane.alpha[d]
-            corners.append(e)  # the corner is the dart arrived on
-            d = sigma(e)
-            if d == start:
-                break
-        faces.append(corners)
-    assert faces == plane.faces
-    adjacent = [set() for _ in faces]
-    for d, e in enumerate(plane.alpha):
-        adjacent[dart_face[d]].add(dart_face[e])
-    color = {}
-    for root in range(len(faces)):
-        if root in color:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            f = queue.pop()
-            for g in adjacent[f]:
-                if g not in color:
-                    color[g] = 1 - color[f]
-                    queue.append(g)
-                assert color[g] != color[f]
-    return [color[f] for f in range(len(faces))]
 
 
 def test_two_coloring_matches_the_dart_reference():

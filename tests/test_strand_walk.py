@@ -38,11 +38,11 @@ from conftest import (
     SQUARE_KNOT,
     TREFOIL,
     pieces,
+    ref_two_color,
     strand_count,
     trace_faces,
     unreduced_inputs,
 )
-from test_sidegraphs import ref_two_color
 
 
 def _maps():

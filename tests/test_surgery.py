@@ -39,6 +39,10 @@ def test_slope_parse_and_normalize():
     assert Slope.parse("0") == Slope(0, 1)
     for text in ("inf", "infty", "infinity"):
         assert Slope.parse(text) == Slope(1, 0)
+    # a slope of a slope divides it by the denominator
+    assert Slope(Slope(6, 4), 3) == Slope(1, 2)
+    assert Slope(Slope(3, 2), -1) == Slope(-3, 2)
+    assert Slope(Slope(1, 0), 5) == Slope(1, 0)
 
 
 def test_slope_fraction_and_str():
