@@ -28,9 +28,13 @@ print("red:", list(zip(red.u, red.v, red.signed)))
 # a face's degree in its graph is its corner count, so a bigon is
 # two-valent, and a run of j bigons is a chain of weight j + 1;
 # leftover parallel edges merge by their signed weights.  contract
-# returns, per colour, the chain weights and the graph of the surviving
-# faces, one edge per merged family.
-for chain_weights, merged in contract(square):
+# returns (k, graphs): k is the signed twist count of a D_k diagram,
+# one of whose graphs has only bigons, and None otherwise; graphs holds,
+# per colour, the chain weights and the graph of the surviving faces,
+# one edge per merged family, or None for a D_k diagram.
+k, graphs = contract(square)
+print("D_k twist count:", k)
+for chain_weights, merged in graphs:
     print(merged.color_name, "chains:", chain_weights,
           "merged:", tuple(merged.signed), "tree:", merged.is_tree())
 

@@ -16,15 +16,7 @@ import sys
 
 from .arborescent import check_arborescent, generate_diagram, parse_tree
 from .braids import braid_to_diagram, check_braid, parse_braid, reduce_braid
-from .criterion import (
-    Status,
-    braid_must_agree,
-    check_main,
-    diagnose,
-    normal_form,
-    reshaped,
-    tree_must_agree,
-)
+from .criterion import Status, check_main, diagnose, normal_form, reshaped
 from .diagram import LinkDiagram, parse_pd
 from .errors import (
     InputError,
@@ -75,31 +67,39 @@ def _closure(word, out):
         return None
 
 
+# the reasons that excuse a braid or a tree from agreeing with its
+# diagram: the closed twist chain, which the diagram route excludes; a
+# weight below 2, which normalisation may cancel or merge away; and
+# syllables that need not be the closure's twist regions
+_EXCUSES = ("SingleVertex", "WeightTooSmall(", "Interleaving",
+            "EvenStrandCount")
+
+
 def _certify(kind, text, strands=None):
     """(verdict, diagram, must_agree) for one check, braid or tree input;
     diagram(out) builds what the second route judges: the diagram itself,
     a braid's closure (None if it splits, with diagram_error in out) or
     the tree's generated diagram."""
+    if kind == "check":
+        d = _read_diagram(text)
+        verdict = check_main(d)
+        return verdict, lambda out: d, not reshaped(verdict)
     if kind == "braid":
         word = parse_braid(text, strands)
-        verdict = check_braid(word)  # weights_green: the sorted |e|
-        return verdict, lambda out: _closure(word, out), braid_must_agree(
-            verdict.weights_green, "Interleaving" not in verdict.reasons)
-    if kind == "tree":
+        verdict, diagram = check_braid(word), lambda out: _closure(word, out)
+    else:
         tree = parse_tree(text)
         verdict = check_arborescent(tree)
-        return (verdict, lambda out: generate_diagram(tree),
-                tree_must_agree(tree.weights()))
-    d = _read_diagram(text)
-    verdict = check_main(d)
-    return verdict, lambda out: d, not reshaped(verdict)
+        diagram = lambda out: generate_diagram(tree)
+    excused = any(r.startswith(_EXCUSES) for r in verdict.reasons)
+    return verdict, diagram, not excused
 
 
 # why a kind's routes may disagree where they need not agree
 _NOTES = {
     "check": "routes differ after cancellation or merging reshaped the diagram",
-    "braid": "word fails interleaving or has an exponent below 2; "
-    "closure judged on its own",
+    "braid": "word fails interleaving, has an even strand count or an "
+    "exponent below 2; closure judged on its own",
     "tree": "single vertex or a weight below 2; diagram judged on its own",
 }
 

@@ -85,26 +85,6 @@ def weight_reasons(weights, tag):
     return reasons
 
 
-def tree_must_agree(weights):
-    """Whether a weighted tree's status must equal its diagram's.
-
-    A single vertex is the closed twist chain, which the diagram route
-    excludes, and a weight with |w| < 2 fails the tree while the diagram
-    route may cancel or merge it away.
-    """
-    return len(weights) > 1 and all(abs(w) >= 2 for w in weights)
-
-
-def braid_must_agree(exponents, interleaves):
-    """Whether a braid word must be certified exactly when its closure is.
-
-    Without interleaving the syllables need not be the closure's twist
-    regions, and an exponent with |e| < 2 fails the word while the
-    closure's normalisation may cancel or merge it away.
-    """
-    return interleaves and all(abs(e) >= 2 for e in exponents)
-
-
 def reshaped(verdict):
     """Whether cancellation or merging changed the diagram on the main route.
 

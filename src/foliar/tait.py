@@ -29,7 +29,9 @@ counts its crossing into a longer run, and the collapsed-graph route
 fails the same region as WeightTooSmall(count=1).  A failing verdict
 gives the green graph's reasons, or the red graph's when the green
 graph certifies.  A graph with only bigons is the cycle side of a
-D_k diagram, which is excluded with its signed twist count.
+D_k diagram, which is excluded with its signed twist count.  contract
+gives both answers as (k, graphs): that count and None for a D_k
+diagram, else None and each graph's chain weights and merged graph.
 """
 
 from itertools import compress
@@ -37,7 +39,6 @@ from operator import sub
 
 from ._planar import two_color
 from .criterion import Status, Verdict, judge, weight_reasons
-from .errors import InternalError
 from .sidegraphs import FaceGraph, face_graphs
 from .twists import reduce_assumption1
 
@@ -52,16 +53,6 @@ def build_tait(d):
 
 
 def contract(d):
-    """(green, red): the (chain_weights, merged) of each checkerboard
-    graph of d, as _contract gives them.  A graph whose faces are all
-    bigons has no contraction, and contract raises InternalError."""
-    k, graphs = _contract(d)
-    if graphs is None:
-        raise InternalError("contract called on an all-bivalent graph")
-    return graphs
-
-
-def _contract(d):
     """(k, graphs) for the checkerboard graphs of a diagram d.
 
     When a graph has only bigons, k is the D_k diagram's signed twist
@@ -150,7 +141,7 @@ def check_tait(d):
     comps = d.component_count()
     if comps != 1:
         return judge([f"NotAKnot({comps})"])
-    k, graphs = _contract(reduce_assumption1(d))
+    k, graphs = contract(reduce_assumption1(d))
     if k is not None:
         reasons = (f"DkDiagram({k})",)
         return Verdict(Status.EXCLUDED, reasons, (abs(k),), (), 1)

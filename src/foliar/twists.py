@@ -44,11 +44,12 @@ the matched crossings and pick the next one in the same order: the
 round goes on to it.  The round ends, and builds the diagram once, at
 the first splice that leaves a face of one or two corners, because
 such a face can turn the bigons of a later chain into curls, and then
-that chain no longer cancels.  It also ends at a splice that splits
-the diagram into pieces, which the build rejects, and before a chain
-that would remove every crossing left, so that the next round raises
-with its own numbering.  A diagram without a mixed chain is its own
-reduction and keeps none, so that it never refers to itself.
+that chain no longer cancels.  It also ends before a chain that would
+remove every crossing left, so that the next round raises with its own
+numbering.  A splice never joins pieces, so once one splits the
+diagram the round's build names the split, or a later splice reports
+a strand that closed on itself.  A diagram without a mixed chain is
+its own reduction and keeps none, so that it never refers to itself.
 
 collapse() replaces every region by one 4-valent vertex, its signed
 count.  Slots 0, 1 are the stubs at the first crossing's free chain gap
@@ -67,7 +68,6 @@ from typing import NamedTuple
 from ._planar import (
     compact,
     face_lists,
-    find,
     sigma,
     splice_out,
     to_dot,
@@ -134,7 +134,18 @@ def detect_twist_regions(d, allow_mixed=False):
 
 def _detect(d):
     """((signed, stubs, order, start, gap), the first mixed region or
-    None) of d, read from its corners, start and axes."""
+    None) of d, read from its corners, start and axes.
+
+    A chain starts at a bigon on its lowest crossing L, so growing it
+    never lowers low.  trace_faces numbers a face by the lowest dart
+    that leaves it, and a bigon is left by one dart at each of its two
+    crossings, so a bigon on L comes before every bigon whose crossings
+    all lie above L.  Let B join L to a chain neighbour.  A bigon
+    starting the chain above L would come after B; but when the pass
+    meets B, neither of its crossings is in a chain and no chain has
+    used it, as either would put L in another chain, so B would start
+    L's chain first.
+    """
     corners, axes = d.corners, d.axes
     n = len(axes)
     kink = bytearray(n)
@@ -175,7 +186,7 @@ def _detect(d):
         lead[c1] = lead[c2] = -2
         gap[c1], gap[c2] = k1 & 3, k2 & 3
         succ[c1] = c2
-        low = c1 if c1 < c2 else c2
+        low = c1 if c1 < c2 else c2  # the chain's lowest crossing
         # grow ahead from c2, then behind from c1, each way by the
         # bigons at the gaps opposite the corner last joined
         head, tail, k, ahead = c1, c2, k2, True
@@ -210,8 +221,6 @@ def _detect(d):
                     else:
                         succ[f] = head
                         head = f
-                    if f < low:
-                        low = f
                     k = far
                     continue
             if not ahead:
@@ -282,7 +291,6 @@ def _cancel_rounds(d):
             return d
         alpha = list(d.alpha)
         gone = set()
-        faces = list(range(len(d.start) - 1))  # union-find over d's faces
         for crossings in mixed:
             matched = _bracket_match(crossings, _hands(d, crossings))
             if len(gone) + len(matched) == len(d):
@@ -298,12 +306,8 @@ def _cancel_rounds(d):
                     "cancellation split off a closed strand with no crossings"
                 )
             gone.update(matched)
-            if _splits(d, matched, faces) or any(
-                _small_face(alpha, e) for e in ends if alpha[e] >= 0
-            ):
-                # building raises on a split; a new bigon or curl can
-                # reshape the later chains
-                break
+            if any(_small_face(alpha, e) for e in ends if alpha[e] >= 0):
+                break  # a new bigon or curl can reshape the later chains
         kept = [k for k in range(len(d)) if k not in gone]
         d = LinkDiagram.from_darts(
             compact(alpha, kept), [d.axes[k] for k in kept]
@@ -319,25 +323,6 @@ def _bracket_match(crossings, hands):
         else:
             stack.append((c, h))
     return matched
-
-
-def _splits(d, matched, faces):
-    """Whether cancelling matched may have split the diagram into pieces.
-
-    Cancelling joins the two faces along the chain at each matched
-    crossing.  faces is a union-find list over the faces of d holding
-    the joins made so far in the round; a join of two faces that are
-    already one closes a ring of faces around part of the diagram.
-    """
-    gap = d._regions[4]
-    ring = False
-    for c in matched:
-        p = gap[c] & 1  # both chain gaps have the parity of the join gap
-        a = find(faces, d.face_at[4 * c + p])
-        b = find(faces, d.face_at[4 * c + p + 2])
-        ring |= a == b
-        faces[b] = a
-    return ring
 
 
 def _small_face(alpha, start):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
@@ -278,6 +279,31 @@ def traced_memory(call, *args):
     finally:
         tracemalloc.stop()
     return kept, peak
+
+
+def executed_opcodes(call, *args):
+    """How many bytecodes call(*args) executed, counted by sys.settrace
+    with f_trace_opcodes set on every frame it opens.  Work done in C,
+    such as sorted, json.loads or list.index, counts as the one opcode
+    that calls it, and counts differ between CPython versions."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        elif event == "call":
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+        return tracer
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(outer)
+    return count
 
 
 def from_rows(rows, axes):

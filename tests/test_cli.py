@@ -267,6 +267,17 @@ def test_crosscheck_excuses_small_weights_with_a_note(
     assert "note" in payload
 
 
+def test_braid_crosscheck_excuses_an_even_strand_count(capsys):
+    # the interleaving test needs an odd strand count, so on four
+    # strands the syllables need not be the closure's twist regions
+    code, out, _ = run(capsys, "braid", "s1^3 s3^-3 s2^-3", "--crosscheck")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["reasons"] == ["EvenStrandCount"]
+    assert payload["diagram_status"] == "certified"
+    assert "even strand count" in payload["note"]
+
+
 def test_tree_crosscheck_disagreement_exits_3(capsys, monkeypatch):
     from dataclasses import replace
 

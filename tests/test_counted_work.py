@@ -10,8 +10,11 @@ between runs the way times do on a shared machine, so a stage that
 starts to repeat itself fails here at any size.  One raw word whose
 closure cancels and then merges pins the rounds of the worst case
 found, and one knot whose merging drops a zero-sum family pins the
-rounds of that case.
+rounds of that case.  Calls miss the loops inside a stage, so the
+bytecodes it executes are counted too, at 96 and 996 crossings.
 """
+
+import sys
 
 import pytest
 
@@ -23,6 +26,7 @@ from foliar.criterion import Status
 from foliar.diagram import LinkDiagram
 from foliar.twists import CollapsedGraph
 
+from conftest import executed_opcodes
 from test_sidegraphs import ZERO_SUM_KNOT
 
 
@@ -100,3 +104,31 @@ def test_merge_rounds_of_a_zero_sum_family(counts):
     assert counts == {
         "build": 0, "detect": 0, "collapsed": 2, "side": 3, "face_graphs": 3
     }
+
+
+# opcodes executed at 96 and 996 crossings, by interpreter: they differ
+# between CPython versions, so they inform and the ratio is the gate
+OPCODES = {
+    (3, 11): {
+        "check_main": (31836, 319236),
+        "check_tait": (33436, 337936),
+        "braid_to_diagram": (45417, 467667),
+    },
+}
+
+
+def _opcodes(stage, m):
+    word = " ".join(["s1^3 s2^-3"] * m)
+    if stage == "braid_to_diagram":
+        return executed_opcodes(lambda: braid_to_diagram(parse_braid(word)))
+    route = check_main if stage == "check_main" else check_tait
+    return executed_opcodes(route, braid_to_diagram(parse_braid(word)))
+
+
+@pytest.mark.parametrize(
+    "stage", ["check_main", "check_tait", "braid_to_diagram"]
+)
+def test_opcodes_grow_linearly(stage):
+    small, large = _opcodes(stage, 16), _opcodes(stage, 166)
+    known = OPCODES.get(sys.version_info[:2], {}).get(stage)
+    assert large <= 10.5 * small, (small, large, known)

@@ -252,11 +252,17 @@ def test_diagnose_json_round_trip(fig8):
 
 
 def test_route_agreement_preconditions():
-    from foliar.criterion import braid_must_agree, tree_must_agree
+    # a tree or braid must agree with its diagram unless one of its
+    # reasons excuses it
+    from foliar.cli import _certify
 
-    assert tree_must_agree([2, -3])
-    assert not tree_must_agree([5])  # the closed twist chain
-    assert not tree_must_agree([-1, -4])
-    assert braid_must_agree([3, -2], True)
-    assert not braid_must_agree([3, -3], False)
-    assert not braid_must_agree([3, 1, -3], True)
+    def must_agree(kind, text):
+        return _certify(kind, text)[2]
+
+    assert must_agree("tree", "(2 (-3))")
+    assert not must_agree("tree", "(5)")  # the closed twist chain
+    assert not must_agree("tree", "(-1 (-4))")
+    assert must_agree("braid", "s1^3 s2^-2")
+    assert not must_agree("braid", "s1^3 s3^3 s1^-3 s3^-3 s4^2")
+    assert not must_agree("braid", "s1^3 s2 s1^3 s2^-3")
+    assert not must_agree("braid", "s1^3 s3^-3 s2^-3")  # four strands

@@ -6,7 +6,9 @@ family per round.  The references below are the earlier forms: one
 move at a time, cancelling a single adjacent pair or merging a single
 parallel family and rebuilding after each, and one mixed chain per
 round.  Every form must reach the same diagram and the same normal
-form, and fail with the same error.
+form, and fail with the same error.  Only where cancellation splits the
+diagram may a round fail with another NonSphericalEmbedding message
+than one chain per round: it goes on past the split.
 """
 
 from foliar import (
@@ -285,15 +287,21 @@ def test_many_mixed_chains_build_once(monkeypatch):
     }
 
 
-def test_round_ends_where_a_chain_splits_the_diagram():
+def test_a_chain_that_splits_the_diagram_ends_in_a_split():
+    # the first chain splits the diagram; one chain per round builds at
+    # once and names the split, while the round goes on to the second
+    # chain, which removes every crossing of one piece
     d = parse_pd(SPLIT_BY_FIRST_CHAIN)
     dec = detect_twist_regions(d, allow_mixed=True)
     assert [r.count for r in dec if r.handedness == 0] == [2, 8]
     _, err = _run(reduce_assumption1, d)
     assert _error(err) == (
+        NonSphericalEmbedding,
+        "cancellation split off a closed strand with no crossings",
+    )
+    assert _error(_run(ref_one_chain_per_round, d)[1]) == (
         NonSphericalEmbedding, "projection splits into 2 pieces"
     )
-    assert _error(err) == _error(_run(ref_one_chain_per_round, d)[1])
 
 
 # -- rounds against one move at a time ---------------------------------------

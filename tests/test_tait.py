@@ -1,7 +1,5 @@
 from collections import Counter
 
-import pytest
-
 from foliar import (
     Status,
     build_tait,
@@ -14,7 +12,6 @@ from foliar import (
     parse_tree,
 )
 from foliar.criterion import reshaped
-from foliar.errors import InternalError
 
 from conftest import GRANNY3, SQUARE_KNOT, trace_faces
 
@@ -57,7 +54,8 @@ def test_one_edge_per_crossing_per_color(fig8):
 
 
 def test_contract_fig8(fig8):
-    green, red = contract(fig8)
+    k, (green, red) = contract(fig8)
+    assert k is None
     for chain_weights, merged in (green, red):
         assert chain_weights == (2,)
         assert merged.signed == [2]
@@ -66,10 +64,10 @@ def test_contract_fig8(fig8):
     assert red[1].vertices == (1, 4)
 
 
-def test_contract_refuses_all_bivalent(trefoil):
+def test_contract_reads_dk_off_an_all_bivalent_graph(trefoil):
     # the trefoil's red graph is a cycle of three bigons
-    with pytest.raises(InternalError):
-        contract(trefoil)
+    assert contract(trefoil) == (3, None)
+    assert contract(trefoil.mirror()) == (-3, None)
 
 
 def test_check_tait_trefoil(trefoil):
@@ -115,7 +113,7 @@ def test_weight_multiset_preserved(fig8):
     # every twist region appears once in each color, either as a chain
     # or as a merged family
     for d, expected in ((fig8, [2, 2]), (parse_pd(SQUARE_KNOT), [3, 3])):
-        for chain_weights, merged in contract(d):
+        for chain_weights, merged in contract(d)[1]:
             assert sorted(chain_weights + merged.weights()) == expected
 
 

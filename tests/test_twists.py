@@ -122,6 +122,18 @@ def test_collapse_fig8(fig8):
     assert sorted(cg.vertices) == [-2, 2]
 
 
+def test_collapse_refuses_mixed_region_records():
+    # region 0, the syllables s1^4 s1^-1, is one mixed chain; the record
+    # names it wherever it comes in the list given
+    d = braid_to_diagram(parse_braid("s1^4 s1^-1 s2^3 s1^2 s2^2"))
+    regions = detect_twist_regions(d, allow_mixed=True)
+    assert [r.handedness for r in regions] == [0, 1, 1, 1]
+    with pytest.raises(
+        NonAlternatingChain, match=r"^region 0 mixes handedness; cancel first$"
+    ):
+        collapse(d, regions[::-1])
+
+
 def test_collapse_face_invariant_random_braids():
     from conftest import random_braid_text, seeded
     from foliar.errors import FoliarError
