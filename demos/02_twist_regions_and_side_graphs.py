@@ -14,12 +14,10 @@ from foliar import (
 d = make_pretzel_pd([-2, 3, 7])
 
 # Twist regions are maximal chains of crossings linked by two-sided
-# faces.  Each records its crossings, signed handedness, and whether
-# the chain closes on itself.
+# faces.  Each records its crossings and signed handedness.
 dec = detect_twist_regions(d)
 for r in dec:
-    print(f"region {r.index}: count={r.count} handedness={r.handedness:+d}"
-          f" cyclic={r.cyclic}")
+    print(f"region {r.index}: count={r.count} handedness={r.handedness:+d}")
 
 # Collapsing replaces every region by a single four-valent vertex.
 # Faces obey the same Euler count as diagrams: V + 2.

@@ -106,7 +106,7 @@ def check_main(d):
     if comps != 1:
         return judge([f"NotAKnot({comps})"])
     cg, green, red = normal_form(d)
-    r = d if d._reduced is None else d._reduced  # kept by normal_form
+    r = reduce_assumption1(d)  # kept by normal_form
     detail = {
         "reduced": r is not d,
         "merged": len(cg) != len(flat_regions(r)[0]),

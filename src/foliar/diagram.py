@@ -92,9 +92,9 @@ class LinkDiagram:
         if bits is None:
             raise InternalError("no checkerboard colouring along the strand")
         self.bits = bits
-        # filled on first use; twists: regions, the first mixed region,
-        # reduction; criterion: normal form
-        self._regions = self._mixed = self._reduced = self._normal = None
+        # filled on first use; twists: regions, reduction; criterion:
+        # normal form
+        self._regions = self._reduced = self._normal = None
 
     @classmethod
     def from_darts(cls, alpha, axes):

@@ -21,9 +21,7 @@ every k, and the configurations a plan picks follow the sign of k.
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import count, repeat
 from math import gcd
-from operator import index
 from typing import NamedTuple
 
 from .criterion import normal_form
@@ -207,27 +205,19 @@ def circles_from_counts(signed_counts):
     without building diagrams.  The first count that is no integer or
     has |c| < 2 raises.
     """
-    counts = []
-    try:
-        counts += map(index, signed_counts)
-    except TypeError:  # counts holds those before it
-        bad = signed_counts[len(counts)]
-    else:
-        bad = None
-    small = [counts.index(c) for c in (0, 1, -1) if c in counts]
-    if small:
-        i = min(small)
-        if not counts[i]:
+    circles = []
+    slopes = {}  # one 1/k per distinct k
+    for i, c in enumerate(signed_counts):
+        c = integer(c, "count")
+        if not c:
             raise ZeroK("count 0 has no crossings")
-        raise ZeroK(f"region {i} has count 1; no full twist")
-    if bad is not None:
-        integer(bad, "count")  # raises
-    ks = [c // 2 if c > 0 else -(-c // 2) for c in counts]
-    slopes = {k: Slope(1, k) for k in set(ks)}  # one 1/k per distinct k
-    # CrossingCircle(i, |c|, k, 1/k), built as the tuple it is
-    return list(map(tuple.__new__, repeat(CrossingCircle), zip(
-        count(), map(abs, counts), ks, map(slopes.__getitem__, ks)
-    )))
+        if c == 1 or c == -1:
+            raise ZeroK(f"region {i} has count 1; no full twist")
+        k = c // 2 if c > 0 else -(-c // 2)
+        if k not in slopes:
+            slopes[k] = Slope(1, k)
+        circles.append(CrossingCircle(i, abs(c), k, slopes[k]))
+    return circles
 
 
 # the open interval (lo, hi) of slopes each even configuration realizes;

@@ -2,11 +2,12 @@
 
 A twist region is a maximal chain of crossings joined by bigon faces
 through opposite gaps, or a single crossing belonging to no such chain.
-Chains may close up cyclically; a cyclic chain necessarily exhausts the
-whole diagram.  Crossings incident to a monogon never join a chain, and
-when more bigons touch a crossing than a single chain can use (three
-parallel strands) the extras are left as plain faces, so the regions
-always partition the crossings.
+Crossings incident to a monogon never join a chain, and when more
+bigons touch a crossing than a single chain can use (three parallel
+strands) the extras are left as plain faces, so the regions always
+partition the crossings.  A ring, a chain that grows back to its own
+other end, is a chain like any other: the bigon that would close it
+stays a plain face.
 
 Detection reads the diagram's flat face lists.  The two corners of each
 bigon a chain may use point at each other in one list over the corners,
@@ -21,17 +22,16 @@ axis runs through gaps 0 and 2.  Equal handedness along a chain is
 exactly the condition that no two adjacent crossings cancel by a type
 II move.
 
-The regions are found once per diagram, mixed chains allowed, and kept
-on it as flat lists (flat_regions), in crossing order with a chain at
-its lowest crossing.  One pass over the crossings writes them, walking
-each chain's links as it reaches the chain, with list appends and no
-function call, tuple or dict per region: signed counts, 0 for a mixed
-chain; four stub darts per region, None for a cyclic chain; order and
-start, which hold the regions as a traced map holds its faces, region
-i being the crossings order[start[i]:start[i + 1]] in chain order;
-each crossing's join gap; and, beside them, the first mixed region,
-from which a strict call raises.  detect_twist_regions builds records
-from them on each call; the verdict path and augment build none.
+The regions are found once per diagram and kept on it as flat lists
+(flat_regions), in crossing order with a chain at its lowest crossing.
+One pass over the crossings writes them, walking each chain's links as
+it reaches the chain, with list appends and no function call, tuple or
+dict per region: signed counts, 0 for a mixed chain; four stub darts
+per region; order and start, which hold the regions as a traced map
+holds its faces, region i being the crossings order[start[i]:start[i +
+1]] in chain order; and each crossing's join gap.  Detection never
+refuses a diagram.  detect_twist_regions builds records from the lists
+on each call; the verdict path and augment build none.
 
 reduce_assumption1 cancels in rounds.  Each round takes the mixed
 chains of one detection in region order.  For each it matches the
@@ -59,7 +59,10 @@ it is odd, (0, 3) and (1, 2) when it is even.  The collapsed map pairs
 each stub with the stub its edge leads to in the diagram's alpha.  A
 collapsed vertex keeps the strand walk's colour bit of its first
 stub's corner, so two_color reads the colouring off the diagram's
-bits.
+bits.  A ring's end stubs meet across the bigon that closes it, which
+gives one vertex with two nested loops.  A mixed chain has no vertex,
+so collapse is where a mixed chain is refused: cancellation comes
+first.
 """
 
 from itertools import islice
@@ -85,24 +88,18 @@ from .errors import (
 class TwistRegion(NamedTuple):
     index: int
     crossings: tuple
-    cyclic: bool
     count: int
-    handedness: int  # 0 when mixed and mixing was allowed
+    handedness: int  # 0 when mixed
     crossing_handedness: tuple
-    end_gaps: tuple  # ((first crossing, chain gap), (last, gap)); None if cyclic
+    end_gaps: tuple  # ((first crossing, chain gap), (last, gap))
 
 
-def flat_regions(d, allow_mixed=False):
+def flat_regions(d):
     """(signed, stubs, order, start, gap) of d, found once and kept on
-    d; unless allow_mixed, the first region that mixes handedness raises."""
+    d.  A ring is a chain whose closing bigon stays a plain face, and a
+    mixed chain has count 0: detection never refuses, collapse does."""
     if d._regions is None:
-        d._regions, d._mixed = _detect(d)
-    if d._mixed is not None and not allow_mixed:
-        crossings = region_crossings(d, d._mixed)
-        raise NonAlternatingChain(
-            f"chain through crossings {crossings} mixes "
-            f"handedness {_hands(d, crossings)}"
-        )
+        d._regions = _detect(d)
     return d._regions
 
 
@@ -117,24 +114,23 @@ def _hands(d, crossings):
     return tuple([1 if gap[c] & 1 == axes[c] else -1 for c in crossings])
 
 
-def detect_twist_regions(d, allow_mixed=False):
-    """The regions of flat_regions(d, allow_mixed) as new records."""
-    signed, stubs, _, _, gap = flat_regions(d, allow_mixed)
+def detect_twist_regions(d):
+    """The regions of flat_regions(d) as new records."""
+    signed, _, _, _, gap = flat_regions(d)
     out = []
     for i, s in enumerate(signed):
         cs = region_crossings(d, i)
         first, last = cs[0], cs[-1]
         ends = ((first, gap[first]), (last, gap[last] if len(cs) > 1 else 2))
         out.append(TwistRegion(
-            i, cs, stubs is None, len(cs), (s > 0) - (s < 0), _hands(d, cs),
-            None if stubs is None else ends,
+            i, cs, len(cs), (s > 0) - (s < 0), _hands(d, cs), ends
         ))
     return tuple(out)
 
 
 def _detect(d):
-    """((signed, stubs, order, start, gap), the first mixed region or
-    None) of d, read from its corners, start and axes.
+    """(signed, stubs, order, start, gap) of d, read from its corners,
+    start and axes.
 
     A chain starts at a bigon on its lowest crossing L, so growing it
     never lowers low.  trace_faces numbers a face by the lowest dart
@@ -174,7 +170,6 @@ def _detect(d):
     # -1 for a single crossing, -2 inside a chain, and at a chain's
     # lowest crossing its first in chain order
     lead = [-1] * n
-    cyclic = False
     for k1 in eligible:
         k2 = port[k1]
         if k2 < 0:
@@ -188,47 +183,37 @@ def _detect(d):
         succ[c1] = c2
         low = c1 if c1 < c2 else c2  # the chain's lowest crossing
         # grow ahead from c2, then behind from c1, each way by the
-        # bigons at the gaps opposite the corner last joined
+        # bigons at the gaps opposite the corner last joined; a bigon
+        # back to the chain's other end stays a plain face
         head, tail, k, ahead = c1, c2, k2, True
         while True:
             far = port[k ^ 2]
-            if far >= 0:
+            if far >= 0 and far >> 2 != (head if ahead else tail):
                 f = far >> 2
-                if f == (head if ahead else tail):
-                    # proper closure lands on the far end's free
-                    # opposite gap; the closing bigon always joins the
-                    # last crossing to the first
-                    if far & 3 == gap[f] ^ 2:
-                        port[k ^ 2] = port[far] = -1
-                        cyclic = True
-                        break
+                port[k ^ 2] = port[far] = -1
+                if lead[f] != -1:
+                    # a bigon at a side gap of a chain crossing ends at
+                    # its chain neighbour, and one at a chain end's free
+                    # chain gap would have grown that chain, so no
+                    # bigon leads into a chain
+                    raise InternalError(
+                        f"twist chain reached crossing {f}, "
+                        "already in a chain"
+                    )
+                lead[f] = -2
+                gap[f] = far & 3
+                if ahead:
+                    succ[tail] = f
+                    tail = f
                 else:
-                    port[k ^ 2] = port[far] = -1
-                    if lead[f] != -1:
-                        # a bigon at a side gap of a chain crossing ends
-                        # at its chain neighbour, and one at a chain
-                        # end's free chain gap would have grown that
-                        # chain, so no bigon leads into a chain
-                        raise InternalError(
-                            f"twist chain reached crossing {f}, "
-                            "already in a chain"
-                        )
-                    lead[f] = -2
-                    gap[f] = far & 3
-                    if ahead:
-                        succ[tail] = f
-                        tail = f
-                    else:
-                        succ[f] = head
-                        head = f
-                    k = far
-                    continue
+                    succ[f] = head
+                    head = f
+                k = far
+                continue
             if not ahead:
                 break
             ahead, k = False, k1
         lead[low] = head
-        if cyclic:
-            break  # collapse checks that it is the whole diagram
 
     # regions in crossing order, a chain at its lowest crossing; a
     # crossing's handedness is -1 when its join gap's parity differs
@@ -267,8 +252,7 @@ def _detect(d):
         stubs.append(b)
         stubs.append(b & ~3 | b + 1 & 3)
     start.append(n)
-    mixed = signed.index(0) if 0 in signed else None
-    return (signed, None if cyclic else stubs, order, start, gap), mixed
+    return signed, stubs, order, start, gap
 
 
 # -- type II cancellation ---------------------------------------------------
@@ -276,16 +260,14 @@ def _detect(d):
 def reduce_assumption1(d):
     """Cancel opposite-handed crossings, every independent mixed chain
     of one detection per round."""
-    if d._reduced is None:
-        flat_regions(d, allow_mixed=True)
-        if d._mixed is not None:
-            d._reduced = _cancel_rounds(d)
+    if d._reduced is None and 0 in flat_regions(d)[0]:
+        d._reduced = _cancel_rounds(d)
     return d if d._reduced is None else d._reduced
 
 
 def _cancel_rounds(d):
     while True:
-        signed = flat_regions(d, allow_mixed=True)[0]
+        signed = flat_regions(d)[0]
         mixed = [region_crossings(d, i) for i, s in enumerate(signed) if not s]
         if not mixed:
             return d
@@ -379,22 +361,20 @@ class CollapsedGraph:
 
 def collapse(d, regions=None):
     """The collapsed graph of d, of the given records of d's regions if
-    any, else of all its regions."""
-    signed, stubs = flat_regions(d, regions is not None)[:2]
+    any, else of all its regions; the first mixed one raises."""
+    signed, stubs = flat_regions(d)[:2]
     if regions is not None:
         signed = [signed[r.index] for r in regions]
-        if 0 in signed:
-            i = regions[signed.index(0)].index
-            raise NonAlternatingChain(
-                f"region {i} mixes handedness; cancel first"
-            )
-        if stubs is not None:
-            stubs = [stubs[4 * r.index + j] for r in regions for j in range(4)]
-    if stubs is None:
-        if len(signed) != 1:
-            raise InternalError("cyclic chain inside a larger diagram")
-        # two nested loops at one vertex: three faces, sides at gaps 1, 3
-        return CollapsedGraph(signed[:], [3, 2, 1, 0], [0])
+        stubs = [stubs[4 * r.index + j] for r in regions for j in range(4)]
+    if 0 in signed:
+        i = signed.index(0)
+        if regions is not None:
+            i = regions[i].index
+        crossings = region_crossings(d, i)
+        raise NonAlternatingChain(
+            f"region {i} through crossings {crossings} mixes handedness "
+            f"{_hands(d, crossings)}; cancel first"
+        )
     local = [-1] * (4 * len(d))  # the collapsed dart at each stub
     for i, dart in enumerate(stubs):
         local[dart] = i

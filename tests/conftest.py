@@ -148,6 +148,32 @@ def ref_two_color(plane):
     return [color[f] for f in range(len(faces))]
 
 
+def ref_is_ring(d, crossings):
+    """Whether the chain with these crossings, in chain order, holds
+    every crossing of d and a bigon joins its last crossing's free chain
+    gap to its first's, read off d's faces alone.  An end's free chain
+    gap is opposite its corner in a bigon to its chain neighbour."""
+    if len(crossings) != len(d) or len(d) < 2:
+        return False
+    bigons = {frozenset(f) for f in d.faces if len(f) == 2}
+
+    def free(c, neighbour):
+        return {
+            k ^ 2
+            for f in bigons
+            if {j >> 2 for j in f} == {c, neighbour}
+            for k in f
+            if k >> 2 == c
+        }
+
+    first, last = crossings[0], crossings[-1]
+    return any(
+        frozenset((a, b)) in bigons
+        for a in free(first, crossings[1])
+        for b in free(last, crossings[-2])
+    )
+
+
 def strand_count(alpha):
     """Number of strands of a dart map, each strand walked through
     opposite slots and marked dart by dart."""

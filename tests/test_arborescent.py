@@ -13,9 +13,10 @@ from foliar import (
     parse_tree,
 )
 from foliar.arborescent import _Builder, _assemble, _validate
+from foliar.diagram import LinkDiagram
 from foliar.errors import ConstructionMismatch, MalformedTree, ZeroWeight
 
-from conftest import FIG8, random_tree_text, seeded
+from conftest import FIG8, random_tree_text, ref_is_ring, seeded
 
 
 def test_parse_and_text_round_trip():
@@ -73,8 +74,9 @@ def test_family_tree_shapes():
 
 def test_single_vertex_generates_closed_chain():
     d = generate_diagram(parse_tree("(3)"))
-    r = detect_twist_regions(d)[0]
-    assert (r.count, r.handedness, r.cyclic) == (3, 1, True)
+    (r,) = detect_twist_regions(d)
+    assert (r.count, r.handedness) == (3, 1)
+    assert ref_is_ring(d, r.crossings)
     d = generate_diagram(parse_tree("(-3)"))
     r = detect_twist_regions(d)[0]
     assert (r.count, r.handedness) == (3, -1)
@@ -192,3 +194,19 @@ def test_validate_mismatch_messages():
         with pytest.raises(ConstructionMismatch) as exc:
             _validate(tree, diagram, owners)
         assert str(exc.value) == message
+
+
+def test_validate_reports_a_mixed_chain_as_a_construction_bug():
+    # (3 (2)) assembles crossings 0-2 for the root and 3-4 for its child;
+    # turning crossing 1 over mixes the root's chain, which only a bug in
+    # the builder could do, so validation raises an InternalError and
+    # not the NonAlternatingChain of bad input
+    t = parse_tree("(3 (2))")
+    b = _Builder()
+    d = b.finish(_assemble(b, t))
+    axes = list(d.axes)
+    axes[1] ^= 1
+    turned = LinkDiagram.from_darts(list(d.alpha), axes)
+    with pytest.raises(ConstructionMismatch) as exc:
+        _validate(t, turned, b.owner)
+    assert str(exc.value) == "region 0 does not match a single vertex"

@@ -530,19 +530,28 @@ def test_corpus_crosscheck_disagreement_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_check_diagnose_runs_main_pipeline_once(capsys, monkeypatch):
     import foliar.criterion
+    import foliar.twists
 
     calls = []
-    original = foliar.criterion.reduce_assumption1
 
-    def counting(d):
-        calls.append(d)
-        return original(d)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(foliar.criterion, "reduce_assumption1", counting)
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # the stages of the normal form; reading the kept reduction again
+    # through reduce_assumption1 runs none of them
+    counting(foliar.twists, "_detect")
+    counting(foliar.criterion, "collapse")
+    counting(foliar.criterion, "normalize_assumption2")
     code, out, _ = run(capsys, "check", FIG8, "--diagnose")
     assert code == 0
     assert json.loads(out)["verdict"]["status"] == "fail"
-    assert len(calls) == 1
+    assert calls == ["_detect", "collapse", "normalize_assumption2"]
 
 
 def _raise_internal(d):

@@ -11,7 +11,9 @@ starts to repeat itself fails here at any size.  One raw word whose
 closure cancels and then merges pins the rounds of the worst case
 found, and one knot whose merging drops a zero-sum family pins the
 rounds of that case.  Calls miss the loops inside a stage, so the
-bytecodes it executes are counted too, at 96 and 996 crossings.
+bytecodes it executes are counted too, at about 10^2 and 10^3
+crossings: on those closures, on a two-strand ring, on a raw closure
+that cancels, and on the diagram of a path tree.
 """
 
 import sys
@@ -19,10 +21,11 @@ import sys
 import pytest
 
 from foliar import augment, braid_to_diagram, check_main, check_tait
-from foliar import collapse, normalize_assumption2, parse_braid, parse_pd
+from foliar import collapse, generate_diagram, normalize_assumption2
+from foliar import parse_braid, parse_pd, parse_tree
 from foliar import plan_configurations, reduce_assumption1
 from foliar import sidegraphs, tait, twists
-from foliar.criterion import Status
+from foliar.criterion import Status, normal_form
 from foliar.diagram import LinkDiagram
 from foliar.twists import CollapsedGraph
 
@@ -106,29 +109,72 @@ def test_merge_rounds_of_a_zero_sum_family(counts):
     }
 
 
-# opcodes executed at 96 and 996 crossings, by interpreter: they differ
-# between CPython versions, so they inform and the ratio is the gate
+def _word(m):
+    return " ".join(["s1^3 s2^-3"] * m)
+
+
+def _closure(m):
+    return braid_to_diagram(parse_braid(_word(m)))
+
+
+def _ring(k):
+    """The closure of s1^k on two strands: one ring of k crossings."""
+    return braid_to_diagram(parse_braid(f"s1^{k}"))
+
+
+def _unreduced(m):
+    """The raw closure of (s1^3 s1^-2 s2^-3)^m, which cancels; a knot
+    unless 3 divides m."""
+    return braid_to_diagram(parse_braid(" ".join(["s1^3 s1^-2 s2^-3"] * m)))
+
+
+def _path_tree(n):
+    """(3 (3 ... (3))), a path of n vertices of weight 3."""
+    return "(3" + " (3" * (n - 1) + ")" * n
+
+
+# stage: (call, make, n, 10n), counted as call(make(n)) and
+# call(make(10n)) with the argument made afresh outside the count, at
+# about 10^2 and 10^3 crossings
+STAGES = {
+    "check_main": (check_main, _closure, 16, 166),
+    "check_tait": (check_tait, _closure, 16, 166),
+    "braid_to_diagram": (
+        lambda word: braid_to_diagram(parse_braid(word)), _word, 16, 166
+    ),
+    "check_main-ring": (check_main, _ring, 97, 997),
+    "collapse-ring": (collapse, _ring, 97, 997),
+    "reduce_assumption1": (reduce_assumption1, _unreduced, 13, 130),
+    "normal_form": (normal_form, _unreduced, 13, 130),
+    "augment": (augment, _closure, 16, 166),
+    "parse_pd": (parse_pd, lambda m: _closure(m).to_pd(), 16, 166),
+    "generate_diagram": (
+        lambda text: generate_diagram(parse_tree(text)), _path_tree, 33, 333
+    ),
+}
+
+# the counts at n and 10n, by interpreter: they differ between CPython
+# versions, so they inform and the ratio is the gate
 OPCODES = {
     (3, 11): {
-        "check_main": (31836, 319236),
-        "check_tait": (33436, 337936),
-        "braid_to_diagram": (45417, 467667),
+        "check_main": (31705, 317905),
+        "check_tait": (33289, 336589),
+        "braid_to_diagram": (45414, 467664),
+        "check_main-ring": (19124, 183824),
+        "collapse-ring": (18436, 183136),
+        "reduce_assumption1": (69779, 692102),
+        "normal_form": (79040, 779285),
+        "augment": (31569, 318819),
+        "parse_pd": (29236, 299236),
+        "generate_diagram": (82594, 820594),
     },
 }
 
 
-def _opcodes(stage, m):
-    word = " ".join(["s1^3 s2^-3"] * m)
-    if stage == "braid_to_diagram":
-        return executed_opcodes(lambda: braid_to_diagram(parse_braid(word)))
-    route = check_main if stage == "check_main" else check_tait
-    return executed_opcodes(route, braid_to_diagram(parse_braid(word)))
-
-
-@pytest.mark.parametrize(
-    "stage", ["check_main", "check_tait", "braid_to_diagram"]
-)
+@pytest.mark.parametrize("stage", list(STAGES))
 def test_opcodes_grow_linearly(stage):
-    small, large = _opcodes(stage, 16), _opcodes(stage, 166)
+    call, make, n, big = STAGES[stage]
+    small = executed_opcodes(call, make(n))
+    large = executed_opcodes(call, make(big))
     known = OPCODES.get(sys.version_info[:2], {}).get(stage)
     assert large <= 10.5 * small, (small, large, known)

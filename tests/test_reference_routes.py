@@ -43,6 +43,7 @@ from conftest import (
     connected_sum,
     edges_of,
     random_tree_text,
+    ref_is_ring,
     ref_two_color,
     rows_of,
     seeded,
@@ -54,7 +55,6 @@ from test_rounds import ref_normalize_assumption2
 REGION_FIELDS = (
     "index",
     "crossings",
-    "cyclic",
     "count",
     "handedness",
     "crossing_handedness",
@@ -65,7 +65,7 @@ REGION_FIELDS = (
 # -- reference twist detection ----------------------------------------------
 
 def ref_detect(d):
-    """Regions of d as dicts of the seven region fields."""
+    """Regions of d as dicts of the six region fields."""
     faces = d.faces
     kinks = {f[0] >> 2 for f in faces if len(f) == 1}
     eligible = {}
@@ -97,20 +97,18 @@ def ref_detect(d):
     raw = list(chains)
     for ci in range(len(d)):
         if ci not in claimed:
-            raw.append(([ci], {ci: []}, False))
+            raw.append(([ci], {ci: []}))
     raw.sort(key=lambda ch: min(ch[0]))
 
     regions = []
     axes = rows_of(d)[1]
-    for idx, (crossings, gaps, cyclic) in enumerate(raw):
+    for idx, (crossings, gaps) in enumerate(raw):
         hs = []
         for c in crossings:
             gap_parity = gaps[c][0] % 2 if gaps[c] else 0
             hs.append(1 if gap_parity == axes[c] else -1)
         handed = hs[0] if len(set(hs)) == 1 else 0
-        if cyclic:
-            ends = None
-        elif len(crossings) == 1:
+        if len(crossings) == 1:
             ends = ((crossings[0], 0), (crossings[0], 2))
         else:
             ends = (
@@ -120,7 +118,6 @@ def ref_detect(d):
         regions.append({
             "index": idx,
             "crossings": tuple(crossings),
-            "cyclic": cyclic,
             "count": len(crossings),
             "handedness": handed,
             "crossing_handedness": tuple(hs),
@@ -135,10 +132,8 @@ def _ref_grow_chain(fi, eligible, port, claimed, used):
     crossings = [c1, c2]
     gaps = {c1: [k1 & 3], c2: [k2 & 3]}
     used.add(fi)
-    cyclic = False
 
     def extend(k, forward):
-        nonlocal cyclic
         while True:
             nxt = port[k ^ 2]
             if nxt < 0 or nxt in used:
@@ -149,12 +144,7 @@ def _ref_grow_chain(fi, eligible, port, claimed, used):
             c, f = k >> 2, far >> 2
             head = crossings[0] if forward else crossings[-1]
             if f == head:
-                if far & 3 == (gaps[head][0] + 2) % 4:
-                    used.add(nxt)
-                    gaps[c].append(near & 3)
-                    gaps[f].append(far & 3)
-                    cyclic = True
-                return
+                return  # a bigon back to the other end stays a plain face
             if f in claimed or f in gaps:
                 used.add(nxt)
                 return
@@ -168,9 +158,8 @@ def _ref_grow_chain(fi, eligible, port, claimed, used):
             k = far
 
     extend(k2, forward=True)
-    if not cyclic:
-        extend(k1, forward=False)
-    return crossings, gaps, cyclic
+    extend(k1, forward=False)
+    return crossings, gaps
 
 
 def plain_bigons(d, regions):
@@ -205,8 +194,6 @@ def ref_collapse(d):
     """(vertices, alpha) of the collapsed graph of d's ref_detect regions."""
     regions = ref_detect(d)
     vertices = [r["handedness"] * r["count"] for r in regions]
-    if regions[0]["cyclic"]:
-        return vertices, [3, 2, 1, 0]
     stubs = []
     for r in regions:
         (e1, g1), (e2, g2) = r["end_gaps"]
@@ -386,19 +373,19 @@ def inputs():
 
 
 def test_regions_match_the_reference(inputs):
-    cyclic = plain = 0
+    rings = plain = 0
     for d in inputs:
         ref = ref_detect(d)
-        got = detect_twist_regions(d, allow_mixed=True)
+        got = detect_twist_regions(d)
         assert len(got) == len(ref), d.to_pd()
         for r, want in zip(got, ref):
             assert r._fields == REGION_FIELDS
             for name in REGION_FIELDS:
                 assert getattr(r, name) == want[name], (name, d.to_pd())
-        cyclic += sum(r["cyclic"] for r in ref)
+        rings += ref_is_ring(d, ref[0]["crossings"])
         plain += plain_bigons(d, ref)
     # both rarer paths of chain growth are exercised
-    assert cyclic >= 20 and plain >= 20, (cyclic, plain)
+    assert rings >= 20 and plain >= 20, (rings, plain)
 
 
 def test_tait_route_matches_the_reference(inputs):

@@ -38,6 +38,7 @@ from conftest import (
     DisjointSets,
     connected_sum,
     random_tree_text,
+    ref_is_ring,
     relabel,
     rows_of,
     seeded,
@@ -64,13 +65,15 @@ SPLIT_BY_FIRST_CHAIN = (
 
 def ref_reduce_assumption1(d):
     while True:
-        dec = detect_twist_regions(d, allow_mixed=True)
+        dec = detect_twist_regions(d)
         target = None
         for r in dec:
             if r.handedness != 0:
                 continue
             n = r.count
-            limit = n if r.cyclic else n - 1
+            # a ring's last and first crossings meet across its closing
+            # bigon, so that pair may cancel too
+            limit = n if ref_is_ring(d, r.crossings) else n - 1
             for i in range(limit):
                 j = (i + 1) % n
                 if r.crossing_handedness[i] != r.crossing_handedness[j]:
@@ -123,7 +126,7 @@ def ref_one_chain_per_round(d):
     """reduce_assumption1 as it was before it batched chains: each round
     cancels the first mixed chain only and rebuilds the diagram."""
     while True:
-        dec = detect_twist_regions(d, allow_mixed=True)
+        dec = detect_twist_regions(d)
         r = next((r for r in dec if r.handedness == 0), None)
         if r is None:
             return d
@@ -215,7 +218,7 @@ def ref_normalize_assumption2(cg):
 
 def test_one_mixed_chain_per_round():
     d = parse_pd(TWO_MIXED_CHAINS)
-    dec = detect_twist_regions(d, allow_mixed=True)
+    dec = detect_twist_regions(d)
     assert [r.handedness for r in dec] == [0, 0]
     assert len(reduce_assumption1(d)) == 2
     v = check_main(d)
@@ -273,7 +276,8 @@ def test_long_mixed_chain_builds_once(monkeypatch):
     out = reduce_assumption1(d)
     assert calls == [3]
     (r,) = detect_twist_regions(out)
-    assert (r.count, r.handedness, r.cyclic) == (3, 1, True)
+    assert (r.count, r.handedness) == (3, 1)
+    assert ref_is_ring(out, r.crossings)
 
 
 def test_many_mixed_chains_build_once(monkeypatch):
@@ -292,7 +296,7 @@ def test_a_chain_that_splits_the_diagram_ends_in_a_split():
     # once and names the split, while the round goes on to the second
     # chain, which removes every crossing of one piece
     d = parse_pd(SPLIT_BY_FIRST_CHAIN)
-    dec = detect_twist_regions(d, allow_mixed=True)
+    dec = detect_twist_regions(d)
     assert [r.count for r in dec if r.handedness == 0] == [2, 8]
     _, err = _run(reduce_assumption1, d)
     assert _error(err) == (

@@ -22,6 +22,7 @@ from foliar import (
     check_arborescent,
     check_main,
     check_tait,
+    collapse,
     detect_twist_regions,
     generate_diagram,
     parse_braid,
@@ -47,7 +48,8 @@ from test_rounds import _count_builds
 # ten mixed chains, all cancelled in one round
 MIXED = " ".join(["s1^4 s1^-1 s2^4 s2^-1"] * 5)
 MIXED_MESSAGE = (
-    "chain through crossings (4, 3, 2, 1, 0) mixes handedness (-1, 1, 1, 1, 1)"
+    "region 0 through crossings (4, 3, 2, 1, 0) mixes handedness "
+    "(-1, 1, 1, 1, 1); cancel first"
 )
 CLEAN = "s1^3 s2^-3 s1^3 s2^-3"
 
@@ -174,45 +176,34 @@ def test_clean_diagram_is_detected_once_and_is_its_own_reduction(monkeypatch):
     assert builds == []
 
 
-def test_strict_detection_raises_from_stored_regions(monkeypatch):
+def test_collapse_refuses_from_stored_regions(monkeypatch):
     d = _braid(MIXED)
-    mixed = detect_twist_regions(d, allow_mixed=True)
+    mixed = detect_twist_regions(d)
     assert sum(r.handedness == 0 for r in mixed) == 10
     detections = _count_detections(monkeypatch)
     for _ in range(2):  # exceptions are not stored; each call raises anew
         with pytest.raises(NonAlternatingChain) as exc:
-            detect_twist_regions(d)
+            collapse(d)
         assert str(exc.value) == MIXED_MESSAGE
     # the records are built anew from the kept lists on every call
-    assert detect_twist_regions(d, allow_mixed=True) == mixed
+    assert detect_twist_regions(d) == mixed
     assert detections == []
 
 
-class _Watched(list):
-    """Kept signed counts that record each scan over them."""
-
-    scans = 0
-
-    def __iter__(self):
-        type(self).scans += 1
-        return super().__iter__()
-
-
-def test_strict_detection_does_not_scan_the_regions(monkeypatch):
-    # whether a diagram has a mixed chain is found with its regions and
-    # kept beside them, so a strict call neither detects nor scans again
-    monkeypatch.setattr(_Watched, "scans", 0)
+def test_collapse_refusal_does_not_detect_again(monkeypatch):
+    # detection never refuses, so the regions of a mixed diagram are kept
+    # like any others; collapse refuses from them, and a clean diagram is
+    # its own reduction, without a second detection of either
     clean, mixed = _braid(CLEAN), _braid(MIXED)
-    for d in (clean, mixed):
-        signed, *rest = flat_regions(d, allow_mixed=True)
-        d._regions = (_Watched(signed), *rest)
+    kept = [flat_regions(clean), flat_regions(mixed)]
     detections = _count_detections(monkeypatch)
-    assert flat_regions(clean) is clean._regions
     assert reduce_assumption1(clean) is clean
+    assert collapse(clean).vertices == [3, -3, 3, -3]
     with pytest.raises(NonAlternatingChain) as exc:
-        detect_twist_regions(mixed)
+        collapse(mixed)
     assert str(exc.value) == MIXED_MESSAGE
-    assert (_Watched.scans, detections) == (0, [])
+    assert flat_regions(clean) is kept[0] and flat_regions(mixed) is kept[1]
+    assert detections == []
 
 
 def test_tree_diagram_is_built_once(monkeypatch):

@@ -59,7 +59,7 @@ def _maps():
         try:
             maps.append(collapse(d))
         except FoliarError:
-            pass  # a mixed chain, or a cyclic chain in a larger diagram
+            pass  # a mixed chain, which collapse refuses
         try:
             maps.append(normal_form(d)[0])
         except FoliarError:

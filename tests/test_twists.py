@@ -30,8 +30,12 @@ def test_trefoil_single_cyclic_region(trefoil):
     r = dec[0]
     assert r.count == 3
     assert r.handedness == 1
-    assert r.cyclic
     assert r.crossings == (1, 0, 2)
+    # a ring is a chain: the bigon joining its last crossing's free chain
+    # gap to its first's stays a plain face
+    (e1, g1), (e2, g2) = r.end_gaps
+    closing = sorted([4 * e1 + (g1 ^ 2), 4 * e2 + (g2 ^ 2)])
+    assert closing in [sorted(f) for f in trefoil.faces]
 
 
 def test_mirror_flips_handedness(trefoil):
@@ -46,7 +50,6 @@ def test_fig8_two_clasps(fig8):
     assert (r0.handedness, r1.handedness) == (1, -1)
     assert r0.crossings == (1, 0)
     assert r1.crossings == (3, 2)
-    assert not r0.cyclic and not r1.cyclic
     assert r0.end_gaps == ((1, 2), (0, 2))
 
 
@@ -54,25 +57,29 @@ def test_hopf_overlap_bigons(hopf):
     dec = detect_twist_regions(hopf)
     assert len(dec) == 1
     r = dec[0]
-    assert (r.count, r.handedness, r.cyclic) == (2, -1, True)
+    assert (r.count, r.handedness) == (2, -1)
     assert r.crossings == (1, 0)
 
 
 def test_kink_is_ambiguous_singleton(kink):
     r = detect_twist_regions(kink)[0]
-    assert (r.count, r.handedness, r.cyclic) == (1, 1, False)
+    assert (r.count, r.handedness) == (1, 1)
     assert r.end_gaps == ((0, 0), (0, 2))
 
 
-def test_mixed_chain_requires_flag():
+def test_mixed_chain_is_refused_by_collapse():
     d = make_pretzel_pd([2, -2])
-    with pytest.raises(NonAlternatingChain):
-        detect_twist_regions(d)
-    dec = detect_twist_regions(d, allow_mixed=True)
+    dec = detect_twist_regions(d)
     assert len(dec) == 1
     r = dec[0]
-    assert (r.count, r.handedness, r.cyclic) == (4, 0, True)
-    assert sorted(r.crossing_handedness) == [-1, -1, 1, 1]
+    assert (r.count, r.handedness) == (4, 0)
+    assert r.crossing_handedness == (1, -1, -1, 1)
+    message = (
+        r"^region 0 through crossings \(2, 0, 1, 3\) mixes handedness "
+        r"\(1, -1, -1, 1\); cancel first$"
+    )
+    with pytest.raises(NonAlternatingChain, match=message):
+        collapse(d)
 
 
 def test_regions_partition_crossings(fig8, trefoil):
@@ -103,13 +110,13 @@ def test_reduce_shrinks_incoherent_chain():
     out = reduce_assumption1(d)
     assert len(out) == 3
     r = detect_twist_regions(out)[0]
-    assert (r.count, r.handedness, r.cyclic) == (3, 1, True)
+    assert (r.count, r.handedness) == (3, 1)
 
 
 def test_collapse_trefoil(trefoil):
     cg = collapse(trefoil)
     assert cg.vertices == [3]  # count 3, handedness +1
-    assert cg.alpha == [3, 2, 1, 0]  # cyclic: two nested loops
+    assert cg.alpha == [3, 2, 1, 0]  # a ring: two nested loops
     assert len(cg.faces) == 3
 
 
@@ -123,15 +130,19 @@ def test_collapse_fig8(fig8):
 
 
 def test_collapse_refuses_mixed_region_records():
-    # region 0, the syllables s1^4 s1^-1, is one mixed chain; the record
-    # names it wherever it comes in the list given
+    # region 0, the syllables s1^4 s1^-1, is one mixed chain; both paths
+    # name it the same way, wherever it comes in the list given
     d = braid_to_diagram(parse_braid("s1^4 s1^-1 s2^3 s1^2 s2^2"))
-    regions = detect_twist_regions(d, allow_mixed=True)
+    regions = detect_twist_regions(d)
     assert [r.handedness for r in regions] == [0, 1, 1, 1]
-    with pytest.raises(
-        NonAlternatingChain, match=r"^region 0 mixes handedness; cancel first$"
-    ):
+    message = (
+        r"^region 0 through crossings \(4, 3, 2, 1, 0\) mixes handedness "
+        r"\(-1, 1, 1, 1, 1\); cancel first$"
+    )
+    with pytest.raises(NonAlternatingChain, match=message):
         collapse(d, regions[::-1])
+    with pytest.raises(NonAlternatingChain, match=message):
+        collapse(d)
 
 
 def test_collapse_face_invariant_random_braids():
@@ -206,7 +217,7 @@ def ref_through(d, region):
 
 
 def test_through_is_the_strand_walk():
-    odd = even = 0
+    odd = even = rings = 0
     for d in unreduced_inputs(200):
         try:
             d = reduce_assumption1(d)
@@ -215,8 +226,7 @@ def test_through_is_the_strand_walk():
             continue
         dec = detect_twist_regions(d)
         assert cg.vertices == [r.handedness * r.count for r in dec]
-        if dec[0].cyclic:
-            continue
+        rings += len(dec) == 1 and len(d) > 1
         # collapse gives region i's stubs the darts 4i..4i+3 in this order
         local = {
             4 * c + s: 4 * i + k
@@ -230,7 +240,7 @@ def test_through_is_the_strand_walk():
             assert pairing == ref_through(d, r), d.to_pd()
             odd += r.count > 1 and r.count % 2
             even += r.count % 2 == 0
-    assert odd >= 100 and even >= 100
+    assert odd >= 100 and even >= 100 and rings >= 5, (odd, even, rings)
 
 
 def test_chain_growth_into_a_chain_raises():
