@@ -21,9 +21,10 @@ the strands on either side close up and none crosses the other.
 at no vertex, and the map would no longer be planar.)  Merging works
 in rounds: each round builds the side graphs once, merges every
 parallel family of both colours and builds one collapsed graph, whose
-vertices keep their colour bits.  A smoothing can join faces and so
-make new parallel edges; rounds repeat until none remain, which is the
-normal form the certification criterion inspects.
+vertices keep their colour bits and whose faces count its pieces.  A
+smoothing can join faces and so make new parallel edges; rounds repeat
+until none remain, which is the normal form the certification
+criterion inspects.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from ._planar import (
     compact,
     component_count,
     splice_out,
-    strands,
     to_dot,
     two_color,
 )
@@ -173,12 +173,14 @@ def normalize_assumption2(cg):
             raise DegenerateCollapse(
                 "every twist region cancelled during edge merging"
             )
+        # the faces a smoothing merges, at its gaps 0 and 2, share a
+        # colour, so the kept vertices keep their colour bits
         alpha = compact(alpha, kept)
-        n = strands(alpha)[1] + closed
-        if n > 1:  # smoothing can cut a link apart or close a strand
+        cg = CollapsedGraph(vertices, alpha, [cg.bits[i] for i in kept])
+        # smoothing can cut a link apart or close a strand; a plane piece
+        # of V_i vertices has V_i + 2 faces
+        n = (len(cg.start) - 1 - len(vertices)) // 2 + closed
+        if n != 1:
             raise NonSphericalEmbedding(
                 f"merging splits the link into {n} pieces"
             )
-        # the faces a smoothing merges, at its gaps 0 and 2, share a
-        # colour, so the kept vertices keep their colour bits
-        cg = CollapsedGraph(vertices, alpha, [cg.bits[i] for i in kept])

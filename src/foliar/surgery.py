@@ -153,7 +153,7 @@ def plan_configurations(circles):
     the first strong one: even with |k| >= 2 or odd with count >= 3.
     The secondary circle carries the other cusp: the last other circle,
     or the circle itself when it is alone.  Each circle takes the first
-    configuration it is allowed whose interval holds 1/k.  That always
+    configuration of _allowed whose interval holds 1/k.  That always
     verifies: a holds 1/k once |k| >= 2, b holds every finite slope, c
     holds 1/k unless k = -1 and then d does, and each odd interval holds
     1/k of its own sign.  Only a hand-built circle whose fields disagree
@@ -171,29 +171,24 @@ def plan_configurations(circles):
         )
     sec = n - 1 if dist < n - 1 or n == 1 else n - 2
     assignment = []
-    for i, (_, size, k, slope) in enumerate(circles):
+    for i, circle in enumerate(circles):
+        k, p, q = circle.k, circle.coefficient.p, circle.coefficient.q
         # the intervals of the module docstring, read off p/q with q > 0:
         # a finite slope is above -1 when p > -q and below 1 when p < q
-        p, q = slope.p, slope.q
         above = q and -q < p
         below = q and p < q
-        if size % 2:
-            if not k:
+        allowed = _allowed(i, circle, dist, sec, n)
+        for config in allowed:
+            if config == "odd" and not k:
                 raise InputError("odd configuration needs a nonzero k")
-            config = "odd" if (above if k > 0 else below) else None
-        elif n == 1:
-            config = ("a" if above and below else "c" if above
-                      else "d" if below else None)
-        elif i == dist:
-            config = "a" if above and below else None
-        elif i == sec:
-            config = "c" if above else "d" if below else None
+            if (above if k > 0 else below) if config == "odd" else (
+                above and below if config == "a" else q if config == "b"
+                else above if config == "c" else below
+            ):
+                assignment.append(config)
+                break
         else:
-            config = "b" if q else None
-        if config is None:
-            allowed = _allowed(i, circles[i], dist, sec, n)
             raise Unsatisfiable(f"circle {i} (k={k}) fits none of {allowed}")
-        assignment.append(config)
     return Plan(tuple(assignment), dist, sec)
 
 

@@ -52,17 +52,17 @@ a strand that closed on itself.  A diagram without a mixed chain is
 its own reduction and keeps none, so that it never refers to itself.
 
 collapse() replaces every region by one 4-valent vertex, its signed
-count.  Slots 0, 1 are the stubs at the first crossing's free chain gap
-and 2, 3 those at the last's, so the two strands through the region
-pair the slots by the parity of its count alone: (0, 2) and (1, 3) when
-it is odd, (0, 3) and (1, 2) when it is even.  The collapsed map pairs
-each stub with the stub its edge leads to in the diagram's alpha.  A
-collapsed vertex keeps the strand walk's colour bit of its first
-stub's corner, so two_color reads the colouring off the diagram's
-bits.  A ring's end stubs meet across the bigon that closes it, which
-gives one vertex with two nested loops.  A mixed chain has no vertex,
-so collapse is where a mixed chain is refused: cancellation comes
-first.
+count, always all of the regions in region order.  Slots 0, 1 are the
+stubs at the first crossing's free chain gap and 2, 3 those at the
+last's, so the two strands through the region pair the slots by the
+parity of its count alone: (0, 2) and (1, 3) when it is odd, (0, 3)
+and (1, 2) when it is even.  The collapsed map pairs each stub with the
+stub its edge leads to in the diagram's alpha.  A collapsed vertex
+keeps the strand walk's colour bit of its first stub's corner, so
+two_color reads the colouring off the diagram's bits.  A ring's end
+stubs meet across the bigon that closes it, which gives one vertex with
+two nested loops.  A mixed chain has no vertex, so collapse is where a
+mixed chain is refused: cancellation comes first.
 """
 
 from itertools import islice
@@ -78,6 +78,7 @@ from ._planar import (
 )
 from .diagram import LinkDiagram
 from .errors import (
+    InputError,
     InternalError,
     NonAlternatingChain,
     NonSphericalEmbedding,
@@ -324,7 +325,9 @@ class CollapsedGraph:
 
     vertices holds each vertex's signed count.  Local gaps 0 and 2 face
     along the region axis; the side faces the twist bigons separated sit
-    at gaps 1 and 3.
+    at gaps 1 and 3.  Tracing checks no count: a plane piece of V
+    vertices has V + 2 faces, collapse raises InternalError otherwise,
+    and a merge round counts its pieces so (NonSphericalEmbedding).
     """
 
     ARC_GAPS = (1, 3)
@@ -337,11 +340,6 @@ class CollapsedGraph:
         self.corners, self.start, self.face_at = trace_faces(
             4 * len(vertices), alpha
         )
-        if len(self.start) != len(self.vertices) + 3:
-            raise InternalError(
-                f"collapsed graph has {len(self.start) - 1} faces for "
-                f"{len(self.vertices)} vertices"
-            )
 
     def __len__(self):
         return len(self.vertices)
@@ -360,16 +358,15 @@ class CollapsedGraph:
 
 
 def collapse(d, regions=None):
-    """The collapsed graph of d, of the given records of d's regions if
-    any, else of all its regions; the first mixed one raises."""
+    """The collapsed graph of all of d's regions, in region order; the
+    first mixed one raises.  regions, if given, must hold each of d's
+    region records once, in any order, else InputError."""
     signed, stubs = flat_regions(d)[:2]
     if regions is not None:
-        signed = [signed[r.index] for r in regions]
-        stubs = [stubs[4 * r.index + j] for r in regions for j in range(4)]
+        if sorted([r.index for r in regions]) != list(range(len(signed))):
+            raise InputError("collapse takes every region record once")
     if 0 in signed:
         i = signed.index(0)
-        if regions is not None:
-            i = regions[i].index
         crossings = region_crossings(d, i)
         raise NonAlternatingChain(
             f"region {i} through crossings {crossings} mixes handedness "
@@ -379,11 +376,15 @@ def collapse(d, regions=None):
     for i, dart in enumerate(stubs):
         local[dart] = i
     darts = d.alpha
-    alpha = [local[darts[s]] for s in stubs]
-    if -1 in alpha:
-        dart = stubs[alpha.index(-1)]
-        raise InternalError(f"stub dart {dart} leads into a region")
     bits = d.bits  # a vertex's colour is its first stub's corner colour
-    return CollapsedGraph(
-        signed[:], alpha, [bits[s >> 2] ^ (s & 1) for s in stubs[::4]]
+    cg = CollapsedGraph(
+        signed[:],
+        [local[darts[s]] for s in stubs],
+        [bits[s >> 2] ^ (s & 1) for s in stubs[::4]],
     )
+    if len(cg.start) != len(signed) + 3:  # V + 2 faces on the sphere
+        raise InternalError(
+            f"collapsed graph has {len(cg.start) - 1} faces for "
+            f"{len(signed)} vertices"
+        )
+    return cg

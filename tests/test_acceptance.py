@@ -4,7 +4,9 @@ Each test here pins one externally visible guarantee of the package:
 the closed-chain table, the flat pretzel failure, the side-graph
 dichotomy, face invariants, route agreement, the family sweeps, the
 exact surgery classifier, the slope planner, the theorem on every
-small plane tree, and a verified slope plan for every certified knot.
+small plane tree and on the abstract's families (two-bridge, pretzel
+and Montesinos trees), and a verified slope plan for every certified
+knot.
 Seeds and bucket counts are frozen; a change in any of them is a
 behaviour change.
 """
@@ -31,6 +33,7 @@ from foliar import (
     collapse,
     connectivity_report,
     diagnose,
+    family_tree,
     generate_diagram,
     make_pretzel_pd,
     parse_braid,
@@ -41,6 +44,7 @@ from foliar import (
     reduce_assumption1,
     verify_plan,
 )
+from foliar.arborescent import WeightedPlanarTree
 from foliar.criterion import detect_dk, normal_form, reshaped
 from foliar.errors import (
     EmptyWord,
@@ -395,6 +399,60 @@ def test_every_small_plane_tree_knot_is_certified_and_planned():
         assert verify_plan(circles, plan_configurations(circles)), text
     assert (trees, knots) == (6848, 3948)
     assert links == {("NotAKnot(2)",): 2164, ("NotAKnot(3)",): 736}
+
+
+def _draw_family_tree(rng, kind, n):
+    """A tree of kind with n vertices, weights from +-2, +-3, +-4 and at
+    least one |w| >= 3.  A Montesinos tree is a centre with two or three
+    arms, each a path, at least one of them longer than one vertex."""
+    while True:
+        ws = [rng.choice((2, -2, 3, -3, 4, -4)) for _ in range(n)]
+        if any(abs(w) > 2 for w in ws):
+            break
+    if kind != "montesinos":
+        return family_tree(kind, ws)
+    while True:
+        arms = rng.choice((2, 3))
+        cuts = sorted(rng.sample(range(1, n - 1), arms - 1))
+        lengths = [b - a for a, b in zip([0, *cuts], [*cuts, n - 1])]
+        if max(lengths) > 1:
+            break
+    parent = [None]
+    for length in lengths:  # an arm's first vertex hangs off the centre
+        parent += [0, *range(len(parent), len(parent) + length - 1)]
+    tree = WeightedPlanarTree(ws, parent)
+    if lengths == [2] * arms:
+        pairs = [ws[i:i + 2] for i in range(1, n, 2)]
+        assert family_tree(kind, [ws[0], *pairs]).parent == tree.parent
+    return tree
+
+
+def test_the_abstracts_families_are_certified_and_planned():
+    # two-bridge paths, pretzels and Montesinos trees of 5-7 vertices:
+    # every knot passes all three routes and gets a verified plan, and
+    # the tree route names every link
+    rng = seeded(38)
+    knots = Counter()
+    links = Counter()
+    for kind in ("two_bridge", "pretzel", "montesinos"):
+        for n in (5, 6, 7):
+            for _ in range(100):
+                t = _draw_family_tree(rng, kind, n)
+                d = generate_diagram(t)
+                v = check_arborescent(t)
+                comps = d.component_count()
+                if comps != 1:
+                    assert v.reasons[-1:] == (f"NotAKnot({comps})",)
+                    links[kind, n] += 1
+                    continue
+                knots[kind, n] += 1
+                assert v.status == Status.CERTIFIED, (kind, t.weight)
+                assert check_main(d).status == Status.CERTIFIED, t.weight
+                assert check_tait(d).status == Status.CERTIFIED, t.weight
+                circles = augment(d)
+                assert verify_plan(circles, plan_configurations(circles))
+    assert len(knots) == 9  # every kind and size has knots
+    assert (sum(knots.values()), sum(links.values())) == (368, 532)
 
 
 def test_every_small_all_two_tree_knot_fails_every_route():

@@ -13,7 +13,8 @@ found, and one knot whose merging drops a zero-sum family pins the
 rounds of that case.  Calls miss the loops inside a stage, so the
 bytecodes it executes are counted too, at about 10^2 and 10^3
 crossings: on those closures, on a two-strand ring, on a raw closure
-that cancels, and on the diagram of a path tree.
+that cancels, on the diagram of a path tree, and for merging alone on a
+row of trefoils whose regions merge one per summand.
 """
 
 import sys
@@ -29,7 +30,7 @@ from foliar.criterion import Status, normal_form
 from foliar.diagram import LinkDiagram
 from foliar.twists import CollapsedGraph
 
-from conftest import executed_opcodes
+from conftest import GRANNY3, executed_opcodes
 from test_sidegraphs import ZERO_SUM_KNOT
 
 
@@ -133,6 +134,31 @@ def _path_tree(n):
     return "(3" + " (3" * (n - 1) + ")" * n
 
 
+def _granny(m):
+    """m positive trefoils summed in a row, as in GRANNY3: each splice
+    cuts the previous trefoil's chain into a one-crossing and a
+    two-crossing region between the same two faces, so the 2m - 2
+    regions merge into m."""
+    rows = []
+    for i in range(m):
+        a = 6 * i
+        rows += [[a + 1, a + 4, a + 2, a + 5], [a + 3, a + 6, a + 4, a + 1],
+                 [a + 5, a + 2, a + 6, a + 3]]
+    if m > 1:
+        rows[0][0], rows[3][0] = 7, 1
+    for i in range(1, m - 1):
+        rows[3 * i][2], rows[3 * i + 3][0] = 6 * i + 7, 6 * i + 2
+    return " ".join("X[%d,%d,%d,%d]" % tuple(r) for r in rows)
+
+
+def test_granny_chains_merge_one_region_per_summand():
+    assert _granny(3) == GRANNY3
+    for m in (33, 333):
+        cg = collapse(parse_pd(_granny(m)))
+        assert len(cg) == 2 * m - 2
+        assert len(normalize_assumption2(cg)[0]) == m
+
+
 # stage: (call, make, n, 10n), counted as call(make(n)) and
 # call(make(10n)) with the argument made afresh outside the count, at
 # about 10^2 and 10^3 crossings
@@ -151,6 +177,13 @@ STAGES = {
     "generate_diagram": (
         lambda text: generate_diagram(parse_tree(text)), _path_tree, 33, 333
     ),
+    "normalize_assumption2": (
+        normalize_assumption2, lambda m: collapse(parse_pd(_granny(m))),
+        33, 333,
+    ),
+    "plan_configurations": (
+        plan_configurations, lambda m: augment(_closure(m)), 16, 166
+    ),
 }
 
 # the counts at n and 10n, by interpreter: they differ between CPython
@@ -167,6 +200,8 @@ OPCODES = {
         "augment": (31569, 318819),
         "parse_pd": (29236, 299236),
         "generate_diagram": (82594, 820594),
+        "normalize_assumption2": (24578, 243578),
+        "plan_configurations": (2552, 25652),
     },
 }
 

@@ -22,6 +22,7 @@ from foliar._planar import compact, splice_out
 from foliar.errors import (
     BadGenerator,
     FoliarError,
+    InputError,
     InternalError,
     NonSphericalEmbedding,
 )
@@ -175,7 +176,22 @@ def test_splice_and_compact_renumber_the_kept_vertices():
 
 def test_collapse_raises_on_a_stub_leading_into_a_region(fig8):
     # without its second region, the stubs of the first lead into the
-    # crossings of the second, which no collapsed vertex stands for
-    first = detect_twist_regions(fig8)[:1]
-    with pytest.raises(InternalError, match="leads into a region"):
-        collapse(fig8, first)
+    # crossings of the second: like a repeated record or one that is
+    # not fig8's, a partial list is refused as bad input
+    a, b = detect_twist_regions(fig8)
+    message = "^collapse takes every region record once$"
+    for regions in ([a], [a, a], [a, b, b], [a, b._replace(index=2)]):
+        with pytest.raises(InputError, match=message):
+            collapse(fig8, regions)
+
+
+def test_collapse_of_the_records_in_any_order_is_collapse():
+    d = braid_to_diagram(parse_braid("s1^4 s2^3 s1^-2 s2^2"))
+    regions = detect_twist_regions(d)
+    assert len(regions) == 4
+    want = collapse(d)
+    for order in (regions, regions[::-1], regions[2:] + regions[:2]):
+        cg = collapse(d, order)
+        assert (cg.vertices, cg.alpha, cg.bits) == (
+            want.vertices, want.alpha, want.bits
+        )
