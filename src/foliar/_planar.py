@@ -24,20 +24,19 @@ def sigma(d):
     return (d & ~3) | ((d + 1) & 3)
 
 
-def trace_faces(n_darts, alpha):
+def trace_faces(alpha):
     """Return (corners, start, face_at): the corners of every face in
     traversal order, faces in the order of the lowest dart each
     traversal consumes; the offset of each face in corners, and
-    n_darts; and the index of the face at each corner."""
+    len(alpha); and the index of the face at each corner."""
     # the corner after c in its face: leave on the next slot, arrive on
     # the dart across that edge
     nxt = alpha[1:] + alpha[:1]
     nxt[3::4] = alpha[0::4]
     corners = []
     start = []
-    face_at = [-1] * n_darts
-    for d in range(n_darts):
-        c = alpha[d]
+    face_at = [-1] * len(alpha)
+    for c in alpha:
         if face_at[c] >= 0:
             continue
         fi = len(start)
@@ -49,7 +48,7 @@ def trace_faces(n_darts, alpha):
             c = nxt[c]
             if c == first:
                 break
-    start.append(n_darts)
+    start.append(len(alpha))
     return corners, start, face_at
 
 
@@ -63,15 +62,17 @@ def strands(alpha):
     The walk d -> alpha[d] ^ 2 follows a strand and crosses each of its
     edges once.  The face that leaves a vertex on dart d, from the
     corner before d, arrives at corner e = alpha[d]; so a colouring in
-    which corner k has colour bits[k >> 2] ^ (k & 1) has bits[e >> 2]
-    == bits[d >> 2] ^ 1 ^ ((d ^ e) & 1).  Every edge lies on one strand,
-    so walking every strand checks that on every edge, and the bits
+    which corner k has colour bits[k >> 2] ^ (k & 1) has bits[e >> 2] ==
+    bits[d >> 2] ^ 1 ^ ((d ^ e) & 1).  Every edge lies on one strand, so
+    walking every strand checks that on every edge, and the bits
     two-colour the faces unless the walk finds a conflict.  One strand
-    through every dart connects the map.  Otherwise the strands are
-    walked again from a stack of darts at vertices whose bits are set: a
-    vertex reached first pushes its other strand, dart e ^ 1, so the
-    walk covers a piece before it restarts at a vertex it has not
-    reached, and the restarts count the pieces.
+    through every dart connects the map, with no seen list or stack; a
+    link walks its first strand twice, but one walk for all took 1.6
+    times as long on a 10^4-crossing knot (CPython 3.11, x86).
+    Otherwise the strands are walked again from a stack of darts at
+    vertices whose bits are set: a vertex reached first pushes its other
+    strand, dart e ^ 1, so the walk covers a piece before it restarts at
+    a vertex it has not reached, and the restarts count the pieces.
     """
     n = len(alpha)
     bits = [-1] * (n >> 2)

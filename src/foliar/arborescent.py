@@ -126,7 +126,8 @@ def family_tree(kind, params):
 
     two_bridge [a1..an]: a path, a1 nearest the root.
     pretzel [q1..qn]: q1 with the remaining strips as leaves.
-    montesinos [c, [a1,b1], ..]: c with a length-2 arm per pair.
+    montesinos [c, [a1, ..], ..]: c with one arm per list of one or
+    more weights, a path whose first weight hangs off c.
     """
     if kind == "two_bridge":
         if not params:
@@ -141,10 +142,10 @@ def family_tree(kind, params):
             raise MalformedTree("montesinos needs a centre and arms")
         weight, parent = [params[0]], [None]
         for arm in params[1:]:
-            if not isinstance(arm, (list, tuple)) or len(arm) != 2:
-                raise MalformedTree(f"montesinos arm {arm!r} is not a pair")
+            if not isinstance(arm, (list, tuple)) or not arm:
+                raise MalformedTree(f"montesinos arm {arm!r} is not a path")
             weight += arm
-            parent += [0, len(parent)]
+            parent += [0, *range(len(parent), len(parent) + len(arm) - 1)]
         return WeightedPlanarTree(weight, parent)
     raise MalformedTree(f"unknown family {kind!r}")
 

@@ -19,20 +19,22 @@ walked once more, piece by piece, to count them and the pieces they
 form and to give its bits.  So the state a diagram is checked with and
 read through is alpha, axes, bits, corners, start and face_at.
 
-Arc labels are not part of that state.  Labelled input (PD text or
-JSON rows) becomes one flat list of four labels per crossing, which one
-loop validates and pairs into alpha; PD text is decoded as JSON where
-JSON accepts it, so no string per label is made.  The list is dropped:
-the diagram keeps the text, which printing reads again, and a mirror
-image shares it and alpha, flipping only axes.  Constructions (trees,
-braid closures, type II cancellation) hold a dart map already and build
-through LinkDiagram.from_darts, which checks that alpha is a
-fixed-point-free involution and keeps no text: their arcs are numbered
-1..2n in the order of their lower darts when printed.  Every way in
-calls LinkDiagram(alpha, axes, text), whose __init__ is the one place
-that sets a diagram's state.  Trees, pretzels and braid closures share
-one chain writer, _twist_chain, which lays rows of crossings into a
-_Builder's dart map by slot arithmetic.
+Arc labels are not part of that state.  Labelled input (PD text or JSON
+rows) becomes one flat list of four labels per crossing, which one loop
+validates and pairs into alpha.  PD text is valid when turning each
+X[a,b,c,d] token into a NUL makes every chunk between whitespace a lone
+NUL; _ARRAY then makes it a JSON array, so no string per label is made,
+or, where JSON refuses it, leaves commas to split it at for int.  The
+list is dropped: the diagram keeps the text, which printing reads
+again, and a mirror image shares it and alpha, flipping only axes.
+Constructions (trees, braid closures, type II cancellation) hold a dart
+map already and build through LinkDiagram.from_darts, which checks that
+alpha is a fixed-point-free involution and keeps no text: their arcs
+are numbered 1..2n in the order of their lower darts when printed.
+Every way in calls LinkDiagram(alpha, axes, text), whose __init__ is
+the one place that sets a diagram's state.  Trees, pretzels and braid
+closures share one chain writer, _twist_chain, which lays rows of
+crossings into a _Builder's dart map by slot arithmetic.
 """
 
 import json
@@ -52,15 +54,9 @@ from .errors import (
 )
 
 _TOKEN = re.compile(r"X\[\d+,\d+,\d+,\d+\]")
-# a whitespace character before a chunk, as str.split() cuts it, that is
-# not a token: PD text is valid when a search of it with a space put in
-# front finds none.  Matching the whole text as repeated tokens instead
-# keeps backtracking state for every token, 4 MB at 10^4 crossings.
-_BAD = re.compile(rf"\s(?!{_TOKEN.pattern}(?!\S))\S")
 # in a checked text, everything but whitespace and labels is X [ , ];
 # _ARRAY makes checked ASCII text a JSON array but for its brackets and
 # last comma, JSON knowing only space, tab, CR and LF as whitespace
-_UNLABEL = str.maketrans("X[,]", "    ")
 _ARRAY = str.maketrans("]\v\f\x1c\x1d\x1e\x1f", ",      ", "X[")
 
 
@@ -84,7 +80,7 @@ class LinkDiagram:
         self._components, k, bits = strands(alpha)
         if k != 1:
             raise NonSphericalEmbedding(f"projection splits into {k} pieces")
-        self.corners, self.start, self.face_at = trace_faces(4 * n, alpha)
+        self.corners, self.start, self.face_at = trace_faces(alpha)
         if len(self.start) != n + 3:
             raise NonSphericalEmbedding(
                 f"{len(self.start) - 1} faces for {n} crossings"
@@ -184,7 +180,10 @@ class LinkDiagram:
 
 def parse_pd(text):
     """Parse whitespace separated X[a,b,c,d] tokens into a LinkDiagram."""
-    if _BAD.search(" " + text):
+    # matching the whole text as repeated tokens instead keeps
+    # backtracking state for every token, 4 MB at 10^4 crossings
+    rest, k = _TOKEN.subn("\0", text)
+    if rest.split() != ["\0"] * k:
         bad = next(t for t in text.split() if not _TOKEN.fullmatch(t))
         raise MalformedToken(f"bad token {bad!r}")
     try:
@@ -203,7 +202,7 @@ def _read_labels(text):
     Checked ASCII text decodes as one JSON array, with a 0 after its
     last comma.  JSON refuses what else the check lets through (a label
     with a leading zero, and digits or whitespace beyond ASCII), which
-    int reads label by label.
+    int reads label by label, split at the table's commas.
     """
     if text.lstrip()[:1] == "{":
         return [a for row in json.loads(text)["crossings"] for a in row]
@@ -215,7 +214,7 @@ def _read_labels(text):
         else:
             labels.pop()
             return labels
-    return list(map(int, text.translate(_UNLABEL).split()))
+    return list(map(int, text.translate(_ARRAY).replace(",", " ").split()))
 
 
 def _check_labels(labels):

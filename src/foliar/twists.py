@@ -337,9 +337,7 @@ class CollapsedGraph:
         self.vertices = vertices  # a list of signed counts, kept as given
         self.alpha = alpha  # a list over darts, kept as given
         self.bits = bits  # a colour bit per vertex, as _planar keeps them
-        self.corners, self.start, self.face_at = trace_faces(
-            4 * len(vertices), alpha
-        )
+        self.corners, self.start, self.face_at = trace_faces(alpha)
 
     def __len__(self):
         return len(self.vertices)

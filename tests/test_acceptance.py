@@ -404,7 +404,8 @@ def test_every_small_plane_tree_knot_is_certified_and_planned():
 def _draw_family_tree(rng, kind, n):
     """A tree of kind with n vertices, weights from +-2, +-3, +-4 and at
     least one |w| >= 3.  A Montesinos tree is a centre with two or three
-    arms, each a path, at least one of them longer than one vertex."""
+    arms, each a path, at least one of them longer than one vertex,
+    built by parent list and checked against family_tree."""
     while True:
         ws = [rng.choice((2, -2, 3, -3, 4, -4)) for _ in range(n)]
         if any(abs(w) > 2 for w in ws):
@@ -421,9 +422,9 @@ def _draw_family_tree(rng, kind, n):
     for length in lengths:  # an arm's first vertex hangs off the centre
         parent += [0, *range(len(parent), len(parent) + length - 1)]
     tree = WeightedPlanarTree(ws, parent)
-    if lengths == [2] * arms:
-        pairs = [ws[i:i + 2] for i in range(1, n, 2)]
-        assert family_tree(kind, [ws[0], *pairs]).parent == tree.parent
+    ends = list(itertools.accumulate(lengths, initial=1))
+    paths = [ws[a:b] for a, b in zip(ends, ends[1:])]
+    assert family_tree(kind, [ws[0], *paths]).to_text() == tree.to_text()
     return tree
 
 

@@ -70,6 +70,11 @@ def test_family_tree_shapes():
         family_tree("montesinos", [3, (2, 3), (1, 4)]).to_text()
         == "(3 (2 (3)) (1 (4)))"
     )
+    # an arm is a path of any length hanging off the centre
+    assert (
+        family_tree("montesinos", [3, [2], [2, 3, -4]]).to_text()
+        == "(3 (2) (2 (3 (-4))))"
+    )
 
 
 def test_single_vertex_generates_closed_chain():

@@ -84,10 +84,10 @@ HUGE = 2**61  # as does its 4 * 2**61 darts
          "count 2.5 is not an integer"),
         (lambda: family_tree("two_bridge", [2, "x"]), InputError,
          "weight 'x' is not an integer"),
-        (lambda: family_tree("montesinos", [3, [2]]), MalformedTree,
-         "montesinos arm [2] is not a pair"),
+        (lambda: family_tree("montesinos", [3, [2], []]), MalformedTree,
+         "montesinos arm [] is not a path"),
         (lambda: family_tree("montesinos", [3, 5]), MalformedTree,
-         "montesinos arm 5 is not a pair"),
+         "montesinos arm 5 is not a path"),
         (lambda: generate_diagram(WeightedPlanarTree([2.5, 3], [None, 0])),
          InputError, "weight 2.5 is not an integer"),
         # a parent array that does not describe a preorder tree once

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import pytest
 
 from foliar import LinkDiagram, braid_to_diagram, parse_braid, parse_pd
-from foliar.diagram import _ARRAY, _BAD
+from foliar.diagram import _ARRAY, _TOKEN, _read_labels
 from foliar.errors import (
     ArcCountMismatch,
     EmptyDiagram,
@@ -315,16 +315,84 @@ def test_parse_pd_matches_the_reference_on_edited_texts():
 
 
 def test_the_syntax_check_keeps_no_state_per_token():
-    # parse_pd checks a text with _BAD before it reads any label; matching
-    # the whole text as repeated tokens held about 420 bytes of regex
-    # backtracking state per token, 4 MB at 10^4 crossings, which made the
-    # process's peak memory depend on where that block happened to land
+    # parse_pd checks a text by turning each token into a NUL before it
+    # reads any label; matching the whole text as repeated tokens held
+    # about 420 bytes of regex backtracking state per token, 4 MB at 10^4
+    # crossings, which made the process's peak memory depend on where
+    # that block happened to land
     text = " ".join(
         f"X[{k},{k + 1},{k + 2},{k + 3}]" for k in range(1, 40001, 4)
     )
-    assert _BAD.search(" " + text) is None
-    peak = traced_memory(lambda: _BAD.search(" " + text))[1]
-    assert peak < len(text) + 64 * 1024  # the padded copy, and little else
+
+    def check():
+        rest, k = _TOKEN.subn("\0", text)
+        return rest.split() == ["\0"] * k
+
+    assert check()
+    peak = traced_memory(check)[1]
+    # two bytes of rest and two lists' pointers per token, and little else
+    assert peak < 24 * 10**4 + 64 * 1024
+
+
+_FUZZ_SPACES = [" ", " ", "\t", "\n", "\v", "\x1c", "\x85", "\xa0", "\u2003"]
+_FUZZ_DIGITS = ["0123456789", "0123456789", "\u0660\u0661\u0662\u0663"
+                "\u0664\u0665\u0666\u0667\u0668\u0669"]  # Arabic-Indic
+
+
+def _fuzz_pd_text(rng):
+    """A PD-like text of up to four tokens, with labels in mixed digits
+    and leading zeros, separators of Unicode whitespace or nothing (two
+    tokens adjacent), and up to two characters edited in."""
+    tokens = []
+    for _ in range(rng.randrange(5)):
+        labels = []
+        for _ in range(4):
+            label = "0" * rng.choice((0, 0, 0, 1, 2)) + str(rng.randrange(40))
+            labels.append("".join(
+                rng.choice(_FUZZ_DIGITS)[int(c)] for c in label
+            ))
+        tokens.append("X[" + ",".join(labels) + "]")
+    text = "".join(
+        rng.choice([*_FUZZ_SPACES, ""]) + t for t in tokens
+    ) + rng.choice(_FUZZ_SPACES)
+    text = list(text)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randrange(len(text) + 1)
+        text[i:i + rng.randrange(2)] = rng.choice("\0X[],1\u0661 \u2003x-")
+    return "".join(text)
+
+
+def test_parse_pd_reads_fuzzed_texts_as_the_token_reference_does():
+    # the reference: a text is valid when all its chunks are tokens, and
+    # the first chunk that is not is the one named
+    def ref_bad(text):
+        return next((
+            c for c in text.split()
+            if not re.fullmatch(r"X\[\d+,\d+,\d+,\d+\]", c)
+        ), None)
+
+    rng = seeded(39)
+    texts = [""] + [_fuzz_pd_text(rng) for _ in range(4000)]
+    outcomes = Counter()
+    for text in texts:
+        try:
+            parse_pd(text)
+            error = ""
+        except FoliarError as exc:
+            error = str(exc)
+        bad = ref_bad(text)
+        if bad is None:  # later checks may still refuse the labels
+            assert not error.startswith("bad token "), repr(text)
+            assert _read_labels(text) == [
+                int(x) for x in re.findall(r"\d+", text)
+            ], repr(text)
+        else:
+            assert error == f"bad token {bad!r}"
+        outcomes[bad is None, text.isascii()] += 1
+    # both outcomes, in ASCII and beyond, and NUL and adjacent tokens
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 100, outcomes
+    assert sum("\0" in t for t in texts) >= 100
+    assert sum("]X[" in t for t in texts) >= 100
 
 
 def test_ascii_whitespace_becomes_json_whitespace():
