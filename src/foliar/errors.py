@@ -81,10 +81,6 @@ class DegenerateCollapse(InputError):
     """Normalisation removed every twist region."""
 
 
-class EquivalenceViolation(InternalError):
-    """The two side graphs disagree on the tree/connectivity dichotomy."""
-
-
 # -- trees ------------------------------------------------------------------
 
 class MalformedTree(InputError):

@@ -29,7 +29,8 @@ counts its crossing into a longer run, and the collapsed-graph route
 fails the same region as WeightTooSmall(count=1).  A failing verdict
 gives the green graph's reasons, or the red graph's when the green
 graph certifies.  A graph with only bigons is the cycle side of a
-D_k diagram, which is excluded with its signed twist count.  contract
+D_k diagram, which is excluded with its signed twist count; its 2n
+corners make n bigons, so it has one face just when n is 1.  contract
 gives both answers as (k, graphs): that count and None for a D_k
 diagram, else None and each graph's chain weights and merged graph.
 """
@@ -67,13 +68,12 @@ def contract(d):
     n = len(axes)  # the edges of either graph: one per crossing
     m = len(coloring)
     bigon = bytearray(map((2).__eq__, map(sub, start[1:], start)))
-    greens = coloring.count(0)
-    if n in (greens, m - greens):  # a graph of n faces may be all bigons
-        red_bigons = sum(compress(coloring, bigon))
-        if greens == n == bigon.count(1) - red_bigons:
-            return _dk_value(d, coloring, 0, greens == 1), None
-        if m - greens == n == red_bigons:
-            return _dk_value(d, coloring, 1, greens == m - 1), None
+    vertices = [], []  # the faces of each colour that are no bigons
+    for f in compress(range(m), map((0).__eq__, bigon)):
+        vertices[coloring[f]].append(f)
+    for c in (0, 1):
+        if not vertices[c]:  # the cycle side of a D_k diagram
+            return _dk_value(d, coloring, c), None
     # the parallel families of both graphs, keyed a * m + b for faces
     # a < b that are no bigons; an edge with a bigon end is in a run
     sums = {}
@@ -83,9 +83,6 @@ def contract(d):
                 continue
             key = a * m + b if a < b else b * m + a
             sums[key] = sums.get(key, 0) + (sign if x else -sign)
-    vertices = [], []
-    for f in compress(range(m), map((0).__eq__, bigon)):
-        vertices[coloring[f]].append(f)
     edges = ([], [], []), ([], [], [])  # u, v, |sum| by colour
     for key in sorted(sums):
         s = sums[key]
@@ -123,18 +120,16 @@ def contract(d):
     ])
 
 
-def _dk_value(d, coloring, c, single):
-    """The signed twist count of a diagram whose graph of colour c has
-    only bigons, single telling whether it has only one."""
+def _dk_value(d, coloring, c):
+    """The signed twist count when the graph of colour c has only bigons."""
     # a crossing's edge has opposite weights in the two graphs, and in
     # the green one +1 when its under_axis differs from its gap 0 colour
     green = 2 * sum(map(
         int.__ne__, d.axes, [coloring[a] for a in d.face_at[0::4]]
     )) - len(d.axes)
-    # a single looped vertex is the parallel side of a one-crossing curl
-    # and has the twist count; otherwise the all-bivalent graph is the
-    # cycle side and the twist count is read off the other graph
-    return green if (c == 0) == single else -green
+    # a one-crossing curl's looped vertex is its parallel side; otherwise
+    # the all-bivalent graph is the cycle side, read off the other graph
+    return green if (c == 0) == (len(d.axes) == 1) else -green
 
 
 def check_tait(d):

@@ -44,12 +44,14 @@ the matched crossings and pick the next one in the same order: the
 round goes on to it.  The round ends, and builds the diagram once, at
 the first splice that leaves a face of one or two corners, because
 such a face can turn the bigons of a later chain into curls, and then
-that chain no longer cancels.  It also ends before a chain that would
-remove every crossing left, so that the next round raises with its own
-numbering.  A splice never joins pieces, so once one splits the
-diagram the round's build names the split, or a later splice reports
-a strand that closed on itself.  A diagram without a mixed chain is
-its own reduction and keeps none, so that it never refers to itself.
+that chain no longer cancels.  Only a round's first chain can remove
+every crossing left: before a later one, the previous splice would
+have left that chain alone, closed on itself, and re-paired edges on
+its faces of one or two corners, which ends the round.  A splice never
+joins pieces, so once one splits the diagram the round's build names
+the split, or a later splice reports a strand that closed on itself.
+A diagram without a mixed chain is its own reduction and keeps none,
+so that it never refers to itself.
 
 collapse() replaces every region by one 4-valent vertex, its signed
 count, always all of the regions in region order.  Slots 0, 1 are the
@@ -277,8 +279,6 @@ def _cancel_rounds(d):
         for crossings in mixed:
             matched = _bracket_match(crossings, _hands(d, crossings))
             if len(gone) + len(matched) == len(d):
-                if gone:
-                    break  # the next round raises in its own numbering
                 raise UnknotCollapse(
                     f"cancelling chain {crossings} removed the last crossings"
                 )

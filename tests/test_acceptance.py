@@ -4,9 +4,9 @@ Each test here pins one externally visible guarantee of the package:
 the closed-chain table, the flat pretzel failure, the side-graph
 dichotomy, face invariants, route agreement, the family sweeps, the
 exact surgery classifier, the slope planner, the theorem on every
-small plane tree and on the abstract's families (two-bridge, pretzel
-and Montesinos trees), and a verified slope plan for every certified
-knot.
+small plane tree, on the abstract's families (two-bridge, pretzel
+and Montesinos trees) and on a sample of 5-7-vertex plane trees, and a
+verified slope plan for every certified knot.
 Seeds and bucket counts are frozen; a change in any of them is a
 behaviour change.
 """
@@ -144,12 +144,41 @@ def test_dichotomy_and_vertex_split_suite():
         green, red = build_side_graphs(cg)
         split = len(green.vertices) + len(red.vertices)
         assert split == len(cg.vertices) + 2
-        # raises if both sides were connected without both being trees
+        # the report reads connectivity alone; the lines below and the
+        # test after this one check that connected here means trees
         connectivity_report(green, red)
         if green.is_connected() and red.is_connected():
             assert green.is_tree() and red.is_tree()
         checked += 1
     assert checked >= 200
+
+
+def test_connected_side_graphs_of_a_normal_form_are_trees():
+    # a normal form of V vertices has V + 2 faces and V side edges, so
+    # two connected side graphs are two trees: connectivity_report
+    # checks connectivity alone
+    diagrams = [
+        parse_pd(text)
+        for text in (TREFOIL, FIG8, HOPF, KINK, SQUARE_KNOT, GRANNY3,
+                     CANCELLING_COLUMNS)
+    ]
+    diagrams += unreduced_inputs(200)
+    diagrams += [generate_diagram(t) for t in _random_plane_trees()]
+    outcomes = Counter()
+    for d in diagrams:
+        if d.component_count() != 1:
+            continue
+        try:
+            cg, green, red = normal_form(d)
+        except FoliarError:
+            continue
+        assert len(green.u) + len(red.u) == len(cg)
+        assert len(green.vertices) + len(red.vertices) == len(cg) + 2
+        connected = green.is_connected() and red.is_connected()
+        assert connected == (green.is_tree() and red.is_tree()), d.to_pd()
+        outcomes[connected] += 1
+    # both outcomes occur
+    assert outcomes == {True: 172, False: 34}
 
 
 # -- 5. the direct route and the checkerboard route agree -------------------
@@ -401,15 +430,20 @@ def test_every_small_plane_tree_knot_is_certified_and_planned():
     assert links == {("NotAKnot(2)",): 2164, ("NotAKnot(3)",): 736}
 
 
-def _draw_family_tree(rng, kind, n):
-    """A tree of kind with n vertices, weights from +-2, +-3, +-4 and at
-    least one |w| >= 3.  A Montesinos tree is a centre with two or three
-    arms, each a path, at least one of them longer than one vertex,
-    built by parent list and checked against family_tree."""
+def _draw_weights(rng, n):
+    """n weights from +-2, +-3, +-4 with at least one |w| >= 3."""
     while True:
         ws = [rng.choice((2, -2, 3, -3, 4, -4)) for _ in range(n)]
         if any(abs(w) > 2 for w in ws):
-            break
+            return ws
+
+
+def _draw_family_tree(rng, kind, n):
+    """A tree of kind with n vertices, weights from _draw_weights.  A
+    Montesinos tree is a centre with two or three arms, each a path, at
+    least one of them longer than one vertex, built by parent list and
+    checked against family_tree."""
+    ws = _draw_weights(rng, n)
     if kind != "montesinos":
         return family_tree(kind, ws)
     while True:
@@ -454,6 +488,45 @@ def test_the_abstracts_families_are_certified_and_planned():
                 assert verify_plan(circles, plan_configurations(circles))
     assert len(knots) == 9  # every kind and size has knots
     assert (sum(knots.values()), sum(links.values())) == (368, 532)
+
+
+def _random_plane_trees():
+    """300 seeded plane trees of 5-7 vertices of any shape, weights from
+    _draw_weights: in preorder, each vertex hangs off a vertex on the
+    path from the root to the vertex before it."""
+    rng = seeded(40)
+    for _ in range(300):
+        n = rng.randint(5, 7)
+        ws = _draw_weights(rng, n)
+        parent, path = [None], [0]
+        for i in range(1, n):
+            del path[rng.randrange(len(path)) + 1:]
+            parent.append(path[-1])
+            path.append(i)
+        yield WeightedPlanarTree(ws, parent)
+
+
+def test_random_plane_trees_of_five_to_seven_vertices_are_certified():
+    # every knot passes all three routes and gets a verified plan, and
+    # the tree route names every link
+    knots = Counter()
+    links = 0
+    for t in _random_plane_trees():
+        d = generate_diagram(t)
+        v = check_arborescent(t)
+        comps = d.component_count()
+        if comps != 1:
+            assert v.reasons == (f"NotAKnot({comps})",), t.to_text()
+            links += 1
+            continue
+        knots[len(t)] += 1
+        assert v.status == Status.CERTIFIED, t.to_text()
+        assert check_main(d).status == Status.CERTIFIED, t.to_text()
+        assert check_tait(d).status == Status.CERTIFIED, t.to_text()
+        circles = augment(d)
+        assert verify_plan(circles, plan_configurations(circles))
+    assert sorted(knots) == [5, 6, 7]
+    assert (sum(knots.values()), links) == (119, 181)
 
 
 def test_every_small_all_two_tree_knot_fails_every_route():

@@ -18,11 +18,13 @@ import pytest
 
 from foliar import (
     Status,
+    braid_to_diagram,
     check_tait,
     contract,
     detect_twist_regions,
     generate_diagram,
     make_pretzel_pd,
+    parse_braid,
     parse_pd,
     parse_tree,
     reduce_assumption1,
@@ -37,11 +39,13 @@ from foliar.twists import CollapsedGraph, collapse
 from conftest import (
     CANCELLING_COLUMNS,
     GRANNY3,
+    HOPF,
     TREFOIL,
     DisjointSets,
     FaceEdge,
     connected_sum,
     edges_of,
+    from_rows,
     random_tree_text,
     ref_is_ring,
     ref_two_color,
@@ -441,6 +445,35 @@ def test_tait_views_list_the_reference_edges(inputs):
         k, graphs = contract(r)
         assert (k is not None) == any(ref.all_bivalent() for ref in refs)
         assert (graphs is None) == (k is not None)
+
+
+def _dk_diagrams():
+    """(diagram, |k|): the one-crossing curl, the Hopf diagram, the
+    trefoil and the two-strand rings s1^k for k = 2..9, each also
+    mirrored, which gives the curl in both axes."""
+    out = [(from_rows([[1, 2, 2, 1]], [0]), 1), (parse_pd(HOPF), 2),
+           (parse_pd(TREFOIL), 3)]
+    out += [(braid_to_diagram(parse_braid(f"s1^{k}", 2)), k)
+            for k in range(2, 10)]
+    return [(e, k) for d, k in out for e in (d, d.mirror())]
+
+
+def test_dk_diagrams_match_the_reference():
+    # contract is called directly, as check_tait names a link first.
+    # Where both graphs are all bigons, the two colours' counts differ
+    # in sign, and the reference reads green first
+    ties = 0
+    for d, size in _dk_diagrams():
+        green, red = ref_build_tait(d)
+        k, graphs = contract(d)
+        assert graphs is None, d.to_pd()
+        assert k == _ref_dk_value(green, red), d.to_pd()
+        assert abs(k) == size, d.to_pd()
+        ties += green.all_bivalent() and red.all_bivalent()
+        if d.component_count() == 1:
+            assert (check_tait(d), None) == ref_check_tait(d), d.to_pd()
+    # the Hopf diagram and the ring s1^2, each with its mirror
+    assert ties == 4
 
 
 def _granny_chains():

@@ -11,6 +11,8 @@ diagram may a round fail with another NonSphericalEmbedding message
 than one chain per round: it goes on past the split.
 """
 
+from itertools import permutations, product
+
 from foliar import (
     LinkDiagram,
     braid_to_diagram,
@@ -408,3 +410,48 @@ def test_rounds_match_one_chain_reference(monkeypatch):
         ended_early += len(calls) >= 2
     assert seen >= 2000
     assert batched >= 30 and ended_early >= 30
+
+
+def _finger_pairs(a):
+    """The mixed ring s1^a s1^-a on two strands with one R2 pair of new
+    crossings, numbered first, wired across an ordered pair of its
+    edges: the first edge's strand runs from its lower dart through
+    crossing 0 into 1 and the second's either way, in every slot order
+    and axis choice that builds."""
+    base = braid_to_diagram(parse_braid(f"s1^{a} s1^-{a}", 2))
+    darts = [e + 8 for e in base.alpha]
+    edges = [(x + 8, y) for x, y in enumerate(darts) if x + 8 < y]
+    for (x1, y1), e2 in permutations(edges, 2):
+        for p, q, sp, sq, ax0, ax1, turn in product(
+            range(4), range(4), (1, 3), (1, 3), (0, 1), (0, 1), (0, 1)
+        ):
+            x2, y2 = e2[::-1] if turn else e2
+            alpha = [-1] * 8 + darts
+            b, c = (p + sp) % 4, 4 + (q + sq) % 4
+            for s, t in (
+                (x1, p), ((p + 2) % 4, 4 + q), (4 + (q + 2) % 4, y1),
+                (x2, b), ((b + 2) % 4, c), (c ^ 2, y2),
+            ):
+                alpha[s], alpha[t] = t, s
+            try:
+                yield LinkDiagram.from_darts(alpha, [ax0, ax1, *base.axes])
+            except FoliarError:
+                continue
+
+
+def test_rounds_match_one_chain_reference_on_finger_pairs():
+    # a finger pair wired into a mixed ring gives two mixed chains, and
+    # often one round cancels every crossing: the inputs closest to a
+    # round whose later chain would remove every crossing left
+    seen = collapsed = 0
+    for a in (1, 2, 3):
+        for d in _finger_pairs(a):
+            ref, ref_err = _run(ref_one_chain_per_round, d)
+            got, got_err = _run(reduce_assumption1, d)
+            assert _error(got_err) == _error(ref_err), d.to_pd()
+            if ref is not None:
+                assert got.to_pd() == ref.to_pd(), d.to_pd()
+            seen += 1
+            mixed = [r for r in detect_twist_regions(d) if not r.handedness]
+            collapsed += len(mixed) >= 2 and type(got_err) is UnknotCollapse
+    assert seen == 7168 and collapsed >= 2432, (seen, collapsed)
