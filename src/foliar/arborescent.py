@@ -19,7 +19,7 @@ from collections import Counter
 from itertools import chain, count, repeat
 
 from .criterion import judge, normal_form, weight_reasons
-from .diagram import _Builder, _compose, _twist_chain
+from .diagram import _Builder, _compose, _twist_chain, within_budget
 from .errors import (
     ConstructionMismatch,
     MalformedTree,
@@ -31,8 +31,10 @@ from .twists import flat_regions
 
 
 class WeightedPlanarTree:
-    """Preorder arrays: parent[0] is None and parent[i] < i otherwise,
-    so children[i] lists the children of i in planar order."""
+    """Parent arrays: parent[0] is None and parent[i] < i otherwise, so
+    children[i] lists the children of i in planar order.  parse_tree
+    numbers the vertices in preorder; other parent lists are trees too,
+    and to_text prints them as parse_tree reads them back, renumbered."""
 
     def __init__(self, weight, parent):
         self.weight = tuple([integer(w, "weight") for w in weight])
@@ -62,14 +64,18 @@ class WeightedPlanarTree:
         return self.weight
 
     def to_text(self):
-        out, open_ = [], []  # open_: the path from the root to the last vertex
-        for i, w in enumerate(self.weight):
-            while open_ and open_[-1] != self.parent[i]:
-                open_.pop()
+        """Tree text, children in planar order, which parse_tree reads
+        back as this tree renumbered in preorder."""
+        out, todo = [], [0]  # vertices to open, and -1 to close one
+        while todo:
+            i = todo.pop()
+            if i < 0:
                 out.append(")")
-            out.append(f" ({w}" if open_ else f"({w}")
-            open_.append(i)
-        return "".join(out) + ")" * len(open_)
+                continue
+            out.append(f" ({self.weight[i]}" if out else f"({self.weight[i]}")
+            todo.append(-1)
+            todo += reversed(self.children[i])
+        return "".join(out)
 
     def reroot(self, new_root):
         """Same planar tree rooted elsewhere; cyclic orders are kept."""
@@ -167,6 +173,7 @@ def _assemble(b, tree):
 
 def generate_diagram(tree):
     if tree._diagram is None:
+        within_budget(sum(map(abs, tree.weight)))
         b = _Builder()
         d = b.finish(_assemble(b, tree))
         if min(map(abs, tree.weight)) >= 2:
@@ -176,7 +183,7 @@ def generate_diagram(tree):
 
 
 def _validate(tree, d, owner):
-    signed, _, order, start, _ = flat_regions(d)
+    signed, order, start, _ = flat_regions(d)
     if len(signed) != len(tree):
         raise ConstructionMismatch(
             f"{len(signed)} twist regions for {len(tree)} vertices"
@@ -220,6 +227,7 @@ def make_pretzel_pd(qs):
     qs = [integer(q, "weight") for q in qs]
     if not qs or any(q == 0 for q in qs):
         raise ZeroWeight("strips need nonzero twist counts")
+    within_budget(sum(map(abs, qs)))
     b = _Builder()
     strips = [_twist_chain(b, "v", q, i) for i, q in enumerate(qs)]
     cur = strips[0]

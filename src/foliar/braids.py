@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .criterion import judge, weight_reasons
-from .diagram import LinkDiagram, _Builder, _twist_chain
+from .diagram import LinkDiagram, _Builder, _twist_chain, within_budget
 from .errors import (
     BadGenerator,
     EmptyWord,
@@ -130,6 +130,13 @@ def check_interleaving(word):
 
 # -- closure diagram --------------------------------------------------------
 
+def _within_budget(word):
+    """Refuse a word whose closure would be over the crossing budget: a
+    verdict on the word stands for the closure, so check_braid refuses
+    what braid_to_diagram would."""
+    within_budget(sum([abs(s.exp) for s in word.syllables]))
+
+
 def braid_to_diagram(word):
     """Diagram of the braid closure.
 
@@ -144,6 +151,7 @@ def braid_to_diagram(word):
     for s in word.syllables:
         if s.gen > n - 1:
             raise BadGenerator(f"s{s.gen} in a {n}-strand braid")
+    _within_budget(word)
     # the strands 1 to n some crossing meets, before any list per strand
     used = {j for s in word.syllables if s.exp for j in (s.gen, s.gen + 1)}
     if len(used) < n:
@@ -176,6 +184,7 @@ def check_braid(word):
     if isinstance(word, str):
         word = parse_braid(word)
     word = reduce_braid(word)
+    _within_budget(word)
     reasons = []
     if word.n_strands % 2 == 0:
         reasons.append("EvenStrandCount")

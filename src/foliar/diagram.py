@@ -32,9 +32,12 @@ map already and build through LinkDiagram.from_darts, which checks that
 alpha is a fixed-point-free involution and keeps no text: their arcs
 are numbered 1..2n in the order of their lower darts when printed.
 Every way in calls LinkDiagram(alpha, axes, text), whose __init__ is
-the one place that sets a diagram's state.  Trees, pretzels and braid
-closures share one chain writer, _twist_chain, which lays rows of
-crossings into a _Builder's dart map by slot arithmetic.
+the one place that sets a diagram's state.  Each reader first counts
+the crossings its input would build, from the text or the word or tree
+alone, and refuses more than MAX_CROSSINGS through within_budget.
+Trees, pretzels and braid closures share one chain writer,
+_twist_chain, which lays rows of crossings into a _Builder's dart map
+by slot arithmetic.
 """
 
 import json
@@ -46,7 +49,7 @@ from ._planar import face_lists, strands, trace_faces
 from .errors import (
     ArcCountMismatch,
     EmptyDiagram,
-    InputError,
+    InputTooLarge,
     InternalError,
     MalformedToken,
     NonSphericalEmbedding,
@@ -58,6 +61,22 @@ _TOKEN = re.compile(r"X\[\d+,\d+,\d+,\d+\]")
 # _ARRAY makes checked ASCII text a JSON array but for its brackets and
 # last comma, JSON knowing only space, tab, CR and LF as whitespace
 _ARRAY = str.maketrans("]\v\f\x1c\x1d\x1e\x1f", ",      ", "X[")
+
+# a certification's peak is at most about 1 000 bytes per crossing (650
+# in RSS on a 10^5-crossing tree path, 630 traced on a cancelling
+# closure, 1 030 on a 2 006-crossing cascade), so inputs at the budget
+# stay under 1 GB
+MAX_CROSSINGS = 1_000_000
+
+
+def within_budget(count):
+    """Raise InputTooLarge, naming count and the budget, when an input
+    of count crossings is over MAX_CROSSINGS."""
+    if count > MAX_CROSSINGS:
+        raise InputTooLarge(
+            f"input of {count} crossings is over the budget of "
+            f"{MAX_CROSSINGS} crossings"
+        )
 
 
 class LinkDiagram:
@@ -161,6 +180,7 @@ class LinkDiagram:
             axes = data["under_axis"]
             if len(rows) != len(axes):
                 raise MalformedToken("crossings and under_axis lengths differ")
+            within_budget(len(rows))
             # a row or list of the wrong type raises TypeError here
             labels = [a for row in rows for a in row]
         # RecursionError: arrays nested deeper than the decoder can follow
@@ -183,6 +203,7 @@ def parse_pd(text):
     # matching the whole text as repeated tokens instead keeps
     # backtracking state for every token, 4 MB at 10^4 crossings
     rest, k = _TOKEN.subn("\0", text)
+    within_budget(k)
     if rest.split() != ["\0"] * k:
         bad = next(t for t in text.split() if not _TOKEN.fullmatch(t))
         raise MalformedToken(f"bad token {bad!r}")
@@ -290,12 +311,7 @@ def _twist_chain(b, axis, weight, owner):
     first = len(b.alpha)
     last = first + 4 * (n - 1)
     alpha = b.alpha
-    try:
-        alpha += [-1] * (4 * n)
-    except (OverflowError, MemoryError):
-        raise InputError(
-            f"a weight of {n} crossings is too large to build"
-        ) from None
+    alpha += [-1] * (4 * n)
     b.owner += [owner] * n
     if axis == "h":  # NE and SE of each crossing meet NW and SW of the next
         for k in range(first, last, 4):

@@ -65,6 +65,10 @@ class NonSphericalEmbedding(InputError):
     """The rotation system does not describe a connected diagram on S^2."""
 
 
+class InputTooLarge(InputError):
+    """The input would build more crossings than the budget allows."""
+
+
 # -- twist regions ----------------------------------------------------------
 
 class NonAlternatingChain(InputError):

@@ -26,12 +26,16 @@ The regions are found once per diagram and kept on it as flat lists
 (flat_regions), in crossing order with a chain at its lowest crossing.
 One pass over the crossings writes them, walking each chain's links as
 it reaches the chain, with list appends and no function call, tuple or
-dict per region: signed counts, 0 for a mixed chain; four stub darts
-per region; order and start, which hold the regions as a traced map
-holds its faces, region i being the crossings order[start[i]:start[i +
-1]] in chain order; and each crossing's join gap.  Detection never
-refuses a diagram.  detect_twist_regions builds records from the lists
-on each call; the verdict path and augment build none.
+dict per region: signed counts, 0 for a mixed chain; order and start,
+which hold the regions as a traced map holds its faces, region i being
+the crossings order[start[i]:start[i + 1]] in chain order; and each
+crossing's join gap.  The signed counts stay a list; order and start
+are kept as array('i') and the gaps as bytes, each converted once from
+the list the pass wrote, so the kept regions take about 9 bytes per
+crossing.  Nothing else is kept: collapse reads each region's end
+slots off its end crossings' join gaps.  Detection never refuses a
+diagram.  detect_twist_regions builds records from the lists on each
+call; the verdict path and augment build none.
 
 reduce_assumption1 cancels in rounds.  Each round takes the mixed
 chains of one detection in region order.  For each it matches the
@@ -58,15 +62,19 @@ count, always all of the regions in region order.  Slots 0, 1 are the
 stubs at the first crossing's free chain gap and 2, 3 those at the
 last's, so the two strands through the region pair the slots by the
 parity of its count alone: (0, 2) and (1, 3) when it is odd, (0, 3)
-and (1, 2) when it is even.  The collapsed map pairs each stub with the
-stub its edge leads to in the diagram's alpha.  A collapsed vertex
-keeps the strand walk's colour bit of its first stub's corner, so
-two_color reads the colouring off the diagram's bits.  A ring's end
-stubs meet across the bigon that closes it, which gives one vertex with
-two nested loops.  A mixed chain has no vertex, so collapse is where a
-mixed chain is refused: cancellation comes first.
+and (1, 2) when it is even.  An end crossing's free chain gap is
+opposite the gap by which it joined, g, so its stubs are its slots
+g + 2 and g + 3; a single crossing's stubs are its slots 0 to 3.  The
+collapsed map pairs each stub with the stub its edge leads to in the
+diagram's alpha.  A collapsed vertex keeps the strand walk's colour bit
+of its first stub's corner, so two_color reads the colouring off the
+diagram's bits.  A ring's end stubs meet across the bigon that closes
+it, which gives one vertex with two nested loops.  A mixed chain has
+no vertex, so collapse is where a mixed chain is refused: cancellation
+comes first.
 """
 
+from array import array
 from itertools import islice
 from typing import NamedTuple
 
@@ -98,9 +106,10 @@ class TwistRegion(NamedTuple):
 
 
 def flat_regions(d):
-    """(signed, stubs, order, start, gap) of d, found once and kept on
-    d.  A ring is a chain whose closing bigon stays a plain face, and a
-    mixed chain has count 0: detection never refuses, collapse does."""
+    """(signed, order, start, gap) of d, found once and kept on d: a
+    list, two array('i') and bytes.  A ring is a chain whose closing
+    bigon stays a plain face, and a mixed chain has count 0: detection
+    never refuses, collapse does."""
     if d._regions is None:
         d._regions = _detect(d)
     return d._regions
@@ -108,18 +117,18 @@ def flat_regions(d):
 
 def region_crossings(d, i):
     """The crossings of region i of d in chain order."""
-    _, _, order, start, _ = d._regions
+    _, order, start, _ = d._regions
     return tuple(order[start[i]:start[i + 1]])
 
 
 def _hands(d, crossings):
-    gap, axes = d._regions[4], d.axes
+    gap, axes = d._regions[3], d.axes
     return tuple([1 if gap[c] & 1 == axes[c] else -1 for c in crossings])
 
 
 def detect_twist_regions(d):
     """The regions of flat_regions(d) as new records."""
-    signed, _, _, _, gap = flat_regions(d)
+    signed, _, _, gap = flat_regions(d)
     out = []
     for i, s in enumerate(signed):
         cs = region_crossings(d, i)
@@ -132,8 +141,8 @@ def detect_twist_regions(d):
 
 
 def _detect(d):
-    """(signed, stubs, order, start, gap) of d, read from its corners,
-    start and axes.
+    """(signed, order, start, gap) of d, read from its corners, start
+    and axes; order and start as array('i'), gap as bytes.
 
     A chain starts at a bigon on its lowest crossing L, so growing it
     never lowers low.  trace_faces numbers a face by the lowest dart
@@ -224,7 +233,6 @@ def _detect(d):
     signed = []
     order = []
     start = []
-    stubs = []  # slots 0, 1 at a region's first crossing, 2, 3 at its last
     for c in range(n):
         f = lead[c]
         if f == -2:
@@ -233,29 +241,17 @@ def _detect(d):
         if f == -1:
             order.append(c)
             signed.append(1 - 2 * axes[c])
-            c *= 4
-            stubs.append(c)
-            stubs.append(c + 1)
-            stubs.append(c + 2)
-            stubs.append(c + 3)
             continue
-        # the stubs at the free chain gap of each end, g + 2 and g + 3
-        a = (4 * f + gap[f]) ^ 2
         k = len(order)
         left = 0  # crossings of handedness -1
         while f >= 0:
             order.append(f)
             left += gap[f] & 1 ^ axes[f]
-            t, f = f, succ[f]
+            f = succ[f]
         k = len(order) - k
         signed.append(k if not left else -k if left == k else 0)
-        b = (4 * t + gap[t]) ^ 2
-        stubs.append(a)
-        stubs.append(a & ~3 | a + 1 & 3)
-        stubs.append(b)
-        stubs.append(b & ~3 | b + 1 & 3)
     start.append(n)
-    return signed, stubs, order, start, gap
+    return signed, array("i", order), array("i", start), bytes(gap)
 
 
 # -- type II cancellation ---------------------------------------------------
@@ -359,7 +355,7 @@ def collapse(d, regions=None):
     """The collapsed graph of all of d's regions, in region order; the
     first mixed one raises.  regions, if given, must hold each of d's
     region records once, in any order, else InputError."""
-    signed, stubs = flat_regions(d)[:2]
+    signed, order, start, gap = flat_regions(d)
     if regions is not None:
         if sorted([r.index for r in regions]) != list(range(len(signed))):
             raise InputError("collapse takes every region record once")
@@ -370,16 +366,28 @@ def collapse(d, regions=None):
             f"region {i} through crossings {crossings} mixes handedness "
             f"{_hands(d, crossings)}; cancel first"
         )
+    # slots 0, 1 at a region's first crossing f, 2, 3 at its last t: a
+    # single crossing's own slots, else the slots g + 2 and g + 3 at the
+    # free chain gap of each end, g its join gap
+    stubs = []
+    for i, j in zip(start, islice(start, 1, None)):
+        f = order[i]
+        if j - i == 1:
+            f *= 4
+            stubs += (f, f + 1, f + 2, f + 3)
+            continue
+        t = order[j - 1]
+        a, b = (4 * f + gap[f]) ^ 2, (4 * t + gap[t]) ^ 2
+        stubs += (a, a & ~3 | a + 1 & 3, b, b & ~3 | b + 1 & 3)
     local = [-1] * (4 * len(d))  # the collapsed dart at each stub
     for i, dart in enumerate(stubs):
         local[dart] = i
-    darts = d.alpha
-    bits = d.bits  # a vertex's colour is its first stub's corner colour
-    cg = CollapsedGraph(
-        signed[:],
-        [local[darts[s]] for s in stubs],
-        [bits[s >> 2] ^ (s & 1) for s in stubs[::4]],
-    )
+    darts, bits = d.alpha, d.bits
+    alpha = [local[darts[s]] for s in stubs]
+    # a vertex's colour is its first stub's corner colour
+    colours = [bits[s >> 2] ^ (s & 1) for s in stubs[::4]]
+    del local, stubs  # before the collapsed graph is traced
+    cg = CollapsedGraph(signed[:], alpha, colours)
     if len(cg.start) != len(signed) + 3:  # V + 2 faces on the sphere
         raise InternalError(
             f"collapsed graph has {len(cg.start) - 1} faces for "

@@ -12,16 +12,58 @@ from foliar import (
     parse_pd,
     parse_tree,
 )
-from foliar.arborescent import _Builder, _assemble, _validate
+from foliar.arborescent import (
+    WeightedPlanarTree,
+    _Builder,
+    _assemble,
+    _validate,
+)
 from foliar.diagram import LinkDiagram
 from foliar.errors import ConstructionMismatch, MalformedTree, ZeroWeight
 
 from conftest import FIG8, random_tree_text, ref_is_ring, seeded
+from test_reference_routes import big_planar_tree
+
+
+def _preorder(t):
+    """(weight, parent) of t renumbered in preorder, children in planar
+    order."""
+    weight, parent, todo = [], [], [(0, None)]
+    while todo:
+        i, up = todo.pop()
+        parent.append(up)
+        todo += [(c, len(weight)) for c in reversed(t.children[i])]
+        weight.append(t.weight[i])
+    return tuple(weight), tuple(parent)
+
+
+def _reads_back(t):
+    u = parse_tree(t.to_text())
+    return (u.weight, u.parent) == _preorder(t)
 
 
 def test_parse_and_text_round_trip():
-    for text in ("(3)", "(2 (3))", "(-2 (3) (7))", "(3 (2 (3)) (1 (4)))"):
-        assert parse_tree(text).to_text() == text
+    rng = seeded(43)
+    texts = ["(3)", "(2 (3))", "(-2 (3) (7))", "(3 (2 (3)) (1 (4)))"]
+    texts += [random_tree_text(rng, 12, lo=1, hi=9) for _ in range(300)]
+    for text in texts:
+        t = parse_tree(text)
+        assert (t.weight, t.parent) == _preorder(t)
+        assert t.to_text() == text
+
+
+def test_text_of_a_parent_list_not_in_preorder_reads_back():
+    t = WeightedPlanarTree([2, 3, 4, 5, 6], [None, 0, 1, 0, 1])
+    assert t.to_text() == "(2 (3 (4) (6)) (5))"
+    assert _reads_back(t)
+    big = big_planar_tree()
+    assert _preorder(big)[1] != big.parent and _reads_back(big)
+    rng = seeded(41)
+    for _ in range(500):
+        n = rng.randint(1, 30)
+        weight = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(n)]
+        parent = [None] + [rng.randrange(i) for i in range(1, n)]
+        assert _reads_back(WeightedPlanarTree(weight, parent)), parent
 
 
 def test_parse_errors():

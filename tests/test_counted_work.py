@@ -190,18 +190,18 @@ STAGES = {
 # versions, so they inform and the ratio is the gate
 OPCODES = {
     (3, 11): {
-        "check_main": (31705, 317905),
-        "check_tait": (33289, 336589),
-        "braid_to_diagram": (45414, 467664),
-        "check_main-ring": (19124, 183824),
-        "collapse-ring": (18436, 183136),
-        "reduce_assumption1": (69779, 692102),
-        "normal_form": (79040, 779285),
-        "augment": (31569, 318819),
-        "parse_pd": (29236, 299236),
-        "generate_diagram": (82594, 820594),
-        "normalize_assumption2": (24578, 243578),
-        "plan_configurations": (2552, 25652),
+        "check_main": (31103, 312203),
+        "check_tait": (31188, 314688),
+        "braid_to_diagram": (44133, 454083),
+        "check_main-ring": (18938, 181838),
+        "collapse-ring": (18250, 181150),
+        "reduce_assumption1": (65882, 652988),
+        "normal_form": (76012, 748762),
+        "augment": (31050, 313194),
+        "parse_pd": (27722, 283322),
+        "generate_diagram": (80576, 798320),
+        "normalize_assumption2": (24049, 238249),
+        "plan_configurations": (2520, 25320),
     },
 }
 

@@ -11,6 +11,7 @@ from foliar import (
     Slope,
     braid_to_diagram,
     check_arborescent,
+    check_braid,
     circles_from_counts,
     family_tree,
     generate_diagram,
@@ -20,11 +21,14 @@ from foliar import (
     parse_tree,
     plan_configurations,
 )
+from foliar import diagram
 from foliar.arborescent import WeightedPlanarTree
 from foliar.braids import BraidWord, Syllable
+from foliar.diagram import MAX_CROSSINGS
 from foliar.errors import (
     BadGenerator,
     InputError,
+    InputTooLarge,
     MalformedToken,
     MalformedTree,
     Unsatisfiable,
@@ -34,10 +38,13 @@ from foliar.errors import (
 from foliar.cli import main
 from foliar.surgery import CrossingCircle
 
+from conftest import FIG8, traced_memory
 from test_cli import run
 
-BIG = 10**20  # the list of darts for it overflows an index
-HUGE = 2**61  # as does its 4 * 2**61 darts
+# weights far over the crossing budget: a list of darts for the first
+# would overflow an index, as would 4 * 2**61 darts for the second
+BIG = 10**20
+HUGE = 2**61
 
 
 @pytest.mark.parametrize(
@@ -149,10 +156,13 @@ def test_the_cli_exits_2_on_input_errors(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-# -- weights too large to build -----------------------------------------------
+# -- inputs over the crossing budget ------------------------------------------
 
-def _too_large(n):
-    return f"a weight of {n} crossings is too large to build"
+def _too_large(count):
+    return (
+        f"input of {count} crossings is over the budget of "
+        f"{MAX_CROSSINGS} crossings"
+    )
 
 
 @pytest.mark.parametrize(
@@ -165,23 +175,25 @@ def _too_large(n):
     ],
 )
 def test_an_oversized_weight_is_an_input_error(call, n):
+    # each input is the oversized weight n beside one weight of 3
     with pytest.raises(InputError) as exc:
         call()
-    assert type(exc.value) is InputError
-    assert str(exc.value) == _too_large(n)
+    assert type(exc.value) is InputTooLarge
+    assert str(exc.value) == _too_large(n + 3)
 
 
 @pytest.mark.parametrize(
     "argv, n",
     [
-        (("tree", f"({BIG})"), BIG),
+        (("tree", f"({BIG} (3))"), BIG),
         (("tree", f"(3 ({HUGE}))", "--crosscheck"), HUGE),
         (("braid", f"s1^{BIG} s2^3", "--strands", "3", "--crosscheck"), BIG),
     ],
 )
 def test_the_cli_exits_2_on_an_oversized_weight(capsys, argv, n):
+    # each input is the oversized weight n beside one weight of 3
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", f"error: {_too_large(n)}\n")
+    assert (code, out, err) == (2, "", f"error: {_too_large(n + 3)}\n")
 
 
 def test_corpus_reports_an_oversized_weight_and_goes_on(tmp_path, capsys):
@@ -192,11 +204,55 @@ def test_corpus_reports_an_oversized_weight_and_goes_on(tmp_path, capsys):
     assert (code, err) == (2, "")
     assert [json.loads(line) for line in out.splitlines()] == [
         {"file": "a.tree", "error": _too_large(BIG)},
-        {"file": "b.braid", "error": _too_large(HUGE)},
+        {"file": "b.braid", "error": _too_large(HUGE + 3)},
         {"file": "c.tree", "status": "certified", "reasons": [],
          "diagram_status": "certified"},
         {"files": 3, "certified": 1, "fail": 0, "excluded": 0},
     ]
+
+
+@pytest.mark.parametrize(
+    "call, count",
+    [
+        (lambda: braid_to_diagram(parse_braid("s1^100000000")), 10**8),
+        (lambda: generate_diagram(parse_tree("(100000000 (2))")), 10**8 + 2),
+    ],
+)
+def test_the_budget_is_read_before_anything_is_built(call, count):
+    # building either would take gigabytes: alpha alone is 32 bytes a
+    # crossing
+    refused = []
+
+    def attempt():
+        try:
+            call()
+        except InputTooLarge as exc:
+            refused.append(str(exc))
+
+    peak = traced_memory(attempt)[1]
+    assert refused == [_too_large(count)] and peak < 1e6
+
+
+def test_every_reader_counts_its_crossings_against_the_budget(monkeypatch):
+    fig8 = parse_pd(FIG8)
+    readers = [
+        (lambda: parse_pd(FIG8), 4),
+        (lambda: LinkDiagram.from_json(fig8.to_json()), 4),
+        (lambda: braid_to_diagram(parse_braid("s1^2 s2^-1 s1^2", 3)), 5),
+        (lambda: check_braid("s1^2 s2^-1 s1^2"), 5),
+        (lambda: generate_diagram(parse_tree("(3 (-2))")), 5),
+        (lambda: make_pretzel_pd([2, -3]), 5),
+    ]
+    for call, count in readers:
+        monkeypatch.setattr(diagram, "MAX_CROSSINGS", count)
+        call()  # a budget of exactly count crossings takes the input
+        monkeypatch.setattr(diagram, "MAX_CROSSINGS", count - 1)
+        with pytest.raises(InputTooLarge) as exc:
+            call()
+        assert str(exc.value) == (
+            f"input of {count} crossings is over the budget of "
+            f"{count - 1} crossings"
+        )
 
 
 # -- integers beyond the interpreter's digit limit ----------------------------

@@ -489,12 +489,17 @@ def _granny_chains():
     return out
 
 
-def _big_tree():
-    """A seeded tree of 2 000 vertices with weights +-2..+-4."""
+def big_planar_tree():
+    """A seeded tree of 2 000 vertices with weights +-2..+-4, its parent
+    list not in preorder."""
     rng = seeded(37)
     weights = [rng.choice([-4, -3, -2, 2, 3, 4]) for _ in range(2000)]
     parents = [None] + [rng.randrange(i) for i in range(1, 2000)]
-    return generate_diagram(WeightedPlanarTree(weights, parents))
+    return WeightedPlanarTree(weights, parents)
+
+
+def _big_tree():
+    return generate_diagram(big_planar_tree())
 
 
 def test_collapsed_graphs_match_the_reference(inputs):

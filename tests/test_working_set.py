@@ -1,24 +1,29 @@
-"""What a large diagram holds, and what parsing and the checkerboard
-route make.
+"""What a large diagram holds, and what parsing, twist detection, the
+checkerboard route and a whole certification make.
 
 A parsed diagram keeps the text it was read from, not a list of its
 labels, and parse_pd decodes the labels without a string per label.
-The checkerboard route lists no edge per crossing: contract reads the
-faces at each crossing's gaps off face_at, sums the parallel families
-in a dict keyed by one int per pair of faces, and walks the runs of
-bigons with one bytearray to mark them.  All three are pinned on the
+Twist detection keeps its regions as a list of signed counts, two
+array('i') and bytes, and no stub darts, which collapse reads off the
+join gaps.  The checkerboard route lists no edge per crossing: contract
+reads the faces at each crossing's gaps off face_at, sums the parallel
+families in a dict keyed by one int per pair of faces, and walks the
+runs of bigons with one bytearray to mark them.  All are pinned on the
 closure of (s1^3 s2^3)^1667, a knot of 10 002 crossings.
 """
 
 import pytest
 
 from foliar import (
+    augment,
     braid_to_diagram,
     check_main,
     check_tait,
     parse_braid,
     parse_pd,
+    plan_configurations,
 )
+from foliar.twists import flat_regions
 
 from conftest import traced_memory
 
@@ -51,3 +56,25 @@ def test_the_checkerboard_route_makes_no_index_lists(closure_text):
     check_main(d)
     peak = traced_memory(check_tait, d)[1]
     assert peak <= 1.6e6
+
+
+def test_twist_regions_are_kept_in_a_few_bytes_per_crossing(closure_text):
+    # four stub darts per region and lists of ints kept 116 bytes per
+    # crossing
+    kept = traced_memory(flat_regions, parse_pd(closure_text))[0]
+    assert kept <= 16 * 10002
+
+
+def _certify(text):
+    d = parse_pd(text)
+    check_main(d)
+    check_tait(d)
+    plan_configurations(augment(d))
+
+
+def test_a_whole_certification_peaks_under_530_bytes_per_crossing(
+    closure_text,
+):
+    # it peaked at 601 bytes per crossing while detection kept its stubs
+    peak = traced_memory(_certify, closure_text)[1]
+    assert peak <= 530 * 10002
