@@ -7,10 +7,12 @@ the orbits of sigma . alpha.  A face traversal arrives at a vertex on a
 dart and leaves on the next slot, so the corner it records is that
 dart: corner 4*v + g sits in gap g, between slots g and g+1.
 
-A traced map keeps its faces in three flat lists.  corners holds every
-corner in traversal order, face after face.  start holds the offset of
-each face in corners and then len(corners), so face i is the slice
-from start[i] to start[i + 1] and its degree is their difference.
+A traced map keeps its faces in three flat sequences.  corners holds
+every corner in traversal order, face after face; a diagram keeps it
+as an array('i'), a collapsed graph as the list trace_faces returns.
+start holds the offset of each face in corners and then len(corners),
+so face i is the slice from start[i] to start[i + 1] and its degree is
+their difference.
 face_at maps each corner to its face.  The faces at corners 4*v + g and
 4*v + g+1 meet along the edge at slot g+1, so face adjacency is read
 from face_at too.  A map also keeps bits, one colour bit per vertex
@@ -180,7 +182,7 @@ def face_lists(plane):
     """Each face of a traced map as a new list of its corners; the
     passes read corners and start, and this copy is for tests and
     printing."""
-    corners, start = plane.corners, plane.start
+    corners, start = list(plane.corners), plane.start
     return [corners[a:b] for a, b in zip(start, start[1:])]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .criterion import judge, weight_reasons
-from .diagram import LinkDiagram, _Builder, _twist_chain, within_budget
+from .diagram import _Builder, _twist_chain, within_budget
 from .errors import (
     BadGenerator,
     EmptyWord,
@@ -177,7 +177,7 @@ def braid_to_diagram(word):
         cur[i], cur[i + 1] = t.SW, t.SE
     for a, e in zip(top, cur):
         b.join(a, e)
-    return LinkDiagram.from_darts(b.alpha, [0] * len(b.owner))
+    return b.build()
 
 
 def check_braid(word):

@@ -1,23 +1,27 @@
 """Planar link diagrams from PD codes.
 
-A diagram is two flat lists.  alpha is a list over the 4n darts of its
-n crossings, dart 4*c + s being slot s of crossing c with slots in
-counterclockwise order, and pairs the two ends of each arc.  axes holds
-one under_axis bit per crossing telling which opposite slot pair
-carries the strand passing underneath: 0 for slots 0 and 2, 1 for slots
-1 and 3.  Text PD codes X[a,b,c,d] always mean the a-c strand goes
-under, so parsing yields under_axis 0 everywhere and mirroring just
-flips the bit.
+A diagram is two flat sequences.  alpha is an array('i') over the 4n
+darts of its n crossings, dart 4*c + s being slot s of crossing c with
+slots in counterclockwise order, and pairs the two ends of each arc.
+axes is a list of one under_axis bit per crossing telling which
+opposite slot pair carries the strand passing underneath: 0 for slots 0
+and 2, 1 for slots 1 and 3.  Text PD codes X[a,b,c,d] always mean the
+a-c strand goes under, so parsing yields under_axis 0 everywhere and
+mirroring just flips the bit.
 
 Faces come from the rotation system, so the sphere embedding is implied
 by the code itself and validated through the Euler count.  Building a
 knot walks its darts twice.  The strand walk finds one strand through
 every dart, which shows that the map is connected, and gives bits, one
 checkerboard colour bit per crossing.  The face trace gives the flat
-corners, start and face_at lists of _planar.  A link's strands are
-walked once more, piece by piece, to count them and the pieces they
-form and to give its bits.  So the state a diagram is checked with and
-read through is alpha, axes, bits, corners, start and face_at.
+corners, start and face_at of _planar.  A link's strands are walked
+once more, piece by piece, to count them and the pieces they form and
+to give its bits.  The walks read the dart map as it was given; then
+alpha and corners are each converted once to array('i'), which holds
+every dart under the budget, so the diagram keeps no int object per
+dart: 144 bytes per crossing instead of 290.  So the state a diagram is
+checked with and read through is alpha, axes, bits, corners, start and
+face_at.
 
 Arc labels are not part of that state.  Labelled input (PD text or JSON
 rows) becomes one flat list of four labels per crossing, which one loop
@@ -42,6 +46,7 @@ by slot arithmetic.
 
 import json
 import re
+from array import array
 from collections import Counter, namedtuple
 from itertools import repeat
 
@@ -62,10 +67,10 @@ _TOKEN = re.compile(r"X\[\d+,\d+,\d+,\d+\]")
 # last comma, JSON knowing only space, tab, CR and LF as whitespace
 _ARRAY = str.maketrans("]\v\f\x1c\x1d\x1e\x1f", ",      ", "X[")
 
-# a certification's peak is at most about 1 000 bytes per crossing (650
-# in RSS on a 10^5-crossing tree path, 630 traced on a cancelling
-# closure, 1 030 on a 2 006-crossing cascade), so inputs at the budget
-# stay under 1 GB
+# a certification's peak is at most about 850 bytes per crossing (500
+# in RSS on a 10^5-crossing tree path, 565 traced on a JSON input of
+# 10^4 crossings, 840 on a 2 006-crossing cascade), so inputs at the
+# budget stay under 1 GB
 MAX_CROSSINGS = 1_000_000
 
 
@@ -89,7 +94,6 @@ class LinkDiagram:
     def __init__(self, alpha, axes, text):
         """A diagram's state, checks and faces, for every way in; text
         is the checked PD text or JSON it was read from, else None."""
-        self.alpha = alpha
         self.axes = axes
         self._text = text
         self.arc_count = len(alpha) >> 1
@@ -99,7 +103,7 @@ class LinkDiagram:
         self._components, k, bits = strands(alpha)
         if k != 1:
             raise NonSphericalEmbedding(f"projection splits into {k} pieces")
-        self.corners, self.start, self.face_at = trace_faces(alpha)
+        corners, self.start, self.face_at = trace_faces(alpha)
         if len(self.start) != n + 3:
             raise NonSphericalEmbedding(
                 f"{len(self.start) - 1} faces for {n} crossings"
@@ -107,6 +111,9 @@ class LinkDiagram:
         if bits is None:
             raise InternalError("no checkerboard colouring along the strand")
         self.bits = bits
+        # a mirror image's alpha is typed already, and shared
+        self.alpha = alpha if type(alpha) is array else array("i", alpha)
+        self.corners = array("i", corners)
         # filled on first use; twists: regions, reduction; criterion:
         # normal form
         self._regions = self._reduced = self._normal = None
@@ -114,7 +121,9 @@ class LinkDiagram:
     @classmethod
     def from_darts(cls, alpha, axes):
         """Diagram of the dart map alpha, a list over the 4n darts of n
-        crossings with under_axis bits axes; both are kept, not copied.
+        crossings with under_axis bits axes.  axes is kept, not copied;
+        the diagram keeps alpha as an array('i') copy, so a caller that
+        drops its own reference frees the list.
         """
         n = 4 * len(axes)
         if len(alpha) != n:
@@ -292,7 +301,13 @@ class _Builder:
         """Close tangle t, NW to NE and SW to SE, into a diagram."""
         self.join(t.NW, t.NE)
         self.join(t.SW, t.SE)
-        return LinkDiagram.from_darts(self.alpha, [0] * len(self.owner))
+        return self.build()
+
+    def build(self):
+        """The diagram of the dart map, which the builder gives up, so
+        the list is freed once the diagram has typed it."""
+        alpha, self.alpha = self.alpha, None
+        return LinkDiagram.from_darts(alpha, [0] * len(self.owner))
 
 
 _Tangle = namedtuple("_Tangle", "NW NE SW SE")  # a chain's four free ports

@@ -1,15 +1,37 @@
 import pytest
 
-from foliar import LinkDiagram, augment, check_main, check_tait, parse_pd
+from foliar import (
+    LinkDiagram,
+    augment,
+    braid_to_diagram,
+    check_main,
+    check_tait,
+    generate_diagram,
+    parse_braid,
+    parse_pd,
+    parse_tree,
+    reduce_assumption1,
+)
 from foliar.errors import (
     ArcCountMismatch,
     EmptyDiagram,
+    FoliarError,
     InputError,
     MalformedToken,
     NonSphericalEmbedding,
 )
 
-from conftest import FIG8, HOPF, KINK, TREFOIL, rows_of, unreduced_inputs
+from conftest import (
+    FIG8,
+    HOPF,
+    KINK,
+    TREFOIL,
+    random_braid_text,
+    random_tree_text,
+    rows_of,
+    seeded,
+    unreduced_inputs,
+)
 
 
 def test_trefoil_shape(trefoil):
@@ -83,7 +105,7 @@ def test_mirror_shares_alpha_and_matches_a_fresh_build(
         fresh = LinkDiagram.from_json(m.to_json())
         assert _routes(m) == _routes(fresh)
         # nothing writes into the dart map the two diagrams share
-        assert d.alpha == alpha
+        assert list(d.alpha) == alpha
 
 
 def test_pd_round_trip(trefoil, fig8):
@@ -96,6 +118,32 @@ def test_pd_round_trip(trefoil, fig8):
 def test_json_round_trip(fig8):
     back = LinkDiagram.from_json(fig8.to_json())
     assert rows_of(back) == rows_of(fig8)
+
+
+def _built_diagrams():
+    """Braid closures, tree diagrams and the reduced diagrams of
+    unreduced_inputs: no source text, so printing numbers their arcs
+    from the dart map."""
+    rng = seeded(5)
+    for _ in range(40):
+        try:
+            yield braid_to_diagram(parse_braid(random_braid_text(rng, 6)))
+        except FoliarError:  # a closure that splits
+            continue
+    for _ in range(40):
+        yield generate_diagram(parse_tree(random_tree_text(rng, 7)))
+    for d in unreduced_inputs(120):
+        try:
+            yield reduce_assumption1(d)
+        except FoliarError:  # cancellation splits off a closed strand
+            continue
+
+
+def test_built_diagrams_round_trip_through_pd_and_json():
+    for d in _built_diagrams():
+        want = (list(d.alpha), d.axes)
+        for back in (parse_pd(d.to_pd()), LinkDiagram.from_json(d.to_json())):
+            assert (list(back.alpha), back.axes) == want
 
 
 def test_mirror_to_pd_reparses(trefoil):

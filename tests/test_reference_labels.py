@@ -197,7 +197,7 @@ def _records(d):
 
 
 def _same(got, want):
-    assert got.alpha == want.alpha
+    assert list(got.alpha) == want.alpha
     assert got.faces == want.faces
     assert got.face_at == want.face_at
     assert got.arc_count == want.arc_count

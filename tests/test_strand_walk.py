@@ -76,7 +76,7 @@ def test_flat_faces_strands_and_colours_match_the_references():
     for m in maps:
         assert m.bits is not None
         faces, face_at = trace_faces(len(m.alpha), m.alpha)
-        assert m.corners == [c for f in faces for c in f]
+        assert list(m.corners) == [c for f in faces for c in f]
         assert m.start == [0, *accumulate(map(len, faces))]
         assert m.face_at == face_at
         assert m.faces == faces

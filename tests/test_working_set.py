@@ -3,13 +3,15 @@ checkerboard route and a whole certification make.
 
 A parsed diagram keeps the text it was read from, not a list of its
 labels, and parse_pd decodes the labels without a string per label.
+It keeps its dart map and corners as array('i'), not as lists of ints.
 Twist detection keeps its regions as a list of signed counts, two
 array('i') and bytes, and no stub darts, which collapse reads off the
 join gaps.  The checkerboard route lists no edge per crossing: contract
 reads the faces at each crossing's gaps off face_at, sums the parallel
 families in a dict keyed by one int per pair of faces, and walks the
 runs of bigons with one bytearray to mark them.  All are pinned on the
-closure of (s1^3 s2^3)^1667, a knot of 10 002 crossings.
+closure of (s1^3 s2^3)^1667, a knot of 10 002 crossings, but for the
+tree route, which runs on a path of 3 000 vertices of weight 3.
 """
 
 import pytest
@@ -17,28 +19,37 @@ import pytest
 from foliar import (
     augment,
     braid_to_diagram,
+    check_arborescent,
+    check_braid,
     check_main,
     check_tait,
+    generate_diagram,
     parse_braid,
     parse_pd,
+    parse_tree,
     plan_configurations,
+    reduce_braid,
 )
 from foliar.twists import flat_regions
 
 from conftest import traced_memory
 
 
+CLOSURE = " ".join(["s1^3 s2^3"] * 1667)
+
+
 @pytest.fixture(scope="module")
 def closure_text():
-    d = braid_to_diagram(parse_braid(" ".join(["s1^3 s2^3"] * 1667)))
+    d = braid_to_diagram(parse_braid(CLOSURE))
     assert len(d) == 10002 and d.component_count() == 1
     return d.to_pd()
 
 
 def test_a_parsed_diagram_keeps_no_label_list(closure_text):
-    # keeping the 40 008 labels took 436 bytes per crossing
+    # keeping the 40 008 labels took 436 bytes per crossing, and the
+    # dart map and corners as lists of ints 290
     kept = traced_memory(parse_pd, closure_text)[0]
-    assert kept <= 320 * 10002
+    assert kept <= 160 * 10002
 
 
 def test_parsing_makes_no_string_per_label(closure_text):
@@ -72,9 +83,40 @@ def _certify(text):
     plan_configurations(augment(d))
 
 
-def test_a_whole_certification_peaks_under_530_bytes_per_crossing(
+def test_a_whole_certification_peaks_under_380_bytes_per_crossing(
     closure_text,
 ):
-    # it peaked at 601 bytes per crossing while detection kept its stubs
+    # it peaked at 601 bytes per crossing while detection kept its stubs,
+    # and at 494 while the diagram kept lists of ints
     peak = traced_memory(_certify, closure_text)[1]
-    assert peak <= 530 * 10002
+    assert peak <= 380 * 10002
+
+
+def _braid_route(text):
+    w = parse_braid(text)
+    check_braid(w)
+    d = braid_to_diagram(reduce_braid(w))
+    check_main(d)
+    check_tait(d)
+
+
+def test_the_braid_route_peaks_under_420_bytes_per_crossing():
+    # it peaked at 542 bytes per crossing while the diagram kept lists
+    peak = traced_memory(_braid_route, CLOSURE)[1]
+    assert peak <= 420 * 10002
+
+
+def _tree_route(text):
+    t = parse_tree(text)
+    check_arborescent(t)
+    d = generate_diagram(t)
+    check_main(d)
+    check_tait(d)
+
+
+def test_the_tree_route_peaks_under_460_bytes_per_crossing():
+    # it peaked at 583 bytes per crossing while the diagram kept lists,
+    # and at 578 while the builder also kept its dart map
+    path = "(3 " * 2999 + "(3)" + ")" * 2999
+    peak = traced_memory(_tree_route, path)[1]
+    assert peak <= 460 * 9000
