@@ -186,23 +186,19 @@ def face_lists(plane):
     return [corners[a:b] for a, b in zip(start, start[1:])]
 
 
-def find(parent, x):
-    """Root of x in the union-find list or dict parent, halving the path
-    to it."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
 def component_count(vertices, pairs):
     """Connected components of the graph on vertices, distinct
-    non-negative ints, with edges pairs between them."""
+    non-negative ints, with edges pairs between them, by union-find
+    halving the path to each end's root."""
     parent = list(range(max(vertices, default=-1) + 1))
     count = len(vertices)
     for u, v in pairs:
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            parent[rv] = ru
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[v] = u
             count -= 1
     return count
 

@@ -75,12 +75,13 @@ def weight_reasons(weights, tag):
     describes the i-th weight in its reason; it is called only for the
     weights that fail.
     """
-    reasons = [
+    sizes = list(map(abs, weights))
+    reasons = [] if min(sizes, default=2) >= 2 else [
         f"WeightTooSmall({tag(i, w)})"
         for i, w in enumerate(weights)
         if abs(w) < 2
     ]
-    if not any(abs(w) >= 3 for w in weights):
+    if max(sizes, default=0) < 3:
         reasons.append("NoWeightAboveTwo")
     return reasons
 

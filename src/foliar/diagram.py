@@ -25,12 +25,17 @@ face_at.
 
 Arc labels are not part of that state.  Labelled input (PD text or JSON
 rows) becomes one flat list of four labels per crossing, which one loop
-validates and pairs into alpha.  PD text is valid when turning each
-X[a,b,c,d] token into a NUL makes every chunk between whitespace a lone
-NUL; _ARRAY then makes it a JSON array, so no string per label is made,
-or, where JSON refuses it, leaves commas to split it at for int.  The
-list is dropped: the diagram keeps the text, which printing reads
-again, and a mirror image shares it and alpha, flipping only axes.
+pairs into alpha.  PD text is valid when one possessive match reads it
+as X[a,b,c,d] tokens with whitespace between them, or, on CPython 3.10,
+whose re has no possessive repeats, when turning each token into a NUL
+makes every chunk between whitespace a lone NUL.  Its labels are then
+digit runs, so 0 is the only one below 1, which pairing names; JSON
+rows may hold any value, so from_json checks its labels are positive
+ints first.  _ARRAY makes checked text a JSON array, so no string per
+label is made, or, where JSON refuses it, leaves commas to split it at
+for int.  The list is dropped: the diagram keeps the text, which
+printing reads again, and a mirror image shares it and alpha, flipping
+only axes.
 Constructions (trees, braid closures, type II cancellation) hold a dart
 map already and build through LinkDiagram.from_darts, which checks that
 alpha is a fixed-point-free involution and keeps no text: their arcs
@@ -46,6 +51,7 @@ by slot arithmetic.
 
 import json
 import re
+import sys
 from array import array
 from collections import Counter, namedtuple
 from itertools import repeat
@@ -62,14 +68,19 @@ from .errors import (
 )
 
 _TOKEN = re.compile(r"X\[\d+,\d+,\d+,\d+\]")
+# the same tokens as a whole text; possessive repeats, which the re of
+# CPython 3.11 first has, keep no backtracking state per token
+_TEXT = sys.version_info >= (3, 11) and re.compile(
+    r"\s*+(?:X\[\d++,\d++,\d++,\d++\](?:\s++|\Z))*+"
+)
 # in a checked text, everything but whitespace and labels is X [ , ];
 # _ARRAY makes checked ASCII text a JSON array but for its brackets and
 # last comma, JSON knowing only space, tab, CR and LF as whitespace
 _ARRAY = str.maketrans("]\v\f\x1c\x1d\x1e\x1f", ",      ", "X[")
 
 # a certification's peak is at most about 850 bytes per crossing (500
-# in RSS on a 10^5-crossing tree path, 565 traced on a JSON input of
-# 10^4 crossings, 840 on a 2 006-crossing cascade), so inputs at the
+# in RSS on a 10^5-crossing tree path, 350 traced on PD or JSON input
+# of 10^4 crossings, 840 on a 2 006-crossing cascade), so inputs at the
 # budget stay under 1 GB
 MAX_CROSSINGS = 1_000_000
 
@@ -204,16 +215,18 @@ class LinkDiagram:
             if len(row) != 4:
                 _check_labels(labels[:4 * ci])  # a bad label is named first
                 raise MalformedToken(f"crossing {ci} has {len(row)} slots")
-        return cls(_pair(labels), axes, text)
+        del data, rows  # before the faces are traced
+        _check_labels(labels)
+        alpha = _pair(labels)
+        del labels
+        return cls(alpha, axes, text)
 
 
 def parse_pd(text):
     """Parse whitespace separated X[a,b,c,d] tokens into a LinkDiagram."""
-    # matching the whole text as repeated tokens instead keeps
-    # backtracking state for every token, 4 MB at 10^4 crossings
-    rest, k = _TOKEN.subn("\0", text)
+    k, valid = _syntax(text)
     within_budget(k)
-    if rest.split() != ["\0"] * k:
+    if not valid:
         bad = next(t for t in text.split() if not _TOKEN.fullmatch(t))
         raise MalformedToken(f"bad token {bad!r}")
     try:
@@ -223,6 +236,27 @@ def parse_pd(text):
     alpha = _pair(labels)
     del labels  # before the faces are traced
     return LinkDiagram(alpha, [0] * (len(alpha) >> 2), text)
+
+
+def _possessive_syntax(text):
+    """(k, valid): the number of X[a,b,c,d] tokens in text, and whether
+    text is those tokens with whitespace between them.  A text that
+    matches holds an X only in its tokens, so counting them is cheap."""
+    if _TEXT.fullmatch(text):
+        return text.count("X"), True
+    return sum(1 for _ in _TOKEN.finditer(text)), False
+
+
+def _nul_syntax(text):
+    """_possessive_syntax for the re of CPython 3.10: valid when turning
+    each token into a NUL makes every chunk between whitespace a lone
+    NUL.  Matching the whole text with plain repeats there keeps about
+    420 bytes of backtracking state per token, 4 MB at 10^4 crossings."""
+    rest, k = _TOKEN.subn("\0", text)
+    return k, rest.split() == ["\0"] * k
+
+
+_syntax = _possessive_syntax if _TEXT else _nul_syntax
 
 
 def _read_labels(text):
@@ -257,9 +291,9 @@ def _check_labels(labels):
 
 
 def _pair(labels):
-    """The dart map of a flat label list, four labels per crossing; each
-    label 1..m, for m = len(labels) / 2, must be used exactly twice."""
-    _check_labels(labels)
+    """The dart map of a flat list of non-negative int labels, four per
+    crossing; each label 1..m, for m = len(labels) / 2, must be used
+    exactly twice, and label 0 is named before any other fault."""
     m = len(labels) >> 1
     if not labels or max(labels) <= m:
         first = [-1] * (m + 1)  # the first dart seen per label
@@ -271,10 +305,12 @@ def _pair(labels):
             else:
                 alpha[d] = e
                 alpha[e] = d
-        # every label 1..m is used, and none only once, whose dart keeps
-        # -1; as there are 2m uses, each label is then used twice
-        if first.count(-1) == 1 and -1 not in alpha:
+        # label 0 is unused and every label 1..m is used, none only once,
+        # whose dart keeps -1; as there are 2m uses, each is used twice
+        if first[0] < 0 and first.count(-1) == 1 and -1 not in alpha:
             return alpha
+    if 0 in labels:  # the one label below 1 that digits spell
+        raise MalformedToken("arc label 0")
     uses = Counter(labels)
     ordered = sorted(uses)
     bad = [a for a in ordered if uses[a] != 2]

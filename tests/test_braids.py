@@ -50,6 +50,16 @@ def test_parse_errors():
 def test_str_round_trip():
     w = parse_braid("s1^3 s2^-3")
     assert parse_braid(str(w)).syllables == w.syllables
+    # str drops the strand count, which is passed back
+    rng = seeded(43)
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        text = " ".join(
+            f"s{rng.randint(1, n - 1)}^{rng.choice([-4, -3, -2, -1, 1, 2, 3])}"
+            for _ in range(rng.randint(1, 8))
+        )
+        w = parse_braid(text, n)
+        assert parse_braid(str(w), w.n_strands) == w, text
 
 
 def test_reduce_merges_adjacent():

@@ -190,16 +190,16 @@ STAGES = {
 # versions, so they inform and the ratio is the gate
 OPCODES = {
     (3, 11): {
-        "check_main": (31103, 312203),
-        "check_tait": (31188, 314688),
+        "check_main": (30233, 303233),
+        "check_tait": (29960, 302060),
         "braid_to_diagram": (44133, 454083),
         "check_main-ring": (18938, 181838),
         "collapse-ring": (18250, 181150),
         "reduce_assumption1": (65882, 652988),
         "normal_form": (76012, 748762),
         "augment": (31050, 313194),
-        "parse_pd": (27722, 283322),
-        "generate_diagram": (80576, 798320),
+        "parse_pd": (27703, 283303),
+        "generate_diagram": (80048, 792992),
         "normalize_assumption2": (24049, 238249),
         "plan_configurations": (2520, 25320),
     },

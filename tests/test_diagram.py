@@ -98,6 +98,7 @@ def test_mirror_shares_alpha_and_matches_a_fresh_build(
         _routes(d)  # what d keeps of its routes must not reach its mirror
         m = d.mirror()
         assert m.alpha is d.alpha
+        assert (list(m.mirror().alpha), m.mirror().axes) == (alpha, d.axes)
         assert m.mirror().to_pd() == d.to_pd()
         assert parse_pd(m.to_pd()).to_pd() == m.to_pd()
         # PD text turns each under_axis 1 crossing by a slot, so its

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import pytest
 
 from foliar import LinkDiagram, braid_to_diagram, parse_braid, parse_pd
-from foliar.diagram import _ARRAY, _TOKEN, _read_labels
+from foliar.diagram import (
+    _ARRAY,
+    _TEXT,
+    _nul_syntax,
+    _possessive_syntax,
+    _read_labels,
+    _syntax,
+)
 from foliar.errors import (
     ArcCountMismatch,
     EmptyDiagram,
@@ -315,23 +322,26 @@ def test_parse_pd_matches_the_reference_on_edited_texts():
 
 
 def test_the_syntax_check_keeps_no_state_per_token():
-    # parse_pd checks a text by turning each token into a NUL before it
-    # reads any label; matching the whole text as repeated tokens held
-    # about 420 bytes of regex backtracking state per token, 4 MB at 10^4
-    # crossings, which made the process's peak memory depend on where
-    # that block happened to land
+    # parse_pd checks a text before it reads any label; matching the
+    # whole text with plain repeats held about 420 bytes of regex
+    # backtracking state per token, 4 MB at 10^4 crossings, which made
+    # the process's peak memory depend on where that block happened to
+    # land
     text = " ".join(
         f"X[{k},{k + 1},{k + 2},{k + 3}]" for k in range(1, 40001, 4)
     )
-
-    def check():
-        rest, k = _TOKEN.subn("\0", text)
-        return rest.split() == ["\0"] * k
-
-    assert check()
-    peak = traced_memory(check)[1]
-    # two bytes of rest and two lists' pointers per token, and little else
-    assert peak < 24 * 10**4 + 64 * 1024
+    assert _syntax(text) == (10**4, True)
+    peak = traced_memory(_syntax, text)[1]
+    if _TEXT:
+        # one possessive match; turning each token into a NUL made a
+        # copy of the text and two lists, 193 KB
+        assert _syntax is _possessive_syntax
+        assert peak < 16 * 1024
+    else:
+        # two bytes of the NUL copy and two lists' pointers per token,
+        # and little else
+        assert _syntax is _nul_syntax
+        assert peak < 24 * 10**4 + 64 * 1024
 
 
 _FUZZ_SPACES = [" ", " ", "\t", "\n", "\v", "\x1c", "\x85", "\xa0", "\u2003"]
@@ -380,6 +390,8 @@ def test_parse_pd_reads_fuzzed_texts_as_the_token_reference_does():
             error = ""
         except FoliarError as exc:
             error = str(exc)
+        if _TEXT:  # the NUL check is the only one CPython 3.10 runs
+            assert _possessive_syntax(text) == _nul_syntax(text), repr(text)
         bad = ref_bad(text)
         if bad is None:  # later checks may still refuse the labels
             assert not error.startswith("bad token "), repr(text)
@@ -393,6 +405,22 @@ def test_parse_pd_reads_fuzzed_texts_as_the_token_reference_does():
     assert len(outcomes) == 4 and min(outcomes.values()) >= 100, outcomes
     assert sum("\0" in t for t in texts) >= 100
     assert sum("]X[" in t for t in texts) >= 100
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X[0,4,2,5] X[3,6,4,1] X[5,2,6,3]",
+        "X[0,2,2,0]",  # label 0 pairs, and every other label but 1 does
+        "X[00,4,2,7] X[3,6,4,1] X[5,2,6,3]",  # and a label out of range
+        "X[1,4,2,5] X[3,6,4,1] X[5,2,6,0]",
+    ],
+)
+def test_label_0_is_the_one_bad_label_of_pd_text(text):
+    with pytest.raises(MalformedToken) as exc:
+        parse_pd(text)
+    assert str(exc.value) == "arc label 0"
+    _same_outcome(parse_pd, ref_parse_pd, text)
 
 
 def test_ascii_whitespace_becomes_json_whitespace():

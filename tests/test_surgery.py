@@ -49,6 +49,15 @@ def test_slope_fraction_and_str():
     assert Slope(3, 2).as_fraction() == Fraction(3, 2)
     assert str(Slope(1, 0)) == "inf"
     assert str(Slope(-7, 2)) == "-7/2"
+    # the text of a slope reads back as the slope
+    rng = random.Random(43)
+    slopes = [Slope(1, 0), Slope(0), Slope(-7, 2), Slope(10**30, 3)]
+    slopes += [
+        Slope(rng.randint(-50, 50), rng.randint(-50, 50) or 1)
+        for _ in range(200)
+    ]
+    for s in slopes:
+        assert Slope.parse(str(s)) == s, s
 
 
 def test_slope_equals_numbers_and_nothing_else():

@@ -4,6 +4,8 @@ checkerboard route and a whole certification make.
 A parsed diagram keeps the text it was read from, not a list of its
 labels, and parse_pd decodes the labels without a string per label.
 It keeps its dart map and corners as array('i'), not as lists of ints.
+from_json drops its decoded rows and labels before the faces are
+traced, so JSON input peaks as PD text does.
 Twist detection keeps its regions as a list of signed counts, two
 array('i') and bytes, and no stub darts, which collapse reads off the
 join gaps.  The checkerboard route lists no edge per crossing: contract
@@ -17,6 +19,7 @@ tree route, which runs on a path of 3 000 vertices of weight 3.
 import pytest
 
 from foliar import (
+    LinkDiagram,
     augment,
     braid_to_diagram,
     check_arborescent,
@@ -76,8 +79,8 @@ def test_twist_regions_are_kept_in_a_few_bytes_per_crossing(closure_text):
     assert kept <= 16 * 10002
 
 
-def _certify(text):
-    d = parse_pd(text)
+def _certify(text, read=parse_pd):
+    d = read(text)
     check_main(d)
     check_tait(d)
     plan_configurations(augment(d))
@@ -90,6 +93,14 @@ def test_a_whole_certification_peaks_under_380_bytes_per_crossing(
     # and at 494 while the diagram kept lists of ints
     peak = traced_memory(_certify, closure_text)[1]
     assert peak <= 380 * 10002
+
+
+def test_a_json_certification_peaks_as_a_pd_one_does(closure_text):
+    # it peaked at 565 bytes per crossing while from_json kept its
+    # decoded rows and labels through the face trace
+    text = parse_pd(closure_text).to_json()
+    peak = traced_memory(_certify, text, LinkDiagram.from_json)[1]
+    assert peak <= 400 * 10002
 
 
 def _braid_route(text):
