@@ -81,12 +81,19 @@ def reduce_braid(word):
                 out.append(Syllable(s.gen, merged))
         else:
             out.append(s)
-    while len(out) >= 2 and out[0].gen == out[-1].gen:
-        merged = out[-1].exp + out[0].exp
-        out = out[1:-1] + ([Syllable(out[0].gen, merged)] if merged else [])
-    if not out:
+    # out[i:j] is what is left once the ends have met: a pair that
+    # cancels is dropped, and one that merges becomes its last syllable
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i].gen == out[j - 1].gen:
+        merged = out[j - 1].exp + out[i].exp
+        if merged:
+            out[j - 1] = Syllable(out[i].gen, merged)
+        else:
+            j -= 1
+        i += 1
+    if i == j:
         raise EmptyWord("word reduced to the identity braid")
-    return BraidWord(word.n_strands, tuple(out))
+    return BraidWord(word.n_strands, tuple(out[i:j]))
 
 
 def closure_components(word):
@@ -108,14 +115,16 @@ def closure_components(word):
 
 def _violations(gens):
     """The generators h with two uses in a row, cyclically, once the list
-    gens is cut down to h and its bridge: no bridge between them."""
-    out = []
-    for h in sorted(set(gens)):
-        bridge = h + 1 if h % 2 else h - 1
-        cut = [g for g in gens if g == h or g == bridge]
-        if (h, h) in zip(cut, cut[1:] + cut[:1]):
-            out.append(h)
-    return out
+    gens is cut down to h and its bridge: no bridge between them.  h and
+    its bridge are the strand pair (h + 1) // 2, so one pass cuts gens
+    into every pair's list."""
+    cuts = {}
+    for g in gens:
+        cuts.setdefault((g + 1) // 2, []).append(g)
+    return sorted({
+        h for cut in cuts.values()
+        for i, h in enumerate(cut) if h == cut[i - 1]
+    })
 
 
 def check_interleaving(word):

@@ -26,9 +26,7 @@ face_at.
 Arc labels are not part of that state.  Labelled input (PD text or JSON
 rows) becomes one flat list of four labels per crossing, which one loop
 pairs into alpha.  PD text is valid when one possessive match reads it
-as X[a,b,c,d] tokens with whitespace between them, or, on CPython 3.10,
-whose re has no possessive repeats, when turning each token into a NUL
-makes every chunk between whitespace a lone NUL.  Its labels are then
+as X[a,b,c,d] tokens with whitespace between them.  Its labels are then
 digit runs, so 0 is the only one below 1, which pairing names; JSON
 rows may hold any value, so from_json checks its labels are positive
 ints first.  _ARRAY makes checked text a JSON array, so no string per
@@ -51,7 +49,6 @@ by slot arithmetic.
 
 import json
 import re
-import sys
 from array import array
 from collections import Counter, namedtuple
 from itertools import repeat
@@ -68,11 +65,9 @@ from .errors import (
 )
 
 _TOKEN = re.compile(r"X\[\d+,\d+,\d+,\d+\]")
-# the same tokens as a whole text; possessive repeats, which the re of
-# CPython 3.11 first has, keep no backtracking state per token
-_TEXT = sys.version_info >= (3, 11) and re.compile(
-    r"\s*+(?:X\[\d++,\d++,\d++,\d++\](?:\s++|\Z))*+"
-)
+# the same tokens as a whole text; possessive repeats keep no
+# backtracking state per token
+_TEXT = re.compile(r"\s*+(?:X\[\d++,\d++,\d++,\d++\](?:\s++|\Z))*+")
 # in a checked text, everything but whitespace and labels is X [ , ];
 # _ARRAY makes checked ASCII text a JSON array but for its brackets and
 # last comma, JSON knowing only space, tab, CR and LF as whitespace
@@ -238,25 +233,13 @@ def parse_pd(text):
     return LinkDiagram(alpha, [0] * (len(alpha) >> 2), text)
 
 
-def _possessive_syntax(text):
+def _syntax(text):
     """(k, valid): the number of X[a,b,c,d] tokens in text, and whether
     text is those tokens with whitespace between them.  A text that
     matches holds an X only in its tokens, so counting them is cheap."""
     if _TEXT.fullmatch(text):
         return text.count("X"), True
     return sum(1 for _ in _TOKEN.finditer(text)), False
-
-
-def _nul_syntax(text):
-    """_possessive_syntax for the re of CPython 3.10: valid when turning
-    each token into a NUL makes every chunk between whitespace a lone
-    NUL.  Matching the whole text with plain repeats there keeps about
-    420 bytes of backtracking state per token, 4 MB at 10^4 crossings."""
-    rest, k = _TOKEN.subn("\0", text)
-    return k, rest.split() == ["\0"] * k
-
-
-_syntax = _possessive_syntax if _TEXT else _nul_syntax
 
 
 def _read_labels(text):

@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,7 @@ from foliar import make_pretzel_pd
 from foliar.cli import main
 from foliar.errors import InternalError
 
-from conftest import FIG8, GRANNY3, HOPF, KINK, TREFOIL
+from conftest import FIG8, GRANNY3, HOPF, KINK, TREFOIL, seeded
 
 
 def run(capsys, *argv):
@@ -618,3 +619,72 @@ def test_corpus_reports_recursion_error_and_carries_on(
     }
     assert lines[1]["status"] == "excluded"
     assert lines[-1]["files"] == 2
+
+
+# -- the exit-code contract over mutated argv --------------------------------
+
+_CONTRACT_SEEDS = [
+    ["check", TREFOIL],
+    ["check", FIG8, "--crosscheck"],
+    ["check", HOPF, "--diagnose"],
+    ["check", '{"crossings": [[1,2,2,1]], "under_axis": [1]}', "--crosscheck"],
+    ["augment", TREFOIL, "--plan"],
+    ["augment", GRANNY3],
+    ["braid", "s1^3 s2^-3", "--crosscheck"],
+    ["braid", "s1^3 s3^-3 s2^-3", "--strands", "5", "--diagram"],
+    ["braid", "s1^2 s2^-1 s1^2"],
+    ["tree", "(3 (-2))", "--crosscheck"],
+    ["tree", "(3 (2) (-2))", "--diagram"],
+    ["tree", "(-1 (-4))", "--crosscheck"],
+    ["borromean", "1", "-1/2", "inf"],
+    ["borromean", "3", "5", "0"],
+]
+# no h or f, so an edit never spells --help or --file
+_CONTRACT_CHARS = "0123456789 -^/,[]()Xs{}\":x١\xa0\0"
+_CONTRACT_FLAGS = ["--crosscheck", "--diagnose", "--diagram", "--plan",
+                   "--strands", "3", "--", "-"]
+
+
+def _mutated_argv(rng):
+    """A seed argv with one to three edits after its subcommand: mostly
+    a character of an argument that is no flag replaced, inserted or
+    deleted, else an argument dropped or repeated, or a flag inserted."""
+    argv = list(rng.choice(_CONTRACT_SEEDS))
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(1, len(argv) + 1)
+        edit = rng.randrange(12)
+        if edit == 0:
+            argv.insert(i, rng.choice(_CONTRACT_FLAGS))
+        elif i == len(argv):
+            continue
+        elif edit == 1:
+            del argv[i]
+        elif edit == 2:
+            argv.insert(i, argv[i])
+        elif not argv[i].startswith("--"):
+            # edit % 3: 0 deletes a character, 1 inserts, 2 replaces
+            arg = argv[i]
+            k = rng.randrange(len(arg) + 1)
+            new = rng.choice(_CONTRACT_CHARS) if edit % 3 else ""
+            argv[i] = arg[:k] + new + arg[k + (edit % 3 != 1):]
+    return argv
+
+
+def test_mutated_argv_keep_the_exit_code_contract(capsys):
+    # every call ends in a verdict (0), bad input (2) or a disagreement
+    # between routes (3), or argparse exits 2; 1 would be a bug
+    rng = seeded(44)
+    codes = Counter()
+    for _ in range(1500):
+        argv = _mutated_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            code = "argparse"
+        capsys.readouterr()
+        assert code in (0, 2, 3, "argparse"), argv
+        codes[code] += 1
+    # 614, 530 and 356
+    assert codes[0] >= 400 and codes[2] >= 400, codes
+    assert codes["argparse"] >= 200, codes

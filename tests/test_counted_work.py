@@ -13,15 +13,17 @@ found, and one knot whose merging drops a zero-sum family pins the
 rounds of that case.  Calls miss the loops inside a stage, so the
 bytecodes it executes are counted too, at about 10^2 and 10^3
 crossings: on those closures, on a two-strand ring, on a raw closure
-that cancels, on the diagram of a path tree, and for merging alone on a
-row of trefoils whose regions merge one per summand.
+that cancels, on the diagram of a path tree, for merging alone on a row of
+trefoils whose regions merge one per summand, and for the braid route
+on a word of distinct generators.
 """
 
 import sys
 
 import pytest
 
-from foliar import augment, braid_to_diagram, check_main, check_tait
+from foliar import augment, braid_to_diagram, check_braid, check_main
+from foliar import check_tait
 from foliar import collapse, generate_diagram, normalize_assumption2
 from foliar import parse_braid, parse_pd, parse_tree
 from foliar import plan_configurations, reduce_assumption1
@@ -129,6 +131,12 @@ def _unreduced(m):
     return braid_to_diagram(parse_braid(" ".join(["s1^3 s1^-2 s2^-3"] * m)))
 
 
+def _distinct(m):
+    """s1^3 s2^3 ... s2m^3: 2m distinct generators on 2m + 1 strands,
+    each once, which the interleaving rule reads per strand pair."""
+    return " ".join(f"s{g}^3" for g in range(1, 2 * m + 1))
+
+
 def _path_tree(n):
     """(3 (3 ... (3))), a path of n vertices of weight 3."""
     return "(3" + " (3" * (n - 1) + ")" * n
@@ -184,6 +192,7 @@ STAGES = {
     "plan_configurations": (
         plan_configurations, lambda m: augment(_closure(m)), 16, 166
     ),
+    "check_braid": (check_braid, _distinct, 50, 500),
 }
 
 # the counts at n and 10n, by interpreter: they differ between CPython
@@ -202,6 +211,7 @@ OPCODES = {
         "generate_diagram": (80048, 792992),
         "normalize_assumption2": (24049, 238249),
         "plan_configurations": (2520, 25320),
+        "check_braid": (22707, 223857),
     },
 }
 

@@ -26,6 +26,7 @@ from conftest import (
     HOPF,
     KINK,
     TREFOIL,
+    from_rows,
     random_braid_text,
     random_tree_text,
     rows_of,
@@ -145,6 +146,32 @@ def test_built_diagrams_round_trip_through_pd_and_json():
         want = (list(d.alpha), d.axes)
         for back in (parse_pd(d.to_pd()), LinkDiagram.from_json(d.to_json())):
             assert (list(back.alpha), back.axes) == want
+
+
+def test_parsed_diagrams_round_trip_through_pd_and_json(
+    trefoil, fig8, hopf, kink
+):
+    # diagrams read from text keep it, and print what they were read
+    # from; JSON rows turned by a slot, under_axis 1, keep their slots
+    rng = seeded(3)
+    seen = turned = 0
+    for d in [trefoil, fig8, hopf, kink, *unreduced_inputs(200)]:
+        d = parse_pd(d.to_pd())
+        want = (list(d.alpha), d.axes)
+        for back in (parse_pd(d.to_pd()), LinkDiagram.from_json(d.to_json())):
+            assert (list(back.alpha), back.axes) == want
+        rows, axes = rows_of(d)
+        for i, row in enumerate(rows):
+            if rng.random() < 0.5:
+                rows[i], axes[i] = row[1:] + row[:1], 1
+        j = from_rows(rows, axes)
+        back = LinkDiagram.from_json(j.to_json())
+        assert (list(back.alpha), back.axes) == (list(j.alpha), j.axes)
+        seen += 1
+        turned += 1 in axes
+    # PD text turns each under_axis 1 row back by a slot, which can change
+    # the verdict (ROADMAP item 4), so JSON to PD is not pinned here
+    assert seen == 198 and turned >= 150, (seen, turned)
 
 
 def test_mirror_to_pd_reparses(trefoil):

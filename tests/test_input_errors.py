@@ -255,23 +255,9 @@ def test_every_reader_counts_its_crossings_against_the_budget(monkeypatch):
         )
 
 
-@pytest.mark.parametrize(
-    "syntax",
-    [
-        diagram._nul_syntax,
-        pytest.param(
-            diagram._possessive_syntax,
-            marks=pytest.mark.skipif(
-                not diagram._TEXT, reason="the re has no possessive repeats"
-            ),
-        ),
-    ],
-)
-def test_the_budget_comes_before_a_bad_token(monkeypatch, syntax):
+def test_the_budget_comes_before_a_bad_token(monkeypatch):
     # a text over the budget is refused as too large whatever its
-    # tokens, on the check CPython 3.10 runs and the one 3.11 runs
-    monkeypatch.setattr(diagram, "_syntax", syntax)
-    # a chunk that is no token, and two tokens with no space between
+    # tokens: a chunk that is no token, or two with no space between
     for text, count in [(FIG8 + " X[9,9]", 4), (FIG8 + "X[1,2,3,4] ", 5)]:
         monkeypatch.setattr(diagram, "MAX_CROSSINGS", count)
         with pytest.raises(MalformedToken):
