@@ -11,12 +11,16 @@ diagram._compose, into a diagram._Builder.
 
 For trees with every |w| >= 2 the generated diagram's twist regions
 reproduce the vertices, and its normal form merges nothing and has tree
-side graphs; generation checks this and raises on any mismatch.
+side graphs; generation checks this and raises on any mismatch.  The
+chains are numbered vertex by vertex in index order and regions come in
+crossing order, so region v must be vertex v's block of crossings: it
+is exactly when it has |w_v| crossings, all below its end, as by
+induction on v the crossings below its start are the earlier regions'.
 """
 
 import re
-from collections import Counter
 from itertools import chain, count, repeat
+from operator import lt, sub
 
 from .criterion import judge, normal_form, weight_reasons
 from .diagram import _Builder, _compose, _twist_chain, within_budget
@@ -159,12 +163,13 @@ def family_tree(kind, params):
 # -- tangle assembly --------------------------------------------------------
 
 def _assemble(b, tree):
-    """Chains in preorder, so crossings are numbered by vertex; then each
-    vertex boxes its children's finished tangles in, last vertex first."""
+    """Chains in index order, so crossings are numbered vertex by vertex;
+    then each vertex boxes its children's finished tangles in, last
+    vertex first."""
     axes, tangles = [], []
     for i, w in enumerate(tree.weight):
         axes.append("hv"[tree.depth[i] % 2])
-        tangles.append(_twist_chain(b, axes[i], w, i))
+        tangles.append(_twist_chain(b, axes[i], w))
     for i in reversed(range(len(tangles))):
         for c in tree.children[i]:
             tangles[i] = _compose(b, axes[i], tangles[i], tangles[c])
@@ -177,39 +182,31 @@ def generate_diagram(tree):
         b = _Builder()
         d = b.finish(_assemble(b, tree))
         if min(map(abs, tree.weight)) >= 2:
-            _validate(tree, d, b.owner)
+            _validate(tree, d)
         tree._diagram = d
     return tree._diagram
 
 
-def _validate(tree, d, owner):
+def _validate(tree, d):
     signed, order, start, _ = flat_regions(d)
     if len(signed) != len(tree):
         raise ConstructionMismatch(
             f"{len(signed)} twist regions for {len(tree)} vertices"
         )
-    size = Counter(owner)  # crossings per vertex
-    owned = [owner[c] for c in order]  # the owners region after region
-    # only the first crossing's owner can match; the region is that
-    # vertex's crossings when it has as many and each is owned by it
-    heads = [owned[a] for a in start[:-1]]
-    whole = owned == list(
-        chain.from_iterable(map(repeat, heads, map(abs, signed)))
-    )
+    # one pass: is every crossing below its region's end?
+    ends = start[1:]
+    below = all(map(lt, order, chain.from_iterable(
+        map(repeat, ends, map(sub, ends, start))
+    )))
     weight, depth = tree.weight, tree.depth
     closed = len(tree) == 1  # a closed 2-chain reads either axis equally well
-    for i, v, s in zip(count(), heads, signed):
+    for v, s, w, a, e in zip(count(), signed, weight, start, ends):
         k = s if s > 0 else -s
-        if k != size[v] or not (
-            whole or owned[start[i]:start[i + 1]] == [v] * k
+        if k != e - a or (k != w and k != -w) or not (
+            below or max(order[a:e]) < e
         ):
             raise ConstructionMismatch(
-                f"region {i} does not match a single vertex"
-            )
-        w = weight[v]
-        if k != w and k != -w:
-            raise ConstructionMismatch(
-                f"vertex {v}: weight {w} became count {k}"
+                f"region {v} does not match a single vertex"
             )
         # a chain at odd depth is written with the opposite sign
         if s != (-w if depth[v] & 1 else w) and not (closed and k == 2):
@@ -229,7 +226,7 @@ def make_pretzel_pd(qs):
         raise ZeroWeight("strips need nonzero twist counts")
     within_budget(sum(map(abs, qs)))
     b = _Builder()
-    strips = [_twist_chain(b, "v", q, i) for i, q in enumerate(qs)]
+    strips = [_twist_chain(b, "v", q) for q in qs]
     cur = strips[0]
     for s in strips[1:]:
         cur = _compose(b, "h", cur, s)

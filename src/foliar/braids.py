@@ -173,11 +173,11 @@ def braid_to_diagram(word):
     b = _Builder()
     top = [None] * n  # each strand's first dart from the top
     cur = [None] * n  # each strand's open bottom dart so far
-    for k, s in enumerate(word.syllables):
+    for s in word.syllables:
         if not s.exp:
             continue
         i = s.gen - 1
-        t = _twist_chain(b, "v", -s.exp, k)
+        t = _twist_chain(b, "v", -s.exp)
         for j, dart in ((i, t.NW), (i + 1, t.NE)):
             if cur[j] is None:
                 top[j] = dart

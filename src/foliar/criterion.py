@@ -9,9 +9,10 @@ D_k and are excluded rather than failed: the criterion does not speak
 about them.
 
 Every route (the diagram's, the checkerboard graphs', a braid's and a
-tree's) gives its verdict through judge by one rule: it certifies
-exactly when no hypothesis fails, that is, when it has no reasons.
-Only the closed twist family's exclusion is not read off the reasons.
+tree's) gives its verdict through judge, which reads the status off the
+reasons: a verdict certifies exactly when no hypothesis fails, that is,
+when it has no reasons, and is excluded when its one reason names the
+closed twist family, DkDiagram(k).
 
 The normal form, the collapsed graph and both side graphs after
 cancellation and merging, is kept on the diagram: check_main, diagnose,
@@ -58,8 +59,12 @@ class Verdict:
 
 def judge(reasons, green=(), red=(), regions=0, detail=None):
     """The verdict of a diagram, tree or braid whose hypotheses failed
-    for reasons: certified exactly when there are none."""
-    status = Status.HYPOTHESES_FAIL if reasons else Status.CERTIFIED
+    for reasons: certified exactly when there are none, and excluded
+    when the first is DkDiagram(k), which is then the only one."""
+    status = Status.CERTIFIED
+    if reasons:
+        dk = reasons[0].startswith("DkDiagram(")
+        status = Status.EXCLUDED if dk else Status.HYPOTHESES_FAIL
     return Verdict(status, tuple(reasons), green, red, regions, detail or {})
 
 
@@ -114,13 +119,8 @@ def check_main(d):
     }
     k = detect_dk(cg)
     if k is not None:
-        return Verdict(
-            Status.EXCLUDED,
-            (f"DkDiagram({k})",),
-            green.weights(),
-            red.weights(),
-            1,
-            detail,
+        return judge(
+            [f"DkDiagram({k})"], green.weights(), red.weights(), 1, detail
         )
     reasons = weight_reasons(
         cg.vertices, lambda i, w: f"region={i},count={abs(w)}"

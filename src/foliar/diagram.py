@@ -306,11 +306,11 @@ def _pair(labels):
 # -- chain writer: dart maps for from_darts ----------------------------------
 
 class _Builder:
-    """Crossings and the joins between their ports, as a dart map."""
+    """Crossings and the joins between their ports, as one dart map,
+    whose length gives the crossing count."""
 
     def __init__(self):
         self.alpha = []  # dart 4k + slot of crossing k -> its partner
-        self.owner = []  # per crossing: its tree vertex, strip or syllable
 
     def join(self, a, b):
         self.alpha[a] = b
@@ -326,13 +326,13 @@ class _Builder:
         """The diagram of the dart map, which the builder gives up, so
         the list is freed once the diagram has typed it."""
         alpha, self.alpha = self.alpha, None
-        return LinkDiagram.from_darts(alpha, [0] * len(self.owner))
+        return LinkDiagram.from_darts(alpha, [0] * (len(alpha) >> 2))
 
 
 _Tangle = namedtuple("_Tangle", "NW NE SW SE")  # a chain's four free ports
 
 
-def _twist_chain(b, axis, weight, owner):
+def _twist_chain(b, axis, weight):
     """|weight| new crossings in a row along axis, each joined to the
     next; returns the chain's tangle.  A horizontal chain's twist region
     has the sign of weight as its handedness, a vertical chain's the
@@ -346,7 +346,6 @@ def _twist_chain(b, axis, weight, owner):
     last = first + 4 * (n - 1)
     alpha = b.alpha
     alpha += [-1] * (4 * n)
-    b.owner += [owner] * n
     if axis == "h":  # NE and SE of each crossing meet NW and SW of the next
         for k in range(first, last, 4):
             alpha[k + ne] = k + 4 + nw

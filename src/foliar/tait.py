@@ -39,7 +39,7 @@ from itertools import compress
 from operator import sub
 
 from ._planar import two_color
-from .criterion import Status, Verdict, judge, weight_reasons
+from .criterion import judge, weight_reasons
 from .sidegraphs import FaceGraph, face_graphs
 from .twists import reduce_assumption1
 
@@ -138,8 +138,7 @@ def check_tait(d):
         return judge([f"NotAKnot({comps})"])
     k, graphs = contract(reduce_assumption1(d))
     if k is not None:
-        reasons = (f"DkDiagram({k})",)
-        return Verdict(Status.EXCLUDED, reasons, (abs(k),), (), 1)
+        return judge([f"DkDiagram({k})"], (abs(k),), (), 1)
     results = []
     for chain_weights, merged in graphs:
         weights = tuple(sorted(chain_weights + merged.weights()))

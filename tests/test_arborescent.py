@@ -12,12 +12,7 @@ from foliar import (
     parse_pd,
     parse_tree,
 )
-from foliar.arborescent import (
-    WeightedPlanarTree,
-    _Builder,
-    _assemble,
-    _validate,
-)
+from foliar.arborescent import WeightedPlanarTree, _validate
 from foliar.diagram import LinkDiagram
 from foliar.errors import ConstructionMismatch, MalformedTree, ZeroWeight
 
@@ -50,6 +45,22 @@ def test_parse_and_text_round_trip():
         t = parse_tree(text)
         assert (t.weight, t.parent) == _preorder(t)
         assert t.to_text() == text
+
+
+def test_sampled_trees_and_their_rerootings_round_trip_through_text():
+    # reroot numbers its tree in preorder, so parse_tree reads each
+    # rerooting's text back as the same parent list
+    rng = seeded(5)
+    rerooted = 0
+    for _ in range(2000):
+        text = random_tree_text(rng, max_nodes=8, lo=1, hi=5)
+        t = parse_tree(text)
+        assert t.to_text() == text
+        for r in t.rerootings():
+            u = parse_tree(r.to_text())
+            assert (u.weight, u.parent) == (r.weight, r.parent)
+            rerooted += 1
+    assert rerooted > 4000
 
 
 def test_text_of_a_parent_list_not_in_preorder_reads_back():
@@ -224,22 +235,36 @@ def test_tree_and_diagram_verdicts_agree():
     assert compared >= 25
 
 
+def _relabelled(d, p):
+    """d with crossing c renumbered p[c]."""
+    alpha = [0] * len(d.alpha)
+    for x, y in enumerate(d.alpha):
+        alpha[4 * p[x >> 2] + (x & 3)] = 4 * p[y >> 2] + (y & 3)
+    axes = [0] * len(d)
+    for c, a in enumerate(d.axes):
+        axes[p[c]] = a
+    return LinkDiagram.from_darts(alpha, axes)
+
+
 def test_validate_mismatch_messages():
     # (2 (3)) assembles crossings 0-1 for the root and 2-4 for its child
     t = parse_tree("(2 (3))")
-    b = _Builder()
-    d = b.finish(_assemble(b, t))
-    owner = [0, 0, 1, 1, 1]
-    _validate(t, d, owner)
+    d = generate_diagram(t)
+    _validate(t, d)
+    # (2 (3) (2)) assembles crossings 0-1, 2-4 and 5-6; swapping 4 and 5
+    # keeps every count and sign but makes region 1 {2, 3, 5}, which
+    # reaches into the next vertex's block
+    fork = parse_tree("(2 (3) (2))")
+    swapped = _relabelled(generate_diagram(fork), [0, 1, 2, 3, 5, 4, 6])
     cases = [
-        (t, d, [0, 1, 0, 1, 1], "region 0 does not match a single vertex"),
-        (t, d.mirror(), owner, "vertex 0: handedness -1, expected 1"),
-        (parse_tree("(3 (2))"), d, owner, "vertex 0: weight 3 became count 2"),
-        (parse_tree("(2)"), d, owner, "2 twist regions for 1 vertices"),
+        (fork, swapped, "region 1 does not match a single vertex"),
+        (t, d.mirror(), "vertex 0: handedness -1, expected 1"),
+        (parse_tree("(3 (2))"), d, "region 0 does not match a single vertex"),
+        (parse_tree("(2)"), d, "2 twist regions for 1 vertices"),
     ]
-    for tree, diagram, owners, message in cases:
+    for tree, diagram, message in cases:
         with pytest.raises(ConstructionMismatch) as exc:
-            _validate(tree, diagram, owners)
+            _validate(tree, diagram)
         assert str(exc.value) == message
 
 
@@ -249,11 +274,10 @@ def test_validate_reports_a_mixed_chain_as_a_construction_bug():
     # the builder could do, so validation raises an InternalError and
     # not the NonAlternatingChain of bad input
     t = parse_tree("(3 (2))")
-    b = _Builder()
-    d = b.finish(_assemble(b, t))
+    d = generate_diagram(t)
     axes = list(d.axes)
     axes[1] ^= 1
     turned = LinkDiagram.from_darts(list(d.alpha), axes)
     with pytest.raises(ConstructionMismatch) as exc:
-        _validate(t, turned, b.owner)
+        _validate(t, turned)
     assert str(exc.value) == "region 0 does not match a single vertex"

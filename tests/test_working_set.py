@@ -111,10 +111,11 @@ def _braid_route(text):
     check_tait(d)
 
 
-def test_the_braid_route_peaks_under_420_bytes_per_crossing():
-    # it peaked at 542 bytes per crossing while the diagram kept lists
+def test_the_braid_route_peaks_under_410_bytes_per_crossing():
+    # it peaked at 542 bytes per crossing while the diagram kept lists,
+    # and at 391 while the builder kept an owner per crossing; 380 now
     peak = traced_memory(_braid_route, CLOSURE)[1]
-    assert peak <= 420 * 10002
+    assert peak <= 410 * 10002
 
 
 def _tree_route(text):
@@ -125,9 +126,10 @@ def _tree_route(text):
     check_tait(d)
 
 
-def test_the_tree_route_peaks_under_460_bytes_per_crossing():
+def test_the_tree_route_peaks_under_450_bytes_per_crossing():
     # it peaked at 583 bytes per crossing while the diagram kept lists,
-    # and at 578 while the builder also kept its dart map
+    # at 578 while the builder also kept its dart map, and at 426 while
+    # the builder kept an owner per crossing; 417 now
     path = "(3 " * 2999 + "(3)" + ")" * 2999
     peak = traced_memory(_tree_route, path)[1]
-    assert peak <= 460 * 9000
+    assert peak <= 450 * 9000
