@@ -135,7 +135,8 @@ def family_tree(kind, params):
     """Named tree shapes for the standard families.
 
     two_bridge [a1..an]: a path, a1 nearest the root.
-    pretzel [q1..qn]: q1 with the remaining strips as leaves.
+    pretzel [q1..qn]: the star tree, q1 with the remaining weights as
+    leaves; not the pretzel P(q1, .., qn) that make_pretzel_pd draws.
     montesinos [c, [a1, ..], ..]: c with one arm per list of one or
     more weights, a path whose first weight hangs off c.
     """

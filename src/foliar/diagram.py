@@ -191,18 +191,17 @@ class LinkDiagram:
     def from_json(cls, text):
         try:
             data = json.loads(text)
-            rows = data["crossings"]
-            axes = data["under_axis"]
-            if len(rows) != len(axes):
-                raise MalformedToken("crossings and under_axis lengths differ")
-            within_budget(len(rows))
-            # a row or list of the wrong type raises TypeError here
-            labels = [a for row in rows for a in row]
-        # RecursionError: arrays nested deeper than the decoder can follow
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
-            raise MalformedToken(f"bad diagram json: {exc}") from None
+        except json.JSONDecodeError:  # before ValueError, its base
+            raise MalformedToken("bad diagram json: not JSON") from None
+        except RecursionError:  # arrays nested deeper than the decoder follows
+            raise MalformedToken("bad diagram json: nested too deep") from None
         except ValueError:  # an integer beyond the digit limit
             raise _overlong(MalformedToken, text) from None
+        rows, axes = _json_lists(data)
+        if len(rows) != len(axes):
+            raise MalformedToken("crossings and under_axis lengths differ")
+        within_budget(len(rows))
+        labels = [a for row in rows for a in row]
         for ax in axes:
             if not isinstance(ax, int) or ax not in (0, 1):  # bools pass
                 raise MalformedToken(f"under_axis {ax}")
@@ -215,6 +214,23 @@ class LinkDiagram:
         alpha = _pair(labels)
         del labels
         return cls(alpha, axes, text)
+
+
+def _json_lists(data):
+    """The crossings and under_axis lists of decoded diagram JSON, each
+    crossing a list; else MalformedToken naming the first that is not.
+    The messages read nothing from the decoder, whose words and
+    positions change between Python versions."""
+    if type(data) is not dict:
+        raise MalformedToken("bad diagram json: not an object")
+    for key in ("crossings", "under_axis"):
+        if type(data.get(key)) is not list:
+            raise MalformedToken(f"bad diagram json: {key} is not a list")
+    rows = data["crossings"]
+    if not {list}.issuperset(map(type, rows)):
+        ci = next(i for i, row in enumerate(rows) if type(row) is not list)
+        raise MalformedToken(f"bad diagram json: crossing {ci} is not a list")
+    return rows, data["under_axis"]
 
 
 def parse_pd(text):

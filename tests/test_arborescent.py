@@ -17,6 +17,7 @@ from foliar.diagram import LinkDiagram
 from foliar.errors import ConstructionMismatch, MalformedTree, ZeroWeight
 
 from conftest import FIG8, random_tree_text, ref_is_ring, seeded
+from conftest import fox_determinant
 from test_reference_routes import big_planar_tree
 
 
@@ -128,6 +129,15 @@ def test_family_tree_shapes():
         family_tree("montesinos", [3, [2], [2, 3, -4]]).to_text()
         == "(3 (2) (2 (3 (-4))))"
     )
+
+
+def test_the_pretzel_family_is_a_star_not_the_pretzel():
+    # a star of two leaves is a path: (3 (-2) (7)) is a two-bridge knot
+    star = family_tree("pretzel", [-2, 3, 7])
+    assert check_arborescent(star).reasons == ("NotAKnot(2)",)
+    assert fox_determinant(generate_diagram(star)) == 32
+    assert fox_determinant(make_pretzel_pd([-2, 3, 7])) == 1
+    assert fox_determinant(generate_diagram(parse_tree("(3 (-2) (7))"))) == 37
 
 
 def test_single_vertex_generates_closed_chain():

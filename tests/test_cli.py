@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from collections import Counter
 
 import pytest
@@ -19,14 +20,6 @@ def run(capsys, *argv):
 
 def last_json(stdout):
     return json.loads(stdout.strip().splitlines()[-1])
-
-
-def test_check_verdict(capsys):
-    code, out, _ = run(capsys, "check", TREFOIL)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["status"] == "excluded"
-    assert payload["reasons"] == ["DkDiagram(3)"]
 
 
 def test_check_file_and_json_input(tmp_path, capsys):
@@ -180,17 +173,6 @@ def test_braid_command(capsys):
     payload = json.loads(out)
     assert payload["status"] == "certified"
     assert payload["diagram_status"] == "certified"
-
-
-def test_braid_diagram_prints_the_closure(capsys):
-    code, out, _ = run(capsys, "braid", "s1^3 s2^-3", "--diagram")
-    assert code == 0
-    payload = json.loads(out)
-    assert "diagram_status" not in payload
-    assert payload["pd"] == (
-        "X[1,2,3,4] X[4,3,5,6] X[6,5,2,7] X[7,8,9,10] X[8,11,12,9] "
-        "X[11,1,10,12]"
-    )
 
 
 def test_braid_crosscheck_disagreement_exits_3(capsys, monkeypatch):
@@ -369,12 +351,6 @@ def test_augment_plans_the_normal_form_byte_for_byte(capsys):
 def test_augment_zero_k_is_input_error(capsys):
     code, _, err = run(capsys, "augment", KINK)
     assert code == 2
-
-
-def test_augment_on_a_link_is_input_error(capsys):
-    code, out, err = run(capsys, "augment", HOPF, "--plan")
-    assert (code, out) == (2, "")
-    assert err == "error: NotAKnot(2): crossing circles need a knot\n"
 
 
 def test_corpus_walk(tmp_path, capsys):
@@ -619,6 +595,147 @@ def test_corpus_reports_recursion_error_and_carries_on(
     }
     assert lines[1]["status"] == "excluded"
     assert lines[-1]["files"] == 2
+
+
+# -- the CLI contract: argv, exit code, stdout and stderr ---------------------
+# A row holds an argv, its exit code and the exact bytes it prints: a
+# verdict on stdout, or on exit 2 one error line on stderr.  A new CLI
+# behaviour gets a row; tests/cross_version.py runs it on each Python.
+
+def line(status, reasons, g, r, regions, **more):
+    """A verdict's JSON line as the CLI prints it."""
+    return json.dumps({
+        "status": status, "reasons": reasons, "weights_g": g, "weights_r": r,
+        "twist_regions": regions, **more,
+    }) + "\n"
+
+
+TREFOIL_OUT = line("excluded", ["DkDiagram(3)"], [3], [], 1)
+OVER = "input of {} crossings is over the budget of 1000000 crossings"
+NOT_A_LIST = "bad diagram json: crossings is not a list"
+CLI_CONTRACT = {
+    # PD text is tokens between whitespace: two tokens with none between
+    # them are one bad chunk, which the error names; a label in
+    # Arabic-Indic digits, and no-break and em spaces between tokens,
+    # read as the ASCII text does
+    "fused tokens": (["check", "X[1,4,2,5] X[3,6,4,1]X[5,2,6,3]"], 2,
+                     "bad token 'X[3,6,4,1]X[5,2,6,3]'"),
+    "ascii": (["check", TREFOIL], 0, TREFOIL_OUT),
+    "arabic-indic label": (
+        ["check", "X[1,4,2,5] X[3,6,4,\u0661] X[5,2,6,3]"], 0, TREFOIL_OUT),
+    "unicode spaces": (
+        ["check", "X[1,4,2,5]\u00a0X[3,6,4,1]\u2003X[5,2,6,3]"], 0,
+        TREFOIL_OUT),
+    # a PD label is a digit run, so 0 is the one label below 1
+    "label 0": (["check", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,0]"], 2,
+                "arc label 0"),
+    # a built diagram's arcs are numbered in the order of their lower darts
+    "braid diagram": (["braid", "s1^3 s2^-3", "--diagram"], 0, line(
+        "certified", [], [3, 3], [], 2, pd="X[1,2,3,4] X[4,3,5,6] X[6,5,2,7] "
+        "X[7,8,9,10] X[8,11,12,9] X[11,1,10,12]")),
+    "tree diagram": (["tree", "(3 (-2))", "--diagram"], 0, line(
+        "certified", [], [2, 3], [], 2,
+        pd="X[1,2,3,4] X[4,3,5,6] X[6,5,7,8] X[1,8,9,10] X[10,9,7,2]")),
+    # a link tree's normal form is coloured by the strand walk, and a
+    # zero weight is named by its vertex
+    "link tree": (["tree", "--crosscheck", "(3 (3))"], 0, line(
+        "fail", ["NotAKnot(2)"], [3, 3], [], 2, diagram_status="fail")),
+    "zero weight": (["tree", "(3 (2) (0))"], 2, "vertex 2 has weight 0"),
+    # merging sums each pair of side faces' signed counts: the regions
+    # [-2, 3, 1, 2, 2, 1] become [5, 1, 1]
+    "merged weights": (
+        ["check", "--crosscheck", "X[1,2,3,4] X[2,5,6,3] X[7,6,8,9] "
+         "X[9,8,10,11] X[11,10,12,13] X[5,14,15,12] X[13,15,16,17] "
+         "X[17,16,18,7] X[18,14,19,20] X[20,19,21,22] X[22,21,23,24] "
+         "X[24,23,25,26] X[25,27,28,26] X[27,29,4,28] X[30,30,1,29]"], 0,
+        line("fail", ["WeightTooSmall(region=1,count=1)",
+                      "WeightTooSmall(region=2,count=1)",
+                      "Disconnected(green)", "Disconnected(red)"],
+             [1, 5], [1], 3, tait_status="fail")),
+    # an interleaving word with every |e| >= 2 must agree, with no note
+    "clean braid": (["braid", "s1^3 s2^-3 s1^3 s2^-3", "--crosscheck"], 0,
+                    line("certified", [], [3, 3, 3, 3], [], 4,
+                         diagram_status="certified")),
+    # the two-strand ring is excluded as a diagram
+    "ring braid": (["braid", "s1^5", "--strands", "2", "--crosscheck"], 0,
+                   line("fail", ["EvenStrandCount"], [5], [], 1,
+                        diagram_status="excluded")),
+    # the checkerboard route excludes a D_k diagram by a colour whose
+    # faces are all bigons, the one-crossing curl's a looped vertex
+    "tait trefoil": (["check", "--crosscheck", TREFOIL], 0, line(
+        "excluded", ["DkDiagram(3)"], [3], [], 1, tait_status="excluded")),
+    "tait curl": (
+        ["check", "--crosscheck",
+         '{"crossings": [[1,2,2,1]], "under_axis": [1]}'], 0,
+        line("excluded", ["DkDiagram(-1)"], [1], [], 1,
+             tait_status="excluded")),
+    "augment on a link": (["augment", HOPF, "--plan"], 2,
+                          "NotAKnot(2): crossing circles need a knot"),
+    # an input over the crossing budget is refused before anything is
+    # built, well inside the time bound
+    "braid over budget": (["braid", "s1^100000000"], 2,
+                          OVER.format(100000000)),
+    "tree over budget": (["tree", "(100000000 (2))"], 2,
+                         OVER.format(100000002)),
+    # JSON faults are named in the package's words on every interpreter
+    "json trailing comma": (
+        ["check", '{"crossings": [[1,2,3,4],], "under_axis": [0]}'], 2,
+        "bad diagram json: not JSON"),
+    "json nulls": (["check", '{"crossings": null, "under_axis": null}'], 2,
+                   NOT_A_LIST),
+    "json object": (["check", '{"crossings": {"a":1}, "under_axis": [0]}'],
+                    2, NOT_A_LIST),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, text", CLI_CONTRACT.values(),
+                         ids=CLI_CONTRACT)
+def test_cli_contract(capsys, argv, code, text):
+    start = time.process_time()
+    want = (text, "") if code == 0 else ("", f"error: {text}\n")
+    assert run(capsys, *argv) == (code, *want)
+    assert time.process_time() - start < 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_contract_on_files(tmp_path, capsys):
+    # a ring is a chain: the trefoil's one region collapses by the general
+    # path to one vertex with two nested loops
+    dots = tmp_path / "dots"
+    assert run(capsys, "check", TREFOIL, "--emit-dot", str(dots)) == (
+        0, TREFOIL_OUT, ""
+    )
+    assert (dots / "collapsed.dot").read_text() == (
+        'graph collapsed {\n  v0 [label="3@+1"];\n'
+        "  v0 -- v0;\n  v0 -- v0;\n}\n"
+    )
+    # the interleaving rule reads each strand pair's syllables once, so a
+    # word of 10^5 distinct generators is certified at once; tree
+    # generation and validation are linear, so a path of 100 002
+    # crossings and a star of 20 001 vertices are certified as trees and
+    # as diagrams; an argv string is capped at 128 KB, hence corpus
+    words = tmp_path / "words"
+    words.mkdir()
+    (words / "w.braid").write_text(
+        " ".join(f"s{g}^3" for g in range(1, 100_001))
+    )
+    (tmp_path / "p.tree").write_text("(3" + " (3" * 33333 + ")" * 33334)
+    (tmp_path / "s.tree").write_text("(3" + " (-3)" * 20000 + ")")
+    ok = {"status": "certified", "reasons": []}
+    both = {**ok, "diagram_status": "certified"}
+    for argv, rows in [
+        ([words], [{"file": "w.braid", **ok}]),
+        (["--crosscheck", tmp_path],
+         [{"file": "p.tree", **both}, {"file": "s.tree", **both}]),
+    ]:
+        start = time.process_time()
+        code, out, err = run(capsys, "corpus", *map(str, argv))
+        assert time.process_time() - start < 10
+        n = len(rows)
+        rows.append({"files": n, "certified": n, "fail": 0, "excluded": 0})
+        want = "".join(json.dumps(row) + "\n" for row in rows)
+        assert (code, out, err) == (0, want, "")
 
 
 # -- the exit-code contract over mutated argv --------------------------------

@@ -146,18 +146,25 @@ def ref_parse_pd(text):
 
 def ref_from_json(text):
     """JSON rows read into records, then validated as records."""
+    fault = "bad diagram json: {}".format
     try:
         data = json.loads(text)
-        slots = data["crossings"]
-        axes = data["under_axis"]
-        if len(slots) != len(axes):
-            raise MalformedToken("crossings and under_axis lengths differ")
-        # a row or list of the wrong type raises TypeError here
-        crossings = [Crossing(tuple(s), ax) for s, ax in zip(slots, axes)]
-    # RecursionError: arrays nested deeper than the decoder can follow
-    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
-        raise MalformedToken(f"bad diagram json: {exc}") from None
-    return RefDiagram(crossings)
+    except RecursionError:
+        raise MalformedToken(fault("nested too deep")) from None
+    except json.JSONDecodeError:
+        raise MalformedToken(fault("not JSON")) from None
+    if not isinstance(data, dict):
+        raise MalformedToken(fault("not an object"))
+    slots, axes = data.get("crossings"), data.get("under_axis")
+    for key, value in [("crossings", slots), ("under_axis", axes)]:
+        if not isinstance(value, list):
+            raise MalformedToken(fault(f"{key} is not a list"))
+    for ci, s in enumerate(slots):
+        if not isinstance(s, list):
+            raise MalformedToken(fault(f"crossing {ci} is not a list"))
+    if len(slots) != len(axes):
+        raise MalformedToken("crossings and under_axis lengths differ")
+    return RefDiagram([Crossing(tuple(s), ax) for s, ax in zip(slots, axes)])
 
 
 def ref_lower_dart_records(alpha, axes):
