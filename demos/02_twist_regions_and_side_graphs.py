@@ -21,7 +21,7 @@ for r in dec:
 
 # Collapsing replaces every region by a single four-valent vertex.
 # Faces obey the same Euler count as diagrams: V + 2.
-cg = collapse(d, dec)
+cg = collapse(d)
 print("collapsed vertices:", len(cg.vertices), "faces:", len(cg.faces))
 
 # The faces two-colour like a checkerboard.  Each region contributes

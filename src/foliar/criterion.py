@@ -19,7 +19,7 @@ cancellation and merging, is kept on the diagram: check_main, diagnose,
 augment, the dot output and tree validation all read it from there,
 and each side graph counts its components once.  check_main reads
 region counts off the diagrams' flat region lists and builds no region
-record; a link fails before any region is read.
+record; a link fails before any region is read, so nothing reshaped it.
 """
 
 import json
@@ -97,7 +97,7 @@ def reshaped(verdict):
     Only verdicts on inputs that were not reshaped must agree with the
     checkerboard route.
     """
-    return bool(verdict.detail.get("reduced") or verdict.detail.get("merged"))
+    return verdict.detail["reduced"] or verdict.detail["merged"]
 
 
 def normal_form(d):
@@ -110,7 +110,8 @@ def normal_form(d):
 def check_main(d):
     comps = d.component_count()
     if comps != 1:
-        return judge([f"NotAKnot({comps})"])
+        detail = {"reduced": False, "merged": False}
+        return judge([f"NotAKnot({comps})"], detail=detail)
     cg, green, red = normal_form(d)
     r = reduce_assumption1(d)  # kept by normal_form
     detail = {

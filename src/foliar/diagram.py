@@ -51,7 +51,7 @@ import json
 import re
 from array import array
 from collections import Counter, namedtuple
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from ._planar import face_lists, strands, trace_faces
 from .errors import (
@@ -72,6 +72,9 @@ _TEXT = re.compile(r"\s*+(?:X\[\d++,\d++,\d++,\d++\](?:\s++|\Z))*+")
 # _ARRAY makes checked ASCII text a JSON array but for its brackets and
 # last comma, JSON knowing only space, tab, CR and LF as whitespace
 _ARRAY = str.maketrans("]\v\f\x1c\x1d\x1e\x1f", ",      ", "X[")
+# JSON nests <= 100 deep on every Python; _BRACKETS: brackets outside strings
+_BRACKETS = re.compile(r'"(?:[^"\\]++|\\.)*+(?:"|\\?\Z)|[^"\[\]{}]++', re.S)
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 # a certification's peak is at most about 850 bytes per crossing (500
 # in RSS on a 10^5-crossing tree path, 350 traced on PD or JSON input
@@ -189,12 +192,13 @@ class LinkDiagram:
 
     @classmethod
     def from_json(cls, text):
+        steps = map(_DEPTH_STEP.__getitem__, _BRACKETS.sub("", text))
+        if max(accumulate(steps), default=0) > 100:
+            raise MalformedToken("bad diagram json: nested too deep")
         try:
             data = json.loads(text)
         except json.JSONDecodeError:  # before ValueError, its base
             raise MalformedToken("bad diagram json: not JSON") from None
-        except RecursionError:  # arrays nested deeper than the decoder follows
-            raise MalformedToken("bad diagram json: nested too deep") from None
         except ValueError:  # an integer beyond the digit limit
             raise _overlong(MalformedToken, text) from None
         rows, axes = _json_lists(data)

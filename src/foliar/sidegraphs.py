@@ -19,12 +19,12 @@ the region becomes its 0-tangle, joining slots 1 to 2 and 3 to 0, so
 the strands on either side close up and none crosses the other.
 (Carrying the two strands through an odd region would make them cross
 at no vertex, and the map would no longer be planar.)  Merging works
-in rounds: each round builds the side graphs once, merges every
-parallel family of both colours and builds one collapsed graph, whose
-vertices keep their colour bits and whose faces count its pieces.  A
-smoothing can join faces and so make new parallel edges; rounds repeat
-until none remain, which is the normal form the certification
-criterion inspects.  Its side graphs are trees when both are connected,
+in rounds: each round merges every parallel family of both colours
+and builds one collapsed graph, whose vertices keep their colour bits
+and whose faces count its pieces.  A smoothing can join faces and so
+make new parallel edges; rounds repeat until none remain, which is the
+normal form the certification criterion inspects, and the side graphs
+are built once, for it alone.  They are trees when both are connected,
 so connectivity_report asks no more: its V vertices have V + 2 faces
 (collapse and each merge round raise otherwise), G + R by colour, and
 V side edges, Eg + Er; Eg >= G - 1 and Er >= R - 1 then add up to
@@ -135,10 +135,9 @@ def connectivity_report(green, red):
 def normalize_assumption2(cg):
     """Merge every parallel family in rounds until no parallel edges remain.
 
-    Returns (collapsed graph, green, red) in normal form.
+    Returns (normal form, green, red), its side graphs built once at the end.
     """
     while True:
-        green, red = build_side_graphs(cg)
         # each region's pair of side faces at its arc gaps as one int;
         # faces of both colours are faces of one map
         g1, g3 = cg.ARC_GAPS
@@ -148,7 +147,7 @@ def normalize_assumption2(cg):
             for a, b in zip(cg.face_at[g1::4], cg.face_at[g3::4])
         ]
         if len(set(keys)) == len(keys):
-            return cg, green, red
+            return (cg, *build_side_graphs(cg))
         sums = dict.fromkeys(keys, 0)  # the signed sum of each pair
         for key, w in zip(keys, cg.vertices):
             sums[key] += w

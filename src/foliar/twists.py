@@ -88,7 +88,6 @@ from ._planar import (
 )
 from .diagram import LinkDiagram
 from .errors import (
-    InputError,
     InternalError,
     NonAlternatingChain,
     NonSphericalEmbedding,
@@ -351,14 +350,10 @@ class CollapsedGraph:
         return to_dot("collapsed", nodes, edges)
 
 
-def collapse(d, regions=None):
+def collapse(d):
     """The collapsed graph of all of d's regions, in region order; the
-    first mixed one raises.  regions, if given, must hold each of d's
-    region records once, in any order, else InputError."""
+    first mixed one raises."""
     signed, order, start, gap = flat_regions(d)
-    if regions is not None:
-        if sorted([r.index for r in regions]) != list(range(len(signed))):
-            raise InputError("collapse takes every region record once")
     if 0 in signed:
         i = signed.index(0)
         crossings = region_crossings(d, i)

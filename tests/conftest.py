@@ -440,3 +440,22 @@ def unreduced_inputs(n):
                 yield d
         except FoliarError:
             continue
+
+
+def cascade(m):
+    """The closure of (s1 s2^-1)^m (s2 s1^-1)^m s1^3 s2^3, unreduced:
+    4m + 6 crossings, where each cancellation exposes the next pair."""
+    word = ["s1 s2^-1"] * m + ["s2 s1^-1"] * m + ["s1^3 s2^3"]
+    return braid_to_diagram(parse_braid(" ".join(word)))
+
+
+def merge_family(L):
+    """M(L) = X s1 s2 s1 s2 X^-1 s1^-2 s2^-2 s3^-1 s2^2 s1^2, unreduced,
+    X being L syllables of exponent 2 alternating s2, s1 and X^-1 X
+    reversed with each exponent negated: a knot whose merging takes
+    L + 1 rounds, each smoothing one zero-sum pair of +-2 regions."""
+    x = [f"s{2 - i % 2}" for i in range(L)]
+    word = [g + "^2" for g in x] + ["s1 s2 s1 s2"]
+    word += [g + "^-2" for g in reversed(x)]
+    word += ["s1^-2 s2^-2 s3^-1 s2^2 s1^2"]
+    return braid_to_diagram(parse_braid(" ".join(word)))

@@ -613,6 +613,7 @@ def line(status, reasons, g, r, regions, **more):
 TREFOIL_OUT = line("excluded", ["DkDiagram(3)"], [3], [], 1)
 OVER = "input of {} crossings is over the budget of 1000000 crossings"
 NOT_A_LIST = "bad diagram json: crossings is not a list"
+DEEP = "[" * 5000 + "]" * 5000
 CLI_CONTRACT = {
     # PD text is tokens between whitespace: two tokens with none between
     # them are one bad chunk, which the error names; a label in
@@ -685,6 +686,14 @@ CLI_CONTRACT = {
                    NOT_A_LIST),
     "json object": (["check", '{"crossings": {"a":1}, "under_axis": [0]}'],
                     2, NOT_A_LIST),
+    # a list nested 5 000 deep, as a crossing or as a label, is refused
+    # before decoding, whatever depth the interpreter's decoder follows
+    "json deep crossing": (
+        ["check", '{"crossings": [[1,2,3,4], ' + DEEP + '], '
+         '"under_axis": [0,0]}'], 2, "bad diagram json: nested too deep"),
+    "json deep label": (
+        ["check", '{"crossings": [[1,2,3,' + DEEP + ']], "under_axis": [0]}'],
+        2, "bad diagram json: nested too deep"),
 }
 
 

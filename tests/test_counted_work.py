@@ -10,7 +10,9 @@ between runs the way times do on a shared machine, so a stage that
 starts to repeat itself fails here at any size.  One raw word whose
 closure cancels and then merges pins the rounds of the worst case
 found, and one knot whose merging drops a zero-sum family pins the
-rounds of that case.  Calls miss the loops inside a stage, so the
+rounds of that case.  The two superlinear families, the cancellation
+cascade and the merge family M(L), pin how many rounds they take.
+Calls miss the loops inside a stage, so the
 bytecodes it executes are counted too, at about 10^2 and 10^3
 crossings: on those closures, on a two-strand ring, on a raw closure
 that cancels, on the diagram of a path tree, for merging alone on a row of
@@ -30,7 +32,7 @@ from foliar.criterion import Status, normal_form
 from foliar.diagram import LinkDiagram
 from foliar.twists import CollapsedGraph
 
-from conftest import GRANNY3, executed_opcodes
+from conftest import GRANNY3, cascade, executed_opcodes, merge_family
 from test_sidegraphs import ZERO_SUM_KNOT
 
 
@@ -90,10 +92,11 @@ def test_merge_rounds_of_the_worst_word_found(counts):
     assert v.reasons == (
         "WeightTooSmall(region=0,count=1)", "WeightTooSmall(region=2,count=1)"
     )
-    # one build of the reduced diagram, a detection on each diagram, and
-    # one collapsed graph and side-graph build per merge round and the last
+    # one build of the reduced diagram, a detection on each diagram, one
+    # collapsed graph from collapse and one per merge round, and one
+    # side-graph build, for the normal form
     assert counts == {
-        "build": 1, "detect": 2, "collapsed": 4, "side": 4, "face_graphs": 4
+        "build": 1, "detect": 2, "collapsed": 4, "side": 1, "face_graphs": 1
     }
 
 
@@ -103,10 +106,38 @@ def test_merge_rounds_of_a_zero_sum_family(counts):
     counts.update(dict.fromkeys(counts, 0))  # the merging's work alone
     out = normalize_assumption2(cg)[0]
     assert list(out.vertices) == [5, 1, 1]
-    # a collapsed graph per merge round, and a side-graph build per
-    # round and the last, which finds no parallel edges
+    # a collapsed graph per merge round, and one side-graph build, for
+    # the normal form, which has no parallel edges
     assert counts == {
-        "build": 0, "detect": 0, "collapsed": 2, "side": 3, "face_graphs": 3
+        "build": 0, "detect": 0, "collapsed": 2, "side": 1, "face_graphs": 1
+    }
+
+
+# the two superlinear stages, counted: a linear cancellation (ROADMAP
+# item 8) and merging by a face worklist (item 14) must lower these counts
+
+def test_a_cancellation_cascade_builds_once_per_round(counts):
+    d = cascade(64)
+    assert len(d) == 262 and d.component_count() == 1
+    counts.update(dict.fromkeys(counts, 0))
+    assert check_main(d).status == Status.CERTIFIED
+    # each round cancels one pair, then detects and builds afresh
+    assert counts == {
+        "build": 128, "detect": 129, "collapsed": 1, "side": 1,
+        "face_graphs": 1,
+    }
+
+
+def test_a_merge_family_builds_once_per_round(counts):
+    d = merge_family(9)
+    assert len(d) == 49 and d.component_count() == 1
+    counts.update(dict.fromkeys(counts, 0))
+    assert check_main(d).status == Status.HYPOTHESES_FAIL
+    # collapse's collapsed graph and one per merge round, 10 rounds each
+    # smoothing one zero-sum pair, and one side-graph build, for the
+    # normal form
+    assert counts == {
+        "build": 1, "detect": 2, "collapsed": 11, "side": 1, "face_graphs": 1
     }
 
 

@@ -17,16 +17,19 @@ from foliar import (
 )
 from foliar.criterion import detect_dk, normal_form
 
-from foliar.errors import FoliarError
+from foliar.errors import FoliarError, InputError
 
 from conftest import (
     CANCELLING_COLUMNS,
     FIG8,
     GRANNY3,
+    HOPF,
     SQUARE_KNOT,
     TREFOIL,
     fox_determinant,
     goeritz_determinant,
+    random_tree_text,
+    seeded,
     unreduced_inputs,
 )
 
@@ -193,6 +196,10 @@ def test_detail_holds_only_the_reshaping_flags(fig8):
     for d, detail in cases:
         assert check_main(d).detail == detail
         assert normal_form(d)[0].vertices  # the graphs live on the diagram
+    # a link is judged before cancellation, so nothing reshaped it
+    assert check_main(parse_pd(HOPF)).detail == {
+        "reduced": False, "merged": False
+    }
 
 
 def test_detect_dk(trefoil, fig8):
@@ -266,3 +273,31 @@ def test_route_agreement_preconditions():
     assert not must_agree("braid", "s1^3 s3^3 s1^-3 s3^-3 s4^2")
     assert not must_agree("braid", "s1^3 s2 s1^3 s2^-3")
     assert not must_agree("braid", "s1^3 s3^-3 s2^-3")  # four strands
+
+
+def test_mirroring_keeps_each_routes_status():
+    # mirroring flips every crossing, which negates every handedness and
+    # twist count, and both routes treat a sign and its negation alike
+    knots = []
+    rng = seeded(3)
+    for _ in range(1500):
+        try:
+            d = generate_diagram(parse_tree(
+                random_tree_text(rng, max_nodes=7, lo=1, hi=4)
+            ))
+        except FoliarError:
+            continue
+        if d.component_count() == 1:
+            knots.append(d)
+    sample = list(unreduced_inputs(400)) + knots
+    assert len(sample) == 1231
+
+    def outcome(check, d):
+        try:
+            return check(d).status
+        except InputError as exc:
+            return type(exc)
+
+    for d in sample:
+        for check in (check_main, check_tait):
+            assert outcome(check, d) == outcome(check, d.mirror()), d.to_pd()

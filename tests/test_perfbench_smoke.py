@@ -40,12 +40,31 @@ def test_reshape_pass_keeps_its_verdicts():
     _assert_digest("reshape", RESHAPE_SEED1_DIGEST)
 
 
-def test_corpus_pass_keeps_its_verdicts(bench):
+def test_corpus_pass_keeps_its_verdicts(bench, monkeypatch):
+    replays = _count_replays(monkeypatch)
     assert _digest(bench, "corpus") == CORPUS_SEED1_DIGEST
+    assert replays == [0]
 
 
-def test_large_pass_keeps_its_verdicts(bench):
+def test_large_pass_keeps_its_verdicts(bench, monkeypatch):
+    replays = _count_replays(monkeypatch)
     assert _digest(bench, "large") == LARGE_SEED1_DIGEST
+    assert replays == [0]
+
+
+def _count_replays(monkeypatch):
+    """Calls of foliar.detect_twist_regions, through which the reference
+    checks would replay the normalisation of a verdict that did not say
+    whether it reshaped; every check_main verdict says so."""
+    calls = [0]
+    original = foliar.detect_twist_regions
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(foliar, "detect_twist_regions", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")

