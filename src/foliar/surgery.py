@@ -237,16 +237,13 @@ def verify_plan(circles, plan):
     for i, (c, config) in enumerate(zip(circles, plan.assignments)):
         if config not in _allowed(i, c, plan.distinguished, plan.secondary, n):
             return False
-        if c.count % 2 == 1:
-            lo, hi = (-1, None) if c.k > 0 else (None, 1)
-        else:
-            lo, hi = _INTERVALS[config]
         if c.k == 0:  # no coefficient 1/k
             return False
+        if c.count % 2 == 1:  # k > 0 gives 1/k > -1, k < 0 gives 1/k < 1
+            continue
+        lo, hi = _INTERVALS[config]
         v = Fraction(1, c.k)
-        if lo is not None and not v > lo:
-            return False
-        if hi is not None and not v < hi:
+        if not (lo is None or v > lo) or not (hi is None or v < hi):
             return False
     dc = circles[plan.distinguished]
     if dc.count % 2 == 0 and abs(dc.k) < 2:

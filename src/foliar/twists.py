@@ -199,6 +199,8 @@ def _detect(d):
         head, tail, k, ahead = c1, c2, k2, True
         while True:
             far = port[k ^ 2]
+            # far is corner 0 only at the chain's far end: crossing 0's
+            # chain starts on it, so other arrivals would raise below
             if far >= 0 and far >> 2 != (head if ahead else tail):
                 f = far >> 2
                 port[k ^ 2] = port[far] = -1

@@ -228,26 +228,71 @@ def bareiss(m):
     return sign * m[-1][-1] if n else 1
 
 
+def arc_rows(d):
+    """The arcs of a diagram, numbered from 0, and per crossing the
+    arcs (over, right, left): the arc passing over, and the under arcs
+    on its right and on its left as the over strand runs.  Each strand
+    is walked once, entering crossings by the darts it marks; an arc
+    is the edges joined across the crossings it passes over."""
+    alpha = d.alpha
+    entered = bytearray(len(alpha))
+    for e in range(len(alpha)):
+        while not (entered[e] or entered[e ^ 2]):
+            entered[e] = 1
+            e = alpha[e ^ 2]
+    edge = [min(e, f) for e, f in enumerate(alpha)]
+    ds = DisjointSets()
+    rows = []
+    for c, ax in enumerate(d.axes):
+        o = 4 * c + 1 - ax  # an over dart, then the one entering
+        o ^= 2 * (not entered[o])
+        ds.union(edge[o], edge[o ^ 2])
+        rows.append([edge[4 * c + ((o + k) & 3)] for k in (0, 1, 3)])
+    col = {}
+    for e in edge:
+        col.setdefault(ds.find(e), len(col))
+    return len(col), [[col[ds.find(e)] for e in row] for row in rows]
+
+
+def _minor(d, weights):
+    """The first (n-1)-minor of the matrix with one row per crossing
+    adding weights (over, right, left) to its arcs' columns."""
+    n, rows = arc_rows(d)
+    m = []
+    for arcs in rows[1:]:
+        row = [0] * n
+        for a, w in zip(arcs, weights):
+            row[a] += w
+        m.append(row[1:])
+    return bareiss(m)
+
+
 def fox_determinant(d):
     """|any (n-1)-minor| of the Fox colouring matrix: one row per
     crossing, 2 on the over arc and -1 on each under arc."""
-    ds = DisjointSets()
-    rows = []
-    for s, ax in zip(*rows_of(d)):
-        s = s[1:] + s[:1] if ax else s
-        ds.union(s[1], s[3])  # the over strand is one arc
-        rows.append((s[1], s[0], s[2]))
-    col = {}
-    for a in range(1, d.arc_count + 1):
-        col.setdefault(ds.find(a), len(col))
-    m = []
-    for over, u1, u2 in rows:
-        row = [0] * len(col)
-        row[col[ds.find(over)]] += 2
-        row[col[ds.find(u1)]] -= 1
-        row[col[ds.find(u2)]] -= 1
-        m.append(row[1:])
-    return abs(bareiss(m[1:]))
+    return abs(_minor(d, (2, -1, -1)))
+
+
+def alexander(d):
+    """The Alexander polynomial of a diagram's knot, its coefficients
+    from the lowest power of t, the first positive: up to +-t^k.  Of a
+    link it is the polynomial of the orientation arc_rows walks.
+
+    It is an (n-1)-minor of the Alexander matrix, one row per crossing
+    with 1 - t on the over arc, t on the under arc to its right and -1
+    on the one to its left, read at t = b and written back in balanced
+    base b.  A row's coefficients sum to at most 4 in size, so those of
+    the minor do to at most 4^(n-1), which b exceeds twice."""
+    b = 2 * 4 ** len(d) + 1
+    v = _minor(d, (1 - b, b, -1))
+    coeffs = []
+    while v:
+        c = (v + b // 2) % b - b // 2
+        coeffs.append(c)
+        v = (v - c) // b
+    while coeffs and not coeffs[0]:
+        coeffs.pop(0)
+    return tuple([c if coeffs[0] > 0 else -c for c in coeffs])
 
 
 def goeritz_determinant(plane, counts, color):

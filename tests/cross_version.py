@@ -5,6 +5,8 @@ stderr differ among interpreters; pytest does not collect this file.
 
 Each interpreter, python3.11, python3.12 and python3.13 by default,
 runs foliar.cli.main in-process on this checkout's src, with -W error.
+An interpreter that cannot run is named with its exit code and the
+last line of its stderr, and the script exits 2.
 """
 
 import json
@@ -35,14 +37,21 @@ json.dump([run(argv) for argv in json.load(sys.stdin)], sys.stdout)
 
 def main(pythons):
     argvs = [argv for argv, *_ in CLI_CONTRACT.values()]
-    runs = {
-        python: json.loads(subprocess.run(
-            [python, "-W", "error", "-c", CHILD, SRC],
-            input=json.dumps(argvs), capture_output=True, text=True,
-            check=True,
-        ).stdout)
-        for python in pythons
-    }
+    runs = {}
+    for python in pythons:
+        try:
+            child = subprocess.run(
+                [python, "-W", "error", "-c", CHILD, SRC],
+                input=json.dumps(argvs), capture_output=True, text=True,
+            )
+        except OSError as exc:  # not found or not executable
+            print(f"{python}: cannot run: {exc.strerror}")
+            return 2
+        if child.returncode:
+            last = (child.stderr.strip().splitlines() or [""])[-1]
+            print(f"{python}: exit {child.returncode}: {last}")
+            return 2
+        runs[python] = json.loads(child.stdout)
     differ = [i for i in range(len(argvs))
               if len({json.dumps(got[i]) for got in runs.values()}) > 1]
     for i in differ:

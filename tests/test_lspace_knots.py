@@ -25,6 +25,8 @@ from foliar import (
     parse_braid,
 )
 
+from conftest import alexander
+
 # T(p, q) as the closure of (s1 ... s_{p-1})^q on p strands
 TORUS = [(2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 6)]
 PRETZELS = [[-2, 3, 5], [-2, 3, 7], [-2, 3, 9], [-2, 3, 11], [2, -3, -7]]
@@ -35,6 +37,30 @@ def _torus_words(p, q):
     gens = range(1, p)
     return [" ".join(f"s{g}^{sign}" for _ in range(q) for g in gens)
             for sign in (1, -1)]
+
+
+def _torus_alexander(p, q):
+    """(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), lowest power first, by
+    long division of t^(pq+1) - t^pq - t + 1 by t^(p+q) - t^p - t^q + 1."""
+    num = [0] * (p * q + 2)
+    num[0], num[1], num[-2], num[-1] = 1, -1, -1, 1
+    den = [0] * (p + q + 1)
+    den[0], den[p], den[q], den[-1] = 1, -1, -1, 1
+    quot = [0] * (len(num) - len(den) + 1)
+    for i in reversed(range(len(quot))):
+        quot[i] = c = num[i + p + q]
+        for j, b in enumerate(den):
+            num[i + j] -= c * b
+    assert not any(num)
+    return tuple(quot)
+
+
+@pytest.mark.parametrize("p, q", TORUS, ids=[f"T({p},{q})" for p, q in TORUS])
+def test_torus_knots_have_the_torus_alexander_polynomial(p, q):
+    want = _torus_alexander(p, q)
+    assert want[0] == want[-1] == 1 and len(want) == (p - 1) * (q - 1) + 1
+    for word in _torus_words(p, q):
+        assert alexander(braid_to_diagram(parse_braid(word))) == want, word
 
 
 # an InternalError, or any other exception, fails these tests as well
