@@ -1,13 +1,14 @@
 """The design rules of the package's source, as one table.
 
-Each rule is a finder, run on every module of src/foliar, and a snippet
-row: the snippet and, per module name it is read as, the exact hits the
-finder reports on it.  A finder takes a module name and its parsed tree
-and returns (line, ...) hits; the package keeps a rule when no module
-has a hit.  Each module is read and parsed once.  A new rule is a
-finder and a row of ROWS; a new ban on a name is an entry of BANNED.
+Each rule is a row of ROWS: a finder, run on every module of
+src/foliar, a snippet, and per module name the snippet is read as the
+exact hits the finder reports on it.  A finder takes a module name and
+its parsed tree and returns (line, ...) hits; the package keeps a rule
+when no module has a hit.  Each module is read and parsed once.  A new
+rule is a finder and a row; a new ban on a name is an entry of BANNED,
+under the row that pins it.
 
-The rules, with the row that pins each:
+The rules, by row:
 
 - crossings, faces, region_records, tait_names (banned_names): no record
   per crossing, face or region on the verdict path.  A diagram keeps
@@ -40,6 +41,7 @@ The rules, with the row that pins each:
 
 import ast
 import pathlib
+from functools import partial
 
 import pytest
 
@@ -74,17 +76,17 @@ def mentioned(node):
     return None
 
 
-# module ("*" for every module) -> name -> the use of it banned there:
-# "read" (an attribute loaded), "call", or "use" (any mention)
+# row -> module ("*" for every module) -> name -> the use of it banned
+# there: "read" (an attribute loaded), "call", or "use" (any mention)
 BANNED = {
-    "*": {
-        "crossings": "read",
-        "faces": "read",
+    "crossings": {"*": {"crossings": "read"}},
+    "faces": {"*": {"faces": "read"}},
+    "region_records": {"*": {
         "detect_twist_regions": "call",
         "TwistRegion": "call",
         "FaceEdge": "use",
-    },
-    "tait": dict.fromkeys([
+    }},
+    "tait_names": {"tait": dict.fromkeys([
         "normalize_assumption2",
         "build_side_graphs",
         "connectivity_report",
@@ -92,15 +94,16 @@ BANNED = {
         "flat_regions",
         "detect_twist_regions",
         "normal_form",  # the criterion's memo of the merged normal form
-    ], "use"),
+    ], "use")},
 }
 # the one function a banned name may be used inside
 BUILDER = {"TwistRegion": "detect_twist_regions"}
 
 
-def banned_names(module, tree):
-    """(line, name) of each use of a name that BANNED bans in module."""
-    bans = {**BANNED["*"], **BANNED.get(module, {})}
+def banned_names(table, module, tree):
+    """(line, name) of each use of a name that table, an entry of
+    BANNED, bans in module."""
+    bans = {**table.get("*", {}), **table.get(module, {})}
     found = []
     for node, fn in scoped(tree):
         if isinstance(node, ast.Call):
@@ -240,7 +243,7 @@ def route(d):
 
 # rule -> (finder, snippet, {module the snippet is read as: its hits})
 ROWS = {
-    "crossings": (banned_names, '''
+    "crossings": (partial(banned_names, BANNED["crossings"]), '''
 axes = [c.under_axis for c in d.crossings]
 n = len(self.d.crossings)
 first = r.crossings[0]
@@ -251,7 +254,7 @@ def f(diagram):
 rows = [x.crossings for x in regions]
 ''', {"criterion": [(2, "crossings"), (3, "crossings"), (4, "crossings"),
                    (5, "crossings"), (8, "crossings"), (9, "crossings")]}),
-    "faces": (banned_names, '''
+    "faces": (partial(banned_names, BANNED["faces"]), '''
 class Plane:
     faces = property(face_lists)
 bigons = [f for f in d.faces if len(f) == 2]
@@ -261,7 +264,7 @@ def f(plane):
     return plane.faces[0], getattr(plane, "start")
 plane.faces = None
 ''', {"twists": [(4, "faces"), (5, "faces"), (8, "faces")]}),
-    "region_records": (banned_names, '''
+    "region_records": (partial(banned_names, BANNED["region_records"]), '''
 def detect_twist_regions(d):
     return tuple([TwistRegion(i) for i in range(3)])
 class FaceEdge(tuple):
@@ -277,7 +280,7 @@ x = detect_twist_regions
 ''', {"criterion": [(4, "FaceEdge"), (7, "detect_twist_regions"),
                    (9, "TwistRegion"), (10, "FaceEdge"), (11, "FaceEdge"),
                    (12, "FaceEdge")]}),
-    "tait_names": (banned_names, TAIT_SNIPPET, {"tait": [
+    "tait_names": (partial(banned_names, BANNED["tait_names"]), TAIT_SNIPPET, {"tait": [
         (2, "collapse"), (3, "build_side_graphs"), (6, "normal_form"),
         (8, "flat_regions"), (9, "normalize_assumption2")]}),
     "tait_imports": (route_imports, TAIT_SNIPPET, {"tait": [
@@ -330,8 +333,6 @@ k = getattr(d, "_normal")
         "diagram": [(3, "_reduced"), (3, "_reduced"), (4, "_normal")],
     }),
 }
-RULES = {find.__name__: find for find, _, _ in ROWS.values()}
-
 
 @pytest.mark.parametrize("rule", ROWS)
 def test_rule_sees_its_snippet(rule):
@@ -340,11 +341,12 @@ def test_rule_sees_its_snippet(rule):
     assert {m: sorted(find(m, tree)) for m in hits} == hits
 
 
-@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("rule", ROWS)
 def test_package_keeps_rule(rule):
+    find = ROWS[rule][0]
     found = {
         module: sorted(hits)
         for module, tree in PACKAGE.items()
-        if (hits := RULES[rule](module, tree))
+        if (hits := find(module, tree))
     }
     assert found == {}
